@@ -56,6 +56,15 @@ def _key_base(rmax: int) -> int:
     return max(rmax, 2)
 
 
+def _index_dtype(n: int):
+    """Smallest signed dtype for index values, block labels, block counts
+    and slots at side n (all at most n), and the -1 sentinel."""
+    for dt in (np.int8, np.int16, np.int32):
+        if n <= np.iinfo(dt).max:
+            return dt
+    return np.int64
+
+
 def _build_chunk(n: int, d: int, m: int, start: int, stop: int):
     """Type keys, per-block values and per-segment flat indices for a range
     of mixed-radix sequence ids."""
@@ -63,7 +72,8 @@ def _build_chunk(n: int, d: int, m: int, start: int, stop: int):
     rmax = min(l, n)
     idx = np.arange(start, stop, dtype=np.int64)
     count = stop - start
-    cols = np.empty((count, l), dtype=np.int8)
+    ix = _index_dtype(n)
+    cols = np.empty((count, l), dtype=ix)
     for pos in range(l):
         p = n ** (l - 1 - pos)
         cols[:, pos] = (idx // p) % n
@@ -74,12 +84,12 @@ def _build_chunk(n: int, d: int, m: int, start: int, stop: int):
             acc = acc * n + cols[:, s * d + t]
         seg.append(acc)
     # restricted-growth labels: label[i] = index of the block position i joins
-    labels = np.zeros((count, l), dtype=np.int8)
-    blockvals = np.full((count, rmax), -1, dtype=np.int8)
+    labels = np.zeros((count, l), dtype=ix)
+    blockvals = np.full((count, rmax), -1, dtype=ix)
     blockvals[:, 0] = cols[:, 0]
-    nblocks = np.ones(count, dtype=np.int8)
+    nblocks = np.ones(count, dtype=ix)
     for i in range(1, l):
-        lab = np.full(count, -1, dtype=np.int8)
+        lab = np.full(count, -1, dtype=ix)
         for j in range(i):
             eq = cols[:, j] == cols[:, i]
             lab[eq] = labels[eq, j]
@@ -307,7 +317,7 @@ def candidate_side_tables(flat: Sequence[int], n: int, d: int, m: int,
     inv = inv.reshape(-1)
     # slot (1-based, 0 = absent) holding each value, per surviving row
     bv = blockvals[mask]
-    val_slot = np.zeros((bv.shape[0], n), dtype=np.int8)
+    val_slot = np.zeros((bv.shape[0], n), dtype=_index_dtype(n))
     rows = np.arange(bv.shape[0])
     for slot in range(rmax):
         col = bv[:, slot]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,8 +17,10 @@ class Interval:
 
     ``lower_exact`` is the exact 2k-th power of the lower end (the even
     moment itself) and ``upper_exact`` that of the upper end (moment
-    times the exact bound factor); the floats are their single-rounding
-    2k-th roots.  ``degenerate`` marks the [0, 0] interval produced for
+    times the exact bound factor); the floats are their 2k-th roots
+    rounded outward, so that ``lower**(2k) <= lower_exact`` and
+    ``upper**(2k) >= upper_exact`` hold exactly for the floats too.
+    ``degenerate`` marks the [0, 0] interval produced for
     an identically-zero objective, which certifies nothing.
     """
 
@@ -39,8 +42,8 @@ class Interval:
             raise ValueError("even moment cannot be negative")
         upper_exact = moment * factor
         return cls(
-            lower=root_2k(moment, k),
-            upper=root_2k(upper_exact, k),
+            lower=_outward_root(moment, k, upward=False),
+            upper=_outward_root(upper_exact, k, upward=True),
             lower_exact=moment,
             upper_exact=upper_exact,
             k_used=k,
@@ -63,3 +66,17 @@ class Interval:
             "k": self.k_used,
             "degenerate": self.degenerate,
         }
+
+
+def _outward_root(x: Fraction, k: int, upward: bool) -> float:
+    """The float nearest x**(1/(2k)), moved one step outward when its
+    exact 2k-th power lies on the wrong side of x.  The nearest float is
+    within one step of the true root, so one step suffices, and a root
+    that is itself a float is returned unchanged."""
+    f = root_2k(x, k)
+    power = Fraction(f) ** (2 * k)
+    if upward and power < x:
+        return math.nextafter(f, math.inf)
+    if not upward and power > x:
+        return math.nextafter(f, 0.0)
+    return f

@@ -180,7 +180,10 @@ def pow_collect(p: SparsePoly, m: int,
 
     The enumeration visits C(m + t - 1, t - 1) compositions for a
     t-term polynomial, which stays polynomial in m for fixed t; the
-    projected count is checked against the term budget up front.
+    projected count is checked against the term budget up front.  It
+    builds the whole collected power, so :func:`moment_2k` does not use
+    it; it serves ``SparsePoly.__pow__`` and the ``|x|**(2d)`` factor
+    of :func:`system_reduce`.
     """
     if m < 1:
         raise ValueError("exponent m must be >= 1")
@@ -256,8 +259,47 @@ def integrate_on_sphere(p: SparsePoly) -> Fraction:
     return num / den
 
 
+def _parity_reach(odd: list[int], limit: int) -> list:
+    """Odd-exponent masks the monomials i, i+1, ... can still contribute.
+
+    ``reach[i][q]`` is the set of XORs of ``odd[j]`` (j >= i) over subsets
+    of size q mod 2: a count of parity q left for those monomials can
+    only produce one of these masks.  Sets that would outgrow ``limit``
+    entries are left as None (no pruning at that level or above).
+    """
+    t = len(odd)
+    reach: list = [None] * t
+    even, odd_set = {0}, {odd[t - 1]}
+    reach[t - 1] = (even, odd_set)
+    for i in range(t - 2, 0, -1):
+        mu = odd[i]
+        if mu not in odd_set:   # otherwise the span, and both sets, stay the same
+            even, odd_set = (even | {x ^ mu for x in odd_set},
+                             odd_set | {x ^ mu for x in even})
+            if len(even) + len(odd_set) > limit:
+                break
+        reach[i] = (even, odd_set)
+    return reach
+
+
 def moment_2k(p: SparsePoly, k: int, term_budget: int | None = None) -> Fraction:
-    """Exact integral of p**(2k) over the unit sphere (before the root)."""
+    """Exact integral of p**(2k) over the unit sphere (before the root).
+
+    Sums the multinomial expansion of p**(2k) directly in integers,
+    without building the power: with the coefficients cleared to a
+    common denominator L, each composition r of 2k over the t monomials
+    contributes ``multinomial(r) * prod c_i**r_i * prod_j (a_j - 1)!!``,
+    where a = sum r_i e_i is its exponent vector (Folland's formula; odd
+    a_j integrate to zero).  Compositions are walked one monomial at a
+    time, and a branch is cut as soon as the XOR of the odd-exponent
+    masks of the monomials used an odd number of times is not one the
+    remaining monomials can cancel.  The result is
+    ``total / (L**(2k) * prod_{j<kd} (n + 2j))``, identical to
+    ``integrate_on_sphere(pow_collect(p, 2k))``.
+
+    The term budget bounds the C(2k + t - 1, t - 1) compositions of the
+    walk and is checked before any work.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     if p.is_zero:
@@ -270,7 +312,51 @@ def moment_2k(p: SparsePoly, k: int, term_budget: int | None = None) -> Fraction
             f"moment at k={k} needs {comps} collected terms for the "
             f"{t}-term polynomial, budget is {budget}",
             required=comps, budget=budget, k=k)
-    return integrate_on_sphere(pow_collect(p, 2 * k, budget))
+    m = 2 * k
+    exps = list(p.terms)
+    coefs = list(p.terms.values())
+    lcm = math.lcm(*(c.denominator for c in coefs))
+    pows = []
+    for c in coefs:
+        a = c.numerator * (lcm // c.denominator)
+        row = [1]
+        for _ in range(m):
+            row.append(row[-1] * a)
+        pows.append(row)
+    binom = [[math.comb(s, r) for r in range(s + 1)] for s in range(m + 1)]
+    # weight of an exponent a (used only at even a): (a - 1)!!
+    dfw = [_odd_double_factorial(a >> 1) for a in range(m * p.d + 1)]
+    odd = [sum(1 << j for j, e in enumerate(ex) if e & 1) for ex in exps]
+    reach = _parity_reach(odd, comps)
+    last = t - 1
+    e_last, pow_last, odd_last = exps[last], pows[last], odd[last]
+    total = 0
+
+    def walk(i: int, rem: int, acc: int, alpha: list[int], mask: int) -> None:
+        nonlocal total
+        if rem == 0 or i == last:
+            if rem & 1:
+                mask ^= odd_last
+            if mask == 0:
+                if rem:
+                    alpha = [a + rem * x for a, x in zip(alpha, e_last)]
+                    acc *= pow_last[rem]
+                total += acc * math.prod(map(dfw.__getitem__, alpha))
+            return
+        e, row, brow, mu, ok = exps[i], pows[i], binom[rem], odd[i], reach[i + 1]
+        for par in (0, 1):
+            sub = mask ^ mu if par else mask
+            if ok is not None and sub not in ok[(rem - par) & 1]:
+                continue
+            for r in range(par, rem + 1, 2):
+                walk(i + 1, rem - r, acc * brow[r] * row[r],
+                     [a + r * x for a, x in zip(alpha, e)], sub)
+
+    walk(0, m, 1, [0] * p.n, 0)
+    den = lcm ** m
+    for j in range(k * p.d):
+        den *= p.n + 2 * j
+    return Fraction(total, den)
 
 
 def norm_2k(p: SparsePoly, k: int, term_budget: int | None = None) -> float:
@@ -377,8 +463,10 @@ def system_reduce(system: Sequence[SparsePoly], k: int, delta: float = 0.01,
     max q on the sphere (by factor 1 + delta over the certified upper
     bound, with an exact 2k-power check), and bounds p = gamma*|x|**(2d)
     - q.  A solution would force max |p| = gamma; if the certified upper
-    bound stays below gamma*(1 - delta) the system is reported as a
-    certified gap with min q >= gamma - upper > 0.
+    bound stays below gamma*(1 - delta), decided exactly as
+    ``upper_exact < (gamma*(1 - delta))**(2k)``, the system is reported
+    as a certified gap, with ``certified_min_q`` a float rounded down
+    from gamma - upper, so that min q >= certified_min_q holds exactly.
     """
     if not system:
         raise ValueError("system must contain at least one polynomial")
@@ -411,11 +499,17 @@ def system_reduce(system: Sequence[SparsePoly], k: int, delta: float = 0.01,
     p = norm_power * gamma_exact - q
     pb = sup_bounds(p, k, term_budget)
     gamma = float(gamma_exact)
-    if pb.upper >= gamma * (1.0 - delta):
+    threshold = gamma_exact * (1 - Fraction(delta))
+    if threshold <= 0 or pb.upper_exact >= threshold ** (2 * k):
         return SystemReduction(gamma, gamma_exact, p, pb,
                                "possibly solvable", None)
-    return SystemReduction(gamma, gamma_exact, p, pb,
-                           "certified gap", gamma - pb.upper)
+    # pb.upper is at least the true upper end, so the gap below it,
+    # rounded down, never exceeds gamma - upper
+    gap = gamma_exact - Fraction(pb.upper)
+    min_q = float(gap)
+    if Fraction(min_q) > gap:
+        min_q = math.nextafter(min_q, -math.inf)
+    return SystemReduction(gamma, gamma_exact, p, pb, "certified gap", min_q)
 
 
 def poly_to_json(p: SparsePoly) -> dict:

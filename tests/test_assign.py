@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from helpers import (brute_coset_average, brute_group_moment,
                      random_int_tensor, random_permutation,
                      random_rational_tensor)
-from orbitmax import assign
+from orbitmax import _typesweep, assign
 from orbitmax.assign import (DenseTensor, PartialAssignment, Permutation,
                              brute_max, coset_moment, greedy_extract,
                              index_type, matrix_element, moment_2k,
@@ -240,6 +240,53 @@ class TestSupBounds:
         iv = sup_bounds(a, a, 2)
         assert iv.lower == pytest.approx(3.0, rel=1e-15)
         assert iv.upper >= 3.0
+
+    def test_float_ends_rounded_outward(self):
+        # f(g) = 1/10 for every g, and the float nearest 1/10 lies above it
+        a = DenseTensor.from_entries(2, 1, [Fraction(1, 10), 0])
+        b = DenseTensor.from_entries(2, 1, [1, 1])
+        iv = sup_bounds(a, b, 1)
+        assert Fraction(iv.lower) <= Fraction(1, 10) <= Fraction(iv.upper)
+        assert Fraction(iv.lower) ** 2 <= iv.lower_exact
+        assert Fraction(iv.upper) ** 2 >= iv.upper_exact
+
+
+def _mod_vectors(n):
+    return [7 * i % 5 for i in range(n)], [3 * i % 4 for i in range(n)]
+
+
+def _closed_form_k1(a, b):
+    """E[f**2] for f = sum a_i b_g(i) over all bijections g."""
+    n = len(a)
+    sa, qa = sum(a), sum(x * x for x in a)
+    sb, qb = sum(b), sum(x * x for x in b)
+    return Fraction(qa * qb, n) + Fraction((sa * sa - qa) * (sb * sb - qb), n * (n - 1))
+
+
+class TestWideIndices:
+    """Index values at and above 128 must not wrap in the type sweep."""
+
+    @pytest.mark.parametrize("n", [127, 128, 129, 130])
+    def test_moment_matches_closed_form(self, n):
+        a, b = _mod_vectors(n)
+        got = moment_2k(DenseTensor.from_entries(n, 1, a),
+                        DenseTensor.from_entries(n, 1, b), 1)
+        assert got == _closed_form_k1(a, b)
+
+    def test_candidate_pins_above_127(self):
+        # pin position 0 to image c; the free part is an unconstrained
+        # bijection of the other n - 1 coordinates
+        n = 130
+        a, b = _mod_vectors(n)
+        cands = (126, 127, 128, 129)
+        table_a = _typesweep.side_table(a, n, 1, 2, (0,), 10 ** 8)
+        tables_b = _typesweep.candidate_side_tables(b, n, 1, 2, (), cands, 10 ** 8)
+        for c in cands:
+            rest_a, rest_b = a[1:], b[:c] + b[c + 1:]
+            shift = a[0] * b[c]
+            mean = Fraction(sum(rest_a) * sum(rest_b), n - 1)
+            expected = shift ** 2 + 2 * shift * mean + _closed_form_k1(rest_a, rest_b)
+            assert _typesweep.combine(table_a, tables_b[c], n, 1, 2, 1) == expected
 
 
 class TestCosetMoment:

@@ -144,6 +144,70 @@ class TestMoment2k:
                 assert sphere.moment_2k(p, k) == 1
 
 
+class TestMomentEngine:
+    """moment_2k sums the expansion in integers; it must agree exactly
+    with the collected power integrated term by term."""
+
+    @staticmethod
+    def expansion_path(p, k):
+        return sphere.integrate_on_sphere(sphere.pow_collect(p, 2 * k))
+
+    @pytest.mark.parametrize("n,d,items", [
+        (3, 2, [((2, 0, 0), Fraction(1, 6)), ((1, 1, 0), Fraction(-5, 4)),
+                ((0, 1, 1), Fraction(7, 9))]),                      # mixed denominators
+        (2, 3, [((3, 0), -2), ((1, 2), Fraction(-1, 3)),
+                ((2, 1), Fraction(4, 5))]),                          # odd d, negatives
+        (1, 3, [((3,), Fraction(-2, 7))]),                           # n = 1
+        (4, 3, [((1, 1, 1, 0), Fraction(3, 8))]),                    # single odd term
+        (3, 4, [((2, 2, 0), Fraction(-9, 2))]),                      # single even term
+        (3, 2, []),                                                  # zero form
+    ])
+    def test_special_forms(self, n, d, items):
+        p = SparsePoly.from_terms(n, d, items)
+        for k in (1, 2, 3):
+            got = sphere.moment_2k(p, k)
+            assert got == self.expansion_path(p, k)
+            assert got == oracle_sphere_moment_2k(p, k)
+
+    def test_random_forms(self):
+        rng = random.Random(59)
+        for _ in range(150):
+            p = random_poly(rng, rng.randint(1, 5), rng.randint(1, 4), 6)
+            k = rng.randint(1, 3)
+            assert sphere.moment_2k(p, k) == self.expansion_path(p, k)
+
+    def test_high_rank_parity_masks(self):
+        # a chain x_j x_(j+1): every term has its own odd-exponent mask,
+        # so the parity sets of the full span would hold 2**25 masks
+        n = 26
+        p = SparsePoly.from_terms(
+            n, 2, [(tuple(1 if i in (j, j + 1) else 0 for i in range(n)),
+                    Fraction(j + 1, j % 3 + 1)) for j in range(n - 1)])
+        for k in (1, 2):
+            assert sphere.moment_2k(p, k) == self.expansion_path(p, k)
+
+    def test_budget_error_fields(self):
+        p = SparsePoly.from_terms(4, 2, [((2, 0, 0, 0), 1), ((0, 2, 0, 0), -3),
+                                         ((1, 1, 0, 0), 2), ((0, 0, 1, 1), 1)])
+        with pytest.raises(BudgetError) as exc:
+            sphere.moment_2k(p, 5, term_budget=100)
+        required = math.comb(10 + 3, 3)
+        assert (exc.value.required, exc.value.budget, exc.value.k) == (required, 100, 5)
+        assert str(exc.value) == (f"moment at k=5 needs {required} collected terms "
+                                  f"for the 4-term polynomial, budget is 100")
+
+    def test_never_expands_the_power(self, monkeypatch):
+        p = SparsePoly.from_terms(3, 2, [((2, 0, 0), 1), ((0, 1, 1), Fraction(-1, 2))])
+        expected = (sphere.moment_2k(p, 4), sphere.fewnomial_sup(p, 0.5))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the moment engine must not expand p**(2k)")
+
+        monkeypatch.setattr(sphere, "pow_collect", refuse)
+        monkeypatch.setattr(sphere, "integrate_on_sphere", refuse)
+        assert (sphere.moment_2k(p, 4), sphere.fewnomial_sup(p, 0.5)) == expected
+
+
 class TestNormAndBounds:
     def test_norm_coordinate(self):
         assert sphere.norm_2k(SparsePoly.variable(3, 0), 1) == \
@@ -171,6 +235,20 @@ class TestNormAndBounds:
             iv = sphere.sup_bounds(p, rng.randint(1, 3))
             assert iv.lower <= iv.upper
             assert iv.lower_exact <= iv.upper_exact
+
+    def test_float_ends_certified_and_tight(self):
+        # each float end is the tightest float whose 2k-th power is on the
+        # certified side of the exact end
+        rng = random.Random(67)
+        for _ in range(40):
+            p = random_poly(rng, rng.randint(2, 4), rng.randint(1, 3), 3)
+            k = rng.randint(1, 4)
+            iv = sphere.sup_bounds(p, k)
+            lo, hi = Fraction(iv.lower), Fraction(iv.upper)
+            assert lo ** (2 * k) <= iv.lower_exact
+            assert hi ** (2 * k) >= iv.upper_exact
+            assert Fraction(math.nextafter(iv.lower, math.inf)) ** (2 * k) > iv.lower_exact
+            assert Fraction(math.nextafter(iv.upper, 0.0)) ** (2 * k) < iv.upper_exact
 
     def test_sum_of_squares_contains_one(self):
         p = SparsePoly.from_terms(2, 2, [((2, 0), 1), ((0, 2), 1)])
@@ -308,6 +386,28 @@ class TestSystemReduce:
         result = sphere.system_reduce(system, k=4)
         # q == 1 on the sphere, so gamma must exceed 1
         assert result.gamma_exact > 1
+
+    def test_verdict_decided_exactly(self):
+        rng = random.Random(71)
+        verdicts = set()
+        for _ in range(40):
+            n, d = rng.randint(2, 3), rng.randint(1, 2)
+            system = [random_poly(rng, n, d, 3) for _ in range(rng.randint(1, n))]
+            k = rng.randint(1, 4)
+            delta = rng.choice([0.001, 0.01, 0.1, 0.3])
+            r = sphere.system_reduce(system, k, delta)
+            iv = r.interval
+            gap = iv.upper_exact < (r.gamma_exact * (1 - Fraction(delta))) ** (2 * k)
+            assert (r.verdict == "certified gap") == gap
+            verdicts.add(r.verdict)
+            if gap:
+                # min q >= gamma - upper >= certified_min_q > 0, exactly
+                min_q = Fraction(r.certified_min_q)
+                assert 0 < min_q <= r.gamma_exact - Fraction(iv.upper)
+                assert (r.gamma_exact - min_q) ** (2 * k) >= iv.upper_exact
+            else:
+                assert r.certified_min_q is None
+        assert verdicts == {"certified gap", "possibly solvable"}
 
     def test_degree_mismatch_rejected(self):
         with pytest.raises(ValueError):
