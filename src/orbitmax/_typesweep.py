@@ -31,6 +31,7 @@ from .errors import BudgetError
 
 CHUNK_SIZE = 1 << 20
 CACHE_MAX = 1 << 21
+_KEY_LIMIT = 2 ** 63 - 1  # type keys times pin patterns, as int64
 _CACHE_SLOTS = 3
 
 # (n, d, m) -> (keys, blockvals, seg, uk0, inv0); small LRU
@@ -43,13 +44,23 @@ def sequence_count(n: int, d: int, m: int) -> int:
     return n ** (m * d)
 
 
-def check_budget(n: int, d: int, m: int, budget: int) -> None:
+def check_budget(n: int, d: int, m: int, budget: int, npins: int = 0) -> None:
+    """Refuse more than ``budget`` sequence visits, and (type, pin
+    pattern) keys that would not fit in int64."""
     required = sequence_count(n, d, m)
     if required > budget:
         raise BudgetError(
             f"type enumeration needs {required} sequence visits "
             f"(n={n}, d={d}, 2k={m}), budget is {budget}",
             required=required, budget=budget, k=m // 2)
+    l = m * d
+    rmax = min(l, n)
+    keys = _key_base(rmax) ** l * (npins + 1) ** rmax
+    if keys > _KEY_LIMIT:
+        raise BudgetError(
+            f"type keys need {keys} values (n={n}, d={d}, 2k={m}, "
+            f"{npins} pins), int64 holds {_KEY_LIMIT}",
+            required=keys, budget=_KEY_LIMIT, k=m // 2)
 
 
 def _key_base(rmax: int) -> int:
@@ -222,7 +233,7 @@ def side_table(flat: Sequence[int], n: int, d: int, m: int,
     blocks carrying a pinned value get that pin's 1-based index as their
     pattern digit.  Zero sums are omitted.
     """
-    check_budget(n, d, m, budget)
+    check_budget(n, d, m, budget, len(fixed_vals))
     l = m * d
     rmax = min(l, n)
     tier = _tier(flat, n, rmax, m)
@@ -289,7 +300,7 @@ def candidate_side_tables(flat: Sequence[int], n: int, d: int, m: int,
     results pair with a table built from any other pin list of length T.
     Used by the greedy extractor, where only the last pin varies.
     """
-    check_budget(n, d, m, budget)
+    check_budget(n, d, m, budget, len(base_vals) + 1)
     if set(cands) & set(base_vals):
         raise ValueError("candidate pins must be disjoint from the base pins")
     l = m * d

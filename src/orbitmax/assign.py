@@ -6,6 +6,12 @@ assignment.  This module computes the exact average of f**(2k) over all
 of S_n (or over a coset fixing a partial assignment) without touching
 the n! permutations, certifies two-sided bounds on max |f|, extracts a
 permutation greedily coset-by-coset, and provides a brute-force oracle.
+
+At d = 1 the moments come from the power sums of the two vectors: the
+sum over index sequences of one equality type is an injective power sum,
+a Moebius inversion of power sums, so the work is polynomial in n and in
+the number of integer partitions of 2k.  At d >= 2 the type-grouped
+sweep in ``_typesweep`` visits all n**(2kd) index sequences.
 """
 
 from __future__ import annotations
@@ -249,18 +255,179 @@ def _int_scaled(t: DenseTensor) -> tuple[list[int], int]:
     return [int(v * scale) for v in t.entries], scale
 
 
+def _d1_plan(m: int, top: int) -> tuple:
+    """Recursion plan for the injective power sums M_lam over the integer
+    partitions lam of 0..m with at most ``top`` parts, ordered by length.
+
+    Each row is (size j, parts r, set partitions of that shape, parent
+    row, last part s, merged rows): M_lam = M_parent * p_s - sum of M
+    over the merged rows, where parent drops the last part s of lam and
+    each merged row adds s to one other part; both have one part fewer,
+    so every row looks back.
+    """
+    def parts(rest: int, largest: int, slots: int):
+        yield ()
+        if slots:
+            for first in range(min(rest, largest), 0, -1):
+                for tail in parts(rest - first, first, slots - 1):
+                    yield (first,) + tail
+
+    lams = sorted(parts(m, m, top), key=len)
+    row_of = {lam: i for i, lam in enumerate(lams)}
+    rows = [(0, 0, 1, -1, 0, ())]
+    for lam in lams[1:]:
+        j, r = sum(lam), len(lam)
+        count = math.factorial(j)
+        for v in lam:
+            count //= math.factorial(v)
+        for v in set(lam):
+            count //= math.factorial(lam.count(v))
+        head, s = lam[:-1], lam[-1]
+        merged = tuple(
+            row_of[tuple(sorted(head[:i] + (head[i] + s,) + head[i + 1:],
+                                reverse=True))]
+            for i in range(r - 1))
+        rows.append((j, r, count, row_of[head], s, merged))
+    return tuple(rows)
+
+
+def _d1_check_budget(n: int, m: int, cosets: Mapping[int, int],
+                     budget: int) -> None:
+    """Charge n * m power products plus one term per coset and integer
+    partition of each j <= m, where ``cosets`` maps a part limit r to
+    the number of cosets evaluated over the partitions with at most r
+    parts.  The partitions are counted, not built, and the count stops
+    as soon as it exceeds the budget."""
+    top = max(cosets)
+    required = n * m
+    at_most: list[list[int]] = []  # at_most[j][r]: partitions of j, <= r parts
+    for j in range(m + 1):
+        row = [int(j == 0)]
+        for r in range(1, top + 1):
+            row.append(row[r - 1] + (at_most[j - r][r] if j >= r else 0))
+        at_most.append(row)
+        required += sum(c * row[r] for r, c in cosets.items())
+        if required > budget:
+            raise BudgetError(
+                f"power-sum moments need at least {required} partition terms "
+                f"and power products (n={n}, 2k={m}), budget is {budget}",
+                required=required, budget=budget, k=m // 2)
+
+
+def _power_sums(vals: Sequence[int], m: int) -> list[int]:
+    return [sum(v ** s for v in vals) for s in range(m + 1)]
+
+
+def _injective_sums(plan: tuple, p: Sequence[int], top: int) -> list[int]:
+    """M_lam = sum over distinct i_1..i_r of prod x_{i_t}**lam_t from the
+    power sums p, for the plan rows with at most ``top`` parts."""
+    out = [1]
+    for _, r, _, parent, s, merged in plan[1:]:
+        if r > top:
+            break
+        v = out[parent] * p[s]
+        for i in merged:
+            v -= out[i]
+        out.append(v)
+    return out
+
+
+def _d1_weights(plan: tuple, m: int, nfree: int, p: Sequence[int]) -> list[int]:
+    """C(m, j) * N_lam * M_lam * (N)_top / (N)_r for each plan row lam of j
+    with r <= top = min(m, N) parts, N_lam the set partitions of shape lam.
+
+    Against the other side's M_lam and the shift power c**(m - j) they
+    sum to (N)_top times the average of (c + f_free)**m over the
+    bijections of the N free coordinates.
+    """
+    top = min(m, nfree)
+    return [math.comb(m, j) * count * math.perm(nfree - r, top - r) * x
+            for (j, r, count, *_), x in zip(plan, _injective_sums(plan, p, top))]
+
+
+def _d1_pair(plan: tuple, m: int, nfree: int, weights: Sequence[int],
+             p: Sequence[int], shift: int) -> int:
+    inj = _injective_sums(plan, p, min(m, nfree))
+    shifts = [shift ** (m - j) for j in range(m + 1)]
+    return sum(w * y * shifts[row[0]]
+               for w, y, row in zip(weights, inj, plan) if w)
+
+
+def _d1_coset_moment(a: DenseTensor, b: DenseTensor, m: int,
+                     pairs: Sequence[tuple[int, int]], budget: int) -> Fraction:
+    """Coset average of <b, g a>**m at d = 1; the prefix adds the
+    constant shift sum a_p b_q to f over the free coordinates."""
+    nfree = a.n - len(pairs)
+    top = min(m, nfree)
+    _d1_check_budget(a.n, m, {top: 1}, budget)
+    ints_a, la = _int_scaled(a)
+    ints_b, lb = _int_scaled(b)
+    fixed = dict(pairs)
+    used = set(fixed.values())
+    free_a = [x for i, x in enumerate(ints_a) if i not in fixed]
+    free_b = [y for j, y in enumerate(ints_b) if j not in used]
+    plan = _d1_plan(m, top)
+    weights = _d1_weights(plan, m, nfree, _power_sums(free_a, m))
+    total = _d1_pair(plan, m, nfree, weights, _power_sums(free_b, m),
+                     sum(ints_a[p] * ints_b[q] for p, q in pairs))
+    return (Fraction(total, math.perm(nfree, top))
+            / (Fraction(la) ** m * Fraction(lb) ** m))
+
+
+def _d1_greedy(a: DenseTensor, b: DenseTensor, m: int, budget: int) -> list[int]:
+    """Greedy images at d = 1; fixing a position subtracts its powers from
+    the free power sums.  The children of one step share the denominator
+    (N)_top, so their raw sums are compared."""
+    n = a.n
+    cosets: dict[int, int] = {}
+    for t in range(n):
+        top = min(m, n - t - 1)
+        cosets[top] = cosets.get(top, 0) + n - t
+    _d1_check_budget(n, m, cosets, budget)
+    ints_a, _ = _int_scaled(a)
+    ints_b, _ = _int_scaled(b)
+    plan = _d1_plan(m, min(m, n - 1))
+    pow_a = [[x ** s for s in range(m + 1)] for x in ints_a]
+    pow_b = [[y ** s for s in range(m + 1)] for y in ints_b]
+    pa, pb = [sum(col) for col in zip(*pow_a)], [sum(col) for col in zip(*pow_b)]
+    shift = 0
+    free = list(range(n))
+    chosen: list[int] = []
+    for t in range(n):
+        nfree = n - t - 1
+        pa = [s - x for s, x in zip(pa, pow_a[t])]
+        weights = _d1_weights(plan, m, nfree, pa)
+        best_val = best_j = None
+        for j in free:
+            val = _d1_pair(plan, m, nfree, weights,
+                           [s - y for s, y in zip(pb, pow_b[j])],
+                           shift + ints_a[t] * ints_b[j])
+            if best_val is None or val > best_val:
+                best_val, best_j = val, j
+        chosen.append(best_j)
+        free.remove(best_j)
+        pb = [s - y for s, y in zip(pb, pow_b[best_j])]
+        shift += ints_a[t] * ints_b[best_j]
+    return chosen
+
+
 def moment_2k(a: DenseTensor, b: DenseTensor, k: int,
               visit_budget: int | None = None) -> Fraction:
     """Exact average of <B, gA>**(2k) over all n! permutations g.
 
-    Runs in O(n**(2kd)) sequence visits via type-grouped sums of the
-    virtual tensor powers, never materialising them.
+    At d = 1 it works from power sums: n * 2k power products plus one
+    term per integer partition of each j <= 2k with at most min(n, 2k)
+    parts.  At d >= 2 it runs in
+    O(n**(2kd)) sequence visits via type-grouped sums of the virtual
+    tensor powers, never materialising them.
     """
     _check_shapes(a, b)
     if k < 1:
         raise ValueError("k must be >= 1")
     budget = DEFAULT_VISIT_BUDGET if visit_budget is None else visit_budget
     m = 2 * k
+    if a.d == 1:
+        return _d1_coset_moment(a, b, m, (), budget)
     ints_a, la = _int_scaled(a)
     ints_b, lb = _int_scaled(b)
     ta, tb = _typesweep.moment_tables(ints_a, ints_b, a.n, a.d, m, budget)
@@ -350,9 +517,11 @@ def coset_moment(a: DenseTensor, b: DenseTensor, k: int,
     pins a single permutation and returns f(g)**(2k) exactly.
 
     ``method`` selects the algorithm: "typesweep" refines the type
-    classes with pin patterns (polynomial in n for fixed k, d),
-    "enumerate" averages over the coset directly, and "auto" picks
-    whichever is cheaper.  All produce identical exact values.
+    classes with pin patterns (O(n**(2kd)) sequence visits), "enumerate"
+    averages over the coset directly ((n - len(prefix))! evaluations),
+    and "auto" uses the power-sum engine at d = 1 (the prefix adds a
+    constant to f; see ``moment_2k``) and the cheaper of the other two
+    at d >= 2.  All produce identical exact values.
     """
     _check_shapes(a, b)
     if k < 1:
@@ -365,6 +534,8 @@ def coset_moment(a: DenseTensor, b: DenseTensor, k: int,
             raise ValueError(f"prefix pair ({p}, {q}) out of range 0..{n - 1}")
     budget = DEFAULT_VISIT_BUDGET if visit_budget is None else visit_budget
     m = 2 * k
+    if method == "auto" and a.d == 1:
+        return _d1_coset_moment(a, b, m, prefix.pairs, budget)
     ints_a, la = _int_scaled(a)
     ints_b, lb = _int_scaled(b)
     scale = Fraction(la) ** m * Fraction(lb) ** m
@@ -381,30 +552,16 @@ def coset_moment(a: DenseTensor, b: DenseTensor, k: int,
         total = _enumerate_coset_power_sums(nz_a, ints_b, n, a.d, m,
                                             prefix.pairs, None)
         return Fraction(total, math.factorial(n - len(prefix))) / scale
-    if not prefix.pairs:
-        return moment_2k(a, b, k, visit_budget)
     ta = _typesweep.side_table(ints_a, n, a.d, m, prefix.positions, budget)
     tb = _typesweep.side_table(ints_b, n, a.d, m, prefix.images, budget)
     total = _typesweep.combine(ta, tb, n, a.d, m, len(prefix))
     return total / scale
 
 
-def greedy_extract(a: DenseTensor, b: DenseTensor, k: int,
-                   visit_budget: int | None = None) -> GreedyResult:
-    """Fix g(0), g(1), ... successively, each time entering the coset with
-    the largest exact conditional moment (ties to the smallest image).
-
-    Since the best child coset is at least as good as its parent's
-    average, the returned permutation satisfies f(g)**(2k) >= the full
-    moment, i.e. |f(g)| >= the certified lower bound.
-    """
-    _check_shapes(a, b)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    budget = DEFAULT_VISIT_BUDGET if visit_budget is None else visit_budget
-    n, d, m = a.n, a.d, 2 * k
-    ints_a, _ = _int_scaled(a)
-    ints_b, _ = _int_scaled(b)
+def _sweep_greedy(ints_a: Sequence[int], ints_b: Sequence[int], n: int,
+                  d: int, m: int, budget: int) -> list[int]:
+    """Greedy images at d >= 2: per step, a pinned type sweep or one
+    enumeration of the parent coset, whichever is cheaper."""
     nnz = sum(1 for v in ints_a if v)
     nz_a = _nonzero_digit_entries(ints_a, n, d)
     chosen: list[int] = []
@@ -419,7 +576,8 @@ def greedy_extract(a: DenseTensor, b: DenseTensor, k: int,
             if cost > budget:
                 raise BudgetError(
                     f"coset enumeration needs {cost} evaluations, "
-                    f"budget is {budget}", required=cost, budget=budget, k=k)
+                    f"budget is {budget}",
+                    required=cost, budget=budget, k=m // 2)
             sums = _enumerate_coset_power_sums(nz_a, ints_b, n, d, m,
                                                pairs, t - 1)
             best_val = None
@@ -438,6 +596,35 @@ def greedy_extract(a: DenseTensor, b: DenseTensor, k: int,
                 if best_frac is None or val > best_frac:
                     best_frac, best_j = val, j
         chosen.append(best_j)
+    return chosen
+
+
+def greedy_extract(a: DenseTensor, b: DenseTensor, k: int,
+                   visit_budget: int | None = None) -> GreedyResult:
+    """Fix g(0), g(1), ... successively, each time entering the coset with
+    the largest exact conditional moment (ties to the smallest image).
+
+    Since the best child coset is at least as good as its parent's
+    average, the returned permutation satisfies f(g)**(2k) >= the full
+    moment, i.e. |f(g)| >= the certified lower bound.
+
+    At d = 1 every child moment comes from the free power sums, updated
+    as positions are fixed: n(n+1)/2 candidate cosets, each one term per
+    integer partition of each j <= 2k with at most as many parts as the
+    coset has free coordinates.  At d >= 2 each step runs a
+    pinned type sweep (O(n**(2kd)) visits) or enumerates the parent
+    coset, whichever is cheaper.
+    """
+    _check_shapes(a, b)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    budget = DEFAULT_VISIT_BUDGET if visit_budget is None else visit_budget
+    n, d, m = a.n, a.d, 2 * k
+    if d == 1:
+        chosen = _d1_greedy(a, b, m, budget)
+    else:
+        chosen = _sweep_greedy(_int_scaled(a)[0], _int_scaled(b)[0],
+                               n, d, m, budget)
     g = Permutation(tuple(chosen))
     value = matrix_element(a, b, g)
     return GreedyResult(g, value, float(abs(value)))

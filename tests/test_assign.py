@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -273,6 +274,15 @@ class TestWideIndices:
                         DenseTensor.from_entries(n, 1, b), 1)
         assert got == _closed_form_k1(a, b)
 
+    @pytest.mark.parametrize("n", [128, 130])
+    def test_sweep_matches_closed_form(self, n):
+        # moment_2k uses power sums at d = 1; force the sweep here
+        a, b = _mod_vectors(n)
+        got = coset_moment(DenseTensor.from_entries(n, 1, a),
+                           DenseTensor.from_entries(n, 1, b), 1,
+                           PartialAssignment.empty(), method="typesweep")
+        assert got == _closed_form_k1(a, b)
+
     def test_candidate_pins_above_127(self):
         # pin position 0 to image c; the free part is an unconstrained
         # bijection of the other n - 1 coordinates
@@ -287,6 +297,163 @@ class TestWideIndices:
             mean = Fraction(sum(rest_a) * sum(rest_b), n - 1)
             expected = shift ** 2 + 2 * shift * mean + _closed_form_k1(rest_a, rest_b)
             assert _typesweep.combine(table_a, tables_b[c], n, 1, 2, 1) == expected
+
+
+class TestKeyRangeGuard:
+    """Type keys times pin patterns must fit in int64, or the sweep refuses."""
+
+    def test_side_table_refuses_before_sweeping(self):
+        # 8**8 * 30**8 > 2**63: 30**8 visits are within the budget, so
+        # only the key guard stops the sweep
+        with pytest.raises(BudgetError) as exc:
+            _typesweep.side_table([1] * 30 ** 2, 30, 2, 4, tuple(range(29)),
+                                  10 ** 20)
+        assert exc.value.required == 8 ** 8 * 30 ** 8
+        assert exc.value.required > exc.value.budget == 2 ** 63 - 1
+
+    def test_boundary(self):
+        # 8**8 * 29**8 < 2**63 <= 8**8 * 30**8
+        _typesweep.check_budget(30, 2, 4, 10 ** 20, npins=28)
+        with pytest.raises(BudgetError):
+            _typesweep.check_budget(30, 2, 4, 10 ** 20, npins=29)
+
+    def test_candidate_tables_count_the_candidate_pin(self):
+        with pytest.raises(BudgetError):
+            _typesweep.candidate_side_tables([1] * 30 ** 2, 30, 2, 4,
+                                             tuple(range(28)), (28, 29),
+                                             10 ** 20)
+
+
+def _vector(rng, kind, n):
+    if kind == "zero":
+        return DenseTensor.zeros(n, 1)
+    if kind == "negative":
+        return DenseTensor.from_entries(n, 1, [-rng.randint(0, 5) for _ in range(n)])
+    return random_rational_tensor(rng, n, 1)
+
+
+def _partition_count(j, parts):
+    """Number of integer partitions of j with at most ``parts`` parts,
+    counted by conjugation as partitions into parts of size <= ``parts``."""
+    ways = [1] + [0] * j
+    for part in range(1, min(parts, j) + 1):
+        for total in range(part, j + 1):
+            ways[total] += ways[total - part]
+    return ways[j]
+
+
+def _d1_terms(k, parts):
+    return sum(_partition_count(j, parts) for j in range(2 * k + 1))
+
+
+class TestPowerSumRoute:
+    """At d = 1, moments, cosets and greedy come from power sums."""
+
+    @pytest.mark.parametrize("kind", ["zero", "negative", "rational"])
+    def test_auto_matches_typesweep_and_brute(self, kind):
+        # covers n < 2k (partitions with more than n parts drop out)
+        # and n > 2k, with empty, partial and full prefixes
+        rng = random.Random(230)
+        for n in range(1, 8):
+            for k in range(1, 5):
+                a, b = _vector(rng, kind, n), _vector(rng, kind, n)
+                t = rng.randint(1, n - 1) if n > 1 else 1
+                for size in (0, t, n):
+                    prefix = PartialAssignment(tuple(zip(
+                        rng.sample(range(n), size), rng.sample(range(n), size))))
+                    got = coset_moment(a, b, k, prefix)
+                    assert got == brute_coset_average(a, b, k, prefix)
+                    if n ** (2 * k) <= 4 ** 8:
+                        assert got == coset_moment(a, b, k, prefix,
+                                                   method="typesweep")
+
+    def test_never_sweeps_or_enumerates(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("d = 1 must not sweep or enumerate")
+
+        rng = random.Random(231)
+        a = random_int_tensor(rng, 8, 1, -3, 3)
+        b = random_int_tensor(rng, 8, 1, -3, 3)
+        prefix = PartialAssignment(((0, 3), (5, 1)))
+        expected = (moment_2k(a, b, 2), coset_moment(a, b, 2, prefix),
+                    greedy_extract(a, b, 2))
+        for name in ("moment_tables", "side_table", "candidate_side_tables"):
+            monkeypatch.setattr(_typesweep, name, refuse)
+        monkeypatch.setattr(assign, "_enumerate_coset_power_sums", refuse)
+        assert (moment_2k(a, b, 2), coset_moment(a, b, 2, prefix),
+                greedy_extract(a, b, 2)) == expected
+        with pytest.raises(AssertionError):
+            coset_moment(a, b, 2, prefix, method="typesweep")
+
+    def test_moment_budget_boundary(self):
+        a = DenseTensor.from_entries(5, 1, [1, -2, 3, 0, 4])
+        # the coset has four free coordinates, as many as 2k
+        required = _d1_terms(2, 4) + 5 * 4
+        assert required == 12 + 20
+        moment_2k(a, a, 2, visit_budget=required)
+        coset_moment(a, a, 2, PartialAssignment(((0, 1),)), visit_budget=required)
+        with pytest.raises(BudgetError) as exc:
+            moment_2k(a, a, 2, visit_budget=required - 1)
+        assert (exc.value.required, exc.value.budget, exc.value.k) == \
+            (required, required - 1, 2)
+        with pytest.raises(BudgetError):
+            coset_moment(a, a, 2, PartialAssignment(((0, 1),)),
+                         visit_budget=required - 1)
+
+    def test_greedy_budget_boundary(self):
+        a = DenseTensor.from_entries(5, 1, [1, -2, 3, 0, 4])
+        # step t compares 5 - t candidate cosets with 4 - t free coordinates
+        required = sum((5 - t) * _d1_terms(2, min(4, 4 - t))
+                       for t in range(5)) + 5 * 4
+        assert required == 5 * 12 + 4 * 11 + 3 * 9 + 2 * 5 + 1 + 20
+        greedy_extract(a, a, 2, visit_budget=required)
+        with pytest.raises(BudgetError) as exc:
+            greedy_extract(a, a, 2, visit_budget=required - 1)
+        assert exc.value.required == required
+
+    def test_large_k_refused_before_any_work(self):
+        # 2k = 100 with 100 coordinates: about 1.3e9 partition terms, which
+        # the budget must refuse by counting, without building them
+        a = DenseTensor.from_entries(100, 1, range(100))
+        calls = (lambda: moment_2k(a, a, 50),
+                 lambda: coset_moment(a, a, 50, PartialAssignment(((0, 0),))),
+                 lambda: greedy_extract(a, a, 50))
+        start = time.perf_counter()
+        for call in calls:
+            with pytest.raises(BudgetError) as exc:
+                call()
+            assert exc.value.required > exc.value.budget == assign.DEFAULT_VISIT_BUDGET
+        assert time.perf_counter() - start < 1.0
+
+    def test_few_coordinates_large_k(self):
+        # at most n parts: n = 1 charges one term per j, n = 2 about j / 2
+        a = DenseTensor.from_entries(1, 1, [Fraction(3, 2)])
+        b = DenseTensor.from_entries(1, 1, [-2])
+        assert moment_2k(a, b, 50) == 3 ** 100
+        assert moment_2k(a, b, 2, visit_budget=_d1_terms(2, 1) + 4) == 3 ** 4
+        assert greedy_extract(a, b, 50).permutation == Permutation.identity(1)
+        a = DenseTensor.from_entries(2, 1, [1, 3])
+        b = DenseTensor.from_entries(2, 1, [2, -1])
+        # f(identity) = -1, f(swap) = 5
+        assert moment_2k(a, b, 50) == Fraction(1 + 5 ** 100, 2)
+        result = greedy_extract(a, b, 50)
+        assert (result.permutation.images, result.value) == ((1, 0), 5)
+
+    def test_moment_at_ten_thousand(self):
+        n = 10 ** 4
+        a, b = _mod_vectors(n)
+        got = moment_2k(DenseTensor.from_entries(n, 1, a),
+                        DenseTensor.from_entries(n, 1, b), 1)
+        assert got == _closed_form_k1(a, b)
+
+    @pytest.mark.parametrize("n,k", [(129, 1), (40, 2)])
+    def test_greedy_beyond_the_sweep(self, n, k):
+        rng = random.Random(n)
+        a = random_int_tensor(rng, n, 1, -9, 9)
+        b = random_int_tensor(rng, n, 1, -9, 9)
+        result = greedy_extract(a, b, k)
+        assert result.value ** (2 * k) >= moment_2k(a, b, k)
+        assert result.value == matrix_element(a, b, result.permutation)
 
 
 class TestCosetMoment:

@@ -163,6 +163,21 @@ class TestAssign:
         assert main(["assign", "--a", path, "--b", path, "--k", "2",
                      "--budget", "100"]) == 3
 
+    def test_linear_budget_exit_3(self, tmp_path):
+        # d = 1, k = 1: partitions of 0, 1, 2 (four terms) plus n * 2k
+        obj = {"n": 3, "d": 1, "entries": [{"index": [1], "value": "1/1"}]}
+        path = write(tmp_path, "t.json", obj)
+        assert main(["assign", "--a", path, "--b", path, "--k", "1",
+                     "--budget", "9"]) == 3
+        assert main(["assign", "--a", path, "--b", path, "--k", "1",
+                     "--budget", "10"]) == 0
+
+    def test_linear_large_k_exit_3(self, tmp_path):
+        # 2k = 100 over 100 coordinates: refused by the count alone
+        obj = {"n": 100, "d": 1, "entries": [{"index": [1], "value": "1/1"}]}
+        path = write(tmp_path, "t.json", obj)
+        assert main(["assign", "--a", path, "--b", path, "--k", "50"]) == 3
+
 
 class TestHyperAlign:
     def test_triangle_self(self, tmp_path, capsys):
