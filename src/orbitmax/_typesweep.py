@@ -8,12 +8,13 @@ enumerates the n**l index sequences (l = 2k*d) vectorised with numpy,
 classifies each sequence by type and pin pattern, and accumulates the
 per-group sums exactly.
 
-Exactness is preserved in all three arithmetic tiers:
-
-* float64 gathers + bincount when every product and partial sum is
-  provably below 2**53 (integers in that range are exact in float64);
-* int64 gathers + sorted reduceat below 2**62;
-* arbitrary-precision Python ints (object dtype) otherwise.
+There is one accumulation path.  The entry products go into an int64
+array when ``perm(n, rmax) * top**m``, a bound on every group sum
+(``top`` the largest absolute entry, ``rmax`` the most blocks a type can
+have), fits in int64, and into an object array of Python ints
+otherwise.  Either way the zero products are dropped and each group sum
+is ``np.unique`` plus ``np.add.at``; an unpinned table reuses the cached
+grouping of the whole sweep instead of sorting again.
 
 Tensors are passed in as plain integer lists (callers clear rational
 denominators first and rescale the results).
@@ -31,7 +32,7 @@ from .errors import BudgetError
 
 CHUNK_SIZE = 1 << 20
 CACHE_MAX = 1 << 21
-_KEY_LIMIT = 2 ** 63 - 1  # type keys times pin patterns, as int64
+_INT64_MAX = 2 ** 63 - 1  # bounds the type keys and the int64 group sums
 _CACHE_SLOTS = 3
 
 # (n, d, m) -> (keys, blockvals, seg, uk0, inv0); small LRU
@@ -56,11 +57,11 @@ def check_budget(n: int, d: int, m: int, budget: int, npins: int = 0) -> None:
     l = m * d
     rmax = min(l, n)
     keys = _key_base(rmax) ** l * (npins + 1) ** rmax
-    if keys > _KEY_LIMIT:
+    if keys > _INT64_MAX:
         raise BudgetError(
             f"type keys need {keys} values (n={n}, d={d}, 2k={m}, "
-            f"{npins} pins), int64 holds {_KEY_LIMIT}",
-            required=keys, budget=_KEY_LIMIT, k=m // 2)
+            f"{npins} pins), int64 holds {_INT64_MAX}",
+            required=keys, budget=_INT64_MAX, k=m // 2)
 
 
 def _key_base(rmax: int) -> int:
@@ -128,13 +129,16 @@ def _cached_table(n: int, d: int, m: int):
 
 
 def _iter_chunks(n: int, d: int, m: int) -> Iterator[tuple]:
+    """(keys, blockvals, seg, grouping) per chunk; ``grouping`` is the
+    cached ``np.unique(keys, return_inverse=True)`` or None."""
     total = sequence_count(n, d, m)
     if total <= CACHE_MAX:
-        keys, blockvals, seg, _, _ = _cached_table(n, d, m)
-        yield keys, blockvals, seg
+        keys, blockvals, seg, uk0, inv0 = _cached_table(n, d, m)
+        yield keys, blockvals, seg, (uk0, inv0)
         return
     for start in range(0, total, CHUNK_SIZE):
-        yield _build_chunk(n, d, m, start, min(start + CHUNK_SIZE, total))
+        stop = min(start + CHUNK_SIZE, total)
+        yield (*_build_chunk(n, d, m, start, stop), None)
 
 
 def decode_block_count(rawkey: int, rmax: int, l: int) -> int:
@@ -157,24 +161,14 @@ def _count_pins(patkey: int, npins: int) -> int:
     return nf
 
 
-def _tier(flat: Sequence[int], n: int, rmax: int, m: int) -> str:
+def _entry_array(flat: Sequence[int], n: int, rmax: int, m: int) -> np.ndarray:
+    """The entries as int64 when no group sum can leave int64, else as
+    Python ints.  A group of a type with r blocks holds at most
+    perm(n, r) <= perm(n, rmax) sequences, each a product of m entries."""
     top = max((abs(v) for v in flat), default=0)
-    if top == 0:
-        return "zero"
-    bound = math.perm(n, rmax) * top ** m
-    if bound < 2 ** 53:
-        return "float"
-    if bound < 2 ** 62:
-        return "int64"
-    return "object"
-
-
-def _entry_array(flat: Sequence[int], tier: str) -> np.ndarray:
-    if tier == "float":
-        return np.array(flat, dtype=np.float64)
-    if tier == "int64":
+    if math.perm(n, rmax) * top ** m <= _INT64_MAX:
         return np.array(flat, dtype=np.int64)
-    return np.array([int(v) for v in flat], dtype=object)
+    return np.array(flat, dtype=object)
 
 
 def _products(arr: np.ndarray, seg: list[np.ndarray]) -> np.ndarray:
@@ -201,27 +195,14 @@ def _pattern_keys(blockvals: np.ndarray, fixed_vals: Sequence[int],
     return pat
 
 
-def _accumulate(combo: np.ndarray, vals: np.ndarray, tier: str,
-                out: dict[int, int]) -> None:
-    mask = vals != 0
-    if not mask.any():
-        return
-    combo = combo[mask]
-    vals = vals[mask]
-    uk, inv = np.unique(combo, return_inverse=True)
-    inv = inv.reshape(-1)
-    if tier == "float":
-        sums = np.bincount(inv, weights=vals, minlength=len(uk))
-        it = zip(uk.tolist(), (int(s) for s in sums))
-    else:
-        order = np.argsort(inv, kind="stable")
-        si = inv[order]
-        bounds_idx = np.flatnonzero(np.r_[True, si[1:] != si[:-1]])
-        sums = np.add.reduceat(vals[order], bounds_idx)
-        it = zip(uk.tolist(), (int(s) for s in sums))
-    for c, s in it:
-        if s:
-            out[c] = out.get(c, 0) + s
+def _add_groups(out: dict[int, int], keys: np.ndarray, inv: np.ndarray,
+                vals: np.ndarray) -> None:
+    """out[keys[g]] += the sum of vals over inv == g, for nonzero sums."""
+    sums = np.zeros(len(keys), dtype=vals.dtype)
+    np.add.at(sums, inv, vals)
+    nz = np.flatnonzero(sums)
+    for c, s in zip(keys[nz].tolist(), sums[nz].tolist()):
+        out[c] = out.get(c, 0) + s
 
 
 def side_table(flat: Sequence[int], n: int, d: int, m: int,
@@ -234,60 +215,24 @@ def side_table(flat: Sequence[int], n: int, d: int, m: int,
     pattern digit.  Zero sums are omitted.
     """
     check_budget(n, d, m, budget, len(fixed_vals))
-    l = m * d
-    rmax = min(l, n)
-    tier = _tier(flat, n, rmax, m)
-    if tier == "zero":
-        return {}
-    arr = _entry_array(flat, tier)
+    rmax = min(m * d, n)
+    arr = _entry_array(flat, n, rmax, m)
     npins = len(fixed_vals)
     pb = (npins + 1) ** rmax
     raw: dict[int, int] = {}
-    for keys, blockvals, seg in _iter_chunks(n, d, m):
+    for keys, blockvals, seg, grouping in _iter_chunks(n, d, m):
         vals = _products(arr, seg)
+        mask = vals != 0
         if npins:
-            combo = keys * pb + _pattern_keys(blockvals, fixed_vals, npins)
+            combo = keys[mask] * pb + _pattern_keys(blockvals[mask],
+                                                    fixed_vals, npins)
+            uk, inv = np.unique(combo, return_inverse=True)
+        elif grouping is not None:
+            uk, inv = grouping[0], grouping[1][mask]
         else:
-            combo = keys
-        _accumulate(combo, vals, tier, raw)
+            uk, inv = np.unique(keys[mask], return_inverse=True)
+        _add_groups(raw, uk, inv, vals[mask])
     return {divmod(c, pb): s for c, s in raw.items()}
-
-
-def moment_tables(flat_a: Sequence[int], flat_b: Sequence[int], n: int,
-                  d: int, m: int, budget: int) -> tuple[SideTable, SideTable]:
-    """Both unpinned side tables in one pass, sharing the cached grouping."""
-    check_budget(n, d, m, budget)
-    l = m * d
-    rmax = min(l, n)
-    tier_a = _tier(flat_a, n, rmax, m)
-    tier_b = _tier(flat_b, n, rmax, m)
-    raw_a: dict[int, int] = {}
-    raw_b: dict[int, int] = {}
-    total = sequence_count(n, d, m)
-    if total <= CACHE_MAX and tier_a == tier_b == "float":
-        # fast path: reuse the cached compressed grouping, no re-sort
-        keys, _, seg, uk0, inv0 = _cached_table(n, d, m)
-        arr_a = _entry_array(flat_a, "float")
-        arr_b = _entry_array(flat_b, "float")
-        sa = np.bincount(inv0, weights=_products(arr_a, seg), minlength=len(uk0))
-        sb = np.bincount(inv0, weights=_products(arr_b, seg), minlength=len(uk0))
-        for c, va, vb in zip(uk0.tolist(), sa, sb):
-            if va:
-                raw_a[c] = int(va)
-            if vb:
-                raw_b[c] = int(vb)
-    else:
-        if tier_a != "zero":
-            arr_a = _entry_array(flat_a, tier_a)
-        if tier_b != "zero":
-            arr_b = _entry_array(flat_b, tier_b)
-        for keys, _, seg in _iter_chunks(n, d, m):
-            if tier_a != "zero":
-                _accumulate(keys, _products(arr_a, seg), tier_a, raw_a)
-            if tier_b != "zero":
-                _accumulate(keys, _products(arr_b, seg), tier_b, raw_b)
-    return ({(c, 0): s for c, s in raw_a.items()},
-            {(c, 0): s for c, s in raw_b.items()})
 
 
 def candidate_side_tables(flat: Sequence[int], n: int, d: int, m: int,
@@ -298,59 +243,45 @@ def candidate_side_tables(flat: Sequence[int], n: int, d: int, m: int,
 
     Pattern keys use the final pin count T = len(base_vals) + 1, so the
     results pair with a table built from any other pin list of length T.
-    Used by the greedy extractor, where only the last pin varies.
+    Used by the greedy extractor, where only the last pin varies: the
+    sequences are grouped once by (type, base pattern), and each
+    candidate only splits those groups by the slot holding it.
     """
     check_budget(n, d, m, budget, len(base_vals) + 1)
     if set(cands) & set(base_vals):
         raise ValueError("candidate pins must be disjoint from the base pins")
-    l = m * d
-    rmax = min(l, n)
-    npins = len(base_vals) + 1
-    tier = _tier(flat, n, rmax, m)
-    if tier == "zero":
-        return {c: {} for c in cands}
-    total = sequence_count(n, d, m)
-    if tier != "float" or total > CACHE_MAX:
+    if sequence_count(n, d, m) > CACHE_MAX:
         return {c: side_table(flat, n, d, m, base_vals + (c,), budget)
                 for c in cands}
-
-    keys, blockvals, seg, _, _ = _cached_table(n, d, m)
-    arr = _entry_array(flat, tier)
-    vals = _products(arr, seg)
-    mask = vals != 0
-    if not mask.any():
-        return {c: {} for c in cands}
-    vals = vals[mask]
+    rmax = min(m * d, n)
+    npins = len(base_vals) + 1
     pb = (npins + 1) ** rmax
-    base_pat = _pattern_keys(blockvals[mask], base_vals, npins)
-    base_combo = keys[mask] * pb + base_pat
-    uk, inv = np.unique(base_combo, return_inverse=True)
-    inv = inv.reshape(-1)
-    # slot (1-based, 0 = absent) holding each value, per surviving row
+    keys, blockvals, seg, _, _ = _cached_table(n, d, m)
+    vals = _products(_entry_array(flat, n, rmax, m), seg)
+    mask = vals != 0
+    vals = vals[mask]
     bv = blockvals[mask]
+    uk, inv = np.unique(keys[mask] * pb + _pattern_keys(bv, base_vals, npins),
+                        return_inverse=True)
+    # slot (1-based, 0 = absent) holding each value, per surviving row
     val_slot = np.zeros((bv.shape[0], n), dtype=_index_dtype(n))
     rows = np.arange(bv.shape[0])
     for slot in range(rmax):
         col = bv[:, slot]
         ok = col >= 0
         val_slot[rows[ok], col[ok]] = slot + 1
+    # cell (group, slot) -> final combo: the group's combo plus the new
+    # pin's digit at that slot
     slot_digit = np.array(
         [0] + [npins * (npins + 1) ** s for s in range(rmax)], dtype=np.int64)
-    out: dict[int, SideTable] = {}
     width = rmax + 1
+    cell_keys = (uk[:, None] + slot_digit).reshape(-1)
+    cell_base = inv * width
+    out: dict[int, SideTable] = {}
     for c in cands:
-        sv = val_slot[:, c].astype(np.int64)
-        sums = np.bincount(inv * width + sv, weights=vals,
-                           minlength=len(uk) * width)
-        tbl: SideTable = {}
-        nz = np.flatnonzero(sums)
-        for cell in nz.tolist():
-            gid, s = divmod(cell, width)
-            # final combo = group combo + pin digit at the slot holding c
-            combo = int(uk[gid]) + int(slot_digit[s])
-            key = divmod(combo, pb)
-            tbl[key] = tbl.get(key, 0) + int(sums[cell])
-        out[c] = tbl
+        raw: dict[int, int] = {}
+        _add_groups(raw, cell_keys, cell_base + val_slot[:, c], vals)
+        out[c] = {divmod(k, pb): s for k, s in raw.items()}
     return out
 
 

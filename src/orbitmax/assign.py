@@ -249,10 +249,8 @@ def matrix_element(a: DenseTensor, b: DenseTensor, g: Permutation) -> Fraction:
 
 def _int_scaled(t: DenseTensor) -> tuple[list[int], int]:
     """Clear denominators: returns (integer entries of L*t, L)."""
-    scale = 1
-    for v in t.entries:
-        scale = scale * v.denominator // math.gcd(scale, v.denominator)
-    return [int(v * scale) for v in t.entries], scale
+    scale = math.lcm(*{v.denominator for v in t.entries})
+    return [v.numerator * (scale // v.denominator) for v in t.entries], scale
 
 
 def _d1_plan(m: int, top: int) -> tuple:
@@ -430,7 +428,8 @@ def moment_2k(a: DenseTensor, b: DenseTensor, k: int,
         return _d1_coset_moment(a, b, m, (), budget)
     ints_a, la = _int_scaled(a)
     ints_b, lb = _int_scaled(b)
-    ta, tb = _typesweep.moment_tables(ints_a, ints_b, a.n, a.d, m, budget)
+    ta = _typesweep.side_table(ints_a, a.n, a.d, m, (), budget)
+    tb = _typesweep.side_table(ints_b, a.n, a.d, m, (), budget)
     total = _typesweep.combine(ta, tb, a.n, a.d, m, 0)
     return total / (Fraction(la) ** m * Fraction(lb) ** m)
 

@@ -1,4 +1,4 @@
-"""Exact scalar kernels: binomials, sphere monomial integrals, bound factors, roots.
+"""Exact scalar kernels: sphere monomial integrals, bound factors, roots.
 
 Everything here is computed in exact integer / rational arithmetic
 (``fractions.Fraction``); floating point appears only at the very end,
@@ -15,35 +15,12 @@ from functools import lru_cache
 from typing import Sequence
 
 __all__ = [
-    "binomial",
-    "falling_factorial",
     "sphere_monomial_moment",
     "bound_factor",
     "root_2k",
     "format_rational",
     "parse_rational",
 ]
-
-
-def binomial(a: int, b: int) -> int:
-    """Binomial coefficient C(a, b); returns 0 when b > a."""
-    if a < 0 or b < 0:
-        raise ValueError("binomial arguments must be non-negative")
-    if b > a:
-        return 0
-    return math.comb(a, b)
-
-
-def falling_factorial(n: int, r: int) -> int:
-    """n(n-1)...(n-r+1), the number of injective r-sequences from an n-set.
-
-    ``r > n`` is an error: no such sequence exists.
-    """
-    if n < 0 or r < 0:
-        raise ValueError("falling_factorial arguments must be non-negative")
-    if r > n:
-        raise ValueError(f"falling_factorial undefined for r={r} > n={n}")
-    return math.perm(n, r)
 
 
 @lru_cache(maxsize=None)

@@ -9,6 +9,7 @@ root extraction of an interval end.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -165,13 +166,12 @@ def permute_variables(p: SparsePoly, sigma: Sequence[int]) -> SparsePoly:
 
 
 def _compositions(total: int, parts: int):
-    """Weak compositions of ``total`` into ``parts`` non-negative parts."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+    """Weak compositions of ``total`` into ``parts`` non-negative parts, in
+    lexicographic order: stars and bars, the parts being the gaps between
+    ``parts - 1`` bars placed among ``total + parts - 1`` slots."""
+    slots = total + parts - 1
+    for bars in itertools.combinations(range(slots), parts - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
 
 
 def pow_collect(p: SparsePoly, m: int,
@@ -333,24 +333,31 @@ def moment_2k(p: SparsePoly, k: int, term_budget: int | None = None) -> Fraction
     total = 0
 
     def walk(i: int, rem: int, acc: int, alpha: list[int], mask: int) -> None:
+        # recurses only on r_i >= 1 and steps over r_i = 0 in this frame,
+        # so the depth is at most min(t, 2k)
         nonlocal total
-        if rem == 0 or i == last:
-            if rem & 1:
-                mask ^= odd_last
-            if mask == 0:
-                if rem:
-                    alpha = [a + rem * x for a, x in zip(alpha, e_last)]
-                    acc *= pow_last[rem]
-                total += acc * math.prod(map(dfw.__getitem__, alpha))
-            return
-        e, row, brow, mu, ok = exps[i], pows[i], binom[rem], odd[i], reach[i + 1]
-        for par in (0, 1):
-            sub = mask ^ mu if par else mask
-            if ok is not None and sub not in ok[(rem - par) & 1]:
-                continue
-            for r in range(par, rem + 1, 2):
+        while True:
+            if rem == 0 or i == last:
+                if rem & 1:
+                    mask ^= odd_last
+                if mask == 0:
+                    if rem:
+                        alpha = [a + rem * x for a, x in zip(alpha, e_last)]
+                        acc *= pow_last[rem]
+                    total += acc * math.prod(map(dfw.__getitem__, alpha))
+                return
+            e, row, brow, ok = exps[i], pows[i], binom[rem], reach[i + 1]
+            sub = mask ^ odd[i]
+            if ok is None or sub in ok[(rem - 1) & 1]:
+                for r in range(1, rem + 1, 2):
+                    walk(i + 1, rem - r, acc * brow[r] * row[r],
+                         [a + r * x for a, x in zip(alpha, e)], sub)
+            if ok is not None and mask not in ok[rem & 1]:
+                return
+            for r in range(2, rem + 1, 2):
                 walk(i + 1, rem - r, acc * brow[r] * row[r],
-                     [a + r * x for a, x in zip(alpha, e)], sub)
+                     [a + r * x for a, x in zip(alpha, e)], mask)
+            i += 1
 
     walk(0, m, 1, [0] * p.n, 0)
     den = lcm ** m

@@ -4,6 +4,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -324,6 +325,45 @@ class TestKeyRangeGuard:
                                              10 ** 20)
 
 
+# largest entry whose 24 = perm(4, 4) products of two entries still sum
+# within int64, at n = 4, d = 2, k = 1
+_INT64_TOP = math.isqrt((2 ** 63 - 1) // math.perm(4, 4))
+
+
+class TestEntryDtypeBoundary:
+    """The sweep sums in int64 exactly while perm(n, rmax) * top**(2k)
+    fits in int64, and in Python ints above that."""
+
+    @pytest.mark.parametrize("top,dtype", [(_INT64_TOP, np.int64),
+                                           (_INT64_TOP + 1, object)])
+    @pytest.mark.parametrize("signs", ["equal", "mixed"])
+    def test_sweep_matches_brute_force(self, top, dtype, signs):
+        n, d, k = 4, 2, 1
+        rng = random.Random(top)
+
+        def entries():
+            return [top if signs == "equal" or rng.random() < 0.5 else -top
+                    for _ in range(n ** d)]
+
+        flat_a, flat_b = entries(), entries()
+        assert _typesweep._entry_array(flat_a, n, 4, 2 * k).dtype == dtype
+        a = DenseTensor.from_entries(n, d, flat_a)
+        b = DenseTensor.from_entries(n, d, flat_b)
+        moment = moment_2k(a, b, k)
+        assert moment == brute_group_moment(a, b, k)
+        for pairs in ((), ((0, 2),), ((0, 2), (3, 1))):
+            prefix = PartialAssignment(pairs)
+            assert coset_moment(a, b, k, prefix, method="typesweep") == \
+                brute_coset_average(a, b, k, prefix)
+        table_a = _typesweep.side_table(flat_a, n, d, 2 * k, (0,), 10 ** 8)
+        tables_b = _typesweep.candidate_side_tables(flat_b, n, d, 2 * k, (),
+                                                    tuple(range(n)), 10 ** 8)
+        for c in range(n):
+            assert _typesweep.combine(table_a, tables_b[c], n, d, 2 * k, 1) == \
+                brute_coset_average(a, b, k, PartialAssignment(((0, c),)))
+        assert greedy_extract(a, b, k).value ** (2 * k) >= moment
+
+
 def _vector(rng, kind, n):
     if kind == "zero":
         return DenseTensor.zeros(n, 1)
@@ -377,7 +417,7 @@ class TestPowerSumRoute:
         prefix = PartialAssignment(((0, 3), (5, 1)))
         expected = (moment_2k(a, b, 2), coset_moment(a, b, 2, prefix),
                     greedy_extract(a, b, 2))
-        for name in ("moment_tables", "side_table", "candidate_side_tables"):
+        for name in ("side_table", "candidate_side_tables"):
             monkeypatch.setattr(_typesweep, name, refuse)
         monkeypatch.setattr(assign, "_enumerate_coset_power_sums", refuse)
         assert (moment_2k(a, b, 2), coset_moment(a, b, 2, prefix),

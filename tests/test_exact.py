@@ -9,40 +9,6 @@ from helpers import oracle_monomial_moment, wallis_circle_average
 from orbitmax import exact
 
 
-class TestBinomial:
-    def test_small(self):
-        assert exact.binomial(4, 2) == 6
-
-    def test_choose_zero(self):
-        for a in (0, 1, 5, 40):
-            assert exact.binomial(a, 0) == 1
-
-    def test_b_larger_than_a_is_zero(self):
-        assert exact.binomial(3, 5) == 0
-
-    def test_bound_base_for_degree_two(self):
-        # dimension of quadratic forms in 3 variables: C(2*1 + 3 - 1, 2*1)
-        assert exact.binomial(2 * 1 + 3 - 1, 2 * 1) == 6
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            exact.binomial(-1, 0)
-
-
-class TestFallingFactorial:
-    def test_values(self):
-        assert exact.falling_factorial(5, 2) == 20
-        assert exact.falling_factorial(4, 4) == 24
-
-    def test_empty_product(self):
-        for n in (1, 3, 9):
-            assert exact.falling_factorial(n, 0) == 1
-
-    def test_r_above_n_rejected(self):
-        with pytest.raises(ValueError):
-            exact.falling_factorial(3, 4)
-
-
 class TestSphereMonomialMoment:
     def test_square_coordinate(self):
         assert exact.sphere_monomial_moment((2, 0, 0), 3) == Fraction(1, 3)

@@ -15,6 +15,15 @@ def x1_power(n, d, coef=1):
     return SparsePoly.from_terms(n, d, [((d,) + (0,) * (n - 1), coef)])
 
 
+def _wide_form():
+    """1,100 of the 1,830 monomials of degree 59 in 3 variables, with small
+    integer coefficients: more terms than Python's default recursion limit."""
+    rng = random.Random(1100)
+    exps = [(a, b, 59 - a - b) for a in range(60) for b in range(60 - a)][:1100]
+    return SparsePoly(3, 59, {e: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)))
+                              for e in exps})
+
+
 class TestSparsePoly:
     def test_collects_duplicate_terms(self):
         p = SparsePoly.from_terms(2, 2, [((1, 1), 1), ((1, 1), 1)])
@@ -71,6 +80,10 @@ class TestPowCollect:
             q = sphere.pow_collect(p, m)
             from helpers import naive_pow
             assert q.terms == naive_pow(p, m)
+
+    def test_more_terms_than_the_recursion_limit(self):
+        p = _wide_form()
+        assert sphere.pow_collect(p, 1) == p
 
     def test_budget_error(self):
         p = random_poly(random.Random(1), 4, 2, 4)
@@ -185,6 +198,19 @@ class TestMomentEngine:
                     Fraction(j + 1, j % 3 + 1)) for j in range(n - 1)])
         for k in (1, 2):
             assert sphere.moment_2k(p, k) == self.expansion_path(p, k)
+
+    def test_more_terms_than_the_recursion_limit(self):
+        # the walk recurses once per used monomial, not once per term
+        p = _wide_form()
+        terms = [(e, c.numerator) for e, c in p.terms.items()]
+        square: dict = {}
+        for i, (e1, c1) in enumerate(terms):
+            for j in range(i, len(terms)):
+                e2, c2 = terms[j]
+                key = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
+                square[key] = square.get(key, 0) + (1 if i == j else 2) * c1 * c2
+        p2 = SparsePoly(3, 118, {e: Fraction(c) for e, c in square.items() if c})
+        assert sphere.moment_2k(p, 1) == sphere.integrate_on_sphere(p2)
 
     def test_budget_error_fields(self):
         p = SparsePoly.from_terms(4, 2, [((2, 0, 0, 0), 1), ((0, 2, 0, 0), -3),
