@@ -16,12 +16,24 @@ otherwise.  Either way the zero products are dropped and each group sum
 is ``np.unique`` plus ``np.add.at``; an unpinned table reuses the cached
 grouping of the whole sweep instead of sorting again.
 
+A (type, pattern) group with j free blocks averages over perm(N, j)
+injective placements of those blocks, N = n - npins the free
+coordinates.  ``combine`` and the greedy extractor weight each group sum
+by perm(N - j, F - j), F = min(rmax, N), so that every group, and every
+candidate coset of one greedy step, shares the one integer denominator
+perm(N, F).
+
+The module also enumerates permutations of the free coordinates in
+blocks of numpy rows, for the direct coset enumeration in ``assign``.
+
 Tensors are passed in as plain integer lists (callers clear rational
 denominators first and rescale the results).
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -33,9 +45,11 @@ from .errors import BudgetError
 CHUNK_SIZE = 1 << 20
 CACHE_MAX = 1 << 21
 _INT64_MAX = 2 ** 63 - 1  # bounds the type keys and the int64 group sums
-_CACHE_SLOTS = 3
+# bytes of cached groupings; the least recently used go first, but the
+# newest is kept even when it alone is larger
+_CACHE_BYTES = 64 << 20
 
-# (n, d, m) -> (keys, blockvals, seg, uk0, inv0); small LRU
+# (n, d, m) -> (keys, blockvals, seg, uk0, inv0), least recently used first
 _table_cache: dict[tuple[int, int, int], tuple] = {}
 
 SideTable = dict[tuple[int, int], int]
@@ -115,6 +129,11 @@ def _build_chunk(n: int, d: int, m: int, start: int, stop: int):
     return keys, blockvals, seg
 
 
+def _table_bytes(entry: tuple) -> int:
+    keys, blockvals, seg, uk0, inv0 = entry
+    return sum(a.nbytes for a in (keys, blockvals, *seg, uk0, inv0))
+
+
 def _cached_table(n: int, d: int, m: int):
     key = (n, d, m)
     hit = _table_cache.pop(key, None)
@@ -122,9 +141,10 @@ def _cached_table(n: int, d: int, m: int):
         keys, blockvals, seg = _build_chunk(n, d, m, 0, sequence_count(n, d, m))
         uk0, inv0 = np.unique(keys, return_inverse=True)
         hit = (keys, blockvals, seg, uk0, inv0.reshape(-1))
-        while len(_table_cache) >= _CACHE_SLOTS:
-            _table_cache.pop(next(iter(_table_cache)))
     _table_cache[key] = hit
+    held = sum(map(_table_bytes, _table_cache.values()))
+    while held > _CACHE_BYTES and len(_table_cache) > 1:
+        held -= _table_bytes(_table_cache.pop(next(iter(_table_cache))))
     return hit
 
 
@@ -285,25 +305,97 @@ def candidate_side_tables(flat: Sequence[int], n: int, d: int, m: int,
     return out
 
 
+def weighted_table(table: SideTable, n: int, d: int, m: int,
+                   npins: int) -> SideTable:
+    """Each group sum times perm(N - j, F - j), j its free blocks (blocks
+    minus pinned blocks), so that S * perm(N - j, F - j) / perm(N, F) is
+    its share S / perm(N, j) of the coset average.  The block and pin
+    counts are decoded once per distinct raw key and pattern."""
+    l = m * d
+    rmax = min(l, n)
+    free = n - npins
+    top = min(rmax, free)
+    weight = [math.perm(free - j, top - j) for j in range(top + 1)]
+    blocks: dict[int, int] = {}
+    pinned: dict[int, int] = {}
+    out: SideTable = {}
+    for key, s in table.items():
+        rawkey, pat = key
+        r = blocks.get(rawkey)
+        if r is None:
+            r = blocks[rawkey] = decode_block_count(rawkey, rmax, l)
+        nf = pinned.get(pat)
+        if nf is None:
+            nf = pinned[pat] = _count_pins(pat, npins)
+        out[key] = s * weight[r - nf]
+    return out
+
+
+def pair_sum(weighted: SideTable, table: SideTable) -> int:
+    """Sum over shared groups of the weighted sum times the other side's
+    sum: perm(N, F) times the coset average."""
+    return sum(w * table[key] for key, w in weighted.items() if key in table)
+
+
 def combine(table_a: SideTable, table_b: SideTable, n: int, d: int, m: int,
             npins: int) -> Fraction:
     """Pair two side tables into the exact coset average of the product.
 
-    For each shared (type, pattern) group with r blocks of which nf are
-    pinned, the unpinned blocks range injectively over the n - npins
-    free values, so the group contributes S_A * S_B / perm(n-npins, r-nf).
+    For each shared (type, pattern) group with j free (unpinned) blocks,
+    those blocks range injectively over the n - npins free values, so
+    the group contributes S_A * S_B / perm(n - npins, j).  The groups
+    are summed in integers over their common denominator perm(N, F),
+    N = n - npins and F = min(rmax, N), with the smaller table weighted.
     """
-    l = m * d
-    rmax = min(l, n)
-    total = Fraction(0)
     if len(table_b) < len(table_a):
         table_a, table_b = table_b, table_a
-    for key, sa in table_a.items():
-        sb = table_b.get(key)
-        if not sb:
-            continue
-        rawkey, pat = key
-        r = decode_block_count(rawkey, rmax, l)
-        nf = _count_pins(pat, npins) if pat else 0
-        total += Fraction(sa * sb, math.perm(n - npins, r - nf))
-    return total
+    total = pair_sum(weighted_table(table_a, n, d, m, npins), table_b)
+    free = n - npins
+    return Fraction(total, math.perm(free, min(m * d, free)))
+
+
+@functools.lru_cache(maxsize=16)
+def _lex_permutations(s: int) -> np.ndarray:
+    """The s! permutations of range(s) as int8 rows, in the order of
+    ``itertools.permutations``.  ``permutation_blocks`` keeps s! within
+    CHUNK_SIZE, so s, and this cache, stay small."""
+    rows = np.zeros((1, 0), dtype=np.int8)
+    for size in range(1, s + 1):
+        prev = rows
+        rows = np.empty((size * len(prev), size), dtype=np.int8)
+        for first in range(size):
+            rest = np.array([x for x in range(size) if x != first],
+                            dtype=np.int8)
+            part = rows[first * len(prev):(first + 1) * len(prev)]
+            part[:, 0] = first
+            part[:, 1:] = rest[prev]
+    rows.flags.writeable = False  # shared by every caller
+    return rows
+
+
+def permutation_blocks(values: Sequence[int],
+                       max_rows: int) -> Iterator[np.ndarray]:
+    """Every permutation of ``values`` as an int64 row, in the order of
+    ``itertools.permutations``, in blocks of at most max(max_rows, 1)
+    rows.  A block fixes a head of the leading values and permutes the
+    rest through a cached index table; no values (a full prefix) give
+    one empty row."""
+    size = len(values)
+    s = size
+    while s and math.factorial(s) > max_rows:
+        s -= 1
+    block = _lex_permutations(s)
+    for head in itertools.permutations(values, size - s):
+        rest = np.array([v for v in values if v not in head], dtype=np.int64)
+        rows = np.empty((len(block), size), dtype=np.int64)
+        rows[:, :size - s] = head
+        rows[:, size - s:] = rest[block]
+        yield rows
+
+
+def add_power_sums(out: dict[int, int], keys: np.ndarray, f: np.ndarray,
+                   m: int) -> None:
+    """out[key] += the sum of f[i]**m over the rows with keys[i] == key,
+    in Python ints whatever the dtype of f."""
+    for key, x in zip(keys.tolist(), f.tolist()):
+        out[key] = out.get(key, 0) + x ** m

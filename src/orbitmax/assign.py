@@ -11,7 +11,8 @@ At d = 1 the moments come from the power sums of the two vectors: the
 sum over index sequences of one equality type is an injective power sum,
 a Moebius inversion of power sums, so the work is polynomial in n and in
 the number of integer partitions of 2k.  At d >= 2 the type-grouped
-sweep in ``_typesweep`` visits all n**(2kd) index sequences.
+sweep in ``_typesweep`` visits all n**(2kd) index sequences, and small
+cosets are enumerated directly, in numpy blocks of permutations.
 """
 
 from __future__ import annotations
@@ -470,32 +471,47 @@ def _nonzero_digit_entries(flat_ints: Sequence[int], n: int,
 def _enumerate_coset_power_sums(nz_a, flat_b: Sequence[int], n: int, d: int,
                                 m: int, pairs, split_pos: int | None):
     """Sum of <B, gA>**m over the coset fixed by ``pairs``; with
-    ``split_pos`` set, one sum per value of g(split_pos) instead."""
+    ``split_pos`` set, one sum per value of g(split_pos) instead.
+
+    The permutations of the free coordinates come in numpy blocks of
+    rows; each block gathers B at the images of A's nonzero entries, and
+    f = B[g(I)] @ a.  f is int64 when nnz * max|a| * max|b| fits, which
+    bounds every partial sum, and Python ints otherwise; f**m and the
+    sums are always Python ints.  A block has at most
+    ``_typesweep.CHUNK_SIZE // max(n, nnz)`` rows, so its image and
+    gather arrays stay within ``CHUNK_SIZE`` elements.
+    """
+    import numpy as np
+
     fixed = dict(pairs)
     free_pos = [p for p in range(n) if p not in fixed]
     used = set(fixed.values())
     free_val = [v for v in range(n) if v not in used]
-    img = [0] * n
-    for p, q in fixed.items():
-        img[p] = q
-    split: dict[int, int] = {}
-    total = 0
-    for perm in itertools.permutations(free_val):
-        for p, v in zip(free_pos, perm):
-            img[p] = v
-        f = 0
-        for digits, val in nz_a:
-            gflat = 0
-            for dig in digits:
-                gflat = gflat * n + img[dig]
-            f += val * flat_b[gflat]
-        fp = f ** m
-        if split_pos is None:
-            total += fp
-        else:
-            key = img[split_pos]
-            split[key] = split.get(key, 0) + fp
-    return split if split_pos is not None else total
+    nnz = len(nz_a)
+    top_a = max((abs(v) for _, v in nz_a), default=0)
+    top_b = max(map(abs, flat_b), default=0)
+    dtype = (np.int64 if nnz * top_a * top_b <= _typesweep._INT64_MAX
+             else object)
+    vals = np.array([v for _, v in nz_a], dtype=dtype)
+    flat = np.array(flat_b, dtype=dtype)
+    digits = np.array([dg for dg, _ in nz_a], dtype=np.int64).reshape(nnz, d)
+    sums: dict[int, int] = {}
+    for rows in _typesweep.permutation_blocks(
+            free_val, _typesweep.CHUNK_SIZE // max(n, nnz)):
+        img = np.empty((len(rows), n), dtype=np.int64)
+        for p, q in fixed.items():
+            img[:, p] = q
+        img[:, free_pos] = rows
+        gflat = img[:, digits[:, 0]]
+        for t in range(1, d):
+            gflat = gflat * n + img[:, digits[:, t]]
+        f = flat[gflat] @ vals
+        keys = (img[:, split_pos] if split_pos is not None
+                else np.zeros(len(rows), dtype=np.int64))
+        _typesweep.add_power_sums(sums, keys, f, m)
+    if split_pos is not None:
+        return sums
+    return sums.get(0, 0)
 
 
 def _enumeration_cheaper(n: int, d: int, m: int, npins: int, nnz: int) -> bool:
@@ -516,11 +532,13 @@ def coset_moment(a: DenseTensor, b: DenseTensor, k: int,
     pins a single permutation and returns f(g)**(2k) exactly.
 
     ``method`` selects the algorithm: "typesweep" refines the type
-    classes with pin patterns (O(n**(2kd)) sequence visits), "enumerate"
-    averages over the coset directly ((n - len(prefix))! evaluations),
-    and "auto" uses the power-sum engine at d = 1 (the prefix adds a
-    constant to f; see ``moment_2k``) and the cheaper of the other two
-    at d >= 2.  All produce identical exact values.
+    classes with pin patterns (O(n**(2kd)) sequence visits) and sums the
+    groups in integers over one denominator, "enumerate" averages over
+    the coset directly ((n - len(prefix))! evaluations of f, vectorised
+    over blocks of permutations), and "auto" uses the power-sum engine
+    at d = 1 (the prefix adds a constant to f; see ``moment_2k``) and
+    the cheaper of the other two at d >= 2.  All produce identical exact
+    values.
     """
     _check_shapes(a, b)
     if k < 1:
@@ -589,11 +607,14 @@ def _sweep_greedy(ints_a: Sequence[int], ints_b: Sequence[int], n: int,
                                             tuple(range(t)), budget)
             tables_b = _typesweep.candidate_side_tables(
                 ints_b, n, d, m, tuple(chosen), cands, budget)
-            best_frac: Fraction | None = None
+            # children share the denominator perm(n - t, min(2kd, n - t)):
+            # weight A's groups once and compare raw sums
+            weighted = _typesweep.weighted_table(table_a, n, d, m, t)
+            best_val = None
             for j in cands:
-                val = _typesweep.combine(table_a, tables_b[j], n, d, m, t)
-                if best_frac is None or val > best_frac:
-                    best_frac, best_j = val, j
+                val = _typesweep.pair_sum(weighted, tables_b[j])
+                if best_val is None or val > best_val:
+                    best_val, best_j = val, j
         chosen.append(best_j)
     return chosen
 
@@ -612,7 +633,11 @@ def greedy_extract(a: DenseTensor, b: DenseTensor, k: int,
     integer partition of each j <= 2k with at most as many parts as the
     coset has free coordinates.  At d >= 2 each step runs a
     pinned type sweep (O(n**(2kd)) visits) or enumerates the parent
-    coset, whichever is cheaper.
+    coset, whichever is cheaper.  Either way the children of one step
+    share a denominator, so their raw integer sums are compared: the
+    sweep weights the groups of A's side table once per step and pairs
+    them with each candidate's table, and the enumeration sums f**m per
+    image of the position being fixed.
     """
     _check_shapes(a, b)
     if k < 1:

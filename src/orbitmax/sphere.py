@@ -9,7 +9,6 @@ root extraction of an interval end.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -165,22 +164,15 @@ def permute_variables(p: SparsePoly, sigma: Sequence[int]) -> SparsePoly:
     return SparsePoly(p.n, p.d, out)
 
 
-def _compositions(total: int, parts: int):
-    """Weak compositions of ``total`` into ``parts`` non-negative parts, in
-    lexicographic order: stars and bars, the parts being the gaps between
-    ``parts - 1`` bars placed among ``total + parts - 1`` slots."""
-    slots = total + parts - 1
-    for bars in itertools.combinations(range(slots), parts - 1):
-        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
-
-
 def pow_collect(p: SparsePoly, m: int,
                 term_budget: int | None = None) -> SparsePoly:
     """p**m with terms collected, via direct multinomial expansion.
 
     The enumeration visits C(m + t - 1, t - 1) compositions for a
     t-term polynomial, which stays polynomial in m for fixed t; the
-    projected count is checked against the term budget up front.  It
+    projected count is checked against the term budget up front.  Each
+    composition costs its nonzero parts, not t, and the coefficients
+    are summed in integers over the common denominator.  It
     builds the whole collected power, so :func:`moment_2k` does not use
     it; it serves ``SparsePoly.__pow__`` and the ``|x|**(2d)`` factor
     of :func:`system_reduce`.
@@ -198,32 +190,43 @@ def pow_collect(p: SparsePoly, m: int,
             f"expanding a {t}-term polynomial to power {m} needs {comps} "
             f"collected terms, budget is {budget}",
             required=comps, budget=budget)
-    # coefficient power tables, built incrementally
-    pows: list[list[Fraction]] = []
+    # the compositions in lexicographic order (the terms keep the order in
+    # which they first appear), walked over their nonzero parts only: from
+    # (i, rem), those whose first nonzero part is r_j come by decreasing
+    # j, then increasing r_j, and the last monomial takes what is left.
+    # Each call carries the multinomial times the coefficient product and
+    # the exponent vector; the depth is at most min(t, m)
+    lcm = math.lcm(*(c.denominator for _, c in mono))
+    pows = []
     for _, coef in mono:
-        row = [Fraction(1)]
+        a = coef.numerator * (lcm // coef.denominator)
+        row = [1]
         for _ in range(m):
-            row.append(row[-1] * coef)
+            row.append(row[-1] * a)
         pows.append(row)
-    n = p.n
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for comp in _compositions(m, t):
-        c = 1
-        rem = m
-        for r in comp[:-1]:
-            c = c * math.comb(rem, r)
-            rem -= r
-        coef = Fraction(c)
-        exps = [0] * n
-        for (e, _), r, row in zip(mono, comp, pows):
-            if r:
-                coef *= row[r]
-                for i, ei in enumerate(e):
-                    if ei:
-                        exps[i] += r * ei
-        key = tuple(exps)
-        acc[key] = acc.get(key, Fraction(0)) + coef
-    return SparsePoly(p.n, p.d * m, {e: c for e, c in acc.items() if c != 0})
+    binom = [[math.comb(s, r) for r in range(s + 1)] for s in range(m + 1)]
+    exps = [e for e, _ in mono]
+    last = t - 1
+    acc: dict[tuple[int, ...], int] = {}
+
+    def walk(i: int, rem: int, c: int, alpha: list[int]) -> None:
+        if rem == 0:
+            key = tuple(alpha)
+            acc[key] = acc.get(key, 0) + c
+            return
+        key = tuple(a + rem * x for a, x in zip(alpha, exps[last]))
+        acc[key] = acc.get(key, 0) + c * pows[last][rem]
+        brow = binom[rem]
+        for j in range(last - 1, i - 1, -1):
+            e, row = exps[j], pows[j]
+            for r in range(1, rem + 1):
+                walk(j + 1, rem - r, c * brow[r] * row[r],
+                     [a + r * x for a, x in zip(alpha, e)])
+
+    walk(0, m, 1, [0] * p.n)
+    den = lcm ** m
+    return SparsePoly(p.n, p.d * m,
+                      {e: Fraction(c, den) for e, c in acc.items() if c != 0})
 
 
 _ODD_DF_TABLE = [1]  # (2b - 1)!! by index b; the Gaussian moment E[g**(2b)]

@@ -154,3 +154,62 @@ def random_permutation(rng: random.Random, n: int) -> assign.Permutation:
     images = list(range(n))
     rng.shuffle(images)
     return assign.Permutation(tuple(images))
+
+
+def loop_coset_power_sums(nz_a, flat_b, n: int, d: int, m: int, pairs,
+                          split_pos):
+    """Sum of <B, gA>**m over the coset fixed by ``pairs`` (one sum per
+    value of g(split_pos) when it is set), one permutation at a time in
+    Python: the oracle for ``assign._enumerate_coset_power_sums``."""
+    fixed = dict(pairs)
+    free_pos = [p for p in range(n) if p not in fixed]
+    used = set(fixed.values())
+    free_val = [v for v in range(n) if v not in used]
+    img = [0] * n
+    for p, q in fixed.items():
+        img[p] = q
+    split: dict[int, int] = {}
+    total = 0
+    for perm in itertools.permutations(free_val):
+        for p, v in zip(free_pos, perm):
+            img[p] = v
+        f = 0
+        for digits, val in nz_a:
+            gflat = 0
+            for dig in digits:
+                gflat = gflat * n + img[dig]
+            f += val * flat_b[gflat]
+        if split_pos is None:
+            total += f ** m
+        else:
+            split[img[split_pos]] = split.get(img[split_pos], 0) + f ** m
+    return split if split_pos is not None else total
+
+
+def fraction_combine(table_a, table_b, n: int, d: int, m: int,
+                     npins: int) -> Fraction:
+    """Pair two side tables one ``Fraction`` per shared group: a group of
+    a type with r blocks, nf of them pinned, adds
+    S_A * S_B / perm(n - npins, r - nf).  Keys are decoded digit by digit
+    here: a raw type key holds the block label of each of the l = m*d
+    positions in base max(rmax, 2), a pattern key one base-(npins + 1)
+    digit per block, nonzero where the block carries a pinned value."""
+    import math
+
+    l = m * d
+    base = max(min(l, n), 2)
+    total = Fraction(0)
+    for (rawkey, pat), sa in table_a.items():
+        sb = table_b.get((rawkey, pat))
+        if not sb:
+            continue
+        labels = []
+        for _ in range(l):
+            rawkey, dig = divmod(rawkey, base)
+            labels.append(dig)
+        pinned = 0
+        while pat:
+            pat, dig = divmod(pat, npins + 1)
+            pinned += dig != 0
+        total += Fraction(sa * sb, math.perm(n - npins, max(labels) + 1 - pinned))
+    return total

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (brute_coset_average, brute_group_moment,
+                     fraction_combine, loop_coset_power_sums,
                      random_int_tensor, random_permutation,
                      random_rational_tensor)
 from orbitmax import _typesweep, assign
@@ -362,6 +363,207 @@ class TestEntryDtypeBoundary:
             assert _typesweep.combine(table_a, tables_b[c], n, d, 2 * k, 1) == \
                 brute_coset_average(a, b, k, PartialAssignment(((0, c),)))
         assert greedy_extract(a, b, k).value ** (2 * k) >= moment
+
+
+def _random_pairs(rng, n, size):
+    return tuple(zip(rng.sample(range(n), size), rng.sample(range(n), size)))
+
+
+class TestCosetEnumeration:
+    """The numpy coset enumeration against the one-permutation-at-a-time
+    loop in ``tests/helpers``, split by the first free position and not."""
+
+    @staticmethod
+    def _check(flat_a, flat_b, n, d, m, pairs):
+        nz_a = assign._nonzero_digit_entries(flat_a, n, d)
+        free = [p for p in range(n) if p not in dict(pairs)]
+        for split_pos in [None] + free[:1]:
+            got = assign._enumerate_coset_power_sums(nz_a, flat_b, n, d, m,
+                                                     pairs, split_pos)
+            assert got == loop_coset_power_sums(nz_a, flat_b, n, d, m,
+                                                pairs, split_pos)
+
+    def test_random_cosets(self):
+        rng = random.Random(601)
+        for _ in range(40):
+            n, d, m = rng.randint(1, 6), rng.randint(1, 3), rng.choice((2, 4))
+            flat_a = [rng.randint(-3, 3) for _ in range(n ** d)]
+            flat_b = [rng.randint(-3, 3) for _ in range(n ** d)]
+            self._check(flat_a, flat_b, n, d, m,
+                        _random_pairs(rng, n, rng.randint(0, n)))
+
+    @pytest.mark.parametrize("free", [0, 1])
+    def test_full_prefix_and_one_free_coordinate(self, free):
+        rng = random.Random(602 + free)
+        for n, d in ((3, 2), (4, 3), (5, 2)):
+            flat_a = [rng.randint(-4, 4) for _ in range(n ** d)]
+            flat_b = [rng.randint(-4, 4) for _ in range(n ** d)]
+            self._check(flat_a, flat_b, n, d, 2,
+                        _random_pairs(rng, n, n - free))
+
+    def test_all_zero_a(self):
+        n, d = 4, 2
+        flat_b = list(range(n ** d))
+        for pairs in ((), ((1, 2),), ((0, 0), (1, 1), (2, 3), (3, 2))):
+            self._check([0] * n ** d, flat_b, n, d, 2, pairs)
+        assert assign._enumerate_coset_power_sums(
+            [], flat_b, n, d, 2, ((1, 2),), 0) == {0: 0, 1: 0, 3: 0}
+
+    @pytest.mark.parametrize("case,dtype", [("at", np.int64), ("above", object)])
+    @pytest.mark.parametrize("signs", ["equal", "mixed"])
+    def test_int64_bound(self, monkeypatch, case, dtype, signs):
+        # nnz * max|a| * max|b| bounds every f and partial sum: f is
+        # int64 up to 2**63 - 1 and Python ints beyond
+        if case == "at":
+            nnz, top_a = 7, 7 * 73 * 127
+            top_b = (2 ** 63 - 1) // (nnz * top_a)
+            assert nnz * top_a * top_b == 2 ** 63 - 1
+        else:
+            nnz, top_a, top_b = 8, 2 ** 30, 2 ** 30
+            assert nnz * top_a * top_b == 2 ** 63
+        n, d = 3, 2
+        rng = random.Random(signs)
+        sign = (lambda: 1) if signs == "equal" else (lambda: rng.choice((-1, 1)))
+        flat_a = [sign() * top_a for _ in range(nnz)] + [0] * (n ** d - nnz)
+        flat_b = [sign() * top_b for _ in range(n ** d)]
+        seen = []
+        record = _typesweep.add_power_sums
+
+        def spy(out, keys, f, m):
+            seen.append(f.dtype)
+            record(out, keys, f, m)
+
+        monkeypatch.setattr(_typesweep, "add_power_sums", spy)
+        for pairs in ((), ((2, 0),)):
+            self._check(flat_a, flat_b, n, d, 2, pairs)
+        assert seen and set(seen) == {np.dtype(dtype)}
+
+    @pytest.mark.parametrize("chunk", [1, 5, 24, 100])
+    def test_chunk_boundaries(self, monkeypatch, chunk):
+        # rows per block = chunk // max(n, nnz): one row, a few rows, or
+        # blocks of 2 or 3! rows with a fixed head of leading values
+        monkeypatch.setattr(_typesweep, "CHUNK_SIZE", chunk * 5)
+        rng = random.Random(604 + chunk)
+        n, d = 5, 1
+        flat_a = [rng.randint(-3, 3) or 1 for _ in range(n)]
+        flat_b = [rng.randint(-3, 3) for _ in range(n)]
+        for size in (0, 1, 2):
+            self._check(flat_a, flat_b, n, d, 4, _random_pairs(rng, n, size))
+
+    def test_blocks_follow_itertools_order(self):
+        for values, max_rows in (((), 10), ((4,), 1), ((1, 3, 4, 6), 7),
+                                 ((0, 2, 5, 6, 8), 0), ((9, 1, 2), 100)):
+            rows = np.concatenate(list(_typesweep.permutation_blocks(values, max_rows)))
+            assert rows.shape == (math.factorial(len(values)), len(values))
+            assert list(map(tuple, rows.tolist())) == \
+                list(itertools.permutations(values))
+
+
+class TestIntegerCombine:
+    """``combine`` sums in integers over one denominator; the greedy step
+    compares the raw sums of its candidates."""
+
+    def test_matches_per_group_fractions(self):
+        rng = random.Random(611)
+        checked = 0
+        while checked < 30:
+            n, d, m = rng.randint(1, 7), rng.randint(2, 3), rng.choice((2, 4))
+            if n ** (m * d) > 10 ** 5:
+                continue
+            flat_a = [rng.randint(-4, 4) for _ in range(n ** d)]
+            flat_b = [rng.randint(-4, 4) for _ in range(n ** d)]
+            pairs = _random_pairs(rng, n, rng.randint(0, n))
+            pos = tuple(p for p, _ in pairs)
+            img = tuple(q for _, q in pairs)
+            ta = _typesweep.side_table(flat_a, n, d, m, pos, 10 ** 8)
+            tb = _typesweep.side_table(flat_b, n, d, m, img, 10 ** 8)
+            got = _typesweep.combine(ta, tb, n, d, m, len(pairs))
+            assert got == fraction_combine(ta, tb, n, d, m, len(pairs))
+            assert got == fraction_combine(tb, ta, n, d, m, len(pairs))
+            checked += 1
+
+    @pytest.mark.parametrize("n,d", [(6, 2), (5, 3)])
+    @pytest.mark.parametrize("enumerate_cosets", [False, True])
+    def test_all_equal_tensors_tie_to_identity(self, monkeypatch, n, d,
+                                               enumerate_cosets):
+        monkeypatch.setattr(assign, "_enumeration_cheaper",
+                            lambda *args: enumerate_cosets)
+        spy = []
+        sweep = _typesweep.candidate_side_tables
+        enum = assign._enumerate_coset_power_sums
+        monkeypatch.setattr(_typesweep, "candidate_side_tables",
+                            lambda *a: spy.append("sweep") or sweep(*a))
+        monkeypatch.setattr(assign, "_enumerate_coset_power_sums",
+                            lambda *a: spy.append("enumerate") or enum(*a))
+        a = DenseTensor.from_entries(n, d, [3] * n ** d)
+        b = DenseTensor.from_entries(n, d, [Fraction(-1, 2)] * n ** d)
+        result = greedy_extract(a, b, 1)
+        assert result.permutation == Permutation.identity(n)
+        assert set(spy) == {"enumerate" if enumerate_cosets else "sweep"}
+
+    # (seed, n, d, k, entry range) -> greedy images and value, as computed
+    # with one Fraction per group and a Python loop per permutation
+    PINNED = [
+        ((601, 6, 2, 1, -3, 3), (1, 2, 4, 0, 5, 3), 64),
+        ((602, 7, 2, 1, -3, 3), (5, 3, 1, 2, 4, 6, 0), -79),
+        ((603, 8, 2, 1, 0, 1), (1, 0, 3, 6, 4, 7, 5, 2), 23),
+        ((604, 5, 2, 2, -2, 2), (4, 0, 1, 3, 2), 25),
+        ((605, 7, 3, 1, -3, 3), (4, 2, 5, 6, 0, 1, 3), 181),
+        ((606, 10, 2, 1, -9, 9), (1, 5, 7, 2, 3, 0, 9, 6, 8, 4), -1386),
+    ]
+
+    @pytest.mark.parametrize("case,images,value", PINNED)
+    def test_pinned_greedy(self, case, images, value):
+        seed, n, d, k, lo, hi = case
+        rng = random.Random(seed)
+        a = random_int_tensor(rng, n, d, lo, hi)
+        b = random_int_tensor(rng, n, d, lo, hi)
+        result = greedy_extract(a, b, k)
+        assert (result.permutation.images, result.value) == (images, value)
+
+
+# the nine (n, d, 2k) shapes of hypergraph.align in the assign-greedy
+# benchmark; together their groupings hold about 33 MiB
+_ALIGN_SHAPES = [(n, 2, 2) for n in range(8, 15)] + [(8, 3, 2), (9, 3, 2)]
+
+
+class TestGroupingCache:
+    """Cached groupings are capped in bytes, oldest out first."""
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        builds = []
+        build = _typesweep._build_chunk
+
+        def counted(*args):
+            builds.append(args[:3])
+            return build(*args)
+
+        monkeypatch.setattr(_typesweep, "_build_chunk", counted)
+        monkeypatch.setattr(_typesweep, "_table_cache", {})
+        return builds
+
+    def test_align_shapes_are_built_once(self, monkeypatch):
+        builds = self._count_builds(monkeypatch)
+        for _ in range(2):
+            for shape in _ALIGN_SHAPES:
+                _typesweep._cached_table(*shape)
+        assert builds == _ALIGN_SHAPES
+
+    def test_bytes_stay_under_the_cap(self, monkeypatch):
+        builds = self._count_builds(monkeypatch)
+        cap = 2 << 20
+        monkeypatch.setattr(_typesweep, "_CACHE_BYTES", cap)
+        cache = _typesweep._table_cache
+        shapes = _ALIGN_SHAPES[:6] + [(8, 3, 2)] + _ALIGN_SHAPES[:2]
+        for shape in shapes:
+            _typesweep._cached_table(*shape)
+            held = sum(map(_typesweep._table_bytes, cache.values()))
+            assert list(cache)[-1] == shape
+            assert held <= cap or list(cache) == [shape]
+        # (8, 3, 2) alone exceeds the cap and evicts everything before it
+        assert builds.count((8, 2, 2)) == 2
+        assert builds.count((8, 3, 2)) == 1
 
 
 def _vector(rng, kind, n):

@@ -85,6 +85,18 @@ class TestPowCollect:
         p = _wide_form()
         assert sphere.pow_collect(p, 1) == p
 
+    def test_square_of_a_300_term_form(self):
+        # all 300 monomials of degree 23 in 3 variables, rational
+        # coefficients: 45,150 compositions, each walked over its nonzero
+        # parts only, against the term-by-term product
+        rng = random.Random(300)
+        p = SparsePoly(3, 23, {
+            (a, b, 23 - a - b): Fraction(rng.choice((-3, -1, 1, 2)),
+                                         rng.choice((1, 2, 3)))
+            for a in range(24) for b in range(24 - a)})
+        assert p.num_terms == 300
+        assert sphere.pow_collect(p, 2) == p * p
+
     def test_budget_error(self):
         p = random_poly(random.Random(1), 4, 2, 4)
         with pytest.raises(BudgetError):
