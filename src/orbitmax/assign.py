@@ -12,12 +12,13 @@ sum over index sequences of one equality type is an injective power sum,
 a Moebius inversion of power sums, so the work is polynomial in n and in
 the number of integer partitions of 2k.  At d >= 2 the type-grouped
 sweep in ``_typesweep`` visits all n**(2kd) index sequences, and small
-cosets are enumerated directly, in numpy blocks of permutations.
+cosets are enumerated directly by ``_coset_values``, the one evaluator
+of f(g) over sets of permutations, which ``brute_max`` and
+``sandwich.verify_sandwich`` share.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -220,12 +221,8 @@ def apply_perm(g: Permutation, x: DenseTensor) -> DenseTensor:
         raise ValueError(f"permutation on {g.n} points, tensor side {x.n}")
     n, d = x.n, x.d
     out = [Fraction(0)] * n ** d
-    for flat, val in enumerate(x.entries):
-        rem, new = flat, 0
-        for p in range(d - 1, -1, -1):
-            rem, dig = divmod(rem, n)
-            new += g.images[dig] * n ** (d - 1 - p)
-        out[new] = val
+    for digits, val in _nonzero_digit_entries(x.entries, n, d):
+        out[_flat_index(g.apply_index(digits), n, d)] = val
     return DenseTensor(n, d, tuple(out))
 
 
@@ -234,24 +231,16 @@ def matrix_element(a: DenseTensor, b: DenseTensor, g: Permutation) -> Fraction:
     _check_shapes(a, b)
     if g.n != a.n:
         raise ValueError(f"permutation on {g.n} points, tensors on {a.n}")
-    n, d = a.n, a.d
     total = Fraction(0)
-    for flat, val in enumerate(a.entries):
-        if not val:
-            continue
-        rem, gflat, mult = flat, 0, 1
-        for _ in range(d):
-            rem, dig = divmod(rem, n)
-            gflat += g.images[dig] * mult
-            mult *= n
-        total += val * b.entries[gflat]
+    for digits, val in _nonzero_digit_entries(a.entries, a.n, a.d):
+        total += val * b.get(g.apply_index(digits))
     return total
 
 
-def _int_scaled(t: DenseTensor) -> tuple[list[int], int]:
-    """Clear denominators: returns (integer entries of L*t, L)."""
-    scale = math.lcm(*{v.denominator for v in t.entries})
-    return [v.numerator * (scale // v.denominator) for v in t.entries], scale
+def _int_scaled(values: Sequence[Fraction | int]) -> tuple[list[int], int]:
+    """Clear denominators: returns (the integers L*v, L)."""
+    scale = math.lcm(*{v.denominator for v in values})
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 def _d1_plan(m: int, top: int) -> tuple:
@@ -359,8 +348,8 @@ def _d1_coset_moment(a: DenseTensor, b: DenseTensor, m: int,
     nfree = a.n - len(pairs)
     top = min(m, nfree)
     _d1_check_budget(a.n, m, {top: 1}, budget)
-    ints_a, la = _int_scaled(a)
-    ints_b, lb = _int_scaled(b)
+    ints_a, la = _int_scaled(a.entries)
+    ints_b, lb = _int_scaled(b.entries)
     fixed = dict(pairs)
     used = set(fixed.values())
     free_a = [x for i, x in enumerate(ints_a) if i not in fixed]
@@ -383,8 +372,8 @@ def _d1_greedy(a: DenseTensor, b: DenseTensor, m: int, budget: int) -> list[int]
         top = min(m, n - t - 1)
         cosets[top] = cosets.get(top, 0) + n - t
     _d1_check_budget(n, m, cosets, budget)
-    ints_a, _ = _int_scaled(a)
-    ints_b, _ = _int_scaled(b)
+    ints_a, _ = _int_scaled(a.entries)
+    ints_b, _ = _int_scaled(b.entries)
     plan = _d1_plan(m, min(m, n - 1))
     pow_a = [[x ** s for s in range(m + 1)] for x in ints_a]
     pow_b = [[y ** s for s in range(m + 1)] for y in ints_b]
@@ -396,13 +385,9 @@ def _d1_greedy(a: DenseTensor, b: DenseTensor, m: int, budget: int) -> list[int]
         nfree = n - t - 1
         pa = [s - x for s, x in zip(pa, pow_a[t])]
         weights = _d1_weights(plan, m, nfree, pa)
-        best_val = best_j = None
-        for j in free:
-            val = _d1_pair(plan, m, nfree, weights,
-                           [s - y for s, y in zip(pb, pow_b[j])],
-                           shift + ints_a[t] * ints_b[j])
-            if best_val is None or val > best_val:
-                best_val, best_j = val, j
+        best_j = max(free, key=lambda j: _d1_pair(
+            plan, m, nfree, weights, [s - y for s, y in zip(pb, pow_b[j])],
+            shift + ints_a[t] * ints_b[j]))
         chosen.append(best_j)
         free.remove(best_j)
         pb = [s - y for s, y in zip(pb, pow_b[best_j])]
@@ -427,8 +412,8 @@ def moment_2k(a: DenseTensor, b: DenseTensor, k: int,
     m = 2 * k
     if a.d == 1:
         return _d1_coset_moment(a, b, m, (), budget)
-    ints_a, la = _int_scaled(a)
-    ints_b, lb = _int_scaled(b)
+    ints_a, la = _int_scaled(a.entries)
+    ints_b, lb = _int_scaled(b.entries)
     ta = _typesweep.side_table(ints_a, a.n, a.d, m, (), budget)
     tb = _typesweep.side_table(ints_b, a.n, a.d, m, (), budget)
     total = _typesweep.combine(ta, tb, a.n, a.d, m, 0)
@@ -454,31 +439,27 @@ def sup_bounds(a: DenseTensor, b: DenseTensor, k: int,
     return Interval.from_moment(moment, bound_factor_exact(a, b, k), k)
 
 
-def _nonzero_digit_entries(flat_ints: Sequence[int], n: int,
-                           d: int) -> list[tuple[tuple[int, ...], int]]:
+def _nonzero_digit_entries(flat: Sequence, n: int, d: int) -> list[tuple]:
+    """(digits, value) for each nonzero entry of a row-major flat tensor."""
     out = []
-    for flat, val in enumerate(flat_ints):
+    for idx, val in enumerate(flat):
         if val:
             digits = []
-            rem = flat
             for _ in range(d):
-                rem, dig = divmod(rem, n)
+                idx, dig = divmod(idx, n)
                 digits.append(dig)
             out.append((tuple(reversed(digits)), val))
     return out
 
 
-def _enumerate_coset_power_sums(nz_a, flat_b: Sequence[int], n: int, d: int,
-                                m: int, pairs, split_pos: int | None):
-    """Sum of <B, gA>**m over the coset fixed by ``pairs``; with
-    ``split_pos`` set, one sum per value of g(split_pos) instead.
+def _coset_values(nz_a, flat_b: Sequence[int], n: int, d: int, pairs):
+    """f = <B, gA> over the coset fixed by ``pairs``, as numpy blocks
+    (image rows, f) in ``itertools.permutations`` order of the free values.
 
-    The permutations of the free coordinates come in numpy blocks of
-    rows; each block gathers B at the images of A's nonzero entries, and
+    Each block gathers B at the images of A's nonzero entries, and
     f = B[g(I)] @ a.  f is int64 when nnz * max|a| * max|b| fits, which
-    bounds every partial sum, and Python ints otherwise; f**m and the
-    sums are always Python ints.  A block has at most
-    ``_typesweep.CHUNK_SIZE // max(n, nnz)`` rows, so its image and
+    bounds every partial sum, and Python ints otherwise.  A block has at
+    most ``_typesweep.CHUNK_SIZE // max(n, nnz)`` rows, so its image and
     gather arrays stay within ``CHUNK_SIZE`` elements.
     """
     import numpy as np
@@ -495,7 +476,6 @@ def _enumerate_coset_power_sums(nz_a, flat_b: Sequence[int], n: int, d: int,
     vals = np.array([v for _, v in nz_a], dtype=dtype)
     flat = np.array(flat_b, dtype=dtype)
     digits = np.array([dg for dg, _ in nz_a], dtype=np.int64).reshape(nnz, d)
-    sums: dict[int, int] = {}
     for rows in _typesweep.permutation_blocks(
             free_val, _typesweep.CHUNK_SIZE // max(n, nnz)):
         img = np.empty((len(rows), n), dtype=np.int64)
@@ -505,13 +485,19 @@ def _enumerate_coset_power_sums(nz_a, flat_b: Sequence[int], n: int, d: int,
         gflat = img[:, digits[:, 0]]
         for t in range(1, d):
             gflat = gflat * n + img[:, digits[:, t]]
-        f = flat[gflat] @ vals
-        keys = (img[:, split_pos] if split_pos is not None
-                else np.zeros(len(rows), dtype=np.int64))
-        _typesweep.add_power_sums(sums, keys, f, m)
-    if split_pos is not None:
-        return sums
-    return sums.get(0, 0)
+        yield img, flat[gflat] @ vals
+
+
+def _enumerate_coset_power_sums(nz_a, flat_b: Sequence[int], n: int, d: int,
+                                m: int, pairs, split_pos: int | None):
+    """Sum of <B, gA>**m over the coset fixed by ``pairs``; with
+    ``split_pos`` set, one sum per value of g(split_pos) instead.
+    f**m and the sums are Python ints whatever the dtype of f; unsplit,
+    the per-image sums of column 0 are added up."""
+    sums: dict[int, int] = {}
+    for img, f in _coset_values(nz_a, flat_b, n, d, pairs):
+        _typesweep.add_power_sums(sums, img[:, split_pos or 0], f, m)
+    return sums if split_pos is not None else sum(sums.values())
 
 
 def _enumeration_cheaper(n: int, d: int, m: int, npins: int, nnz: int) -> bool:
@@ -522,49 +508,49 @@ def _enumeration_cheaper(n: int, d: int, m: int, npins: int, nnz: int) -> bool:
     return brute_cost <= max(200_000, _typesweep.sequence_count(n, d, m) // 4)
 
 
+def _check_enumeration_budget(nfree: int, nnz: int, m: int,
+                              budget: int) -> None:
+    """Refuse more than ``budget`` evaluations: nfree! times nnz(A)."""
+    cost = math.factorial(nfree) * max(nnz, 1)
+    if cost > budget:
+        raise BudgetError(
+            f"coset enumeration needs {cost} evaluations, budget is {budget}",
+            required=cost, budget=budget, k=m // 2)
+
+
 def coset_moment(a: DenseTensor, b: DenseTensor, k: int,
                  prefix: PartialAssignment,
-                 visit_budget: int | None = None,
-                 method: str = "auto") -> Fraction:
+                 visit_budget: int | None = None) -> Fraction:
     """Exact average of <B, gA>**(2k) over {g : g(p) = q for (p, q) in prefix}.
 
     The empty prefix recovers the full-group moment; a length-n prefix
     pins a single permutation and returns f(g)**(2k) exactly.
 
-    ``method`` selects the algorithm: "typesweep" refines the type
-    classes with pin patterns (O(n**(2kd)) sequence visits) and sums the
-    groups in integers over one denominator, "enumerate" averages over
-    the coset directly ((n - len(prefix))! evaluations of f, vectorised
-    over blocks of permutations), and "auto" uses the power-sum engine
-    at d = 1 (the prefix adds a constant to f; see ``moment_2k``) and
-    the cheaper of the other two at d >= 2.  All produce identical exact
-    values.
+    At d = 1 it uses the power-sum engine (the prefix adds a constant to
+    f; see ``moment_2k``).  At d >= 2 it takes the cheaper of two exact
+    routes, judged from n, d, k, the prefix length and nnz(A): a type
+    sweep refined by pin patterns (O(n**(2kd)) sequence visits, the
+    groups summed in integers over one denominator), or a direct
+    enumeration of the coset ((n - len(prefix))! evaluations of f,
+    vectorised over blocks of permutations).
     """
     _check_shapes(a, b)
     if k < 1:
         raise ValueError("k must be >= 1")
-    if method not in ("auto", "typesweep", "enumerate"):
-        raise ValueError(f"unknown method {method!r}")
     n = a.n
     for p, q in prefix.pairs:
         if not (0 <= p < n and 0 <= q < n):
             raise ValueError(f"prefix pair ({p}, {q}) out of range 0..{n - 1}")
     budget = DEFAULT_VISIT_BUDGET if visit_budget is None else visit_budget
     m = 2 * k
-    if method == "auto" and a.d == 1:
+    if a.d == 1:
         return _d1_coset_moment(a, b, m, prefix.pairs, budget)
-    ints_a, la = _int_scaled(a)
-    ints_b, lb = _int_scaled(b)
+    ints_a, la = _int_scaled(a.entries)
+    ints_b, lb = _int_scaled(b.entries)
     scale = Fraction(la) ** m * Fraction(lb) ** m
     nnz = sum(1 for v in ints_a if v)
-    if method == "enumerate" or (
-            method == "auto"
-            and _enumeration_cheaper(n, a.d, m, len(prefix), nnz)):
-        cost = math.factorial(n - len(prefix)) * max(nnz, 1)
-        if cost > budget:
-            raise BudgetError(
-                f"coset enumeration needs {cost} evaluations, budget is {budget}",
-                required=cost, budget=budget, k=k)
+    if _enumeration_cheaper(n, a.d, m, len(prefix), nnz):
+        _check_enumeration_budget(n - len(prefix), nnz, m, budget)
         nz_a = _nonzero_digit_entries(ints_a, n, a.d)
         total = _enumerate_coset_power_sums(nz_a, ints_b, n, a.d, m,
                                             prefix.pairs, None)
@@ -585,23 +571,13 @@ def _sweep_greedy(ints_a: Sequence[int], ints_b: Sequence[int], n: int,
     for t in range(1, n + 1):
         cands = tuple(j for j in range(n) if j not in chosen)
         pairs = tuple((i, chosen[i]) for i in range(t - 1))
-        best_j = None
         if _enumeration_cheaper(n, d, m, t - 1, nnz):
             # one pass over the parent coset, split by the new image;
             # children share the denominator (n-t)!, so compare raw sums
-            cost = math.factorial(n - t + 1) * max(nnz, 1)
-            if cost > budget:
-                raise BudgetError(
-                    f"coset enumeration needs {cost} evaluations, "
-                    f"budget is {budget}",
-                    required=cost, budget=budget, k=m // 2)
+            _check_enumeration_budget(n - t + 1, nnz, m, budget)
             sums = _enumerate_coset_power_sums(nz_a, ints_b, n, d, m,
                                                pairs, t - 1)
-            best_val = None
-            for j in cands:
-                val = sums.get(j, 0)
-                if best_val is None or val > best_val:
-                    best_val, best_j = val, j
+            chosen.append(max(cands, key=lambda j: sums.get(j, 0)))
         else:
             table_a = _typesweep.side_table(ints_a, n, d, m,
                                             tuple(range(t)), budget)
@@ -610,19 +586,16 @@ def _sweep_greedy(ints_a: Sequence[int], ints_b: Sequence[int], n: int,
             # children share the denominator perm(n - t, min(2kd, n - t)):
             # weight A's groups once and compare raw sums
             weighted = _typesweep.weighted_table(table_a, n, d, m, t)
-            best_val = None
-            for j in cands:
-                val = _typesweep.pair_sum(weighted, tables_b[j])
-                if best_val is None or val > best_val:
-                    best_val, best_j = val, j
-        chosen.append(best_j)
+            chosen.append(max(cands, key=lambda j: _typesweep.pair_sum(
+                weighted, tables_b[j])))
     return chosen
 
 
 def greedy_extract(a: DenseTensor, b: DenseTensor, k: int,
                    visit_budget: int | None = None) -> GreedyResult:
     """Fix g(0), g(1), ... successively, each time entering the coset with
-    the largest exact conditional moment (ties to the smallest image).
+    the largest exact conditional moment (ties to the smallest image: each
+    step takes ``max`` over ascending candidates, which keeps the first).
 
     Since the best child coset is at least as good as its parent's
     average, the returned permutation satisfies f(g)**(2k) >= the full
@@ -647,65 +620,42 @@ def greedy_extract(a: DenseTensor, b: DenseTensor, k: int,
     if d == 1:
         chosen = _d1_greedy(a, b, m, budget)
     else:
-        chosen = _sweep_greedy(_int_scaled(a)[0], _int_scaled(b)[0],
-                               n, d, m, budget)
+        chosen = _sweep_greedy(_int_scaled(a.entries)[0],
+                               _int_scaled(b.entries)[0], n, d, m, budget)
     g = Permutation(tuple(chosen))
     value = matrix_element(a, b, g)
     return GreedyResult(g, value, float(abs(value)))
 
 
-def brute_max(a: DenseTensor, b: DenseTensor,
-              cap: int = DEFAULT_BRUTE_CAP) -> BruteResult:
+def brute_max(a: DenseTensor, b: DenseTensor) -> BruteResult:
     """Exact argmax of |<B, gA>| over all n! permutations.
 
-    Ties resolve to the lexicographically smallest image tuple.  Runtime
-    grows as n! * n**d; refuse above ``cap``.
+    The permutations come in lexicographic order and the first maximum
+    is kept, so ties resolve to the lexicographically smallest image
+    tuple.  Runtime grows as n! * nnz(A); refuse n > DEFAULT_BRUTE_CAP.
     """
     _check_shapes(a, b)
     n, d = a.n, a.d
-    if n > cap:
-        raise ValueError(f"brute force cap is n <= {cap}, got n = {n}")
-    # decode non-zero entries of A once
-    nz: list[tuple[tuple[int, ...], Fraction]] = []
-    for flat, val in enumerate(a.entries):
-        if not val:
-            continue
-        digits = []
-        rem = flat
-        for _ in range(d):
-            rem, dig = divmod(rem, n)
-            digits.append(dig)
-        nz.append((tuple(reversed(digits)), val))
-    best_g: tuple[int, ...] | None = None
-    best: Fraction | None = None
-    for g in itertools.permutations(range(n)):
-        s = Fraction(0)
-        for digits, val in nz:
-            gflat = 0
-            for dig in digits:
-                gflat = gflat * n + g[dig]
-            s += val * b.entries[gflat]
-        s = abs(s)
-        if best is None or s > best:
-            best, best_g = s, g
-    return BruteResult(Permutation(best_g), best)
+    if n > DEFAULT_BRUTE_CAP:
+        raise ValueError(
+            f"brute force cap is n <= {DEFAULT_BRUTE_CAP}, got n = {n}")
+    ints_a, la = _int_scaled(a.entries)
+    ints_b, lb = _int_scaled(b.entries)
+    best = best_g = None
+    for img, f in _coset_values(_nonzero_digit_entries(ints_a, n, d),
+                                ints_b, n, d, ()):
+        f = abs(f)
+        i = int(f.argmax())
+        if best is None or f[i] > best:
+            best, best_g = int(f[i]), tuple(img[i].tolist())
+    return BruteResult(Permutation(best_g), Fraction(best, la * lb))
 
 
 def tensor_to_json(t: DenseTensor) -> dict:
     """Sparse JSON form with 1-based indices; omitted entries are zero."""
-    items = []
-    n, d = t.n, t.d
-    for flat, val in enumerate(t.entries):
-        if not val:
-            continue
-        digits = []
-        rem = flat
-        for _ in range(d):
-            rem, dig = divmod(rem, n)
-            digits.append(dig + 1)
-        items.append({"index": list(reversed(digits)),
-                      "value": format_rational(val)})
-    return {"n": n, "d": d, "entries": items}
+    items = [{"index": [i + 1 for i in digits], "value": format_rational(val)}
+             for digits, val in _nonzero_digit_entries(t.entries, t.n, t.d)]
+    return {"n": t.n, "d": t.d, "entries": items}
 
 
 def tensor_from_json(obj: Mapping) -> DenseTensor:

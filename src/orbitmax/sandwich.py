@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from . import assign
 from .exact import bound_factor, format_rational
 
 __all__ = [
@@ -81,18 +82,6 @@ class SandwichReport:
         }
 
 
-def _primitive_ints(v: Sequence[Fraction | int]) -> list[int]:
-    vals = [Fraction(x) for x in v]
-    scale = 1
-    for x in vals:
-        scale = scale * x.denominator // math.gcd(scale, x.denominator)
-    ints = [int(x * scale) for x in vals]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, abs(x))
-    return [x // g for x in ints] if g > 1 else ints
-
-
 def _int_row_rank(rows: Sequence[tuple[int, ...]], ncols: int) -> int:
     """Exact rank over Q of integer rows, by fraction-free elimination.
 
@@ -130,23 +119,26 @@ def _int_row_rank(rows: Sequence[tuple[int, ...]], ncols: int) -> int:
     return rank
 
 
-def orbit_span_dim(v: Sequence[Fraction | int], k: int,
-                   cap: int = DEFAULT_GROUP_CAP) -> int:
+def orbit_span_dim(v: Sequence[Fraction | int], k: int) -> int:
     """Exact dimension of span{ (gv)**(tensor k) : g in S_n } over Q.
 
     The tensor power of a vector is symmetric, so columns at permuted
     multi-indices are identical across all rows; one column per k-multiset
     of coordinates preserves the row-space rank and keeps the
     elimination small.  Invariant under permuting or rescaling v.
+    Refuses n > DEFAULT_GROUP_CAP.
     """
     n = len(v)
-    if n > cap:
-        raise ValueError(f"orbit span cap is n <= {cap}, got n = {n}")
+    if n > DEFAULT_GROUP_CAP:
+        raise ValueError(
+            f"orbit span cap is n <= {DEFAULT_GROUP_CAP}, got n = {n}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    ints = _primitive_ints(v)
-    if all(x == 0 for x in ints):
+    ints, _ = assign._int_scaled([Fraction(x) for x in v])
+    g = math.gcd(*ints)
+    if not g:
         raise ValueError("v must be non-zero")
+    ints = [x // g for x in ints]
     combos = list(itertools.combinations_with_replacement(range(n), k))
     rows = set()
     for w in set(itertools.permutations(ints)):
@@ -155,11 +147,14 @@ def orbit_span_dim(v: Sequence[Fraction | int], k: int,
 
 
 def verify_sandwich(v: Sequence[Fraction | int], ell: Sequence[Fraction | int],
-                    k: int, cap: int = DEFAULT_GROUP_CAP) -> SandwichReport:
+                    k: int) -> SandwichReport:
     """Enumerate f(g) = <ell, gv> over all of S_n and check the sandwich.
 
-    All four inequalities are verified at the 2k-th-power level with
-    exact rational comparisons:
+    One pass of the S_n evaluator over v and ell as d = 1 tensors, in
+    integers over the cleared denominators, gives sum f**2, sum f**(2k)
+    and max |f|.  Refuses n < 1 and n > DEFAULT_GROUP_CAP.  All four
+    inequalities are verified at the 2k-th-power level with exact
+    rational comparisons:
 
       moment_2k <= sup**(2k)              (norm below max)
       sup**(2k) <= D_k * moment_2k        (max below span-dim factor)
@@ -169,31 +164,29 @@ def verify_sandwich(v: Sequence[Fraction | int], ell: Sequence[Fraction | int],
     n = len(v)
     if len(ell) != n:
         raise ValueError("v and ell must have equal length")
-    if n > cap:
-        raise ValueError(f"group enumeration cap is n <= {cap}, got n = {n}")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n > DEFAULT_GROUP_CAP:
+        raise ValueError(
+            f"group enumeration cap is n <= {DEFAULT_GROUP_CAP}, got n = {n}")
     if k < 1:
         raise ValueError("k must be >= 1")
     vv = [Fraction(x) for x in v]
-    ll = [Fraction(x) for x in ell]
-    s2k = Fraction(0)
-    s2 = Fraction(0)
-    sup = Fraction(0)
-    count = 0
-    for g in itertools.permutations(range(n)):
-        # <ell, gv> with (gv)[g(i)] = v[i]
-        f = sum((vv[i] * ll[g[i]] for i in range(n)), Fraction(0))
-        f2 = f * f
-        s2 += f2
-        s2k += f2 ** k
-        if abs(f) > sup:
-            sup = abs(f)
-        count += 1
-    m2k = s2k / count
-    m2 = s2 / count
-    if any(x != 0 for x in vv):
-        span = orbit_span_dim(vv, k, cap)
-    else:
-        span = 0
+    ints_v, lv = assign._int_scaled(vv)
+    ints_ell, lell = assign._int_scaled([Fraction(x) for x in ell])
+    s2 = s2k = top = 0
+    for _, f in assign._coset_values(
+            assign._nonzero_digit_entries(ints_v, n, 1), ints_ell, n, 1, ()):
+        for x in f.tolist():
+            s2 += x * x
+            s2k += x ** (2 * k)
+            top = max(top, abs(x))
+    scale = lv * lell
+    count = math.factorial(n)
+    sup = Fraction(top, scale)
+    m2k = Fraction(s2k, count * scale ** (2 * k))
+    m2 = Fraction(s2, count * scale ** 2)
+    span = orbit_span_dim(vv, k) if any(vv) else 0
     sup_2k = sup ** (2 * k)
     sup_2 = sup * sup
     checks = (

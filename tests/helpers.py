@@ -10,10 +10,11 @@ permutations.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
-from orbitmax import assign
+from orbitmax import _typesweep, assign
 from orbitmax.hypergraph import Hypergraph
 from orbitmax.sphere import SparsePoly
 
@@ -194,8 +195,6 @@ def fraction_combine(table_a, table_b, n: int, d: int, m: int,
     here: a raw type key holds the block label of each of the l = m*d
     positions in base max(rmax, 2), a pattern key one base-(npins + 1)
     digit per block, nonzero where the block carries a pinned value."""
-    import math
-
     l = m * d
     base = max(min(l, n), 2)
     total = Fraction(0)
@@ -213,3 +212,63 @@ def fraction_combine(table_a, table_b, n: int, d: int, m: int,
             pinned += dig != 0
         total += Fraction(sa * sb, math.perm(n - npins, max(labels) + 1 - pinned))
     return total
+
+
+def sweep_coset_moment(a: assign.DenseTensor, b: assign.DenseTensor, k: int,
+                       prefix: assign.PartialAssignment) -> Fraction:
+    """Coset average of <B, gA>**(2k) by the pinned type sweep alone, at
+    any d: both side tables, ``combine``, and the scales put back."""
+    m = 2 * k
+    ints_a, la = assign._int_scaled(a.entries)
+    ints_b, lb = assign._int_scaled(b.entries)
+    ta = _typesweep.side_table(ints_a, a.n, a.d, m, prefix.positions,
+                               assign.DEFAULT_VISIT_BUDGET)
+    tb = _typesweep.side_table(ints_b, a.n, a.d, m, prefix.images,
+                               assign.DEFAULT_VISIT_BUDGET)
+    total = _typesweep.combine(ta, tb, a.n, a.d, m, len(prefix))
+    return total / (Fraction(la) ** m * Fraction(lb) ** m)
+
+
+def enumerated_coset_moment(a: assign.DenseTensor, b: assign.DenseTensor,
+                            k: int, prefix: assign.PartialAssignment) -> Fraction:
+    """Coset average of <B, gA>**(2k) by the numpy coset enumeration
+    alone, at any d, with the scales put back."""
+    m = 2 * k
+    ints_a, la = assign._int_scaled(a.entries)
+    ints_b, lb = assign._int_scaled(b.entries)
+    nz_a = assign._nonzero_digit_entries(ints_a, a.n, a.d)
+    total = assign._enumerate_coset_power_sums(nz_a, ints_b, a.n, a.d, m,
+                                               prefix.pairs, None)
+    return (Fraction(total, math.factorial(a.n - len(prefix)))
+            / (Fraction(la) ** m * Fraction(lb) ** m))
+
+
+def loop_brute_max(a: assign.DenseTensor,
+                   b: assign.DenseTensor) -> assign.BruteResult:
+    """First maximum of |<B, gA>| in ``itertools.permutations`` order, one
+    ``matrix_element`` per permutation: the oracle for ``brute_max``."""
+    best = None
+    for images in itertools.permutations(range(a.n)):
+        g = assign.Permutation(images)
+        val = abs(assign.matrix_element(a, b, g))
+        if best is None or val > best.abs_value:
+            best = assign.BruteResult(g, val)
+    return best
+
+
+def fraction_sandwich_sums(v, ell, k: int) -> tuple[Fraction, Fraction, Fraction]:
+    """(sup |f|, average f**2, average f**(2k)) for f(g) = <ell, gv>, one
+    ``Fraction`` sum per permutation: the oracle for the values
+    ``sandwich.verify_sandwich`` reports."""
+    vv = [Fraction(x) for x in v]
+    ll = [Fraction(x) for x in ell]
+    s2 = s2k = sup = Fraction(0)
+    count = 0
+    for g in itertools.permutations(range(len(vv))):
+        # <ell, gv> with (gv)[g(i)] = v[i]
+        f = sum((vv[i] * ll[g[i]] for i in range(len(vv))), Fraction(0))
+        s2 += f * f
+        s2k += f ** (2 * k)
+        sup = max(sup, abs(f))
+        count += 1
+    return sup, s2 / count, s2k / count

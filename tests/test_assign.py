@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (brute_coset_average, brute_group_moment,
-                     fraction_combine, loop_coset_power_sums,
+                     enumerated_coset_moment, fraction_combine,
+                     loop_brute_max, loop_coset_power_sums,
                      random_int_tensor, random_permutation,
-                     random_rational_tensor)
+                     random_rational_tensor, sweep_coset_moment)
 from orbitmax import _typesweep, assign
 from orbitmax.assign import (DenseTensor, PartialAssignment, Permutation,
                              brute_max, coset_moment, greedy_extract,
@@ -280,9 +281,9 @@ class TestWideIndices:
     def test_sweep_matches_closed_form(self, n):
         # moment_2k uses power sums at d = 1; force the sweep here
         a, b = _mod_vectors(n)
-        got = coset_moment(DenseTensor.from_entries(n, 1, a),
-                           DenseTensor.from_entries(n, 1, b), 1,
-                           PartialAssignment.empty(), method="typesweep")
+        got = sweep_coset_moment(DenseTensor.from_entries(n, 1, a),
+                                 DenseTensor.from_entries(n, 1, b), 1,
+                                 PartialAssignment.empty())
         assert got == _closed_form_k1(a, b)
 
     def test_candidate_pins_above_127(self):
@@ -354,7 +355,7 @@ class TestEntryDtypeBoundary:
         assert moment == brute_group_moment(a, b, k)
         for pairs in ((), ((0, 2),), ((0, 2), (3, 1))):
             prefix = PartialAssignment(pairs)
-            assert coset_moment(a, b, k, prefix, method="typesweep") == \
+            assert sweep_coset_moment(a, b, k, prefix) == \
                 brute_coset_average(a, b, k, prefix)
         table_a = _typesweep.side_table(flat_a, n, d, 2 * k, (0,), 10 ** 8)
         tables_b = _typesweep.candidate_side_tables(flat_b, n, d, 2 * k, (),
@@ -606,8 +607,7 @@ class TestPowerSumRoute:
                     got = coset_moment(a, b, k, prefix)
                     assert got == brute_coset_average(a, b, k, prefix)
                     if n ** (2 * k) <= 4 ** 8:
-                        assert got == coset_moment(a, b, k, prefix,
-                                                   method="typesweep")
+                        assert got == sweep_coset_moment(a, b, k, prefix)
 
     def test_never_sweeps_or_enumerates(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -625,7 +625,7 @@ class TestPowerSumRoute:
         assert (moment_2k(a, b, 2), coset_moment(a, b, 2, prefix),
                 greedy_extract(a, b, 2)) == expected
         with pytest.raises(AssertionError):
-            coset_moment(a, b, 2, prefix, method="typesweep")
+            sweep_coset_moment(a, b, 2, prefix)
 
     def test_moment_budget_boundary(self):
         a = DenseTensor.from_entries(5, 1, [1, -2, 3, 0, 4])
@@ -735,7 +735,7 @@ class TestCosetMoment:
             t = rng.randint(0, n)
             prefix = PartialAssignment(tuple(zip(
                 rng.sample(range(n), t), rng.sample(range(n), t))))
-            assert coset_moment(a, b, k, prefix, method="typesweep") == \
+            assert sweep_coset_moment(a, b, k, prefix) == \
                 brute_coset_average(a, b, k, prefix)
 
     def test_all_methods_agree(self):
@@ -748,8 +748,8 @@ class TestCosetMoment:
             t = rng.randint(0, n)
             prefix = PartialAssignment(tuple(zip(
                 rng.sample(range(n), t), rng.sample(range(n), t))))
-            vals = {coset_moment(a, b, k, prefix, method=meth)
-                    for meth in ("auto", "typesweep", "enumerate")}
+            vals = {route(a, b, k, prefix) for route in
+                    (coset_moment, sweep_coset_moment, enumerated_coset_moment)}
             assert len(vals) == 1
 
     def test_law_of_total_expectation(self):
@@ -846,8 +846,7 @@ class TestGreedyExtract:
         prefix = PartialAssignment.empty()
         for i in range(8):
             used = set(prefix.images)
-            vals = {j: coset_moment(a, b, 1, prefix.extended(i, j),
-                                    method="enumerate")
+            vals = {j: enumerated_coset_moment(a, b, 1, prefix.extended(i, j))
                     for j in range(8) if j not in used}
             best = max(vals.values())
             expected = min(j for j, v in vals.items() if v == best)
@@ -881,6 +880,58 @@ class TestBruteMax:
         a = DenseTensor.zeros(12, 1)
         with pytest.raises(ValueError):
             brute_max(a, a)
+
+    def test_matches_loop_oracle(self):
+        rng = random.Random(24)
+        for d, top_n in ((1, 6), (2, 5), (3, 4)):
+            for _ in range(12):
+                n = rng.randint(1, top_n)
+                make = rng.choice((random_int_tensor, random_rational_tensor))
+                a, b = make(rng, n, d), make(rng, n, d)
+                assert repr(brute_max(a, b)) == repr(loop_brute_max(a, b))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("one_row_blocks", [False, True])
+    def test_all_equal_and_all_zero_tie_to_identity(self, monkeypatch, d,
+                                                    one_row_blocks):
+        # the first maximum wins within a block and across blocks
+        if one_row_blocks:
+            monkeypatch.setattr(_typesweep, "CHUNK_SIZE", 1)
+        for n in range(1, 5):
+            a = DenseTensor.from_entries(n, d, [Fraction(-3, 2)] * n ** d)
+            b = DenseTensor.from_entries(n, d, [7] * n ** d)
+            zero = DenseTensor.zeros(n, d)
+            for x, y, best in ((a, b, Fraction(21 * n ** d, 2)),
+                               (zero, b, 0), (a, zero, 0)):
+                result = brute_max(x, y)
+                assert result.permutation == Permutation.identity(n)
+                assert result.abs_value == best
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (3, 2)])
+    @pytest.mark.parametrize("case,dtype", [("at", np.int64), ("above", object)])
+    def test_int64_bound(self, monkeypatch, n, d, case, dtype):
+        # as for the coset enumeration: f is int64 while
+        # nnz * max|a| * max|b| <= 2**63 - 1, Python ints beyond
+        nnz, top_a = min(7, n ** d), 7 * 73 * 127
+        top_b = (2 ** 63 - 1) // (nnz * top_a) + (case == "above")
+        assert (nnz * top_a * top_b <= 2 ** 63 - 1) == (case == "at")
+        rng = random.Random(n)
+        flat_a = ([rng.choice((-1, 1)) * top_a for _ in range(nnz)]
+                  + [0] * (n ** d - nnz))
+        flat_b = [rng.choice((-1, 1)) * top_b for _ in range(n ** d)]
+        a = DenseTensor.from_entries(n, d, flat_a)
+        b = DenseTensor.from_entries(n, d, flat_b)
+        seen = []
+        values = assign._coset_values
+
+        def spy(*args):
+            for img, f in values(*args):
+                seen.append(f.dtype)
+                yield img, f
+
+        monkeypatch.setattr(assign, "_coset_values", spy)
+        assert repr(brute_max(a, b)) == repr(loop_brute_max(a, b))
+        assert seen and set(seen) == {np.dtype(dtype)}
 
 
 @st.composite

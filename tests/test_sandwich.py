@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_fraction
+from helpers import fraction_sandwich_sums, random_fraction
 from orbitmax import assign
 from orbitmax.exact import bound_factor
 from orbitmax.sandwich import (cor16_factor_check, orbit_span_dim,
@@ -113,6 +113,25 @@ class TestVerifySandwich:
     def test_cap(self):
         with pytest.raises(ValueError):
             verify_sandwich([1] * 9, [1] * 9, 1)
+
+    def test_empty_vectors_refused(self):
+        with pytest.raises(ValueError):
+            verify_sandwich([], [], 1)
+
+    def test_matches_fraction_oracle(self):
+        rng = random.Random(5)
+        for trial in range(60):
+            n = rng.randint(1, 6)
+            k = rng.randint(1, 4)
+            v = [random_fraction(rng) for _ in range(n)]
+            ell = [random_fraction(rng) for _ in range(n)]
+            if trial % 5 == 0:
+                v = [0] * n
+            elif trial % 5 == 1:
+                ell = [Fraction(0)] * n
+            report = verify_sandwich(v, ell, k)
+            assert (report.sup_abs, report.moment_2, report.moment_2k) == \
+                fraction_sandwich_sums(v, ell, k)
 
     def test_report_json_shape(self):
         obj = verify_sandwich(e1(3), e1(3), 2).to_json()
