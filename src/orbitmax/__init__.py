@@ -15,14 +15,16 @@ floating root, and multiply by an exact combinatorial factor to certify
   assignment problem.
 * :mod:`orbitmax.sandwich` — exact verification of the sandwich
   inequalities for finite orbits, including orbit span dimensions.
+
+The engine modules and the names re-exported from them load on first
+access, so ``import orbitmax`` imports none of them.  Only
+:mod:`~orbitmax.assign` and the modules built on it
+(:mod:`~orbitmax.hypergraph`, :mod:`~orbitmax.sandwich`) import numpy;
+:mod:`~orbitmax.sphere` does not, except inside ``sample_lower_bound``.
 """
 
-from . import assign, exact, hypergraph, sandwich, sphere
-from .assign import DenseTensor, PartialAssignment, Permutation
 from .bounds import Interval
 from .errors import BudgetError
-from .hypergraph import Hypergraph
-from .sphere import SparsePoly
 
 __all__ = [
     "assign",
@@ -40,3 +42,37 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# name loaded on first access -> the submodule it is, or is defined in
+_LAZY = {
+    "assign": "assign",
+    "exact": "exact",
+    "hypergraph": "hypergraph",
+    "sandwich": "sandwich",
+    "sphere": "sphere",
+    "DenseTensor": "assign",
+    "PartialAssignment": "assign",
+    "Permutation": "assign",
+    "Hypergraph": "hypergraph",
+    "SparsePoly": "sphere",
+}
+
+
+def __getattr__(name: str):
+    """Import a submodule or re-exported name on first access (PEP 562)."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import sys
+
+    # __import__ takes the path of an import statement, which -X importtime
+    # reports; importlib.import_module would hide the module from it
+    qualified = f"{__name__}.{_LAZY[name]}"
+    __import__(qualified)
+    module = sys.modules[qualified]
+    value = module if name == _LAZY[name] else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -15,7 +15,6 @@ import random
 import sys
 from fractions import Fraction
 
-from . import assign, hypergraph, sandwich, sphere
 from .errors import BudgetError
 from .exact import format_rational, root_2k
 
@@ -50,7 +49,10 @@ def _require_k(k: int) -> int:
     return k
 
 
+# Each command imports only the engine it runs, so that a sphere command
+# never loads numpy, which the assignment engines import at module level.
 def _cmd_poly_norm(args) -> dict:
+    from . import sphere
     p = sphere.poly_from_json(_load_json(args.poly))
     k = _require_k(args.k)
     moment = sphere.moment_2k(p, k, _resolve_budget(args.budget))
@@ -61,6 +63,7 @@ def _cmd_poly_norm(args) -> dict:
 
 
 def _cmd_poly_bounds(args) -> dict:
+    from . import sphere
     p = sphere.poly_from_json(_load_json(args.poly))
     budget = _resolve_budget(args.budget)
     if (args.k is None) == (args.eps is None):
@@ -68,13 +71,12 @@ def _cmd_poly_bounds(args) -> dict:
     if args.k is not None:
         interval = sphere.sup_bounds(p, _require_k(args.k), budget)
     else:
-        if args.eps <= 0:
-            raise ValueError("eps must be positive")
         interval = sphere.fewnomial_sup(p, args.eps, budget)
     return interval.to_json()
 
 
 def _cmd_system_test(args) -> dict:
+    from . import sphere
     raw = _load_json(args.system)
     if not isinstance(raw, list):
         raise ValueError("system file must be a JSON array of polynomials")
@@ -85,6 +87,7 @@ def _cmd_system_test(args) -> dict:
 
 
 def _cmd_assign(args) -> dict:
+    from . import assign
     a = assign.tensor_from_json(_load_json(args.a))
     b = assign.tensor_from_json(_load_json(args.b))
     k = _require_k(args.k)
@@ -109,6 +112,7 @@ def _cmd_assign(args) -> dict:
 
 
 def _cmd_hyper_align(args) -> dict:
+    from . import assign, hypergraph
     h1 = hypergraph.hypergraph_from_json(_load_json(args.h1))
     h2 = hypergraph.hypergraph_from_json(_load_json(args.h2))
     result = hypergraph.align(h1, h2, _require_k(args.k),
@@ -127,10 +131,13 @@ def _random_rational_vector(rng: random.Random, n: int) -> list[Fraction]:
 
 
 def _cmd_verify(args) -> dict:
+    from . import sandwich
     n = args.n
     k = _require_k(args.k)
     if n < 1:
         raise ValueError("n must be >= 1")
+    if args.trials < 0:
+        raise ValueError("trials must be >= 0")
     # the point-mass case (v = ell = e_1), tight for n = 2, k = 1
     e1 = [Fraction(1)] + [Fraction(0)] * (n - 1)
     delta_case = sandwich.verify_sandwich(e1, e1, k)

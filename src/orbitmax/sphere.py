@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .bounds import Interval
 from .errors import BudgetError
 from .exact import format_rational, parse_rational, root_2k
@@ -393,8 +391,8 @@ def choose_k(n: int, d: int, eps: float) -> int:
     At this k the sup_bounds factor is below 1 + eps, so the interval
     ratio is guaranteed; k grows like eps**-1 * n**2 * ln(d).
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
     if n == 1:
@@ -428,6 +426,10 @@ def sample_lower_bound(p: SparsePoly, trials: int, seed: int) -> float:
         raise ValueError("trials must be >= 1")
     if p.is_zero:
         return 0.0
+    # the only numpy user here: importing it at module level would cost
+    # every sphere-only CLI process its import time
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal((trials, p.n))
     norms = np.linalg.norm(pts, axis=1)
@@ -480,8 +482,8 @@ def system_reduce(system: Sequence[SparsePoly], k: int, delta: float = 0.01,
     """
     if not system:
         raise ValueError("system must contain at least one polynomial")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     n, d = system[0].n, system[0].d
     for q_i in system[1:]:
         if q_i.n != n or q_i.d != d:

@@ -1,9 +1,12 @@
 import json
 import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import orbitmax
 from orbitmax.cli import main
 
 
@@ -80,6 +83,18 @@ class TestPolyBounds:
         assert main(["poly-bounds", "--poly", path, "--eps", "0.1",
                      "--budget", "1000"]) == 3
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
+    def test_non_finite_or_negative_eps_exit_2(self, tmp_path, eps):
+        path = write(tmp_path, "p.json", poly_x1())
+        assert main(["poly-bounds", "--poly", path, "--eps", eps]) == 2
+
+    def test_smallest_positive_eps_accepted(self, tmp_path, capsys):
+        path = write(tmp_path, "p.json", poly_x1(n=1))
+        code, out = run_main(
+            ["poly-bounds", "--poly", path, "--eps", "5e-324"], capsys)
+        assert code == 0
+        assert json.loads(out)["k"] == 1
+
     def test_both_k_and_eps_rejected(self, tmp_path):
         path = write(tmp_path, "p.json", poly_x1())
         assert main(["poly-bounds", "--poly", path, "--k", "1",
@@ -121,6 +136,19 @@ class TestSystemTest:
         payload = json.loads(out)
         assert payload["verdict"] == "possibly solvable"
         assert payload["gamma"] == 0.0
+
+    @pytest.mark.parametrize("delta", ["nan", "inf", "-1"])
+    def test_non_finite_or_negative_delta_exit_2(self, tmp_path, delta):
+        path = write(tmp_path, "s.json", [poly_x1(n=2)])
+        assert main(["system-test", "--system", path, "--k", "1",
+                     "--delta", delta]) == 2
+
+    def test_smallest_positive_delta_accepted(self, tmp_path, capsys):
+        path = write(tmp_path, "s.json", [poly_x1(n=2)])
+        code, out = run_main(["system-test", "--system", path, "--k", "1",
+                              "--delta", "5e-324"], capsys)
+        assert code == 0
+        assert json.loads(out)["verdict"] == "possibly solvable"
 
     def test_degree_mismatch_exit_2(self, tmp_path):
         system = [
@@ -225,6 +253,18 @@ class TestVerify:
     def test_cap_exit_2(self):
         assert main(["verify", "--n", "9", "--k", "1"]) == 2
 
+    def test_negative_trials_exit_2(self):
+        # "trials": -4 used to be reported as a successful run
+        assert main(["verify", "--n", "3", "--k", "1", "--trials", "-1"]) == 2
+
+    def test_zero_trials_accepted(self, capsys):
+        code, out = run_main(
+            ["verify", "--n", "3", "--k", "1", "--trials", "0"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["trials"] == 0
+        assert payload["failures"] == 0 and payload["worst_margins"] == {}
+
 
 class TestDeterminism:
     def test_identical_outputs_across_runs(self, tmp_path):
@@ -252,3 +292,32 @@ class TestBudgetEnvVar:
         # explicit flag overrides the restrictive environment default
         assert main(["assign", "--a", path, "--b", path, "--k", "1",
                      "--budget", str(10 ** 8)]) == 0
+
+
+class TestStartup:
+    def test_sphere_commands_load_no_numpy(self, tmp_path):
+        # A fresh interpreter, because this one has numpy loaded already.
+        # The eager numpy and _typesweep imports of assign are pinned too:
+        # deferring them would move their cost into the first timed call.
+        poly = write(tmp_path, "p.json", poly_x1())
+        system = write(tmp_path, "s.json", [poly_x1()])
+        child = textwrap.dedent("""
+            import sys
+            sys.path.insert(0, sys.argv[1])
+            import orbitmax
+            import orbitmax.cli
+            poly, system = sys.argv[2], sys.argv[3]
+            for argv in (["poly-norm", "--poly", poly, "--k", "1"],
+                         ["poly-bounds", "--poly", poly, "--eps", "0.5"],
+                         ["system-test", "--system", system, "--k", "1"]):
+                assert orbitmax.cli.main(argv) == 0, argv
+            loaded = [m for m in ("numpy", "orbitmax.assign", "orbitmax._typesweep")
+                      if m in sys.modules]
+            assert not loaded, loaded
+            from orbitmax import assign
+            assert "numpy" in sys.modules and "orbitmax._typesweep" in sys.modules
+        """)
+        src = str(Path(orbitmax.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", child, src, poly, system],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

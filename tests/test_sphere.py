@@ -320,6 +320,15 @@ class TestChooseK:
     def test_huge_eps_is_one(self):
         assert sphere.choose_k(5, 4, 1e6) == 1
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -1.0, 0.0])
+    def test_non_finite_or_non_positive_eps_refused(self, eps):
+        # a NaN eps used to return k = 1: every comparison with NaN is false
+        with pytest.raises(ValueError, match="eps"):
+            sphere.choose_k(3, 4, eps)
+
+    def test_smallest_positive_eps_accepted(self):
+        assert sphere.choose_k(1, 7, 5e-324) == 1
+
     def test_frozen_regression(self):
         # minimal k for n=3, d=4, eps=0.5 found by upward scan
         assert sphere.choose_k(3, 4, 0.5) == 9
@@ -446,6 +455,21 @@ class TestSystemReduce:
             else:
                 assert r.certified_min_q is None
         assert verdicts == {"certified gap", "possibly solvable"}
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -1.0, 0.0])
+    def test_non_finite_or_non_positive_delta_refused(self, delta):
+        # an infinite delta used to escape as OverflowError from Fraction(inf)
+        system = [SparsePoly.variable(2, 0), SparsePoly.variable(2, 1)]
+        with pytest.raises(ValueError, match="delta"):
+            sphere.system_reduce(system, k=2, delta=delta)
+        with pytest.raises(ValueError, match="delta"):
+            sphere.system_reduce([SparsePoly.zero(2, 1)], k=2, delta=delta)
+
+    def test_smallest_positive_delta_accepted(self):
+        system = [SparsePoly.variable(2, 0), SparsePoly.variable(2, 1)]
+        r = sphere.system_reduce(system, k=6, delta=5e-324)
+        assert r.gamma_exact > 1
+        assert r.verdict in ("certified gap", "possibly solvable")
 
     def test_degree_mismatch_rejected(self):
         with pytest.raises(ValueError):
