@@ -23,6 +23,14 @@ by perm(N - j, F - j), F = min(rmax, N), so that every group, and every
 candidate coset of one greedy step, shares the one integer denominator
 perm(N, F).
 
+A greedy step builds no table per candidate.  ``sweep_rows`` keeps each
+side's nonzero rows for the whole extraction; ``greedy_scores`` groups
+A's rows by (type, pattern) and weights them, groups B's rows once by
+(type, pattern of the images already chosen), and reads every
+candidate's score off those groups and the cells of rows holding it.
+Above CACHE_MAX the rows are rebuilt chunk by chunk in each step, on
+the same path.
+
 The module also enumerates permutations of the free coordinates in
 blocks of numpy rows, for the direct coset enumeration in ``assign``.
 
@@ -191,38 +199,33 @@ def _entry_array(flat: Sequence[int], n: int, rmax: int, m: int) -> np.ndarray:
     return np.array(flat, dtype=object)
 
 
-def _products(arr: np.ndarray, seg: list[np.ndarray]) -> np.ndarray:
-    v = arr[seg[0]]
+def _nonzero_products(arr: np.ndarray, seg: list[np.ndarray]):
+    """A mask of the rows whose product of entries over the segments is
+    nonzero, and those products."""
+    vals = arr[seg[0]]
     for s in seg[1:]:
-        v = v * arr[s]
-    return v
+        vals = vals * arr[s]
+    mask = vals != 0
+    return mask, vals[mask]
 
 
-def _pattern_keys(blockvals: np.ndarray, fixed_vals: Sequence[int],
-                  npins: int) -> np.ndarray:
-    """Base-(npins+1) key recording, per block slot, which pinned value (if
-    any) that block carries.  Block values are distinct within a row, so
-    each slot matches at most one pin."""
-    pat = np.zeros(blockvals.shape[0], dtype=np.int64)
-    mult = 1
-    for slot in range(blockvals.shape[1]):
-        col = blockvals[:, slot]
-        dig = np.zeros(blockvals.shape[0], dtype=np.int64)
-        for t, fv in enumerate(fixed_vals):
-            dig[col == fv] = t + 1
-        pat += dig * mult
-        mult *= npins + 1
-    return pat
+def _pin_digits(blockvals: np.ndarray, pins: Sequence[int],
+                n: int) -> np.ndarray:
+    """Per block slot, the 1-based index of the pin its value is; 0 for
+    other values and for empty slots (-1 reads ``lut[n]``)."""
+    lut = np.zeros(n + 1, dtype=np.int64)
+    lut[list(pins)] = np.arange(1, len(pins) + 1)
+    return lut[blockvals]
 
 
-def _add_groups(out: dict[int, int], keys: np.ndarray, inv: np.ndarray,
-                vals: np.ndarray) -> None:
-    """out[keys[g]] += the sum of vals over inv == g, for nonzero sums."""
-    sums = np.zeros(len(keys), dtype=vals.dtype)
+def _group_sums(keys: np.ndarray, vals: np.ndarray):
+    """Distinct keys (sorted), the group of every row, and the sum of vals
+    per key in the dtype of vals."""
+    uk, inv = np.unique(keys, return_inverse=True)
+    inv = inv.reshape(-1)
+    sums = np.zeros(len(uk), dtype=vals.dtype)
     np.add.at(sums, inv, vals)
-    nz = np.flatnonzero(sums)
-    for c, s in zip(keys[nz].tolist(), sums[nz].tolist()):
-        out[c] = out.get(c, 0) + s
+    return uk, inv, sums
 
 
 def side_table(flat: Sequence[int], n: int, d: int, m: int,
@@ -239,70 +242,101 @@ def side_table(flat: Sequence[int], n: int, d: int, m: int,
     arr = _entry_array(flat, n, rmax, m)
     npins = len(fixed_vals)
     pb = (npins + 1) ** rmax
-    raw: dict[int, int] = {}
+    place = (npins + 1) ** np.arange(rmax, dtype=np.int64)
+    parts = []
     for keys, blockvals, seg, grouping in _iter_chunks(n, d, m):
-        vals = _products(arr, seg)
-        mask = vals != 0
-        if npins:
-            combo = keys[mask] * pb + _pattern_keys(blockvals[mask],
-                                                    fixed_vals, npins)
-            uk, inv = np.unique(combo, return_inverse=True)
-        elif grouping is not None:
+        mask, vals = _nonzero_products(arr, seg)
+        if grouping is not None and not npins:
             uk, inv = grouping[0], grouping[1][mask]
         else:
-            uk, inv = np.unique(keys[mask], return_inverse=True)
-        _add_groups(raw, uk, inv, vals[mask])
-    return {divmod(c, pb): s for c, s in raw.items()}
+            pat = _pin_digits(blockvals[mask], fixed_vals, n) @ place
+            uk, inv = np.unique(keys[mask] * pb + pat, return_inverse=True)
+        sums = np.zeros(len(uk), dtype=vals.dtype)
+        np.add.at(sums, inv, vals)
+        parts.append((uk, sums))
+    uk, sums = parts[0]
+    if len(parts) > 1:  # merge the chunks' groups
+        uk, _, sums = _group_sums(*(np.concatenate(p) for p in zip(*parts)))
+    nz = np.flatnonzero(sums)
+    return {divmod(c, pb): s
+            for c, s in zip(uk[nz].tolist(), sums[nz].tolist())}
 
 
-def candidate_side_tables(flat: Sequence[int], n: int, d: int, m: int,
-                          base_vals: tuple[int, ...],
-                          cands: tuple[int, ...],
-                          budget: int) -> dict[int, SideTable]:
-    """Side tables for every pin list ``base_vals + (c,)`` with c in cands.
+def sweep_rows(flat: Sequence[int], n: int, d: int, m: int):
+    """The sequences whose m-fold entry product is nonzero, as a callable
+    returning (type keys, block values, products) per chunk of the sweep:
+    built on the first call and kept up to CACHE_MAX sequences, rebuilt
+    chunk by chunk on every call above it."""
+    def build() -> Iterator[tuple]:
+        arr = _entry_array(flat, n, min(m * d, n), m)
+        for keys, blockvals, seg, _ in _iter_chunks(n, d, m):
+            mask, vals = _nonzero_products(arr, seg)
+            yield keys[mask], blockvals[mask], vals
 
-    Pattern keys use the final pin count T = len(base_vals) + 1, so the
-    results pair with a table built from any other pin list of length T.
-    Used by the greedy extractor, where only the last pin varies: the
-    sequences are grouped once by (type, base pattern), and each
-    candidate only splits those groups by the slot holding it.
-    """
-    check_budget(n, d, m, budget, len(base_vals) + 1)
-    if set(cands) & set(base_vals):
-        raise ValueError("candidate pins must be disjoint from the base pins")
     if sequence_count(n, d, m) > CACHE_MAX:
-        return {c: side_table(flat, n, d, m, base_vals + (c,), budget)
-                for c in cands}
+        return build
+    return functools.cache(lambda: list(build()))
+
+
+def greedy_scores(rows_a, rows_b, n: int, d: int, m: int,
+                  chosen: Sequence[int], budget: int) -> dict[int, int]:
+    """For each image c not in ``chosen``, perm(N, F) times the average
+    over the coset pinning positions 0..t-1 to chosen + (c,), t =
+    len(chosen) + 1, N = n - t, F = min(rmax, N): what ``pair_sum`` gives
+    for A's weighted table and c's B table.  The rows come from
+    ``sweep_rows``.
+
+    A's rows are grouped by (type, pattern of positions 0..t-1) and
+    weighted as in ``weighted_table``.  B's rows are grouped once by
+    (type, pattern of ``chosen``); candidate c moves the rows holding c
+    at slot s from their group g's key to key + T*(T+1)**s, T = t, so
+    score[c] = sum G0[g] * W(g) + sum H[g, s, c] * (W(g, s) - W(g)),
+    G0 the group sums and H those of the moved rows, both in the entry
+    dtype and H only over the cells that occur.
+    """
+    t = len(chosen) + 1
+    check_budget(n, d, m, budget, t)
     rmax = min(m * d, n)
-    npins = len(base_vals) + 1
-    pb = (npins + 1) ** rmax
-    keys, blockvals, seg, _, _ = _cached_table(n, d, m)
-    vals = _products(_entry_array(flat, n, rmax, m), seg)
-    mask = vals != 0
-    vals = vals[mask]
-    bv = blockvals[mask]
-    uk, inv = np.unique(keys[mask] * pb + _pattern_keys(bv, base_vals, npins),
-                        return_inverse=True)
-    # slot (1-based, 0 = absent) holding each value, per surviving row
-    val_slot = np.zeros((bv.shape[0], n), dtype=_index_dtype(n))
-    rows = np.arange(bv.shape[0])
-    for slot in range(rmax):
-        col = bv[:, slot]
-        ok = col >= 0
-        val_slot[rows[ok], col[ok]] = slot + 1
-    # cell (group, slot) -> final combo: the group's combo plus the new
-    # pin's digit at that slot
-    slot_digit = np.array(
-        [0] + [npins * (npins + 1) ** s for s in range(rmax)], dtype=np.int64)
-    width = rmax + 1
-    cell_keys = (uk[:, None] + slot_digit).reshape(-1)
-    cell_base = inv * width
-    out: dict[int, SideTable] = {}
-    for c in cands:
-        raw: dict[int, int] = {}
-        _add_groups(raw, cell_keys, cell_base + val_slot[:, c], vals)
-        out[c] = {divmod(k, pb): s for k, s in raw.items()}
-    return out
+    pb = (t + 1) ** rmax
+    place = (t + 1) ** np.arange(rmax, dtype=np.int64)
+    free = n - t
+    top = min(rmax, free)
+    weight = np.array([math.perm(free - j, top - j) for j in range(top + 1)],
+                      dtype=object)
+    parts = []
+    for keys, blockvals, vals in rows_a():
+        dig = _pin_digits(blockvals, range(t), n)
+        uk, inv, sums = _group_sums(keys * pb + dig @ place, vals)
+        nfree = np.zeros(len(uk), dtype=np.int64)
+        nfree[inv] = (blockvals >= t).sum(axis=1)  # values 0..t-1 are pins
+        parts.append((uk, sums.astype(object) * weight[nfree]))
+    uk, wa = parts[0]
+    if len(parts) > 1:  # merge the chunks' groups
+        uk, _, wa = _group_sums(*(np.concatenate(p) for p in zip(*parts)))
+    # a trailing key no lookup matches, so a search past the end reads 0
+    uk, wa = np.append(uk, -1), np.append(wa, 0)
+
+    def weighted(q: np.ndarray) -> np.ndarray:
+        i = np.searchsorted(uk[:-1], q)
+        return np.where(uk[i] == q, wa[i], 0)
+
+    base_sum = 0
+    moved = np.zeros(n, dtype=object)
+    for keys, blockvals, vals in rows_b():
+        dig = _pin_digits(blockvals, chosen, n)
+        ub, inv, g0 = _group_sums(keys * pb + dig @ place, vals)
+        w_base = weighted(ub)
+        base_sum += np.dot(g0.astype(object), w_base)
+        # W(g, s) - W(g) per base group and slot, and one cell per
+        # (c, g, s) that occurs, keyed c * width + (g * rmax + s)
+        diff = (weighted(ub[:, None] + t * place) - w_base[:, None]).reshape(-1)
+        width = max(diff.size, 1)
+        row, slot = np.nonzero((blockvals >= 0) & (dig == 0))
+        cell = (blockvals[row, slot].astype(np.int64) * width
+                + inv[row] * rmax + slot)
+        uc, _, h = _group_sums(cell, vals[row])
+        np.add.at(moved, uc // width, h.astype(object) * diff[uc % width])
+    return {c: int(base_sum + moved[c]) for c in range(n) if c not in chosen}
 
 
 def weighted_table(table: SideTable, n: int, d: int, m: int,

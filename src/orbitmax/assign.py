@@ -567,27 +567,24 @@ def _sweep_greedy(ints_a: Sequence[int], ints_b: Sequence[int], n: int,
     enumeration of the parent coset, whichever is cheaper."""
     nnz = sum(1 for v in ints_a if v)
     nz_a = _nonzero_digit_entries(ints_a, n, d)
+    rows_a = _typesweep.sweep_rows(ints_a, n, d, m)
+    rows_b = _typesweep.sweep_rows(ints_b, n, d, m)
     chosen: list[int] = []
     for t in range(1, n + 1):
         cands = tuple(j for j in range(n) if j not in chosen)
         pairs = tuple((i, chosen[i]) for i in range(t - 1))
+        # children share one denominator, (n-t)! or perm(n - t,
+        # min(2kd, n - t)), so both routes compare raw integer sums
         if _enumeration_cheaper(n, d, m, t - 1, nnz):
-            # one pass over the parent coset, split by the new image;
-            # children share the denominator (n-t)!, so compare raw sums
+            # one pass over the parent coset, split by the new image
             _check_enumeration_budget(n - t + 1, nnz, m, budget)
             sums = _enumerate_coset_power_sums(nz_a, ints_b, n, d, m,
                                                pairs, t - 1)
             chosen.append(max(cands, key=lambda j: sums.get(j, 0)))
         else:
-            table_a = _typesweep.side_table(ints_a, n, d, m,
-                                            tuple(range(t)), budget)
-            tables_b = _typesweep.candidate_side_tables(
-                ints_b, n, d, m, tuple(chosen), cands, budget)
-            # children share the denominator perm(n - t, min(2kd, n - t)):
-            # weight A's groups once and compare raw sums
-            weighted = _typesweep.weighted_table(table_a, n, d, m, t)
-            chosen.append(max(cands, key=lambda j: _typesweep.pair_sum(
-                weighted, tables_b[j])))
+            scores = _typesweep.greedy_scores(rows_a, rows_b, n, d, m,
+                                              tuple(chosen), budget)
+            chosen.append(max(cands, key=scores.__getitem__))
     return chosen
 
 
@@ -608,8 +605,10 @@ def greedy_extract(a: DenseTensor, b: DenseTensor, k: int,
     pinned type sweep (O(n**(2kd)) visits) or enumerates the parent
     coset, whichever is cheaper.  Either way the children of one step
     share a denominator, so their raw integer sums are compared: the
-    sweep weights the groups of A's side table once per step and pairs
-    them with each candidate's table, and the enumeration sums f**m per
+    sweep keeps each side's nonzero rows for the whole extraction,
+    groups and weights A's rows once per step, groups B's rows once by
+    the images already chosen and reads every candidate's sum off those
+    groups (``_typesweep.greedy_scores``); the enumeration sums f**m per
     image of the position being fixed.
     """
     _check_shapes(a, b)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -72,8 +73,13 @@ def _outward_root(x: Fraction, k: int, upward: bool) -> float:
     """The float nearest x**(1/(2k)), moved one step outward when its
     exact 2k-th power lies on the wrong side of x.  The nearest float is
     within one step of the true root, so one step suffices, and a root
-    that is itself a float is returned unchanged."""
+    that is itself a float is returned unchanged.  A root above the
+    float range gives inf upward and the largest float downward."""
     f = root_2k(x, k)
+    if math.isinf(f):
+        if upward:
+            return f
+        f = sys.float_info.max  # checked below like any other root
     power = Fraction(f) ** (2 * k)
     if upward and power < x:
         return math.nextafter(f, math.inf)

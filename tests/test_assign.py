@@ -267,6 +267,13 @@ def _closed_form_k1(a, b):
     return Fraction(qa * qb, n) + Fraction((sa * sa - qa) * (sb * sb - qb), n * (n - 1))
 
 
+def _greedy_scores(flat_a, flat_b, n, d, m, chosen, budget=10 ** 8):
+    """One greedy sweep step's raw candidate scores, rows built afresh."""
+    return _typesweep.greedy_scores(_typesweep.sweep_rows(flat_a, n, d, m),
+                                    _typesweep.sweep_rows(flat_b, n, d, m),
+                                    n, d, m, tuple(chosen), budget)
+
+
 class TestWideIndices:
     """Index values at and above 128 must not wrap in the type sweep."""
 
@@ -293,13 +300,15 @@ class TestWideIndices:
         a, b = _mod_vectors(n)
         cands = (126, 127, 128, 129)
         table_a = _typesweep.side_table(a, n, 1, 2, (0,), 10 ** 8)
-        tables_b = _typesweep.candidate_side_tables(b, n, 1, 2, (), cands, 10 ** 8)
+        scores = _greedy_scores(a, b, n, 1, 2, ())
         for c in cands:
             rest_a, rest_b = a[1:], b[:c] + b[c + 1:]
             shift = a[0] * b[c]
             mean = Fraction(sum(rest_a) * sum(rest_b), n - 1)
             expected = shift ** 2 + 2 * shift * mean + _closed_form_k1(rest_a, rest_b)
-            assert _typesweep.combine(table_a, tables_b[c], n, 1, 2, 1) == expected
+            table_b = _typesweep.side_table(b, n, 1, 2, (c,), 10 ** 8)
+            assert _typesweep.combine(table_a, table_b, n, 1, 2, 1) == expected
+            assert Fraction(scores[c], math.perm(n - 1, 2)) == expected
 
 
 class TestKeyRangeGuard:
@@ -321,10 +330,16 @@ class TestKeyRangeGuard:
             _typesweep.check_budget(30, 2, 4, 10 ** 20, npins=29)
 
     def test_candidate_tables_count_the_candidate_pin(self):
-        with pytest.raises(BudgetError):
-            _typesweep.candidate_side_tables([1] * 30 ** 2, 30, 2, 4,
-                                             tuple(range(28)), (28, 29),
-                                             10 ** 20)
+        # 28 chosen images and the candidate make 29 pins, as in
+        # test_side_table_refuses_before_sweeping; no row is built
+        def unbuilt():
+            raise AssertionError("rows built before the key guard")
+
+        with pytest.raises(BudgetError) as exc:
+            _typesweep.greedy_scores(unbuilt, unbuilt, 30, 2, 4,
+                                     tuple(range(28)), 10 ** 20)
+        assert exc.value.required == 8 ** 8 * 30 ** 8
+        assert exc.value.required > exc.value.budget == 2 ** 63 - 1
 
 
 # largest entry whose 24 = perm(4, 4) products of two entries still sum
@@ -358,12 +373,77 @@ class TestEntryDtypeBoundary:
             assert sweep_coset_moment(a, b, k, prefix) == \
                 brute_coset_average(a, b, k, prefix)
         table_a = _typesweep.side_table(flat_a, n, d, 2 * k, (0,), 10 ** 8)
-        tables_b = _typesweep.candidate_side_tables(flat_b, n, d, 2 * k, (),
-                                                    tuple(range(n)), 10 ** 8)
+        scores = _greedy_scores(flat_a, flat_b, n, d, 2 * k, ())
         for c in range(n):
-            assert _typesweep.combine(table_a, tables_b[c], n, d, 2 * k, 1) == \
-                brute_coset_average(a, b, k, PartialAssignment(((0, c),)))
+            expected = brute_coset_average(a, b, k, PartialAssignment(((0, c),)))
+            table_b = _typesweep.side_table(flat_b, n, d, 2 * k, (c,), 10 ** 8)
+            assert _typesweep.combine(table_a, table_b, n, d, 2 * k, 1) == expected
+            assert Fraction(scores[c], math.perm(n - 1, 3)) == expected
         assert greedy_extract(a, b, k).value ** (2 * k) >= moment
+
+
+class TestGreedyScores:
+    """One greedy sweep step scores every candidate image c from one
+    grouping of each side's rows; over the common denominator
+    perm(N, F) each score is the exact average over c's child coset."""
+
+    def test_every_step_matches_brute_force(self):
+        rng = random.Random(901)
+        # n = 7 at d = 3 is left out: its brute force, 28 passes over
+        # 7! permutations with 343-entry Fraction sums, takes about 14 s
+        shapes = [(n, d, k) for n in range(4, 8) for d in (2, 3)
+                  for k in (1, 2)
+                  if n ** (2 * k * d) <= 5 ** 8 and (n, d) != (7, 3)]
+        for n, d, k in shapes:
+            m = 2 * k
+            a = random_int_tensor(rng, n, d, -3, 3)
+            b = random_int_tensor(rng, n, d, -3, 3)
+            flat_a = [int(v) for v in a.entries]
+            flat_b = [int(v) for v in b.entries]
+            rows_a = _typesweep.sweep_rows(flat_a, n, d, m)
+            rows_b = _typesweep.sweep_rows(flat_b, n, d, m)
+            order = rng.sample(range(n), n)
+            for t in range(1, n + 1):
+                chosen = tuple(order[:t - 1])
+                scores = _typesweep.greedy_scores(rows_a, rows_b, n, d, m,
+                                                  chosen, 10 ** 8)
+                assert sorted(scores) == sorted(set(range(n)) - set(chosen))
+                free = n - t
+                den = math.perm(free, min(m * d, free))
+                prefix = tuple(enumerate(chosen))
+                for c, score in scores.items():
+                    assert Fraction(score, den) == brute_coset_average(
+                        a, b, k, PartialAssignment(prefix + ((t - 1, c),)))
+
+    @pytest.mark.parametrize("top", [3, 10 ** 12])
+    def test_chunked_sweep_matches_unchunked(self, monkeypatch, top):
+        # 6**4 = 1296 sequences in six chunks; top = 10**12 sums in
+        # Python ints
+        n, d, m = 6, 2, 2
+        rng = random.Random(902 + top)
+        flat_a = [rng.randint(-top, top) for _ in range(n ** d)]
+        flat_b = [rng.randint(-top, top) for _ in range(n ** d)]
+        order = rng.sample(range(n), n)
+        steps = [order[:t] for t in range(n)]
+        whole = [_greedy_scores(flat_a, flat_b, n, d, m, c) for c in steps]
+        tables = [_typesweep.side_table(flat_a, n, d, m, tuple(c), 10 ** 8)
+                  for c in steps[:3]]
+        monkeypatch.setattr(_typesweep, "CACHE_MAX", 100)
+        monkeypatch.setattr(_typesweep, "CHUNK_SIZE", 250)
+        rows_a = _typesweep.sweep_rows(flat_a, n, d, m)
+        assert len(list(rows_a())) == 6
+        assert [_greedy_scores(flat_a, flat_b, n, d, m, c)
+                for c in steps] == whole
+        # side tables merge their chunks' groups the same way
+        assert [_typesweep.side_table(flat_a, n, d, m, tuple(c), 10 ** 8)
+                for c in steps[:3]] == tables
+
+    def test_zero_sides_score_zero(self):
+        n, d, m = 4, 2, 2
+        flat = list(range(1, n ** d + 1))
+        for flat_a, flat_b in (([0] * n ** d, flat), (flat, [0] * n ** d)):
+            assert _greedy_scores(flat_a, flat_b, n, d, m, (2,)) == \
+                {0: 0, 1: 0, 3: 0}
 
 
 def _random_pairs(rng, n, size):
@@ -490,9 +570,9 @@ class TestIntegerCombine:
         monkeypatch.setattr(assign, "_enumeration_cheaper",
                             lambda *args: enumerate_cosets)
         spy = []
-        sweep = _typesweep.candidate_side_tables
+        sweep = _typesweep.greedy_scores
         enum = assign._enumerate_coset_power_sums
-        monkeypatch.setattr(_typesweep, "candidate_side_tables",
+        monkeypatch.setattr(_typesweep, "greedy_scores",
                             lambda *a: spy.append("sweep") or sweep(*a))
         monkeypatch.setattr(assign, "_enumerate_coset_power_sums",
                             lambda *a: spy.append("enumerate") or enum(*a))
@@ -619,7 +699,7 @@ class TestPowerSumRoute:
         prefix = PartialAssignment(((0, 3), (5, 1)))
         expected = (moment_2k(a, b, 2), coset_moment(a, b, 2, prefix),
                     greedy_extract(a, b, 2))
-        for name in ("side_table", "candidate_side_tables"):
+        for name in ("side_table", "sweep_rows", "greedy_scores"):
             monkeypatch.setattr(_typesweep, name, refuse)
         monkeypatch.setattr(assign, "_enumerate_coset_power_sums", refuse)
         assert (moment_2k(a, b, 2), coset_moment(a, b, 2, prefix),

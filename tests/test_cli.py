@@ -100,6 +100,17 @@ class TestPolyBounds:
         assert main(["poly-bounds", "--poly", path, "--k", "1",
                      "--eps", "0.5"]) == 2
 
+    def test_root_above_float_range(self, tmp_path, capsys):
+        obj = {"n": 2, "d": 1,
+               "terms": [{"exps": [1, 0], "coef": f"{10 ** 400}/1"}]}
+        path = write(tmp_path, "p.json", obj)
+        code, out = run_main(["poly-bounds", "--poly", path, "--k", "1"],
+                             capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["upper"] == float("inf")
+        assert payload["lower"] == sys.float_info.max
+
 
 class TestSystemTest:
     def test_certified_gap(self, tmp_path, capsys):

@@ -1,11 +1,13 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from helpers import oracle_sphere_moment_2k, random_poly, wallis_circle_average
 from orbitmax import sphere
+from orbitmax.bounds import Interval
 from orbitmax.errors import BudgetError
 from orbitmax.exact import sphere_monomial_moment
 from orbitmax.sphere import SparsePoly
@@ -288,6 +290,19 @@ class TestNormAndBounds:
             assert Fraction(math.nextafter(iv.lower, math.inf)) ** (2 * k) > iv.lower_exact
             assert Fraction(math.nextafter(iv.upper, 0.0)) ** (2 * k) < iv.upper_exact
 
+    def test_roots_at_and_above_the_float_range(self):
+        # a root above the largest float used to raise OverflowError
+        # from Fraction(inf); inf still bounds it from above, and the
+        # largest float's 2k-th power is below the moment
+        top = sys.float_info.max
+        iv = Interval.from_moment(Fraction(top) ** 2, 1, 1)
+        assert iv.lower == iv.upper == top
+        moment = Fraction(10 ** 700)
+        iv = Interval.from_moment(moment, 3, 1)
+        assert iv.upper == math.inf and iv.lower == top
+        assert iv.lower_exact == moment and iv.upper_exact == 3 * moment
+        assert Fraction(iv.lower) ** 2 <= iv.lower_exact
+
     def test_sum_of_squares_contains_one(self):
         p = SparsePoly.from_terms(2, 2, [((2, 0), 1), ((0, 2), 1)])
         iv = sphere.sup_bounds(p, 2)
@@ -464,6 +479,14 @@ class TestSystemReduce:
             sphere.system_reduce(system, k=2, delta=delta)
         with pytest.raises(ValueError, match="delta"):
             sphere.system_reduce([SparsePoly.zero(2, 1)], k=2, delta=delta)
+
+    def test_delta_near_the_float_range(self):
+        # gamma ~ 1e308 puts the certified upper end of |p| above the
+        # float range
+        system = [SparsePoly.variable(2, 0), SparsePoly.variable(2, 1)]
+        r = sphere.system_reduce(system, k=2, delta=1e308)
+        assert r.interval.upper == math.inf
+        assert r.verdict == "possibly solvable"
 
     def test_smallest_positive_delta_accepted(self):
         system = [SparsePoly.variable(2, 0), SparsePoly.variable(2, 1)]
