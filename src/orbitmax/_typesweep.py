@@ -1,20 +1,21 @@
-"""Internal engine: exact orbit sums of tensor-power entries, grouped by index type.
+"""Internal engine: pinned coset sums of tensor-power entries, grouped by index type.
 
-The k-th even moment of an assignment objective over all permutations
-reduces to sums of virtual-tensor-power entries grouped by the equality
-pattern ("type") of the full index sequence, optionally refined by which
-blocks carry values pinned by a partial assignment.  This module
-enumerates the n**l index sequences (l = 2k*d) vectorised with numpy,
-classifies each sequence by type and pin pattern, and accumulates the
-per-group sums exactly.
+The k-th even moment of an assignment objective over a coset fixing a
+partial assignment reduces to sums of virtual-tensor-power entries
+grouped by the equality pattern ("type") of the full index sequence,
+refined by which blocks carry values pinned by the partial assignment.
+This module enumerates the n**l index sequences (l = 2k*d) vectorised
+with numpy, classifies each sequence by type and pin pattern, and
+accumulates the per-group sums exactly.  It serves the d >= 2 pinned
+cosets and greedy steps; moments over all of S_n come from
+``_contract``, which needs no sweep.
 
 There is one accumulation path.  The entry products go into an int64
 array when ``perm(n, rmax) * top**m``, a bound on every group sum
 (``top`` the largest absolute entry, ``rmax`` the most blocks a type can
 have), fits in int64, and into an object array of Python ints
 otherwise.  Either way the zero products are dropped and each group sum
-is ``np.unique`` plus ``np.add.at``; an unpinned table reuses the cached
-grouping of the whole sweep instead of sorting again.
+is ``np.unique`` plus ``np.add.at``.
 
 A (type, pattern) group with j free blocks averages over perm(N, j)
 injective placements of those blocks, N = n - npins the free
@@ -28,8 +29,9 @@ side's nonzero rows for the whole extraction; ``greedy_scores`` groups
 A's rows by (type, pattern) and weights them, groups B's rows once by
 (type, pattern of the images already chosen), and reads every
 candidate's score off those groups and the cells of rows holding it.
-Above CACHE_MAX the rows are rebuilt chunk by chunk in each step, on
-the same path.
+Up to CACHE_MAX sequences the sweep's keys, block values and segment
+indices are cached per (n, d, 2k); above it they are rebuilt chunk by
+chunk, on the same path.
 
 The module also enumerates permutations of the free coordinates in
 blocks of numpy rows, for the direct coset enumeration in ``assign``.
@@ -53,11 +55,11 @@ from .errors import BudgetError
 CHUNK_SIZE = 1 << 20
 CACHE_MAX = 1 << 21
 _INT64_MAX = 2 ** 63 - 1  # bounds the type keys and the int64 group sums
-# bytes of cached groupings; the least recently used go first, but the
-# newest is kept even when it alone is larger
+# bytes of cached sweep tables; the least recently used go first, but
+# the newest is kept even when it alone is larger
 _CACHE_BYTES = 64 << 20
 
-# (n, d, m) -> (keys, blockvals, seg, uk0, inv0), least recently used first
+# (n, d, m) -> (keys, blockvals, seg), least recently used first
 _table_cache: dict[tuple[int, int, int], tuple] = {}
 
 SideTable = dict[tuple[int, int], int]
@@ -138,17 +140,15 @@ def _build_chunk(n: int, d: int, m: int, start: int, stop: int):
 
 
 def _table_bytes(entry: tuple) -> int:
-    keys, blockvals, seg, uk0, inv0 = entry
-    return sum(a.nbytes for a in (keys, blockvals, *seg, uk0, inv0))
+    keys, blockvals, seg = entry
+    return sum(a.nbytes for a in (keys, blockvals, *seg))
 
 
 def _cached_table(n: int, d: int, m: int):
     key = (n, d, m)
     hit = _table_cache.pop(key, None)
     if hit is None:
-        keys, blockvals, seg = _build_chunk(n, d, m, 0, sequence_count(n, d, m))
-        uk0, inv0 = np.unique(keys, return_inverse=True)
-        hit = (keys, blockvals, seg, uk0, inv0.reshape(-1))
+        hit = _build_chunk(n, d, m, 0, sequence_count(n, d, m))
     _table_cache[key] = hit
     held = sum(map(_table_bytes, _table_cache.values()))
     while held > _CACHE_BYTES and len(_table_cache) > 1:
@@ -157,16 +157,13 @@ def _cached_table(n: int, d: int, m: int):
 
 
 def _iter_chunks(n: int, d: int, m: int) -> Iterator[tuple]:
-    """(keys, blockvals, seg, grouping) per chunk; ``grouping`` is the
-    cached ``np.unique(keys, return_inverse=True)`` or None."""
+    """(keys, blockvals, seg) per chunk, cached up to CACHE_MAX sequences."""
     total = sequence_count(n, d, m)
     if total <= CACHE_MAX:
-        keys, blockvals, seg, uk0, inv0 = _cached_table(n, d, m)
-        yield keys, blockvals, seg, (uk0, inv0)
+        yield _cached_table(n, d, m)
         return
     for start in range(0, total, CHUNK_SIZE):
-        stop = min(start + CHUNK_SIZE, total)
-        yield (*_build_chunk(n, d, m, start, stop), None)
+        yield _build_chunk(n, d, m, start, min(start + CHUNK_SIZE, total))
 
 
 def decode_block_count(rawkey: int, rmax: int, l: int) -> int:
@@ -239,20 +236,13 @@ def side_table(flat: Sequence[int], n: int, d: int, m: int,
     """
     check_budget(n, d, m, budget, len(fixed_vals))
     rmax = min(m * d, n)
-    arr = _entry_array(flat, n, rmax, m)
     npins = len(fixed_vals)
     pb = (npins + 1) ** rmax
     place = (npins + 1) ** np.arange(rmax, dtype=np.int64)
     parts = []
-    for keys, blockvals, seg, grouping in _iter_chunks(n, d, m):
-        mask, vals = _nonzero_products(arr, seg)
-        if grouping is not None and not npins:
-            uk, inv = grouping[0], grouping[1][mask]
-        else:
-            pat = _pin_digits(blockvals[mask], fixed_vals, n) @ place
-            uk, inv = np.unique(keys[mask] * pb + pat, return_inverse=True)
-        sums = np.zeros(len(uk), dtype=vals.dtype)
-        np.add.at(sums, inv, vals)
+    for keys, blockvals, vals in sweep_rows(flat, n, d, m)():
+        pat = _pin_digits(blockvals, fixed_vals, n) @ place
+        uk, _, sums = _group_sums(keys * pb + pat, vals)
         parts.append((uk, sums))
     uk, sums = parts[0]
     if len(parts) > 1:  # merge the chunks' groups
@@ -269,7 +259,7 @@ def sweep_rows(flat: Sequence[int], n: int, d: int, m: int):
     chunk by chunk on every call above it."""
     def build() -> Iterator[tuple]:
         arr = _entry_array(flat, n, min(m * d, n), m)
-        for keys, blockvals, seg, _ in _iter_chunks(n, d, m):
+        for keys, blockvals, seg in _iter_chunks(n, d, m):
             mask, vals = _nonzero_products(arr, seg)
             yield keys[mask], blockvals[mask], vals
 

@@ -10,11 +10,14 @@ permutation greedily coset-by-coset, and provides a brute-force oracle.
 At d = 1 the moments come from the power sums of the two vectors: the
 sum over index sequences of one equality type is an injective power sum,
 a Moebius inversion of power sums, so the work is polynomial in n and in
-the number of integer partitions of 2k.  At d >= 2 the type-grouped
-sweep in ``_typesweep`` visits all n**(2kd) index sequences, and small
-cosets are enumerated directly by ``_coset_values``, the one evaluator
-of f(g) over sets of permutations, which ``brute_max`` and
-``sandwich.verify_sandwich`` share.
+the number of integer partitions of 2k.  At d >= 2 the moment over all
+of S_n comes from ``_contract``: the same inversion over the set
+partitions of the 2kd index positions, each term one tensor
+contraction, so the work is polynomial in n.  Pinned cosets and greedy
+steps at d >= 2 still use the type sweep in ``_typesweep`` (n**(2kd)
+sequence visits), and small cosets are enumerated directly by
+``_coset_values``, the one evaluator of f(g) over sets of permutations,
+which ``brute_max`` and ``sandwich.verify_sandwich`` share.
 """
 
 from __future__ import annotations
@@ -401,9 +404,13 @@ def moment_2k(a: DenseTensor, b: DenseTensor, k: int,
 
     At d = 1 it works from power sums: n * 2k power products plus one
     term per integer partition of each j <= 2k with at most min(n, 2k)
-    parts.  At d >= 2 it runs in
-    O(n**(2kd)) sequence visits via type-grouped sums of the virtual
-    tensor powers, never materialising them.
+    parts.  At d >= 2 it works by Moebius inversion over the set
+    partitions of the l = 2kd index positions (``_contract``): one
+    tensor contraction per connected component of each partition, over
+    the orbit representatives under the (2k)! orders of the factors
+    with at most min(n, l) blocks.  The budget counts the plan's work
+    (``_contract.plan_terms``) before the plan is built, plus the
+    multiply-adds of both sides' contractions before any is run.
     """
     _check_shapes(a, b)
     if k < 1:
@@ -412,11 +419,13 @@ def moment_2k(a: DenseTensor, b: DenseTensor, k: int,
     m = 2 * k
     if a.d == 1:
         return _d1_coset_moment(a, b, m, (), budget)
+    # imported here: processes that never take this path (d = 1, the
+    # sandwich verifier) do not compile it
+    from . import _contract
+
     ints_a, la = _int_scaled(a.entries)
     ints_b, lb = _int_scaled(b.entries)
-    ta = _typesweep.side_table(ints_a, a.n, a.d, m, (), budget)
-    tb = _typesweep.side_table(ints_b, a.n, a.d, m, (), budget)
-    total = _typesweep.combine(ta, tb, a.n, a.d, m, 0)
+    total = _contract.moment(ints_a, ints_b, a.n, a.d, m, budget)
     return total / (Fraction(la) ** m * Fraction(lb) ** m)
 
 
@@ -527,12 +536,13 @@ def coset_moment(a: DenseTensor, b: DenseTensor, k: int,
     pins a single permutation and returns f(g)**(2k) exactly.
 
     At d = 1 it uses the power-sum engine (the prefix adds a constant to
-    f; see ``moment_2k``).  At d >= 2 it takes the cheaper of two exact
-    routes, judged from n, d, k, the prefix length and nnz(A): a type
-    sweep refined by pin patterns (O(n**(2kd)) sequence visits, the
-    groups summed in integers over one denominator), or a direct
-    enumeration of the coset ((n - len(prefix))! evaluations of f,
-    vectorised over blocks of permutations).
+    f; see ``moment_2k``).  At d >= 2 the empty prefix is ``moment_2k``;
+    a nonempty one takes the cheaper of two exact routes, judged from n,
+    d, k, the prefix length and nnz(A): a type sweep refined by pin
+    patterns (O(n**(2kd)) sequence visits, the groups summed in integers
+    over one denominator), or a direct enumeration of the coset
+    ((n - len(prefix))! evaluations of f, vectorised over blocks of
+    permutations).
     """
     _check_shapes(a, b)
     if k < 1:
@@ -545,6 +555,8 @@ def coset_moment(a: DenseTensor, b: DenseTensor, k: int,
     m = 2 * k
     if a.d == 1:
         return _d1_coset_moment(a, b, m, prefix.pairs, budget)
+    if not prefix.pairs:
+        return moment_2k(a, b, k, budget)
     ints_a, la = _int_scaled(a.entries)
     ints_b, lb = _int_scaled(b.entries)
     scale = Fraction(la) ** m * Fraction(lb) ** m

@@ -14,7 +14,7 @@ from helpers import (brute_coset_average, brute_group_moment,
                      loop_brute_max, loop_coset_power_sums,
                      random_int_tensor, random_permutation,
                      random_rational_tensor, sweep_coset_moment)
-from orbitmax import _typesweep, assign
+from orbitmax import _contract, _typesweep, assign
 from orbitmax.assign import (DenseTensor, PartialAssignment, Permutation,
                              brute_max, coset_moment, greedy_extract,
                              index_type, matrix_element, moment_2k,
@@ -193,15 +193,200 @@ class TestMoment2k:
                              assign.apply_perm(h, b), 1) == moment_2k(a, b, 1)
 
     def test_budget_error(self):
+        # refused on the plan alone: each set partition of the 8 index
+        # positions with at most 6 blocks, canonicalised under the 4!
+        # factor orders, plus its Bell(r) coarsenings
         a = DenseTensor.zeros(6, 2)
         with pytest.raises(BudgetError) as exc:
             moment_2k(a, a, 2, visit_budget=1000)
-        assert exc.value.required == 6 ** 8
+        assert exc.value.required == _plan_terms(8, 4, 6) == 237862
 
     def test_k_validation(self):
         a = DenseTensor.zeros(2, 1)
         with pytest.raises(ValueError):
             moment_2k(a, a, 0)
+
+
+def _set_partition_blocks(l):
+    """Block count of every set partition of l positions, by listing
+    their restricted-growth strings one at a time."""
+    def grow(prefix, top):
+        if len(prefix) == l:
+            yield top
+            return
+        for lab in range(top + 1):
+            yield from grow(prefix + [lab], max(top, lab + 1))
+
+    return list(grow([0], 1))
+
+
+def _stirling2(l, r):
+    """Set partitions of l positions into r blocks, by inclusion-exclusion
+    over the surjections onto r labelled blocks."""
+    return sum((-1) ** j * math.comb(r, j) * (r - j) ** l
+               for j in range(r + 1)) // math.factorial(r)
+
+
+def _plan_terms(l, m, top):
+    """Each set partition of l positions with r <= top blocks costs its
+    m! canonical orders and its Bell(r) coarsenings."""
+    return sum(_stirling2(l, r) * (math.factorial(m) + sum(
+        _stirling2(r, j) for j in range(1, r + 1))) for r in range(1, top + 1))
+
+
+def _with_zero_lines(rng, n, d):
+    """An integer tensor with its first row (index 0 in the first slot)
+    and its last slice (index n - 1 in the last slot) zero."""
+    flat = [rng.randint(-3, 3) for _ in range(n ** d)]
+    for pos in range(n ** d):
+        if pos // n ** (d - 1) == 0 or pos % n == n - 1:
+            flat[pos] = 0
+    return DenseTensor.from_entries(n, d, flat)
+
+
+class TestPartitionMoments:
+    """At d >= 2 the moment over S_n is a Moebius inversion over the set
+    partitions of the 2kd index positions, one contraction per connected
+    component, with no sweep and no enumeration."""
+
+    def test_matches_brute_force(self):
+        rng = random.Random(1010)
+        for n in range(1, 7):
+            for d in (2, 3):
+                for k in (1, 2):
+                    if d == 3 and k == 2 and n > 3:
+                        continue  # covered by test_refused_beyond_the_budget
+                    pairs = [(random_int_tensor(rng, n, d, -4, 4),
+                              random_int_tensor(rng, n, d, -4, 4)),
+                             (_with_zero_lines(rng, n, d),
+                              _with_zero_lines(rng, n, d)),
+                             (DenseTensor.zeros(n, d),
+                              random_int_tensor(rng, n, d, -4, 4))]
+                    for a, b in pairs:
+                        assert moment_2k(a, b, k) == brute_group_moment(a, b, k)
+
+    def test_rationals_match_brute_force(self):
+        rng = random.Random(1011)
+        for n, d, k in ((3, 2, 2), (4, 2, 1), (3, 3, 1)):
+            a = random_rational_tensor(rng, n, d)
+            b = random_rational_tensor(rng, n, d)
+            assert moment_2k(a, b, k) == brute_group_moment(a, b, k)
+
+    def test_refused_beyond_the_budget(self):
+        # 4 factors of order 3 at n = 5 need more plan terms than the
+        # default budget, as the sweep's 5**12 visits did
+        a = DenseTensor.zeros(5, 3)
+        with pytest.raises(BudgetError) as exc:
+            moment_2k(a, a, 2)
+        assert exc.value.required == _plan_terms(12, 4, 5)
+        assert exc.value.required > exc.value.budget == assign.DEFAULT_VISIT_BUDGET
+
+    def test_keys_beyond_int64_are_refused(self):
+        # 16 index positions with up to 16 blocks: 16**16 keys leave
+        # int64, refused before any plan is built, whatever the budget
+        a = DenseTensor.zeros(16, 2)
+        with pytest.raises(BudgetError) as exc:
+            moment_2k(a, a, 4, visit_budget=10 ** 30)
+        assert exc.value.required == 16 ** 16
+        assert exc.value.budget == 2 ** 63 - 1
+
+    def test_object_tier_on_disconnected_components(self):
+        # entries of 10**12 and above force Python-int contractions; most
+        # partitions split the factors into components whose values are
+        # multiplied, the contraction that optimised object einsum wraps
+        assert np.einsum("ab,cd->", *[np.array([[10 ** 12, 3], [5, 7]],
+                                               dtype=object)] * 2) == \
+            (10 ** 12 + 15) ** 2
+        rng = random.Random(1012)
+        big = 10 ** 12
+        for n, d, k in ((2, 2, 2), (4, 2, 2), (3, 3, 1), (5, 2, 1)):
+            a = random_int_tensor(rng, n, d, big, 2 * big)
+            b = random_int_tensor(rng, n, d, -2 * big, -big)
+            ints = [int(v) for v in a.entries]
+            assert n ** min(n, 2 * k * d) * max(ints) ** (2 * k) > 2 ** 63 - 1
+            assert moment_2k(a, b, k) == brute_group_moment(a, b, k)
+
+    @pytest.mark.parametrize("above", [False, True])
+    def test_int64_boundary(self, above):
+        # contractions run in int64 while n**F * top**(2k) <= 2**63 - 1,
+        # F = min(n, 2kd) the most blocks, and on Python ints above that
+        n, d, k = 4, 2, 1
+        top = math.isqrt((2 ** 63 - 1) // n ** 4) + above
+        assert (n ** 4 * top ** 2 > 2 ** 63 - 1) == above
+        rng = random.Random(1013 + above)
+        for _ in range(3):
+            a = DenseTensor.from_entries(
+                n, d, [rng.choice((top, -top, 0, 1)) for _ in range(n * n)])
+            b = DenseTensor.from_entries(
+                n, d, [rng.choice((top, -top, 2)) for _ in range(n * n)])
+            assert moment_2k(a, b, k) == brute_group_moment(a, b, k)
+
+    @pytest.mark.parametrize("n", [30, 100])
+    def test_closed_forms_at_large_n(self, n):
+        rng = random.Random(1014 + n)
+        flat_b = [rng.randint(-5, 5) for _ in range(n * n)]
+        b = DenseTensor.from_entries(n, 2, flat_b)
+        # an all-ones A makes f(g) = sum(B) for every g
+        ones = DenseTensor.from_entries(n, 2, [1] * (n * n))
+        assert moment_2k(ones, b, 2) == sum(flat_b) ** 4
+        # a single entry a at (0, 1) makes f(g) = a * b[g(0), g(1)], and
+        # (g(0), g(1)) is uniform over the ordered pairs of distinct points
+        single = DenseTensor.from_sparse(n, 2, {(0, 1): Fraction(-7, 3)})
+        off = [flat_b[i * n + j] ** 4 for i in range(n) for j in range(n)
+               if i != j]
+        assert moment_2k(single, b, 2) == \
+            Fraction(-7, 3) ** 4 * Fraction(sum(off), n * (n - 1))
+
+    def test_orbits_cover_every_partition(self):
+        for d, m in ((2, 1), (2, 2), (3, 2), (2, 4)):
+            l = m * d
+            plan = _contract._plan(d, m)
+            plan.extend(l)
+            blocks = _set_partition_blocks(l)
+            for r in range(1, l + 1):
+                sizes = plan.size[plan.start[r]:plan.start[r + 1]]
+                assert sum(sizes) == blocks.count(r) == _stirling2(l, r)
+        assert _contract._plan(2, 4).start[-1] == 296
+
+    def test_budget_boundary(self):
+        a = DenseTensor.from_entries(5, 2, range(25))
+        terms = _plan_terms(8, 4, 5)
+        with pytest.raises(BudgetError) as exc:
+            moment_2k(a, a, 2, visit_budget=terms - 1)
+        assert exc.value.required == terms
+        # past the plan, the contractions' multiply-adds for both sides
+        with pytest.raises(BudgetError) as exc:
+            moment_2k(a, a, 2, visit_budget=terms)
+        required = exc.value.required
+        assert required > terms and (required - terms) % 2 == 0
+        moment_2k(a, a, 2, visit_budget=required)
+        sup_bounds(a, a, 2, visit_budget=required)
+        coset_moment(a, a, 2, PartialAssignment.empty(), visit_budget=required)
+        with pytest.raises(BudgetError) as exc:
+            moment_2k(a, a, 2, visit_budget=required - 1)
+        assert (exc.value.required, exc.value.budget, exc.value.k) == \
+            (required, required - 1, 2)
+
+    def test_never_sweeps_or_enumerates(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an unpinned moment must not sweep or enumerate")
+
+        rng = random.Random(1015)
+        cases = [(random_int_tensor(rng, n, d, -3, 3),
+                  random_int_tensor(rng, n, d, -3, 3), k)
+                 for n, d, k in ((5, 2, 2), (4, 3, 1))]
+        # the sweep with no pins is the oracle
+        expected = [(sweep_coset_moment(a, b, k, PartialAssignment.empty()),
+                     sup_bounds(a, b, k)) for a, b, k in cases]
+        for name in ("side_table", "sweep_rows", "greedy_scores"):
+            monkeypatch.setattr(_typesweep, name, refuse)
+        monkeypatch.setattr(assign, "_enumerate_coset_power_sums", refuse)
+        for (a, b, k), (moment, bounds) in zip(cases, expected):
+            assert moment_2k(a, b, k) == moment
+            assert sup_bounds(a, b, k) == bounds
+            assert coset_moment(a, b, k, PartialAssignment.empty()) == moment
+        with pytest.raises(AssertionError):
+            sweep_coset_moment(a, b, k, PartialAssignment.empty())
 
 
 class TestSupBounds:

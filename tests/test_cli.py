@@ -197,10 +197,23 @@ class TestAssign:
         assert main(["assign", "--a", p1, "--b", p2, "--k", "1"]) == 2
 
     def test_visit_budget_exit_3(self, tmp_path):
+        # d = 2, k = 2 at n = 6: the partition plan's terms plus both
+        # sides' contraction multiply-adds, read off the refusal
+        from orbitmax import assign
+        from orbitmax.errors import BudgetError
+
         obj = {"n": 6, "d": 2, "entries": [{"index": [1, 1], "value": "1/1"}]}
         path = write(tmp_path, "t.json", obj)
+        a = assign.tensor_from_json(obj)
+        with pytest.raises(BudgetError) as exc:
+            assign.moment_2k(a, a, 2, visit_budget=237862)  # the plan alone
+        required = exc.value.required
         assert main(["assign", "--a", path, "--b", path, "--k", "2",
                      "--budget", "100"]) == 3
+        assert main(["assign", "--a", path, "--b", path, "--k", "2",
+                     "--budget", str(required - 1)]) == 3
+        assert main(["assign", "--a", path, "--b", path, "--k", "2",
+                     "--budget", str(required)]) == 0
 
     def test_linear_budget_exit_3(self, tmp_path):
         # d = 1, k = 1: partitions of 0, 1, 2 (four terms) plus n * 2k
