@@ -167,16 +167,25 @@ def _reduction(seg: tuple[int, ...], keep: int) -> tuple:
     return _subscripts(seg, kept), kept, len(order)
 
 
-def _compile(rgs: Sequence[int], d: int) -> tuple:
-    """Contraction program of one connected partition of c segments.
+def _compile(rgs: Sequence[int], d: int, nodes: list, index: dict) -> int:
+    """Append the contraction of one connected partition of c segments to
+    a node list shared by all partitions, and return the node of its value.
 
-    Steps are (subscripts, x, y, width): ``np.einsum(subscripts, x)``
-    when y is None, else of x and y, where -1 is the tensor and other
-    numbers are earlier steps; width counts the distinct indices the step
-    loops over, and the last step is the value.  Every segment first
-    takes its diagonals and sums the blocks no other segment holds; then
-    operands are contracted in pairs (``_pairing``) until one is left.
+    Node 0 is the tensor; any other node is (subscripts, x, y, width):
+    ``np.einsum(subscripts, node x)`` when y is None, else of nodes x and
+    y, with width the number of distinct indices it loops over.  ``index``
+    maps each node to its number, so equal nodes are stored once.  Every
+    segment first takes its diagonals and sums the blocks no other
+    segment holds; then operands are contracted in pairs (``_pairing``)
+    until one is left.
     """
+    def node(sub: str, x: int, y: int | None, width: int) -> int:
+        hit = index.get((sub, x, y))
+        if hit is None:
+            hit = index[(sub, x, y)] = len(nodes)
+            nodes.append((sub, x, y, width))
+        return hit
+
     segs = [tuple(rgs[s * d:(s + 1) * d]) for s in range(len(rgs) // d)]
     masks = []
     once = twice = 0  # bit sets of the labels held by one, by two segments
@@ -187,26 +196,21 @@ def _compile(rgs: Sequence[int], d: int) -> tuple:
         masks.append(bits)
         twice |= once & bits
         once |= bits
-    steps = []
-    live = []  # the step of each operand
-    shapes = []  # the labels of its axes
+    live = []  # (node, labels of its axes)
     for seg, bits in zip(segs, masks):
         sub, kept, width = _reduction(seg, bits & twice)
-        if sub is not None:
-            steps.append((sub, -1, None, width))
-        live.append(len(steps) - 1 if sub is not None else -1)
-        shapes.append(kept)
-    # operands by their number of axes, so that more programs share one
+        live.append((0 if sub is None else node(sub, 0, None, width), kept))
+    # operands by their number of axes, so that more partitions share one
     # cached pairing
-    order = sorted(range(len(shapes)), key=lambda z: len(shapes[z]))
-    live = [live[z] for z in order]
-    shapes = [shapes[z] for z in order]
+    live.sort(key=lambda v: len(v[1]))
+    shapes = [kept for _, kept in live]
     rename = {lab: i for i, lab in enumerate(dict.fromkeys(itertools.chain(*shapes)))}
+    live = [v for v, _ in live]
     for x, y, sub, width in _pairing(tuple(tuple(map(rename.get, s)) for s in shapes)):
-        steps.append((sub, live[x], live[y], width))
+        made = node(sub, live[x], live[y], width)
         live = [v for z, v in enumerate(live) if z != x and z != y]
-        live.append(len(steps) - 1)
-    return tuple(steps)
+        live.append(made)
+    return live[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -248,15 +252,15 @@ def _sorting_orders(ranks: tuple[int, ...]) -> tuple[int, ...]:
     the segments that list them by nondecreasing rank: every order of
     each group of tied segments, the groups by rank."""
     m = len(ranks)
+    number = _perm_numbers(m)
     groups = [[s for s in range(m) if ranks[s] == v] for v in sorted(set(ranks))]
-    out = []
-    for parts in itertools.product(*map(itertools.permutations, groups)):
-        left, number = list(range(m)), 0
-        for i, s in enumerate(itertools.chain(*parts)):  # the Lehmer code
-            number += left.index(s) * math.factorial(m - 1 - i)
-            left.remove(s)
-        out.append(number)
-    return tuple(out)
+    return tuple(number[tuple(itertools.chain(*parts))] for parts in
+                 itertools.product(*map(itertools.permutations, groups)))
+
+
+@functools.lru_cache(maxsize=None)
+def _perm_numbers(m: int) -> dict[tuple[int, ...], int]:
+    return {p: i for i, p in enumerate(itertools.permutations(range(m)))}
 
 
 class _Evaluator:
@@ -273,18 +277,8 @@ class _Evaluator:
         keys = sorted({f for i in range(count) for f in plan.factors[i]})
         self.nodes: list = [None]
         index: dict = {}
-        self.outputs = []
-        for c, i in keys:
-            ref = []
-            for sub, x, y, width in _plan(plan.d, c).program(i):
-                key = (sub, 0 if x < 0 else ref[x],
-                       None if y is None else 0 if y < 0 else ref[y])
-                node = index.get(key)
-                if node is None:
-                    node = index[key] = len(self.nodes)
-                    self.nodes.append(key + (width,))
-                ref.append(node)
-            self.outputs.append(ref[-1])
+        self.outputs = [_compile(_plan(plan.d, c).reps[i].tolist(), plan.d,
+                                 self.nodes, index) for c, i in keys]
         slot = {key: j for j, key in enumerate(keys)}
         self.factors = np.full((count, plan.m), len(keys), dtype=np.intp)
         for i in range(count):
@@ -324,10 +318,8 @@ class _Plan:
     def __init__(self, d: int, m: int):
         self.d, self.m, self.l = d, m, m * d
         self.base = _key_base(self.l)
-        # the positions of every order of the segments
-        self.orders = np.array([[s * d + t for s in perm for t in range(d)]
-                                for perm in itertools.permutations(range(m))],
-                               dtype=np.intp)
+        self.perms = np.array(list(itertools.permutations(range(m))),
+                              dtype=np.intp)
         self.built = 0  # block counts 1..built are in the plan
         self.keys = np.zeros(0, dtype=np.int64)  # every partition, sorted
         self.ids = np.zeros(0, dtype=np.intp)  # and its representative
@@ -338,19 +330,12 @@ class _Plan:
         self.row_cols: list[np.ndarray] = []
         self.row_coefs: list[np.ndarray] = []
         self.row_start = [0]
-        self.programs: dict[int, tuple] = {}
         self.evaluators: dict[int, _Evaluator] = {}
 
     def evaluator(self, top: int) -> _Evaluator:
         hit = self.evaluators.get(top)
         if hit is None:
             hit = self.evaluators[top] = _Evaluator(self, top)
-        return hit
-
-    def program(self, i: int) -> tuple:
-        hit = self.programs.get(i)
-        if hit is None:
-            hit = self.programs[i] = _compile(self.reps[i].tolist(), self.d)
         return hit
 
     def find(self, rows: np.ndarray) -> np.ndarray:
@@ -388,23 +373,18 @@ class _Plan:
 
     def _canonical_keys(self, rows: np.ndarray, top: int) -> np.ndarray:
         """The smallest key of each row's orbit.  Only the segment orders
-        that sort the segments by a signature are tried: the equality
-        pattern of the segment, and per position the size of its block
-        and the number of segments holding it.  The signatures move with
-        the segments, so the orders tried for two members of one orbit
-        give the same rows."""
+        that sort the segments by a signature (their equality pattern and
+        the sizes of the blocks their positions fall in) are tried: the
+        signatures move with the segments, so the orders tried for two
+        members of one orbit give the same rows."""
         count, d, m = len(rows), self.d, self.m
-        seg = rows.reshape(count, m, d)
-        held = np.zeros((count, m, top), dtype=np.int8)
-        np.put_along_axis(held, seg.astype(np.intp), 1, axis=2)
-        per_block = held.sum(axis=1, dtype=np.int64) * (self.l + 1) + np.bincount(
-            (np.arange(count)[:, None] * top + rows).reshape(-1),
-            minlength=count * top).reshape(count, top)
-        block = np.take_along_axis(per_block, rows.astype(np.intp), axis=1)
-        block = block.reshape(count, m, d)
+        sizes = np.bincount((np.arange(count)[:, None] * top + rows).reshape(-1),
+                            minlength=count * top).reshape(count, top)
+        size = np.take_along_axis(sizes, rows.astype(np.intp), axis=1)
+        size, seg = size.reshape(count, m, d), rows.reshape(count, m, d)
         sig = np.zeros((count, m), dtype=np.int64)
         for t in range(d):
-            sig = sig * (self.l + 1) ** 2 + block[:, :, t]
+            sig = sig * (self.l + 1) + size[:, :, t]
             for u in range(t):
                 sig = sig * 2 + (seg[:, :, t] == seg[:, :, u])
         # rank of each segment's signature in its row (ties share a
@@ -428,8 +408,8 @@ class _Plan:
             who = np.repeat(np.arange(hi - lo), per)
             which = flat[np.repeat(first[pattern[lo:hi]] - np.cumsum(per) + per, per)
                          + np.arange(len(who))]
-            keys = _rgs_keys(_relabel(rows[lo:hi][who[:, None], self.orders[which]],
-                                      top), self.base)
+            tries = seg[lo:hi][who[:, None], self.perms[which]].reshape(-1, self.l)
+            keys = _rgs_keys(_relabel(tries, top), self.base)
             canon[lo:hi] = np.minimum.reduceat(keys, np.cumsum(per) - per)
             lo = hi
         return canon
@@ -456,8 +436,8 @@ class _Plan:
             tau, mu = _coarsenings(r)
             # key(tau o pi) = sum_j tau[j] * (place values of pi's block j)
             place = np.zeros((r, b - a), dtype=np.int64)
-            for i, p in enumerate(self.base ** np.arange(self.l - 1, -1, -1)):
-                place[self.reps[a:b, i], np.arange(b - a)] += p
+            np.add.at(place, (self.reps[a:b], np.arange(b - a)[:, None]),
+                      self.base ** np.arange(self.l - 1, -1, -1))
             keys = tau @ place  # (Bell(r), representatives)
             cells.append((np.arange(a, b) * total
                           + self.ids[np.searchsorted(self.keys, keys)]).reshape(-1))
