@@ -307,12 +307,20 @@ class TestPartitionMoments:
             assert moment_2k(a, b, k) == brute_group_moment(a, b, k)
 
     @pytest.mark.parametrize("above", [False, True])
-    def test_int64_boundary(self, above):
+    def test_int64_boundary(self, monkeypatch, above):
         # contractions run in int64 while n**F * top**(2k) <= 2**63 - 1,
         # F = min(n, 2kd) the most blocks, and on Python ints above that
         n, d, k = 4, 2, 1
         top = math.isqrt((2 ** 63 - 1) // n ** 4) + above
         assert (n ** 4 * top ** 2 > 2 ** 63 - 1) == above
+        seen = []
+        side = _contract._Evaluator.side
+
+        def spy(self, tensor):
+            seen.append(tensor.dtype)
+            return side(self, tensor)
+
+        monkeypatch.setattr(_contract._Evaluator, "side", spy)
         rng = random.Random(1013 + above)
         for _ in range(3):
             a = DenseTensor.from_entries(
@@ -320,6 +328,7 @@ class TestPartitionMoments:
             b = DenseTensor.from_entries(
                 n, d, [rng.choice((top, -top, 2)) for _ in range(n * n)])
             assert moment_2k(a, b, k) == brute_group_moment(a, b, k)
+        assert set(seen) == {np.dtype(object if above else np.int64)}
 
     @pytest.mark.parametrize("n", [30, 100])
     def test_closed_forms_at_large_n(self, n):
