@@ -30,10 +30,12 @@ one representative per orbit is evaluated, weighted by the orbit size.
 A plan per (d, m), kept for the process and extended to the block
 counts a call needs, holds:
 
-* every partition's key and the number of its orbit's representative,
-  the smallest restricted-growth string of the orbit.  The minimum is
-  taken only over the segment orders that sort the segments by a
-  signature that moves with them, which keeps it canonical;
+* every partition's key and the number of its orbit.  Orbits are told
+  apart by a canonical key: with r blocks and r! <= m, the smallest
+  over the r! renamings of the blocks of the sorted segments read as
+  words; otherwise the smallest restricted-growth key over the segment
+  orders that sort a signature moving with the segments.  An orbit's
+  representative is its member with the smallest key;
 * the orbit sizes, and the Moebius rows folded onto representatives;
 * each representative's connected components, as representatives of
   the plans (d, c) for c segments, and the contraction order of each
@@ -84,12 +86,16 @@ def _stirling(size: int) -> list[list[int]]:
 
 
 def plan_terms(l: int, m: int, top: int) -> int:
-    """Work of a plan over the partitions of l positions with at most
-    ``top`` blocks: each is canonicalised under the m! segment orders and
-    each of its Bell(r) coarsenings enters a Moebius row."""
+    """Work of a plan over the partitions of l positions into m segments
+    with at most ``top`` blocks: a partition with r blocks is tried under
+    its r! renamings of the blocks when r! <= m and under at most m!
+    segment orders otherwise, and each of its Bell(r) coarsenings enters
+    a Moebius row."""
     s = _stirling(l)
     bell = [sum(row) for row in s]
-    return sum(s[l][r] * (math.factorial(m) + bell[r]) for r in range(1, top + 1))
+    tries = [f if (f := math.factorial(r)) <= m else math.factorial(m)
+             for r in range(top + 1)]
+    return sum(s[l][r] * (tries[r] + bell[r]) for r in range(1, top + 1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -344,7 +350,9 @@ class _Plan:
             self.keys, _rgs_keys(rows.reshape(-1, self.l), self.base))]
 
     def extend(self, top: int) -> None:
-        """Add the orbits of the partitions with built < r <= top blocks."""
+        """Add the orbits of the partitions with built < r <= top blocks.
+        Orbits are numbered by block count, then by canonical key, and an
+        orbit's representative is its member with the smallest key."""
         if top <= self.built:
             return
         rows = _rgs(self.l, top)
@@ -353,23 +361,48 @@ class _Plan:
         own = _rgs_keys(rows, self.base)
         order = np.lexsort((own, blocks))
         rows, blocks, own = rows[order], blocks[order], own[order]
-        canon = np.concatenate([
-            self._canonical_keys(rows[lo:lo + _CHUNK_ROWS], top)
-            for lo in range(0, len(rows), _CHUNK_ROWS)])
-        rep = own == canon
-        sorter = np.argsort(own[rep])
-        idx = sorter[np.searchsorted(own[rep][sorter], canon)]
+        canon = np.empty(len(rows), dtype=np.int64)
+        by_segments = np.ones(len(rows), dtype=bool)
+        for r in range(self.built + 1, top + 1):
+            if math.factorial(r) <= self.m:
+                layer = blocks == r
+                canon[layer] = self._renamed_keys(rows[layer], r)
+                by_segments &= ~layer
+        (at,) = np.nonzero(by_segments)
+        for lo in range(0, len(at), _CHUNK_ROWS):
+            canon[at[lo:lo + _CHUNK_ROWS]] = self._canonical_keys(
+                rows[at[lo:lo + _CHUNK_ROWS]], top)
+        order = np.lexsort((canon, blocks))
+        new = np.flatnonzero((np.diff(canon[order], prepend=-1) != 0)
+                             | (np.diff(blocks[order], prepend=-1) != 0))
+        opens = np.zeros(len(rows), dtype=np.intp)
+        opens[new] = 1
+        orbit = np.empty(len(rows), dtype=np.intp)
+        orbit[order] = np.cumsum(opens) - 1
         first = self.start[-1]
-        self.reps = np.concatenate((self.reps, rows[rep]))
-        self.size.extend(np.bincount(idx, minlength=len(sorter)).tolist())
-        ends = np.searchsorted(blocks[rep], np.arange(self.built + 1, top + 1),
-                               side="right")
-        self.start.extend((first + ends).tolist())
+        self.reps = np.concatenate((self.reps, rows[order[new]]))
+        self.size.extend(np.diff(new, append=len(rows)).tolist())
+        self.start.extend((first + np.searchsorted(
+            blocks[order[new]], np.arange(self.built + 1, top + 1),
+            side="right")).tolist())
         keys = np.concatenate((self.keys, own))
         order = np.argsort(keys)
         self.keys = keys[order]
-        self.ids = np.concatenate((self.ids, first + idx))[order]
+        self.ids = np.concatenate((self.ids, first + orbit))[order]
         self.built = top
+
+    def _renamed_keys(self, rows: np.ndarray, r: int) -> np.ndarray:
+        """A key of each row's orbit, for rows with r blocks: the
+        smallest, over the r! renamings of the blocks, of the sorted
+        segments read as words."""
+        count, d, m = len(rows), self.d, self.m
+        keys = None
+        for rename in itertools.permutations(range(r)):
+            word = np.array(rename, dtype=np.int64)[rows].reshape(count, m, d) \
+                @ r ** np.arange(d - 1, -1, -1)
+            word = np.sort(word, axis=1) @ (r ** d) ** np.arange(m - 1, -1, -1)
+            keys = word if keys is None else np.minimum(keys, word)
+        return keys
 
     def _canonical_keys(self, rows: np.ndarray, top: int) -> np.ndarray:
         """The smallest key of each row's orbit.  Only the segment orders

@@ -194,12 +194,13 @@ class TestMoment2k:
 
     def test_budget_error(self):
         # refused on the plan alone: each set partition of the 8 index
-        # positions with at most 6 blocks, canonicalised under the 4!
-        # factor orders, plus its Bell(r) coarsenings
+        # positions with at most 6 blocks, canonicalised under its block
+        # renamings (1 or 2 blocks) or the 4! factor orders, plus its
+        # Bell(r) coarsenings
         a = DenseTensor.zeros(6, 2)
         with pytest.raises(BudgetError) as exc:
             moment_2k(a, a, 2, visit_budget=1000)
-        assert exc.value.required == _plan_terms(8, 4, 6) == 237862
+        assert exc.value.required == _plan_terms(8, 4, 6) == 235045
 
     def test_k_validation(self):
         a = DenseTensor.zeros(2, 1)
@@ -229,8 +230,12 @@ def _stirling2(l, r):
 
 def _plan_terms(l, m, top):
     """Each set partition of l positions with r <= top blocks costs its
-    m! canonical orders and its Bell(r) coarsenings."""
-    return sum(_stirling2(l, r) * (math.factorial(m) + sum(
+    r! block renamings if r! <= m, else the m! orders of its m segments,
+    plus its Bell(r) coarsenings."""
+    def tries(r):
+        return math.factorial(r) if math.factorial(r) <= m else math.factorial(m)
+
+    return sum(_stirling2(l, r) * (tries(r) + sum(
         _stirling2(r, j) for j in range(1, r + 1))) for r in range(1, top + 1))
 
 
@@ -264,6 +269,16 @@ class TestPartitionMoments:
                               random_int_tensor(rng, n, d, -4, 4))]
                     for a, b in pairs:
                         assert moment_2k(a, b, k) == brute_group_moment(a, b, k)
+
+    def test_many_factors_at_small_n(self):
+        # 2k = 6 or 8 factors over at most 3 blocks: the orbits come from
+        # block renamings, not from the (2k)! factor orders, so these stay
+        # within the default budget as the sweep's n**(2kd) visits did
+        rng = random.Random(1016)
+        for n, d, k in ((2, 2, 3), (3, 2, 3), (2, 3, 3), (2, 2, 4)):
+            a = random_int_tensor(rng, n, d, -4, 4)
+            b = random_int_tensor(rng, n, d, -4, 4)
+            assert moment_2k(a, b, k) == brute_group_moment(a, b, k)
 
     def test_rationals_match_brute_force(self):
         rng = random.Random(1011)
