@@ -38,14 +38,16 @@ counts a call needs, holds:
   representative is its member with the smallest key;
 * the orbit sizes, and the Moebius rows folded onto representatives;
 * each representative's connected components, as representatives of
-  the plans (d, c) for c segments, and the contraction order of each
-  connected one: every segment takes its diagonals and sums the blocks
-  no other segment holds, then the pair of operands that loops over the
-  fewest indices is contracted, until one is left.
+  the plans (d, c) for c segments.
 
-Each step is one unoptimised ``np.einsum`` on two operands that share
-an index; numpy's optimised einsum paths silently wrap on object arrays
-when operands are disconnected, and are never used.  A side contracts
+For each block limit the plan compiles its distinct connected
+components into one list of contraction steps, equal steps stored
+once.  Every segment takes its diagonals and sums the blocks no other
+segment holds; then the pair of operands that loops over the fewest
+indices is contracted, until one is left.  Each step is one
+unoptimised ``np.einsum`` of operands that share an index; numpy's
+optimised einsum paths silently wrap on object arrays when operands
+are disconnected, and are never used.  A side contracts
 in int64 when n**F * top**m, top its largest absolute entry, bounds
 every partial sum, and on Python ints otherwise.
 
@@ -266,6 +268,8 @@ def _sorting_orders(ranks: tuple[int, ...]) -> tuple[int, ...]:
 
 @functools.lru_cache(maxsize=None)
 def _perm_numbers(m: int) -> dict[tuple[int, ...], int]:
+    """The number of each order of m segments in ``itertools.permutations``
+    order, the row of ``_Plan.perms`` that holds it."""
     return {p: i for i, p in enumerate(itertools.permutations(range(m)))}
 
 
