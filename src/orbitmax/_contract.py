@@ -30,12 +30,18 @@ one representative per orbit is evaluated, weighted by the orbit size.
 A plan per (d, m), kept for the process and extended to the block
 counts a call needs, holds:
 
-* every partition's key and the number of its orbit.  Orbits are told
-  apart by a canonical key: with r blocks and r! <= m, the smallest
-  over the r! renamings of the blocks of the sorted segments read as
-  words; otherwise the smallest restricted-growth key over the segment
-  orders that sort a signature moving with the segments.  An orbit's
-  representative is its member with the smallest key;
+* per block count r, the orbits, found one of two ways.  From the
+  multisets of m segment words over r block names: an orbit is a
+  multiset up to renaming of the blocks, told apart by the smallest,
+  over the r! renamings, of its sorted words, and every multiset's key
+  maps to its orbit.  Or from the S(l, r) set partitions themselves:
+  an orbit is told apart by the smallest restricted-growth key over
+  the segment orders that sort a signature moving with the segments,
+  and every partition's key maps to its orbit.  Block counts 1..R take
+  the first way, R ending the run where ``plan_terms`` counts it as no
+  more work, unless the partitions with at most R blocks fit in one
+  chunk and are simply listed.  So a plan over many segments never
+  lists the 2**(l-1) - 1 partitions into two blocks;
 * the orbit sizes, and the Moebius rows folded onto representatives;
 * each representative's connected components, as representatives of
   the plans (d, c) for c segments.
@@ -57,6 +63,7 @@ denominators first and rescale the results).
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -70,14 +77,15 @@ from .errors import BudgetError
 
 _INT64_MAX = 2 ** 63 - 1
 _LETTERS = string.ascii_letters
-# partitions per canonicalisation chunk, and labels of the segment
-# orders tried at a time
+# partitions per canonicalisation chunk (and the most listed in place
+# of multisets of words), and array cells built at a time
 _CHUNK_ROWS = 1 << 16
 _CHUNK_CELLS = 1 << 23
 
 _plans: dict[tuple[int, int], "_Plan"] = {}
 
 
+@functools.lru_cache(maxsize=None)
 def _stirling(size: int) -> list[list[int]]:
     """S[j][r], the set partitions of j elements into r blocks, j, r <= size."""
     rows = [[1] + [0] * size]
@@ -87,24 +95,49 @@ def _stirling(size: int) -> list[list[int]]:
     return rows
 
 
-def plan_terms(l: int, m: int, top: int) -> int:
-    """Work of a plan over the partitions of l positions into m segments
-    with at most ``top`` blocks: a partition with r blocks is tried under
-    its r! renamings of the blocks when r! <= m and under at most m!
-    segment orders otherwise, and each of its Bell(r) coarsenings enters
-    a Moebius row."""
+@functools.lru_cache(maxsize=None)
+def _word_layers(d: int, m: int) -> int:
+    """The block counts 1..R whose orbits are found from the multisets of
+    m segment words (r! renamings each) rather than from the S(l, r) set
+    partitions (at most m! segment orders each): R is the last r of the
+    run from 1 where the words cost no more, or 0 when the partitions
+    with at most R blocks are few enough to list in one chunk."""
+    l, r = m * d, 0
+    while r < l and math.comb((r + 1) ** d + m - 1, m) * math.factorial(r + 1) \
+            <= _stirling(l)[l][r + 1] * math.factorial(m):
+        r += 1
+    return r if sum(_stirling(l)[l][:r + 1]) > _CHUNK_ROWS else 0
+
+
+def plan_terms(d: int, m: int, top: int) -> int:
+    """Work of the plan over m segments of d positions up to ``top``
+    blocks, counted before it is built.  A layer of r blocks found from
+    the comb(r**d + m - 1, m) multisets of segment words costs r!
+    renamings per multiset; one found from its S(l, r) set partitions
+    costs at most m! segment orders per partition, and listing the
+    partitions costs one term per partition with at most r blocks.
+    Each multiset or partition also charges its Bell(r) coarsenings for
+    the Moebius rows, and comb(m + 1, 3) for the pairwise contraction
+    order of its components (each of the m - 1 steps scans the pairs of
+    operands left)."""
+    l = m * d
     s = _stirling(l)
-    bell = [sum(row) for row in s]
-    tries = [f if (f := math.factorial(r)) <= m else math.factorial(m)
-             for r in range(top + 1)]
-    return sum(s[l][r] * (tries[r] + bell[r]) for r in range(1, top + 1))
+    total = listed = 0
+    for r in range(1, top + 1):
+        if r <= _word_layers(d, m):
+            items, tries = math.comb(r ** d + m - 1, m), math.factorial(r)
+        else:
+            items, tries = s[l][r], math.factorial(m)
+            listed = sum(s[l][:r + 1])
+        total += items * (tries + sum(s[r]) + math.comb(m + 1, 3))
+    return total + listed
 
 
 @functools.lru_cache(maxsize=None)
 def _rgs(l: int, top: int) -> np.ndarray:
     """The restricted-growth strings of length l with at most ``top``
-    blocks, as read-only int8 rows: the label of each position, labels
-    numbered in order of first use."""
+    blocks, in lexicographic order, as read-only int8 rows: the label of
+    each position, labels numbered in order of first use."""
     if top > l:
         return _rgs(l, l)
     if l == 1:
@@ -117,6 +150,19 @@ def _rgs(l: int, top: int) -> np.ndarray:
                                                  choices)
         rows = np.column_stack((prev[pick], label.astype(np.int8)))
     rows.flags.writeable = False
+    return rows
+
+
+def _multisets(count: int, size: int) -> np.ndarray:
+    """The multisets of ``size`` values below ``count``, as nondecreasing
+    rows in lexicographic order."""
+    rows = np.arange(count, dtype=np.min_scalar_type(count))[:, None]
+    for _ in range(size - 1):
+        choices = count - rows[:, -1].astype(np.int64)
+        pick = np.repeat(np.arange(len(rows)), choices)
+        value = rows[pick, -1] + (np.arange(len(pick)) - np.repeat(
+            np.cumsum(choices) - choices, choices)).astype(rows.dtype)
+        rows = np.column_stack((rows[pick], value))
     return rows
 
 
@@ -145,14 +191,14 @@ def _relabel(rows: np.ndarray, r: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _coarsenings(r: int) -> tuple[np.ndarray, np.ndarray]:
-    """The Bell(r) set partitions tau of r blocks, as label rows, and their
-    Moebius weights prod_B (-1)**(|B|-1) (|B|-1)!."""
+def _coarsenings(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Bell(r) set partitions tau of r blocks, as label rows, their
+    Moebius weights prod_B (-1)**(|B|-1) (|B|-1)!, and their block counts."""
     tau = _rgs(r, r)
     sizes = (tau[:, :, None] == np.arange(r, dtype=np.int8)).sum(axis=1)
     weight = np.array([1] + [(-1) ** (s - 1) * math.factorial(s - 1)
                              for s in range(1, r + 1)], dtype=np.int64)
-    return tau, weight[sizes].prod(axis=1)
+    return tau, weight[sizes].prod(axis=1), (sizes > 0).sum(axis=1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -255,22 +301,24 @@ def _pairing(shapes: tuple[tuple[int, ...], ...]) -> tuple:
 
 
 @functools.lru_cache(maxsize=None)
-def _sorting_orders(ranks: tuple[int, ...]) -> tuple[int, ...]:
-    """Numbers, in ``itertools.permutations`` order, of the orders of
-    the segments that list them by nondecreasing rank: every order of
-    each group of tied segments, the groups by rank."""
+def _sorting_orders(ranks: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The orders of the segments that list them by nondecreasing rank:
+    every order of each group of tied segments, the groups by rank."""
     m = len(ranks)
-    number = _perm_numbers(m)
     groups = [[s for s in range(m) if ranks[s] == v] for v in sorted(set(ranks))]
-    return tuple(number[tuple(itertools.chain(*parts))] for parts in
+    return tuple(tuple(itertools.chain(*parts)) for parts in
                  itertools.product(*map(itertools.permutations, groups)))
 
 
 @functools.lru_cache(maxsize=None)
-def _perm_numbers(m: int) -> dict[tuple[int, ...], int]:
-    """The number of each order of m segments in ``itertools.permutations``
-    order, the row of ``_Plan.perms`` that holds it."""
-    return {p: i for i, p in enumerate(itertools.permutations(range(m)))}
+def _renamed_words(r: int, d: int, base: int) -> np.ndarray:
+    """Row p, column w: the word w of d block names, read as digits in
+    ``base``, under the p-th renaming of the names below r."""
+    places = base ** np.arange(d - 1, -1, -1)
+    digits = np.arange(base ** d)[:, None] // places % base
+    names = np.array([p + tuple(range(r, base))
+                      for p in itertools.permutations(range(r))])
+    return names[:, digits] @ places
 
 
 class _Evaluator:
@@ -320,19 +368,24 @@ class _Evaluator:
 class _Plan:
     """Orbit representatives of the set partitions of m segments of d
     positions; see the module docstring.  Representatives are numbered
-    by block count, then by key, so a coarser one always has the smaller
-    number.  Keys are restricted-growth strings read in base ``base``;
-    a plan that only names the components of a larger one builds no
-    Moebius rows or factors."""
+    by block count, then by canonical key, so a coarser one always has
+    the smaller number.  Keys of listed partitions are restricted-growth
+    strings read in base ``base``; a plan that only names the components
+    of a larger one builds no Moebius rows or factors."""
 
     def __init__(self, d: int, m: int):
         self.d, self.m, self.l = d, m, m * d
         self.base = _key_base(self.l)
-        self.perms = np.array(list(itertools.permutations(range(m))),
-                              dtype=np.intp)
         self.built = 0  # block counts 1..built are in the plan
-        self.keys = np.zeros(0, dtype=np.int64)  # every partition, sorted
-        self.ids = np.zeros(0, dtype=np.intp)  # and its representative
+        # every listed partition's key, sorted, and its representative
+        self.keys = np.zeros(0, dtype=np.int64)
+        self.ids = np.zeros(0, dtype=np.intp)
+        # block counts 1..words are word layers; every multiset of their
+        # words, keyed in one base, sorted, and its representative
+        self.words = _word_layers(d, m)
+        self.word_base = max(1, min(self.words, self.base))
+        self.word_keys = np.zeros(0, dtype=np.int64)
+        self.word_ids = np.zeros(0, dtype=np.intp)
         self.reps = np.zeros((0, self.l), dtype=np.int8)
         self.start = [0, 0]  # start[r]: first representative with r blocks
         self.size: list[int] = []
@@ -350,62 +403,104 @@ class _Plan:
 
     def find(self, rows: np.ndarray) -> np.ndarray:
         """Representative numbers of restricted-growth rows."""
-        return self.ids[np.searchsorted(
-            self.keys, _rgs_keys(rows.reshape(-1, self.l), self.base))]
+        blocks = rows.max(axis=1) + 1
+        out = np.empty(len(rows), dtype=np.intp)
+        worded = blocks <= self.words
+        out[worded] = self.word_ids[np.searchsorted(
+            self.word_keys, self._word_keys(self._words(rows[worded])))]
+        listed = ~worded
+        out[listed] = self.ids[np.searchsorted(
+            self.keys, _rgs_keys(rows[listed], self.base))]
+        return out
 
     def extend(self, top: int) -> None:
-        """Add the orbits of the partitions with built < r <= top blocks.
-        Orbits are numbered by block count, then by canonical key, and an
+        """Add the orbits with built < r <= top blocks."""
+        for r in range(self.built + 1, min(top, self.words) + 1):
+            self._word_orbits(r)
+        if top > max(self.built, self.words):
+            self._partition_orbits(max(self.built, self.words) + 1, top)
+        self.built = max(self.built, top)
+
+    def _word_orbits(self, r: int) -> None:
+        """The orbits with r blocks from the multisets of m words over r
+        block names that use every name.  A multiset's key is its sorted
+        words read as digits; an orbit is keyed by the smallest key over
+        the r! renamings, and the multiset with that key, written as a
+        restricted-growth string, is its representative.  The orbit holds
+        (its multisets) * (orderings of one of them) / r! partitions."""
+        d, m = self.d, self.m
+        words = _multisets(r ** d, m)
+        digits = np.arange(r ** d)[:, None] // r ** np.arange(d - 1, -1, -1) % r
+        names = np.bitwise_or.reduce(1 << digits, axis=1)  # bit set per word
+        words = words[np.bitwise_or.reduce(names[words], axis=1) == (1 << r) - 1]
+        labels = digits.astype(np.int8)[words].reshape(len(words), self.l)
+        own = self._word_keys(self._words(labels))
+        canon = self._renamed_keys(labels, r)
+        _, orbit, count = np.unique(canon, return_inverse=True, return_counts=True)
+        mine = own == canon  # the canonical multisets, in key order
+        sizes = [math.factorial(m) * c // math.factorial(r) // math.prod(
+                 map(math.factorial, collections.Counter(row).values()))
+                 for c, row in zip(count.tolist(), words[mine].tolist())]
+        keys = np.concatenate((self.word_keys, own))
+        at = np.argsort(keys)
+        self.word_keys = keys[at]
+        self.word_ids = np.concatenate(
+            (self.word_ids, len(self.reps) + orbit.reshape(-1)))[at]
+        self.reps = np.concatenate((self.reps, _relabel(labels[mine], r)))
+        self.size.extend(sizes)
+        self.start.append(len(self.reps))
+
+    def _words(self, rows: np.ndarray) -> np.ndarray:
+        """Each segment of each row read as a word in ``word_base``."""
+        return rows.reshape(len(rows), self.m, self.d).astype(np.int64) \
+            @ self.word_base ** np.arange(self.d - 1, -1, -1)
+
+    def _word_keys(self, words: np.ndarray) -> np.ndarray:
+        """The key of each multiset of m segment words (the last axis):
+        the words sorted, read as digits."""
+        return np.sort(words, axis=-1) \
+            @ (self.word_base ** self.d) ** np.arange(self.m - 1, -1, -1)
+
+    def _partition_orbits(self, lo: int, top: int) -> None:
+        """The orbits with lo <= r <= top blocks from the partitions
+        themselves, numbered by block count, then by canonical key; an
         orbit's representative is its member with the smallest key."""
-        if top <= self.built:
-            return
         rows = _rgs(self.l, top)
         blocks = rows.max(axis=1) + 1
-        rows, blocks = rows[blocks > self.built], blocks[blocks > self.built]
+        rows, blocks = rows[blocks >= lo], blocks[blocks >= lo]
         own = _rgs_keys(rows, self.base)
-        order = np.lexsort((own, blocks))
-        rows, blocks, own = rows[order], blocks[order], own[order]
         canon = np.empty(len(rows), dtype=np.int64)
-        by_segments = np.ones(len(rows), dtype=bool)
-        for r in range(self.built + 1, top + 1):
-            if math.factorial(r) <= self.m:
-                layer = blocks == r
-                canon[layer] = self._renamed_keys(rows[layer], r)
-                by_segments &= ~layer
-        (at,) = np.nonzero(by_segments)
-        for lo in range(0, len(at), _CHUNK_ROWS):
-            canon[at[lo:lo + _CHUNK_ROWS]] = self._canonical_keys(
-                rows[at[lo:lo + _CHUNK_ROWS]], top)
+        for at in range(0, len(rows), _CHUNK_ROWS):
+            canon[at:at + _CHUNK_ROWS] = self._canonical_keys(
+                rows[at:at + _CHUNK_ROWS], top)
         order = np.lexsort((canon, blocks))
         new = np.flatnonzero((np.diff(canon[order], prepend=-1) != 0)
                              | (np.diff(blocks[order], prepend=-1) != 0))
         opens = np.zeros(len(rows), dtype=np.intp)
         opens[new] = 1
         orbit = np.empty(len(rows), dtype=np.intp)
-        orbit[order] = np.cumsum(opens) - 1
-        first = self.start[-1]
+        orbit[order] = np.cumsum(opens) - 1 + len(self.reps)
+        keys = np.concatenate((self.keys, own))
+        at = np.argsort(keys)
+        self.keys = keys[at]
+        self.ids = np.concatenate((self.ids, orbit))[at]
+        first = len(self.reps)
         self.reps = np.concatenate((self.reps, rows[order[new]]))
         self.size.extend(np.diff(new, append=len(rows)).tolist())
         self.start.extend((first + np.searchsorted(
-            blocks[order[new]], np.arange(self.built + 1, top + 1),
-            side="right")).tolist())
-        keys = np.concatenate((self.keys, own))
-        order = np.argsort(keys)
-        self.keys = keys[order]
-        self.ids = np.concatenate((self.ids, first + orbit))[order]
-        self.built = top
+            blocks[order[new]], np.arange(lo, top + 1), side="right")).tolist())
 
     def _renamed_keys(self, rows: np.ndarray, r: int) -> np.ndarray:
         """A key of each row's orbit, for rows with r blocks: the
         smallest, over the r! renamings of the blocks, of the sorted
         segments read as words."""
-        count, d, m = len(rows), self.d, self.m
-        keys = None
-        for rename in itertools.permutations(range(r)):
-            word = np.array(rename, dtype=np.int64)[rows].reshape(count, m, d) \
-                @ r ** np.arange(d - 1, -1, -1)
-            word = np.sort(word, axis=1) @ (r ** d) ** np.arange(m - 1, -1, -1)
-            keys = word if keys is None else np.minimum(keys, word)
+        words = self._words(rows)
+        renamed = _renamed_words(r, self.d, self.word_base)
+        keys = np.empty(len(rows), dtype=np.int64)
+        step = max(1, _CHUNK_CELLS // (self.m * len(renamed)))
+        for lo in range(0, len(rows), step):
+            keys[lo:lo + step] = self._word_keys(
+                renamed[:, words[lo:lo + step]]).min(axis=0)
         return keys
 
     def _canonical_keys(self, rows: np.ndarray, top: int) -> np.ndarray:
@@ -430,7 +525,7 @@ class _Plan:
         codes, pattern = np.unique(rank @ m ** np.arange(m), return_inverse=True)
         lists = [_sorting_orders(tuple(c // m ** s % m for s in range(m)))
                  for c in codes.tolist()]
-        flat = np.fromiter(itertools.chain(*lists), dtype=np.intp)
+        orders = np.array(list(itertools.chain(*lists)), dtype=np.intp)
         sizes = np.array(list(map(len, lists)))
         first = np.cumsum(sizes) - sizes
         pattern = pattern.reshape(-1)
@@ -443,9 +538,9 @@ class _Plan:
                 tried, done + _CHUNK_CELLS // self.l, side="right")))
             per = sizes[pattern[lo:hi]]
             who = np.repeat(np.arange(hi - lo), per)
-            which = flat[np.repeat(first[pattern[lo:hi]] - np.cumsum(per) + per, per)
-                         + np.arange(len(who))]
-            tries = seg[lo:hi][who[:, None], self.perms[which]].reshape(-1, self.l)
+            which = np.repeat(first[pattern[lo:hi]] - np.cumsum(per) + per, per) \
+                + np.arange(len(who))
+            tries = seg[lo:hi][who[:, None], orders[which]].reshape(-1, self.l)
             keys = _rgs_keys(_relabel(tries, top), self.base)
             canon[lo:hi] = np.minimum.reduceat(keys, np.cumsum(per) - per)
             lo = hi
@@ -470,14 +565,28 @@ class _Plan:
             a, b = max(lo, self.start[r]), self.start[r + 1]
             if a >= b:
                 continue
-            tau, mu = _coarsenings(r)
-            # key(tau o pi) = sum_j tau[j] * (place values of pi's block j)
-            place = np.zeros((r, b - a), dtype=np.int64)
-            np.add.at(place, (self.reps[a:b], np.arange(b - a)[:, None]),
-                      self.base ** np.arange(self.l - 1, -1, -1))
-            keys = tau @ place  # (Bell(r), representatives)
-            cells.append((np.arange(a, b) * total
-                          + self.ids[np.searchsorted(self.keys, keys)]).reshape(-1))
+            tau, mu, count = _coarsenings(r)
+            reps = self.reps[a:b]
+            found = np.empty((len(tau), b - a), dtype=np.intp)
+            # the keys and segment words of tau o pi are linear in tau
+            listed = count > self.words
+            if listed.any():
+                # key = sum_j tau[j] * (place values of pi's block j)
+                place = np.zeros((r, b - a), dtype=np.int64)
+                np.add.at(place, (reps, np.arange(b - a)[:, None]),
+                          self.base ** np.arange(self.l - 1, -1, -1))
+                found[listed] = self.ids[np.searchsorted(
+                    self.keys, tau[listed] @ place)]
+            if not listed.all():
+                # word s = sum_j tau[j] * (digit values of block j in segment s)
+                digit = np.zeros((b - a, r, self.m), dtype=np.int64)
+                np.add.at(digit, (np.arange(b - a)[:, None, None],
+                                  reps.reshape(b - a, self.m, self.d),
+                                  np.arange(self.m)[:, None]),
+                          self.word_base ** np.arange(self.d - 1, -1, -1))
+                found[~listed] = self.word_ids[np.searchsorted(
+                    self.word_keys, self._word_keys(tau[~listed] @ digit))].T
+            cells.append((np.arange(a, b) * total + found).reshape(-1))
             weights.append(np.repeat(mu, b - a))
         cell, weight = np.concatenate(cells), np.concatenate(weights)
         order = np.argsort(cell, kind="stable")
@@ -497,16 +606,28 @@ class _Plan:
         d, m = self.d, self.m
         rows = self.reps[lo:self.start[top + 1]]
         count = len(rows)
-        inc = np.zeros((count, m, top), dtype=np.int64)
-        inc[np.arange(count)[:, None, None], np.arange(m)[:, None],
-            rows.reshape(count, m, d)] = 1
-        reach = np.minimum(inc @ inc.transpose(0, 2, 1), 1)
-        for _ in range(m.bit_length()):
-            reach = np.minimum(reach @ reach, 1)
-        mask = reach @ (1 << np.arange(m))  # each segment's component
+        masks = []
+        step = max(1, _CHUNK_CELLS // (m * max(m, top)))
+        for at in range(0, count, step):
+            part = rows[at:at + step]
+            inc = np.zeros((len(part), m, top), dtype=np.int64)
+            inc[np.arange(len(part))[:, None, None], np.arange(m)[:, None],
+                part.reshape(len(part), m, d)] = 1
+            reach = np.minimum(inc @ inc.transpose(0, 2, 1), 1)
+            for _ in range(m.bit_length()):
+                reach = np.minimum(reach @ reach, 1)
+            masks.append(reach @ (1 << np.arange(m)))  # each segment's component
+        # one (component, representative) pair per component, grouped
+        comps, owners = np.concatenate(masks).reshape(-1), np.repeat(np.arange(count), m)
+        order = np.lexsort((owners, comps))
+        comps, owners = comps[order], owners[order]
+        new = np.ones(len(comps), dtype=bool)
+        new[1:] = (comps[1:] != comps[:-1]) | (owners[1:] != owners[:-1])
+        comps, owners = comps[new], owners[new]
+        heads = np.flatnonzero(np.diff(comps, prepend=comps[0] - 1)).tolist()
         out: list[list] = [[] for _ in range(count)]
-        for comp in sorted(set(mask.reshape(-1).tolist())):
-            who = np.flatnonzero((mask == comp).any(axis=1))
+        for a, b in zip(heads, heads[1:] + [len(comps)]):
+            comp, who = int(comps[a]), owners[a:b]
             if comp == (1 << m) - 1:
                 for i in who.tolist():
                     out[i].append((m, lo + i))
@@ -549,7 +670,7 @@ def check_budget(n: int, d: int, m: int, budget: int) -> _Evaluator:
             f"partition keys need {top ** l} values (n={n}, d={d}, 2k={m}), "
             f"int64 holds {_INT64_MAX}",
             required=top ** l, budget=_INT64_MAX, k=m // 2)
-    required = plan_terms(l, m, top)
+    required = plan_terms(d, m, top)
     if required <= budget:
         ev = _plan(d, m).evaluator(top)
         required += 2 * sum(n ** w for w in ev.widths)

@@ -194,13 +194,13 @@ class TestMoment2k:
 
     def test_budget_error(self):
         # refused on the plan alone: each set partition of the 8 index
-        # positions with at most 6 blocks, canonicalised under its block
-        # renamings (1 or 2 blocks) or the 4! factor orders, plus its
-        # Bell(r) coarsenings
+        # positions with at most 6 blocks, listed and canonicalised under
+        # at most the 4! factor orders, plus its Bell(r) coarsenings and
+        # its contraction ordering
         a = DenseTensor.zeros(6, 2)
         with pytest.raises(BudgetError) as exc:
             moment_2k(a, a, 2, visit_budget=1000)
-        assert exc.value.required == _plan_terms(8, 4, 6) == 235045
+        assert exc.value.required == _plan_terms(2, 4, 6) == 283083
 
     def test_k_validation(self):
         a = DenseTensor.zeros(2, 1)
@@ -228,15 +228,32 @@ def _stirling2(l, r):
                for j in range(r + 1)) // math.factorial(r)
 
 
-def _plan_terms(l, m, top):
-    """Each set partition of l positions with r <= top blocks costs its
-    r! block renamings if r! <= m, else the m! orders of its m segments,
-    plus its Bell(r) coarsenings."""
-    def tries(r):
-        return math.factorial(r) if math.factorial(r) <= m else math.factorial(m)
-
-    return sum(_stirling2(l, r) * (tries(r) + sum(
-        _stirling2(r, j) for j in range(1, r + 1))) for r in range(1, top + 1))
+def _plan_terms(d, m, top):
+    """Block counts r = 1..R are found from the comb(r**d + m - 1, m)
+    multisets of m segment words, r! renamings each, and the others from
+    their S(l, r) set partitions, m! segment orders each, plus one term
+    per partition with at most r blocks listed.  R ends the run of r from
+    1 where the words cost no more, and is 0 when the partitions of that
+    run number at most 2**16.  Every item also costs its Bell(r)
+    coarsenings and comb(m + 1, 3) steps of contraction ordering."""
+    l = m * d
+    words = 0
+    while words < l and math.comb((words + 1) ** d + m - 1, m) \
+            * math.factorial(words + 1) \
+            <= _stirling2(l, words + 1) * math.factorial(m):
+        words += 1
+    if sum(_stirling2(l, r) for r in range(1, words + 1)) <= 2 ** 16:
+        words = 0
+    total = listed = 0
+    for r in range(1, top + 1):
+        bell = sum(_stirling2(r, j) for j in range(1, r + 1))
+        if r <= words:
+            items, tries = math.comb(r ** d + m - 1, m), math.factorial(r)
+        else:
+            items, tries = _stirling2(l, r), math.factorial(m)
+            listed = sum(_stirling2(l, j) for j in range(1, r + 1))
+        total += items * (tries + bell + math.comb(m + 1, 3))
+    return total + listed
 
 
 def _with_zero_lines(rng, n, d):
@@ -271,11 +288,12 @@ class TestPartitionMoments:
                         assert moment_2k(a, b, k) == brute_group_moment(a, b, k)
 
     def test_many_factors_at_small_n(self):
-        # 2k = 6 or 8 factors over at most 3 blocks: the orbits come from
-        # block renamings, not from the (2k)! factor orders, so these stay
-        # within the default budget as the sweep's n**(2kd) visits did
+        # 2k = 6 or 8 factors over at most 4 blocks: the orbits come from
+        # multisets of factor words under block renamings, not from the
+        # (2k)! factor orders, so these stay within the default budget as
+        # the sweep's n**(2kd) visits did
         rng = random.Random(1016)
-        for n, d, k in ((2, 2, 3), (3, 2, 3), (2, 3, 3), (2, 2, 4)):
+        for n, d, k in ((2, 2, 3), (3, 2, 3), (2, 3, 3), (2, 2, 4), (4, 2, 3)):
             a = random_int_tensor(rng, n, d, -4, 4)
             b = random_int_tensor(rng, n, d, -4, 4)
             assert moment_2k(a, b, k) == brute_group_moment(a, b, k)
@@ -293,7 +311,7 @@ class TestPartitionMoments:
         a = DenseTensor.zeros(5, 3)
         with pytest.raises(BudgetError) as exc:
             moment_2k(a, a, 2)
-        assert exc.value.required == _plan_terms(12, 4, 5)
+        assert exc.value.required == _plan_terms(3, 4, 5)
         assert exc.value.required > exc.value.budget == assign.DEFAULT_VISIT_BUDGET
 
     def test_keys_beyond_int64_are_refused(self):
@@ -371,10 +389,18 @@ class TestPartitionMoments:
                 sizes = plan.size[plan.start[r]:plan.start[r + 1]]
                 assert sum(sizes) == blocks.count(r) == _stirling2(l, r)
         assert _contract._plan(2, 4).start[-1] == 296
+        # plans whose first layers come from multisets of factor words
+        for d, m, top in ((2, 6, 4), (3, 4, 3), (2, 12, 2)):
+            plan = _contract._plan(d, m)
+            plan.extend(top)
+            assert plan.words >= top
+            for r in range(1, top + 1):
+                sizes = plan.size[plan.start[r]:plan.start[r + 1]]
+                assert sum(sizes) == _stirling2(m * d, r)
 
     def test_budget_boundary(self):
         a = DenseTensor.from_entries(5, 2, range(25))
-        terms = _plan_terms(8, 4, 5)
+        terms = _plan_terms(2, 4, 5)
         with pytest.raises(BudgetError) as exc:
             moment_2k(a, a, 2, visit_budget=terms - 1)
         assert exc.value.required == terms
@@ -390,6 +416,43 @@ class TestPartitionMoments:
             moment_2k(a, a, 2, visit_budget=required - 1)
         assert (exc.value.required, exc.value.budget, exc.value.k) == \
             (required, required - 1, 2)
+
+    @pytest.mark.parametrize("words", [1, 2, 3, 5])
+    def test_word_and_listed_layers_mix(self, monkeypatch, words):
+        # any split of the block counts between multisets of factor words
+        # (1..words) and listed partitions gives the same orbits and moments
+        monkeypatch.setattr(_contract, "_plans", {})
+        monkeypatch.setattr(_contract, "_word_layers",
+                            lambda d, m: min(words, m * d))
+        rng = random.Random(1018 + words)
+        for n, d, k in ((4, 2, 2), (5, 2, 2), (4, 3, 1), (6, 3, 1)):
+            a = random_int_tensor(rng, n, d, -3, 3)
+            b = random_int_tensor(rng, n, d, -3, 3)
+            assert moment_2k(a, b, k) == brute_group_moment(a, b, k)
+        plan = _contract._plan(2, 4)
+        plan.extend(8)
+        assert plan.start[-1] == 296
+        for r in range(1, 9):
+            assert sum(plan.size[plan.start[r]:plan.start[r + 1]]) == \
+                _stirling2(8, r)
+
+    def test_twelve_factors_at_one_and_two_points(self):
+        # 2k = 12 factors of order 2: at n = 2 the 2**23 partitions into
+        # two blocks fall into a few hundred orbits, found from multisets
+        # of factor words, so no table of the 12! factor orders or of the
+        # partitions is built
+        rng = random.Random(1017)
+        for n in (1, 2):
+            a = random_int_tensor(rng, n, 2, -3, 3)
+            b = random_int_tensor(rng, n, 2, -3, 3)
+            moment = moment_2k(a, b, 6)
+            assert moment == brute_group_moment(a, b, 6)
+            assert coset_moment(a, b, 6, PartialAssignment.empty()) == moment
+        a = DenseTensor.from_entries(1, 2, [-3])
+        b = DenseTensor.from_entries(1, 2, [5])
+        assert moment_2k(a, b, 6) == 15 ** 12 == \
+            sweep_coset_moment(a, b, 6, PartialAssignment.empty())
+        assert _contract._plan(2, 12).start[3] < 300
 
     def test_never_sweeps_or_enumerates(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -206,7 +206,7 @@ class TestAssign:
         path = write(tmp_path, "t.json", obj)
         a = assign.tensor_from_json(obj)
         with pytest.raises(BudgetError) as exc:
-            assign.moment_2k(a, a, 2, visit_budget=235045)  # the plan alone
+            assign.moment_2k(a, a, 2, visit_budget=283083)  # the plan alone
         required = exc.value.required
         assert main(["assign", "--a", path, "--b", path, "--k", "2",
                      "--budget", "100"]) == 3
