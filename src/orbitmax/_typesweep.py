@@ -17,21 +17,16 @@ have), fits in int64, and into an object array of Python ints
 otherwise.  Either way the zero products are dropped and each group sum
 is ``np.unique`` plus ``np.add.at``.
 
-A (type, pattern) group with j free blocks averages over perm(N, j)
-injective placements of those blocks, N = n - npins the free
-coordinates.  ``combine`` and the greedy extractor weight each group sum
-by perm(N - j, F - j), F = min(rmax, N), so that every group, and every
-candidate coset of one greedy step, shares the one integer denominator
-perm(N, F).
-
-A greedy step builds no table per candidate.  ``sweep_rows`` keeps each
-side's nonzero rows for the whole extraction; ``greedy_scores`` groups
-A's rows by (type, pattern) and weights them, groups B's rows once by
-(type, pattern of the images already chosen), and reads every
-candidate's score off those groups and the cells of rows holding it.
-Up to CACHE_MAX sequences the sweep's keys, block values and segment
-indices are cached per (n, d, 2k); above it they are rebuilt chunk by
-chunk, on the same path.
+``greedy_scores`` is the one scorer.  A (type, pattern) group with j
+free blocks averages over perm(N, j) placements, N = n - npins; the
+scorer weights each group sum by perm(N - j, F - j), F = min(rmax, N),
+so that the candidate cosets of a greedy step share the denominator
+perm(N, F), and reads every candidate's score off one grouping of each
+side's nonzero rows (``sweep_rows``, kept for the whole extraction).
+``assign.coset_moment`` relabels a prefix to come first, which makes
+its coset the one candidate of such a step.  Up to CACHE_MAX sequences
+the sweep's keys, block values and segment indices are cached per
+(n, d, 2k); above it they are rebuilt chunk by chunk, on the same path.
 
 The module also enumerates permutations of the free coordinates in
 blocks of numpy rows, for the direct coset enumeration in ``assign``.
@@ -45,7 +40,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -61,8 +55,6 @@ _CACHE_BYTES = 64 << 20
 
 # (n, d, m) -> (keys, blockvals, seg), least recently used first
 _table_cache: dict[tuple[int, int, int], tuple] = {}
-
-SideTable = dict[tuple[int, int], int]
 
 
 def sequence_count(n: int, d: int, m: int) -> int:
@@ -166,26 +158,6 @@ def _iter_chunks(n: int, d: int, m: int) -> Iterator[tuple]:
         yield _build_chunk(n, d, m, start, min(start + CHUNK_SIZE, total))
 
 
-def decode_block_count(rawkey: int, rmax: int, l: int) -> int:
-    """Number of blocks of the type encoded by a raw key (max label + 1)."""
-    base = _key_base(rmax)
-    top = 0
-    for _ in range(l):
-        rawkey, dig = divmod(rawkey, base)
-        if dig > top:
-            top = dig
-    return top + 1
-
-
-def _count_pins(patkey: int, npins: int) -> int:
-    nf = 0
-    while patkey:
-        patkey, dig = divmod(patkey, npins + 1)
-        if dig:
-            nf += 1
-    return nf
-
-
 def _entry_array(flat: Sequence[int], n: int, rmax: int, m: int) -> np.ndarray:
     """The entries as int64 when no group sum can leave int64, else as
     Python ints.  A group of a type with r blocks holds at most
@@ -225,33 +197,6 @@ def _group_sums(keys: np.ndarray, vals: np.ndarray):
     return uk, inv, sums
 
 
-def side_table(flat: Sequence[int], n: int, d: int, m: int,
-               fixed_vals: tuple[int, ...], budget: int) -> SideTable:
-    """Exact sums of m-fold entry products, grouped by (type, pin pattern).
-
-    Returns {(raw type key, pattern key): sum}.  ``fixed_vals`` are the
-    pinned values for this side (source positions or target images);
-    blocks carrying a pinned value get that pin's 1-based index as their
-    pattern digit.  Zero sums are omitted.
-    """
-    check_budget(n, d, m, budget, len(fixed_vals))
-    rmax = min(m * d, n)
-    npins = len(fixed_vals)
-    pb = (npins + 1) ** rmax
-    place = (npins + 1) ** np.arange(rmax, dtype=np.int64)
-    parts = []
-    for keys, blockvals, vals in sweep_rows(flat, n, d, m)():
-        pat = _pin_digits(blockvals, fixed_vals, n) @ place
-        uk, _, sums = _group_sums(keys * pb + pat, vals)
-        parts.append((uk, sums))
-    uk, sums = parts[0]
-    if len(parts) > 1:  # merge the chunks' groups
-        uk, _, sums = _group_sums(*(np.concatenate(p) for p in zip(*parts)))
-    nz = np.flatnonzero(sums)
-    return {divmod(c, pb): s
-            for c, s in zip(uk[nz].tolist(), sums[nz].tolist())}
-
-
 def sweep_rows(flat: Sequence[int], n: int, d: int, m: int):
     """The sequences whose m-fold entry product is nonzero, as a callable
     returning (type keys, block values, products) per chunk of the sweep:
@@ -269,20 +214,21 @@ def sweep_rows(flat: Sequence[int], n: int, d: int, m: int):
 
 
 def greedy_scores(rows_a, rows_b, n: int, d: int, m: int,
-                  chosen: Sequence[int], budget: int) -> dict[int, int]:
-    """For each image c not in ``chosen``, perm(N, F) times the average
-    over the coset pinning positions 0..t-1 to chosen + (c,), t =
-    len(chosen) + 1, N = n - t, F = min(rmax, N): what ``pair_sum`` gives
-    for A's weighted table and c's B table.  The rows come from
-    ``sweep_rows``.
+                  chosen: Sequence[int], cands: Sequence[int],
+                  budget: int) -> dict[int, int]:
+    """For each image c in ``cands`` (none in ``chosen``), perm(N, F)
+    times the average over the coset pinning positions 0..t-1 to
+    chosen + (c,), t = len(chosen) + 1, N = n - t, F = min(rmax, N).
+    The rows come from ``sweep_rows``.
 
-    A's rows are grouped by (type, pattern of positions 0..t-1) and
-    weighted as in ``weighted_table``.  B's rows are grouped once by
-    (type, pattern of ``chosen``); candidate c moves the rows holding c
-    at slot s from their group g's key to key + T*(T+1)**s, T = t, so
+    A's rows are grouped by (type, pattern of positions 0..t-1), a group
+    with j free blocks weighted by perm(N - j, F - j).  B's rows are
+    grouped once by (type, pattern of ``chosen``); candidate c moves the
+    rows holding c at slot s from their group g's key to
+    key + T*(T+1)**s, T = t, so
     score[c] = sum G0[g] * W(g) + sum H[g, s, c] * (W(g, s) - W(g)),
     G0 the group sums and H those of the moved rows, both in the entry
-    dtype and H only over the cells that occur.
+    dtype and H only over the cells of candidates that occur.
     """
     t = len(chosen) + 1
     check_budget(n, d, m, budget, t)
@@ -310,6 +256,8 @@ def greedy_scores(rows_a, rows_b, n: int, d: int, m: int,
         i = np.searchsorted(uk[:-1], q)
         return np.where(uk[i] == q, wa[i], 0)
 
+    is_cand = np.zeros(n + 1, dtype=bool)  # empty slots (-1) read is_cand[n]
+    is_cand[list(cands)] = True
     base_sum = 0
     moved = np.zeros(n, dtype=object)
     for keys, blockvals, vals in rows_b():
@@ -321,61 +269,12 @@ def greedy_scores(rows_a, rows_b, n: int, d: int, m: int,
         # (c, g, s) that occurs, keyed c * width + (g * rmax + s)
         diff = (weighted(ub[:, None] + t * place) - w_base[:, None]).reshape(-1)
         width = max(diff.size, 1)
-        row, slot = np.nonzero((blockvals >= 0) & (dig == 0))
+        row, slot = np.nonzero(is_cand[blockvals])
         cell = (blockvals[row, slot].astype(np.int64) * width
                 + inv[row] * rmax + slot)
         uc, _, h = _group_sums(cell, vals[row])
         np.add.at(moved, uc // width, h.astype(object) * diff[uc % width])
-    return {c: int(base_sum + moved[c]) for c in range(n) if c not in chosen}
-
-
-def weighted_table(table: SideTable, n: int, d: int, m: int,
-                   npins: int) -> SideTable:
-    """Each group sum times perm(N - j, F - j), j its free blocks (blocks
-    minus pinned blocks), so that S * perm(N - j, F - j) / perm(N, F) is
-    its share S / perm(N, j) of the coset average.  The block and pin
-    counts are decoded once per distinct raw key and pattern."""
-    l = m * d
-    rmax = min(l, n)
-    free = n - npins
-    top = min(rmax, free)
-    weight = [math.perm(free - j, top - j) for j in range(top + 1)]
-    blocks: dict[int, int] = {}
-    pinned: dict[int, int] = {}
-    out: SideTable = {}
-    for key, s in table.items():
-        rawkey, pat = key
-        r = blocks.get(rawkey)
-        if r is None:
-            r = blocks[rawkey] = decode_block_count(rawkey, rmax, l)
-        nf = pinned.get(pat)
-        if nf is None:
-            nf = pinned[pat] = _count_pins(pat, npins)
-        out[key] = s * weight[r - nf]
-    return out
-
-
-def pair_sum(weighted: SideTable, table: SideTable) -> int:
-    """Sum over shared groups of the weighted sum times the other side's
-    sum: perm(N, F) times the coset average."""
-    return sum(w * table[key] for key, w in weighted.items() if key in table)
-
-
-def combine(table_a: SideTable, table_b: SideTable, n: int, d: int, m: int,
-            npins: int) -> Fraction:
-    """Pair two side tables into the exact coset average of the product.
-
-    For each shared (type, pattern) group with j free (unpinned) blocks,
-    those blocks range injectively over the n - npins free values, so
-    the group contributes S_A * S_B / perm(n - npins, j).  The groups
-    are summed in integers over their common denominator perm(N, F),
-    N = n - npins and F = min(rmax, N), with the smaller table weighted.
-    """
-    if len(table_b) < len(table_a):
-        table_a, table_b = table_b, table_a
-    total = pair_sum(weighted_table(table_a, n, d, m, npins), table_b)
-    free = n - npins
-    return Fraction(total, math.perm(free, min(m * d, free)))
+    return {c: int(base_sum + moved[c]) for c in cands}
 
 
 @functools.lru_cache(maxsize=16)

@@ -13,9 +13,9 @@ a Moebius inversion of power sums, so the work is polynomial in n and in
 the number of integer partitions of 2k.  At d >= 2 the moment over all
 of S_n comes from ``_contract``: the same inversion over the set
 partitions of the 2kd index positions, each term one tensor
-contraction, so the work is polynomial in n.  Pinned cosets and greedy
-steps at d >= 2 still use the type sweep in ``_typesweep`` (n**(2kd)
-sequence visits), and small cosets are enumerated directly by
+contraction, so the work is polynomial in n.  Greedy steps and pinned
+cosets at d >= 2 share one scorer, the type sweep in ``_typesweep``
+(n**(2kd) sequence visits), and small cosets are enumerated directly by
 ``_coset_values``, the one evaluator of f(g) over sets of permutations,
 which ``brute_max`` and ``sandwich.verify_sandwich`` share.
 """
@@ -538,11 +538,13 @@ def coset_moment(a: DenseTensor, b: DenseTensor, k: int,
     At d = 1 it uses the power-sum engine (the prefix adds a constant to
     f; see ``moment_2k``).  At d >= 2 the empty prefix is ``moment_2k``;
     a nonempty one takes the cheaper of two exact routes, judged from n,
-    d, k, the prefix length and nnz(A): a type sweep refined by pin
-    patterns (O(n**(2kd)) sequence visits, the groups summed in integers
-    over one denominator), or a direct enumeration of the coset
+    d, k, the prefix length and nnz(A): the greedy scorer's type sweep
+    (O(n**(2kd)) sequence visits), or a direct enumeration of the coset
     ((n - len(prefix))! evaluations of f, vectorised over blocks of
-    permutations).
+    permutations).  The sweep relabels A's coordinates so that the
+    prefix's positions come first, as 0..T-1, and B's so that its images
+    do.  That maps the coset one-to-one, with equal f, onto the child
+    coset of a greedy step that has chosen 0..T-2 and scores T-1.
     """
     _check_shapes(a, b)
     if k < 1:
@@ -567,10 +569,25 @@ def coset_moment(a: DenseTensor, b: DenseTensor, k: int,
         total = _enumerate_coset_power_sums(nz_a, ints_b, n, a.d, m,
                                             prefix.pairs, None)
         return Fraction(total, math.factorial(n - len(prefix))) / scale
-    ta = _typesweep.side_table(ints_a, n, a.d, m, prefix.positions, budget)
-    tb = _typesweep.side_table(ints_b, n, a.d, m, prefix.images, budget)
-    total = _typesweep.combine(ta, tb, n, a.d, m, len(prefix))
-    return total / scale
+    t = len(prefix)
+    rows = [_typesweep.sweep_rows(_pins_first(ints, n, a.d, pins), n, a.d, m)
+            for ints, pins in ((ints_a, prefix.positions),
+                               (ints_b, prefix.images))]
+    score = _typesweep.greedy_scores(*rows, n, a.d, m, tuple(range(t - 1)),
+                                     (t - 1,), budget)[t - 1]
+    free = n - t  # the score is perm(free, F) times the average
+    return Fraction(score, math.perm(free, min(m * a.d, free))) / scale
+
+
+def _pins_first(flat: Sequence[int], n: int, d: int,
+                pins: Sequence[int]) -> list[int]:
+    """A row-major tensor relabelled so that ``pins`` are coordinates
+    0..len(pins)-1, the rest after them in order: one gather per axis."""
+    import numpy as np
+
+    order = [*pins, *sorted(set(range(n)) - set(pins))]
+    return (np.array(flat, dtype=object).reshape((n,) * d)
+            [np.ix_(*[order] * d)].reshape(-1).tolist())
 
 
 def _sweep_greedy(ints_a: Sequence[int], ints_b: Sequence[int], n: int,
@@ -595,7 +612,7 @@ def _sweep_greedy(ints_a: Sequence[int], ints_b: Sequence[int], n: int,
             chosen.append(max(cands, key=lambda j: sums.get(j, 0)))
         else:
             scores = _typesweep.greedy_scores(rows_a, rows_b, n, d, m,
-                                              tuple(chosen), budget)
+                                              tuple(chosen), cands, budget)
             chosen.append(max(cands, key=scores.__getitem__))
     return chosen
 
@@ -673,15 +690,16 @@ def tensor_from_json(obj: Mapping) -> DenseTensor:
     try:
         n = int(obj["n"])
         d = int(obj["d"])
-        raw = obj.get("entries", [])
+        parsed = [(ent["index"], tuple(int(i) - 1 for i in ent["index"]),
+                   parse_rational(ent["value"]))
+                  for ent in obj.get("entries", [])]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed tensor object: {exc}") from exc
     items: dict[tuple[int, ...], Fraction] = {}
-    for ent in raw:
-        idx = tuple(int(i) - 1 for i in ent["index"])
+    for index, idx, value in parsed:
         if idx in items:
-            raise ValueError(f"duplicate tensor index {list(ent['index'])}")
-        items[idx] = parse_rational(ent["value"])
+            raise ValueError(f"duplicate tensor index {list(index)}")
+        items[idx] = value
     return DenseTensor.from_sparse(n, d, items)
 
 

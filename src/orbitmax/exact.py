@@ -124,4 +124,7 @@ def parse_rational(value: str | int | Fraction) -> Fraction:
         raise ValueError(
             f"refusing to parse float {value!r} as an exact rational; "
             "pass a 'num/den' string instead")
-    return Fraction(str(value).strip())
+    try:
+        return Fraction(str(value).strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None

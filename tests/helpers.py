@@ -187,45 +187,45 @@ def loop_coset_power_sums(nz_a, flat_b, n: int, d: int, m: int, pairs,
     return split if split_pos is not None else total
 
 
-def fraction_combine(table_a, table_b, n: int, d: int, m: int,
-                     npins: int) -> Fraction:
-    """Pair two side tables one ``Fraction`` per shared group: a group of
-    a type with r blocks, nf of them pinned, adds
-    S_A * S_B / perm(n - npins, r - nf).  Keys are decoded digit by digit
-    here: a raw type key holds the block label of each of the l = m*d
-    positions in base max(rmax, 2), a pattern key one base-(npins + 1)
-    digit per block, nonzero where the block carries a pinned value."""
-    l = m * d
-    base = max(min(l, n), 2)
-    total = Fraction(0)
-    for (rawkey, pat), sa in table_a.items():
-        sb = table_b.get((rawkey, pat))
-        if not sb:
-            continue
-        labels = []
-        for _ in range(l):
-            rawkey, dig = divmod(rawkey, base)
-            labels.append(dig)
-        pinned = 0
-        while pat:
-            pat, dig = divmod(pat, npins + 1)
-            pinned += dig != 0
-        total += Fraction(sa * sb, math.perm(n - npins, max(labels) + 1 - pinned))
-    return total
+def _pins_first(flat, n: int, d: int, pins) -> list:
+    """Entries re-read entry by entry with ``pins`` as coordinates
+    0..len(pins)-1 and the other coordinates after them in order."""
+    order = list(pins) + [v for v in range(n) if v not in pins]
+    out = []
+    for idx in itertools.product(range(n), repeat=d):
+        flat_index = 0
+        for i in idx:
+            flat_index = flat_index * n + order[i]
+        out.append(flat[flat_index])
+    return out
 
 
 def sweep_coset_moment(a: assign.DenseTensor, b: assign.DenseTensor, k: int,
                        prefix: assign.PartialAssignment) -> Fraction:
-    """Coset average of <B, gA>**(2k) by the pinned type sweep alone, at
-    any d: both side tables, ``combine``, and the scales put back."""
+    """Coset average of <B, gA>**(2k) by the greedy scorer's type sweep
+    alone, at any d, with the scales put back.  A prefix of length T is
+    moved to coordinates 0..T-1 on both sides, which makes its coset the
+    one candidate T-1 of a step that has chosen 0..T-2; an empty prefix
+    sums the n children of position 0, which share the denominator
+    n * perm(n - 1, F)."""
     m = 2 * k
+    n, d = a.n, a.d
     ints_a, la = assign._int_scaled(a.entries)
     ints_b, lb = assign._int_scaled(b.entries)
-    ta = _typesweep.side_table(ints_a, a.n, a.d, m, prefix.positions,
-                               assign.DEFAULT_VISIT_BUDGET)
-    tb = _typesweep.side_table(ints_b, a.n, a.d, m, prefix.images,
-                               assign.DEFAULT_VISIT_BUDGET)
-    total = _typesweep.combine(ta, tb, a.n, a.d, m, len(prefix))
+    t = len(prefix)
+    if t:
+        ints_a = _pins_first(ints_a, n, d, prefix.positions)
+        ints_b = _pins_first(ints_b, n, d, prefix.images)
+        chosen, cands, children = tuple(range(t - 1)), (t - 1,), 1
+    else:
+        t, chosen, cands, children = 1, (), tuple(range(n)), n
+    scores = _typesweep.greedy_scores(
+        _typesweep.sweep_rows(ints_a, n, d, m),
+        _typesweep.sweep_rows(ints_b, n, d, m), n, d, m, chosen, cands,
+        assign.DEFAULT_VISIT_BUDGET)
+    free = n - t
+    total = Fraction(sum(scores.values()),
+                     children * math.perm(free, min(m * d, free)))
     return total / (Fraction(la) ** m * Fraction(lb) ** m)
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (brute_coset_average, brute_group_moment,
-                     enumerated_coset_moment, fraction_combine,
+                     enumerated_coset_moment,
                      loop_brute_max, loop_coset_power_sums,
                      random_int_tensor, random_permutation,
                      random_rational_tensor, sweep_coset_moment)
@@ -465,7 +465,7 @@ class TestPartitionMoments:
         # the sweep with no pins is the oracle
         expected = [(sweep_coset_moment(a, b, k, PartialAssignment.empty()),
                      sup_bounds(a, b, k)) for a, b, k in cases]
-        for name in ("side_table", "sweep_rows", "greedy_scores"):
+        for name in ("sweep_rows", "greedy_scores"):
             monkeypatch.setattr(_typesweep, name, refuse)
         monkeypatch.setattr(assign, "_enumerate_coset_power_sums", refuse)
         for (a, b, k), (moment, bounds) in zip(cases, expected):
@@ -539,11 +539,15 @@ def _closed_form_k1(a, b):
     return Fraction(qa * qb, n) + Fraction((sa * sa - qa) * (sb * sb - qb), n * (n - 1))
 
 
-def _greedy_scores(flat_a, flat_b, n, d, m, chosen, budget=10 ** 8):
-    """One greedy sweep step's raw candidate scores, rows built afresh."""
+def _greedy_scores(flat_a, flat_b, n, d, m, chosen, cands=None,
+                   budget=10 ** 8):
+    """One greedy sweep step's raw candidate scores, rows built afresh;
+    the candidates default to every image not in ``chosen``."""
+    if cands is None:
+        cands = tuple(c for c in range(n) if c not in chosen)
     return _typesweep.greedy_scores(_typesweep.sweep_rows(flat_a, n, d, m),
                                     _typesweep.sweep_rows(flat_b, n, d, m),
-                                    n, d, m, tuple(chosen), budget)
+                                    n, d, m, tuple(chosen), cands, budget)
 
 
 class TestWideIndices:
@@ -566,32 +570,47 @@ class TestWideIndices:
         assert got == _closed_form_k1(a, b)
 
     def test_candidate_pins_above_127(self):
-        # pin position 0 to image c; the free part is an unconstrained
-        # bijection of the other n - 1 coordinates
+        # pin positions 0..t-1 to chosen + (c,); the free part is an
+        # unconstrained bijection of the other n - t coordinates, and a
+        # chosen image above 127 keeps the pattern digits past int8
         n = 130
         a, b = _mod_vectors(n)
-        cands = (126, 127, 128, 129)
-        table_a = _typesweep.side_table(a, n, 1, 2, (0,), 10 ** 8)
-        scores = _greedy_scores(a, b, n, 1, 2, ())
-        for c in cands:
-            rest_a, rest_b = a[1:], b[:c] + b[c + 1:]
-            shift = a[0] * b[c]
-            mean = Fraction(sum(rest_a) * sum(rest_b), n - 1)
-            expected = shift ** 2 + 2 * shift * mean + _closed_form_k1(rest_a, rest_b)
-            table_b = _typesweep.side_table(b, n, 1, 2, (c,), 10 ** 8)
-            assert _typesweep.combine(table_a, table_b, n, 1, 2, 1) == expected
-            assert Fraction(scores[c], math.perm(n - 1, 2)) == expected
+        cands = (126, 127, 128)
+        for chosen in ((), (129,)):
+            t = len(chosen) + 1
+            scores = _greedy_scores(a, b, n, 1, 2, chosen, cands)
+            assert sorted(scores) == list(cands)
+            for c in cands:
+                images = chosen + (c,)
+                rest_a = a[t:]
+                rest_b = [v for i, v in enumerate(b) if i not in images]
+                shift = sum(a[i] * b[q] for i, q in enumerate(images))
+                mean = Fraction(sum(rest_a) * sum(rest_b), n - t)
+                expected = (shift ** 2 + 2 * shift * mean
+                            + _closed_form_k1(rest_a, rest_b))
+                assert Fraction(scores[c], math.perm(n - t, 2)) == expected
 
 
 class TestKeyRangeGuard:
     """Type keys times pin patterns must fit in int64, or the sweep refuses."""
 
-    def test_side_table_refuses_before_sweeping(self):
+    def test_coset_moment_refuses_before_sweeping(self, monkeypatch):
         # 8**8 * 30**8 > 2**63: 30**8 visits are within the budget, so
-        # only the key guard stops the sweep
+        # only the key guard stops the sweep of a 29-pin coset
+        def unbuilt(*args):
+            raise AssertionError("sweep built before the key guard")
+
+        monkeypatch.setattr(assign, "_enumeration_cheaper", lambda *args: False)
+        monkeypatch.setattr(_typesweep, "_build_chunk", unbuilt)
+        monkeypatch.setattr(_typesweep, "_table_cache", {})
+        a = DenseTensor.from_entries(30, 2, [1] * 30 ** 2)
+        prefix = PartialAssignment(tuple((p, (7 * p + 3) % 30)
+                                         for p in range(29, 0, -1)))
         with pytest.raises(BudgetError) as exc:
-            _typesweep.side_table([1] * 30 ** 2, 30, 2, 4, tuple(range(29)),
-                                  10 ** 20)
+            coset_moment(a, a, 2, prefix, visit_budget=10 ** 20)
+        assert str(exc.value) == (
+            "type keys need 11007531417600000000 values (n=30, d=2, 2k=4, "
+            "29 pins), int64 holds 9223372036854775807")
         assert exc.value.required == 8 ** 8 * 30 ** 8
         assert exc.value.required > exc.value.budget == 2 ** 63 - 1
 
@@ -603,13 +622,13 @@ class TestKeyRangeGuard:
 
     def test_candidate_tables_count_the_candidate_pin(self):
         # 28 chosen images and the candidate make 29 pins, as in
-        # test_side_table_refuses_before_sweeping; no row is built
+        # test_coset_moment_refuses_before_sweeping; no row is built
         def unbuilt():
             raise AssertionError("rows built before the key guard")
 
         with pytest.raises(BudgetError) as exc:
             _typesweep.greedy_scores(unbuilt, unbuilt, 30, 2, 4,
-                                     tuple(range(28)), 10 ** 20)
+                                     tuple(range(28)), (28, 29), 10 ** 20)
         assert exc.value.required == 8 ** 8 * 30 ** 8
         assert exc.value.required > exc.value.budget == 2 ** 63 - 1
 
@@ -644,13 +663,14 @@ class TestEntryDtypeBoundary:
             prefix = PartialAssignment(pairs)
             assert sweep_coset_moment(a, b, k, prefix) == \
                 brute_coset_average(a, b, k, prefix)
-        table_a = _typesweep.side_table(flat_a, n, d, 2 * k, (0,), 10 ** 8)
-        scores = _greedy_scores(flat_a, flat_b, n, d, 2 * k, ())
-        for c in range(n):
-            expected = brute_coset_average(a, b, k, PartialAssignment(((0, c),)))
-            table_b = _typesweep.side_table(flat_b, n, d, 2 * k, (c,), 10 ** 8)
-            assert _typesweep.combine(table_a, table_b, n, d, 2 * k, 1) == expected
-            assert Fraction(scores[c], math.perm(n - 1, 3)) == expected
+        for chosen in ((), (3, 0)):
+            t = len(chosen) + 1
+            scores = _greedy_scores(flat_a, flat_b, n, d, 2 * k, chosen)
+            for c, score in scores.items():
+                expected = brute_coset_average(a, b, k, PartialAssignment(
+                    tuple(enumerate(chosen + (c,)))))
+                free = n - t
+                assert Fraction(score, math.perm(free, min(4, free))) == expected
         assert greedy_extract(a, b, k).value ** (2 * k) >= moment
 
 
@@ -677,9 +697,10 @@ class TestGreedyScores:
             order = rng.sample(range(n), n)
             for t in range(1, n + 1):
                 chosen = tuple(order[:t - 1])
+                cands = tuple(sorted(set(range(n)) - set(chosen)))
                 scores = _typesweep.greedy_scores(rows_a, rows_b, n, d, m,
-                                                  chosen, 10 ** 8)
-                assert sorted(scores) == sorted(set(range(n)) - set(chosen))
+                                                  chosen, cands, 10 ** 8)
+                assert sorted(scores) == list(cands)
                 free = n - t
                 den = math.perm(free, min(m * d, free))
                 prefix = tuple(enumerate(chosen))
@@ -698,17 +719,18 @@ class TestGreedyScores:
         order = rng.sample(range(n), n)
         steps = [order[:t] for t in range(n)]
         whole = [_greedy_scores(flat_a, flat_b, n, d, m, c) for c in steps]
-        tables = [_typesweep.side_table(flat_a, n, d, m, tuple(c), 10 ** 8)
-                  for c in steps[:3]]
         monkeypatch.setattr(_typesweep, "CACHE_MAX", 100)
         monkeypatch.setattr(_typesweep, "CHUNK_SIZE", 250)
         rows_a = _typesweep.sweep_rows(flat_a, n, d, m)
         assert len(list(rows_a())) == 6
         assert [_greedy_scores(flat_a, flat_b, n, d, m, c)
                 for c in steps] == whole
-        # side tables merge their chunks' groups the same way
-        assert [_typesweep.side_table(flat_a, n, d, m, tuple(c), 10 ** 8)
-                for c in steps[:3]] == tables
+        # one candidate of a step, as coset_moment asks, reads the same
+        # cells out of the chunks
+        for c, scores in zip(steps, whole):
+            cand = order[len(c)]
+            assert _greedy_scores(flat_a, flat_b, n, d, m, c, (cand,)) == \
+                {cand: scores[cand]}
 
     def test_zero_sides_score_zero(self):
         n, d, m = 4, 2, 2
@@ -813,27 +835,8 @@ class TestCosetEnumeration:
 
 
 class TestIntegerCombine:
-    """``combine`` sums in integers over one denominator; the greedy step
-    compares the raw sums of its candidates."""
-
-    def test_matches_per_group_fractions(self):
-        rng = random.Random(611)
-        checked = 0
-        while checked < 30:
-            n, d, m = rng.randint(1, 7), rng.randint(2, 3), rng.choice((2, 4))
-            if n ** (m * d) > 10 ** 5:
-                continue
-            flat_a = [rng.randint(-4, 4) for _ in range(n ** d)]
-            flat_b = [rng.randint(-4, 4) for _ in range(n ** d)]
-            pairs = _random_pairs(rng, n, rng.randint(0, n))
-            pos = tuple(p for p, _ in pairs)
-            img = tuple(q for _, q in pairs)
-            ta = _typesweep.side_table(flat_a, n, d, m, pos, 10 ** 8)
-            tb = _typesweep.side_table(flat_b, n, d, m, img, 10 ** 8)
-            got = _typesweep.combine(ta, tb, n, d, m, len(pairs))
-            assert got == fraction_combine(ta, tb, n, d, m, len(pairs))
-            assert got == fraction_combine(tb, ta, n, d, m, len(pairs))
-            checked += 1
+    """The greedy step compares its candidates' raw integer sums over
+    their one denominator, on either route."""
 
     @pytest.mark.parametrize("n,d", [(6, 2), (5, 3)])
     @pytest.mark.parametrize("enumerate_cosets", [False, True])
@@ -971,7 +974,7 @@ class TestPowerSumRoute:
         prefix = PartialAssignment(((0, 3), (5, 1)))
         expected = (moment_2k(a, b, 2), coset_moment(a, b, 2, prefix),
                     greedy_extract(a, b, 2))
-        for name in ("side_table", "sweep_rows", "greedy_scores"):
+        for name in ("sweep_rows", "greedy_scores"):
             monkeypatch.setattr(_typesweep, name, refuse)
         monkeypatch.setattr(assign, "_enumerate_coset_power_sums", refuse)
         assert (moment_2k(a, b, 2), coset_moment(a, b, 2, prefix),
@@ -1126,6 +1129,36 @@ class TestCosetMoment:
         prefix = PartialAssignment(((1, 2),))
         assert coset_moment(a, b, 2, prefix) == \
             brute_coset_average(a, b, 2, prefix)
+
+    @pytest.mark.parametrize("tier", ["integer", "rational"])
+    def test_relabelled_sweep_matches_enumeration(self, monkeypatch, tier):
+        # the sweep route moves the prefix to coordinates 0..T-1; the
+        # prefixes here are unsorted and away from 0..T-1, short, one
+        # short of full, and full
+        monkeypatch.setattr(assign, "_enumeration_cheaper", lambda *args: False)
+        rng = random.Random(f"relabel-{tier}")
+
+        def tensor(n, d):
+            if tier == "integer":
+                return random_int_tensor(rng, n, d, -3, 3)
+            top = 10 ** 12
+            return DenseTensor.from_entries(n, d, [
+                Fraction(rng.randint(-top, top), rng.randint(1, top))
+                for _ in range(n ** d)])
+
+        def shuffled(n, t):
+            while True:
+                vals = rng.sample(range(n), t)
+                if vals != list(range(t)) and (t == 1 or vals != sorted(vals)):
+                    return vals
+
+        for n, d, k in ((5, 2, 1), (4, 2, 2), (5, 3, 1)):
+            a, b = tensor(n, d), tensor(n, d)
+            for t in (1, n - 1, n):
+                prefix = PartialAssignment(tuple(zip(shuffled(n, t),
+                                                     shuffled(n, t))))
+                assert coset_moment(a, b, k, prefix) == \
+                    enumerated_coset_moment(a, b, k, prefix)
 
 
 class TestGreedyExtract:

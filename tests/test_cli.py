@@ -31,6 +31,14 @@ def run_main(args, capsys):
     return code, out
 
 
+def assert_invalid_input(args, capsys):
+    """Exit 2 with the one-line diagnostic, not a traceback."""
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input: ")
+
+
 class TestPolyNorm:
     def test_coordinate_moment(self, tmp_path, capsys):
         path = write(tmp_path, "p.json", poly_x1())
@@ -52,6 +60,11 @@ class TestPolyNorm:
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["poly-norm", "--poly", str(tmp_path / "nope.json"),
                      "--k", "1"]) == 2
+
+    def test_zero_denominator_coef_exit_2(self, tmp_path, capsys):
+        obj = {"n": 2, "d": 1, "terms": [{"exps": [1, 0], "coef": "1/0"}]}
+        path = write(tmp_path, "p.json", obj)
+        assert_invalid_input(["poly-norm", "--poly", path, "--k", "1"], capsys)
 
 
 class TestPolyBounds:
@@ -190,6 +203,20 @@ class TestAssign:
         assert main(["assign", "--a", path, "--b", path, "--k", "1",
                      "--brute"]) == 2
 
+    def test_zero_denominator_value_exit_2(self, tmp_path, capsys):
+        good = write(tmp_path, "a.json", tensor_10())
+        bad = write(tmp_path, "b.json", {"n": 2, "d": 1, "entries": [
+            {"index": [1], "value": "1/0"}]})
+        assert_invalid_input(["assign", "--a", good, "--b", bad, "--k", "1"],
+                             capsys)
+
+    @pytest.mark.parametrize("entry", [5, {"index": 5, "value": "1/1"}, "1/1"])
+    def test_malformed_entry_exit_2(self, tmp_path, capsys, entry):
+        good = write(tmp_path, "a.json", tensor_10())
+        bad = write(tmp_path, "b.json", {"n": 2, "d": 1, "entries": [entry]})
+        assert_invalid_input(["assign", "--a", bad, "--b", good, "--k", "1"],
+                             capsys)
+
     def test_shape_mismatch_exit_2(self, tmp_path):
         p1 = write(tmp_path, "a.json", tensor_10())
         p2 = write(tmp_path, "b.json",
@@ -255,6 +282,12 @@ class TestHyperAlign:
         h1 = write(tmp_path, "h1.json", {"n": 3, "d": 2, "edges": [[1, 2]]})
         h2 = write(tmp_path, "h2.json", {"n": 4, "d": 2, "edges": [[1, 2]]})
         assert main(["hyper-align", "--h1", h1, "--h2", h2, "--k", "1"]) == 2
+
+    def test_zero_denominator_weight_exit_2(self, tmp_path, capsys):
+        h = write(tmp_path, "h.json", {"n": 3, "d": 2, "edges": [[1, 2]],
+                                       "weights": ["1/0"]})
+        assert_invalid_input(["hyper-align", "--h1", h, "--h2", h, "--k", "1"],
+                             capsys)
 
 
 class TestVerify:

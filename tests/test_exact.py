@@ -142,3 +142,8 @@ class TestRationalStrings:
     def test_reject_float(self):
         with pytest.raises(ValueError):
             exact.parse_rational(0.5)
+
+    def test_zero_denominator_is_value_error(self):
+        for text in ("1/0", " -3/0 ", "0/0"):
+            with pytest.raises(ValueError, match="zero denominator"):
+                exact.parse_rational(text)
