@@ -4,29 +4,29 @@ The k-th even moment of an assignment objective over a coset fixing a
 partial assignment reduces to sums of virtual-tensor-power entries
 grouped by the equality pattern ("type") of the full index sequence,
 refined by which blocks carry values pinned by the partial assignment.
-This module enumerates the n**l index sequences (l = 2k*d) vectorised
-with numpy, classifies each sequence by type and pin pattern, and
-accumulates the per-group sums exactly.  It serves the d >= 2 pinned
-cosets and greedy steps; moments over all of S_n come from
-``_contract``, which needs no sweep.
+Only sequences whose m = 2k entries are all nonzero contribute, so the
+sweep's rows are the nnz**m choices of m nonzero entries of a side,
+vectorised with numpy; each row is classified by type and pin pattern
+and the per-group sums are accumulated exactly.  The sweep serves the
+d >= 2 pinned cosets and greedy steps; moments over all of S_n come
+from ``_contract``, which needs no sweep.
 
 There is one accumulation path.  The entry products go into an int64
 array when ``perm(n, rmax) * top**m``, a bound on every group sum
 (``top`` the largest absolute entry, ``rmax`` the most blocks a type can
 have), fits in int64, and into an object array of Python ints
-otherwise.  Either way the zero products are dropped and each group sum
-is ``np.unique`` plus ``np.add.at``.
+otherwise.  Either way each group sum is ``np.unique`` plus
+``np.add.at``.
 
 ``greedy_scores`` is the one scorer.  A (type, pattern) group with j
 free blocks averages over perm(N, j) placements, N = n - npins; the
 scorer weights each group sum by perm(N - j, F - j), F = min(rmax, N),
 so that the candidate cosets of a greedy step share the denominator
 perm(N, F), and reads every candidate's score off one grouping of each
-side's nonzero rows (``sweep_rows``, kept for the whole extraction).
+side's rows (``sweep_rows``, kept for the whole extraction up to
+CACHE_MAX rows and rebuilt chunk by chunk above it).
 ``assign.coset_moment`` relabels a prefix to come first, which makes
-its coset the one candidate of such a step.  Up to CACHE_MAX sequences
-the sweep's keys, block values and segment indices are cached per
-(n, d, 2k); above it they are rebuilt chunk by chunk, on the same path.
+its coset the one candidate of such a step.
 
 The module also enumerates permutations of the free coordinates in
 blocks of numpy rows, for the direct coset enumeration in ``assign``.
@@ -49,27 +49,17 @@ from .errors import BudgetError
 CHUNK_SIZE = 1 << 20
 CACHE_MAX = 1 << 21
 _INT64_MAX = 2 ** 63 - 1  # bounds the type keys and the int64 group sums
-# bytes of cached sweep tables; the least recently used go first, but
-# the newest is kept even when it alone is larger
-_CACHE_BYTES = 64 << 20
-
-# (n, d, m) -> (keys, blockvals, seg), least recently used first
-_table_cache: dict[tuple[int, int, int], tuple] = {}
 
 
-def sequence_count(n: int, d: int, m: int) -> int:
-    return n ** (m * d)
-
-
-def check_budget(n: int, d: int, m: int, budget: int, npins: int = 0) -> None:
-    """Refuse more than ``budget`` sequence visits, and (type, pin
+def check_budget(rows: int, n: int, d: int, m: int, budget: int,
+                 npins: int) -> None:
+    """Refuse a sweep of more than ``budget`` rows, and (type, pin
     pattern) keys that would not fit in int64."""
-    required = sequence_count(n, d, m)
-    if required > budget:
+    if rows > budget:
         raise BudgetError(
-            f"type enumeration needs {required} sequence visits "
+            f"type sweep needs {rows} row visits "
             f"(n={n}, d={d}, 2k={m}), budget is {budget}",
-            required=required, budget=budget, k=m // 2)
+            required=rows, budget=budget, k=m // 2)
     l = m * d
     rmax = min(l, n)
     keys = _key_base(rmax) ** l * (npins + 1) ** rmax
@@ -93,24 +83,19 @@ def _index_dtype(n: int):
     return np.int64
 
 
-def _build_chunk(n: int, d: int, m: int, start: int, stop: int):
-    """Type keys, per-block values and per-segment flat indices for a range
-    of mixed-radix sequence ids."""
+def _build_chunk(digits: np.ndarray, vals: np.ndarray, n: int, m: int,
+                 start: int, stop: int):
+    """Type keys, per-block values and entry products for a range of
+    mixed-radix row ids, a row being m nonzero entries (``digits``,
+    ``vals``) in order."""
+    nnz, d = digits.shape
     l = m * d
     rmax = min(l, n)
-    idx = np.arange(start, stop, dtype=np.int64)
     count = stop - start
-    ix = _index_dtype(n)
-    cols = np.empty((count, l), dtype=ix)
-    for pos in range(l):
-        p = n ** (l - 1 - pos)
-        cols[:, pos] = (idx // p) % n
-    seg = []
-    for s in range(m):
-        acc = np.zeros(count, dtype=np.int64)
-        for t in range(d):
-            acc = acc * n + cols[:, s * d + t]
-        seg.append(acc)
+    ix = digits.dtype
+    entries = np.unravel_index(np.arange(start, stop), (nnz,) * m)
+    cols = np.concatenate([digits[e] for e in entries], axis=1)
+    prods = math.prod(vals[e] for e in entries)
     # restricted-growth labels: label[i] = index of the block position i joins
     labels = np.zeros((count, l), dtype=ix)
     blockvals = np.full((count, rmax), -1, dtype=ix)
@@ -128,54 +113,17 @@ def _build_chunk(n: int, d: int, m: int, start: int, stop: int):
         nblocks[new] += 1
     powers = (_key_base(rmax) ** np.arange(l)).astype(np.int64)
     keys = labels.astype(np.int64) @ powers
-    return keys, blockvals, seg
-
-
-def _table_bytes(entry: tuple) -> int:
-    keys, blockvals, seg = entry
-    return sum(a.nbytes for a in (keys, blockvals, *seg))
-
-
-def _cached_table(n: int, d: int, m: int):
-    key = (n, d, m)
-    hit = _table_cache.pop(key, None)
-    if hit is None:
-        hit = _build_chunk(n, d, m, 0, sequence_count(n, d, m))
-    _table_cache[key] = hit
-    held = sum(map(_table_bytes, _table_cache.values()))
-    while held > _CACHE_BYTES and len(_table_cache) > 1:
-        held -= _table_bytes(_table_cache.pop(next(iter(_table_cache))))
-    return hit
-
-
-def _iter_chunks(n: int, d: int, m: int) -> Iterator[tuple]:
-    """(keys, blockvals, seg) per chunk, cached up to CACHE_MAX sequences."""
-    total = sequence_count(n, d, m)
-    if total <= CACHE_MAX:
-        yield _cached_table(n, d, m)
-        return
-    for start in range(0, total, CHUNK_SIZE):
-        yield _build_chunk(n, d, m, start, min(start + CHUNK_SIZE, total))
+    return keys, blockvals, prods
 
 
 def _entry_array(flat: Sequence[int], n: int, rmax: int, m: int) -> np.ndarray:
     """The entries as int64 when no group sum can leave int64, else as
     Python ints.  A group of a type with r blocks holds at most
-    perm(n, r) <= perm(n, rmax) sequences, each a product of m entries."""
+    perm(n, r) <= perm(n, rmax) rows, each a product of m entries."""
     top = max((abs(v) for v in flat), default=0)
     if math.perm(n, rmax) * top ** m <= _INT64_MAX:
         return np.array(flat, dtype=np.int64)
     return np.array(flat, dtype=object)
-
-
-def _nonzero_products(arr: np.ndarray, seg: list[np.ndarray]):
-    """A mask of the rows whose product of entries over the segments is
-    nonzero, and those products."""
-    vals = arr[seg[0]]
-    for s in seg[1:]:
-        vals = vals * arr[s]
-    mask = vals != 0
-    return mask, vals[mask]
 
 
 def _pin_digits(blockvals: np.ndarray, pins: Sequence[int],
@@ -198,19 +146,26 @@ def _group_sums(keys: np.ndarray, vals: np.ndarray):
 
 
 def sweep_rows(flat: Sequence[int], n: int, d: int, m: int):
-    """The sequences whose m-fold entry product is nonzero, as a callable
-    returning (type keys, block values, products) per chunk of the sweep:
-    built on the first call and kept up to CACHE_MAX sequences, rebuilt
-    chunk by chunk on every call above it."""
-    def build() -> Iterator[tuple]:
-        arr = _entry_array(flat, n, min(m * d, n), m)
-        for keys, blockvals, seg in _iter_chunks(n, d, m):
-            mask, vals = _nonzero_products(arr, seg)
-            yield keys[mask], blockvals[mask], vals
+    """The sweep of a row-major tensor: (row count, a callable returning
+    (type keys, block values, products) per chunk of rows).  A row is
+    one choice of m nonzero entries, so there are nnz**m rows, all with
+    nonzero products.  The chunks are built on the first call and kept
+    up to CACHE_MAX rows, rebuilt on every call above it."""
+    arr = _entry_array(flat, n, min(m * d, n), m)
+    nz = np.flatnonzero(arr)
+    digits = np.stack(np.unravel_index(nz, (n,) * d), axis=1)
+    digits, vals = digits.astype(_index_dtype(n)), arr[nz]
+    total = len(nz) ** m
 
-    if sequence_count(n, d, m) > CACHE_MAX:
-        return build
-    return functools.cache(lambda: list(build()))
+    def build() -> Iterator[tuple]:
+        # one chunk, empty, when the tensor has no nonzero entry
+        for start in range(0, max(total, 1), CHUNK_SIZE):
+            yield _build_chunk(digits, vals, n, m, start,
+                               min(start + CHUNK_SIZE, total))
+
+    if total > CACHE_MAX:
+        return total, build
+    return total, functools.cache(lambda: list(build()))
 
 
 def greedy_scores(rows_a, rows_b, n: int, d: int, m: int,
@@ -219,7 +174,8 @@ def greedy_scores(rows_a, rows_b, n: int, d: int, m: int,
     """For each image c in ``cands`` (none in ``chosen``), perm(N, F)
     times the average over the coset pinning positions 0..t-1 to
     chosen + (c,), t = len(chosen) + 1, N = n - t, F = min(rmax, N).
-    The rows come from ``sweep_rows``.
+    The rows come from ``sweep_rows``, and the budget caps the larger
+    side's row count.
 
     A's rows are grouped by (type, pattern of positions 0..t-1), a group
     with j free blocks weighted by perm(N - j, F - j).  B's rows are
@@ -231,7 +187,8 @@ def greedy_scores(rows_a, rows_b, n: int, d: int, m: int,
     dtype and H only over the cells of candidates that occur.
     """
     t = len(chosen) + 1
-    check_budget(n, d, m, budget, t)
+    (count_a, chunks_a), (count_b, chunks_b) = rows_a, rows_b
+    check_budget(max(count_a, count_b), n, d, m, budget, t)
     rmax = min(m * d, n)
     pb = (t + 1) ** rmax
     place = (t + 1) ** np.arange(rmax, dtype=np.int64)
@@ -240,7 +197,7 @@ def greedy_scores(rows_a, rows_b, n: int, d: int, m: int,
     weight = np.array([math.perm(free - j, top - j) for j in range(top + 1)],
                       dtype=object)
     parts = []
-    for keys, blockvals, vals in rows_a():
+    for keys, blockvals, vals in chunks_a():
         dig = _pin_digits(blockvals, range(t), n)
         uk, inv, sums = _group_sums(keys * pb + dig @ place, vals)
         nfree = np.zeros(len(uk), dtype=np.int64)
@@ -260,7 +217,7 @@ def greedy_scores(rows_a, rows_b, n: int, d: int, m: int,
     is_cand[list(cands)] = True
     base_sum = 0
     moved = np.zeros(n, dtype=object)
-    for keys, blockvals, vals in rows_b():
+    for keys, blockvals, vals in chunks_b():
         dig = _pin_digits(blockvals, chosen, n)
         ub, inv, g0 = _group_sums(keys * pb + dig @ place, vals)
         w_base = weighted(ub)
@@ -315,10 +272,3 @@ def permutation_blocks(values: Sequence[int],
         rows[:, size - s:] = rest[block]
         yield rows
 
-
-def add_power_sums(out: dict[int, int], keys: np.ndarray, f: np.ndarray,
-                   m: int) -> None:
-    """out[key] += the sum of f[i]**m over the rows with keys[i] == key,
-    in Python ints whatever the dtype of f."""
-    for key, x in zip(keys.tolist(), f.tolist()):
-        out[key] = out.get(key, 0) + x ** m

@@ -15,7 +15,8 @@ of S_n comes from ``_contract``: the same inversion over the set
 partitions of the 2kd index positions, each term one tensor
 contraction, so the work is polynomial in n.  Greedy steps and pinned
 cosets at d >= 2 share one scorer, the type sweep in ``_typesweep``
-(n**(2kd) sequence visits), and small cosets are enumerated directly by
+(max(nnz(A), nnz(B))**(2k) row visits, one row per choice of 2k nonzero
+entries), and small cosets are enumerated directly by
 ``_coset_values``, the one evaluator of f(g) over sets of permutations,
 which ``brute_max`` and ``sandwich.verify_sandwich`` share.
 """
@@ -501,20 +502,24 @@ def _enumerate_coset_power_sums(nz_a, flat_b: Sequence[int], n: int, d: int,
                                 m: int, pairs, split_pos: int | None):
     """Sum of <B, gA>**m over the coset fixed by ``pairs``; with
     ``split_pos`` set, one sum per value of g(split_pos) instead.
-    f**m and the sums are Python ints whatever the dtype of f; unsplit,
-    the per-image sums of column 0 are added up."""
-    sums: dict[int, int] = {}
+    f**m and the sums are Python ints whatever the dtype of f; split, the
+    sums are an object array indexed by image, and unsplit the per-image
+    sums of column 0 are added up."""
+    import numpy as np
+
+    sums = np.zeros(n, dtype=object)
     for img, f in _coset_values(nz_a, flat_b, n, d, pairs):
-        _typesweep.add_power_sums(sums, img[:, split_pos or 0], f, m)
-    return sums if split_pos is not None else sum(sums.values())
+        np.add.at(sums, img[:, split_pos or 0], f.astype(object) ** m)
+    return sums if split_pos is not None else int(sums.sum())
 
 
-def _enumeration_cheaper(n: int, d: int, m: int, npins: int, nnz: int) -> bool:
+def _enumeration_cheaper(n: int, npins: int, nnz: int, rows: int) -> bool:
     """Direct coset enumeration beats the type sweep when the coset is
-    small: (n - T)! * nnz Python operations against n**(2kd) vectorised
-    visits (plus the pattern tables, which stop compressing as T grows)."""
+    small: (n - T)! * nnz(A) Python operations against the sweep's
+    ``rows`` vectorised row visits (plus the pattern tables, which stop
+    compressing as T grows)."""
     brute_cost = math.factorial(n - npins) * max(nnz, 1)
-    return brute_cost <= max(200_000, _typesweep.sequence_count(n, d, m) // 4)
+    return brute_cost <= max(200_000, rows // 4)
 
 
 def _check_enumeration_budget(nfree: int, nnz: int, m: int,
@@ -538,8 +543,9 @@ def coset_moment(a: DenseTensor, b: DenseTensor, k: int,
     At d = 1 it uses the power-sum engine (the prefix adds a constant to
     f; see ``moment_2k``).  At d >= 2 the empty prefix is ``moment_2k``;
     a nonempty one takes the cheaper of two exact routes, judged from n,
-    d, k, the prefix length and nnz(A): the greedy scorer's type sweep
-    (O(n**(2kd)) sequence visits), or a direct enumeration of the coset
+    k, the prefix length, nnz(A) and nnz(B): the greedy scorer's type
+    sweep (max(nnz(A), nnz(B))**(2k) row visits, one per choice of 2k
+    nonzero entries of a side), or a direct enumeration of the coset
     ((n - len(prefix))! evaluations of f, vectorised over blocks of
     permutations).  The sweep relabels A's coordinates so that the
     prefix's positions come first, as 0..T-1, and B's so that its images
@@ -562,17 +568,17 @@ def coset_moment(a: DenseTensor, b: DenseTensor, k: int,
     ints_a, la = _int_scaled(a.entries)
     ints_b, lb = _int_scaled(b.entries)
     scale = Fraction(la) ** m * Fraction(lb) ** m
-    nnz = sum(1 for v in ints_a if v)
-    if _enumeration_cheaper(n, a.d, m, len(prefix), nnz):
-        _check_enumeration_budget(n - len(prefix), nnz, m, budget)
-        nz_a = _nonzero_digit_entries(ints_a, n, a.d)
-        total = _enumerate_coset_power_sums(nz_a, ints_b, n, a.d, m,
-                                            prefix.pairs, None)
-        return Fraction(total, math.factorial(n - len(prefix))) / scale
     t = len(prefix)
     rows = [_typesweep.sweep_rows(_pins_first(ints, n, a.d, pins), n, a.d, m)
             for ints, pins in ((ints_a, prefix.positions),
                                (ints_b, prefix.images))]
+    nnz = sum(1 for v in ints_a if v)
+    if _enumeration_cheaper(n, t, nnz, max(count for count, _ in rows)):
+        _check_enumeration_budget(n - t, nnz, m, budget)
+        nz_a = _nonzero_digit_entries(ints_a, n, a.d)
+        total = _enumerate_coset_power_sums(nz_a, ints_b, n, a.d, m,
+                                            prefix.pairs, None)
+        return Fraction(total, math.factorial(n - t)) / scale
     score = _typesweep.greedy_scores(*rows, n, a.d, m, tuple(range(t - 1)),
                                      (t - 1,), budget)[t - 1]
     free = n - t  # the score is perm(free, F) times the average
@@ -596,23 +602,23 @@ def _sweep_greedy(ints_a: Sequence[int], ints_b: Sequence[int], n: int,
     enumeration of the parent coset, whichever is cheaper."""
     nnz = sum(1 for v in ints_a if v)
     nz_a = _nonzero_digit_entries(ints_a, n, d)
-    rows_a = _typesweep.sweep_rows(ints_a, n, d, m)
-    rows_b = _typesweep.sweep_rows(ints_b, n, d, m)
+    rows = [_typesweep.sweep_rows(ints, n, d, m) for ints in (ints_a, ints_b)]
+    visits = max(count for count, _ in rows)
     chosen: list[int] = []
     for t in range(1, n + 1):
         cands = tuple(j for j in range(n) if j not in chosen)
         pairs = tuple((i, chosen[i]) for i in range(t - 1))
         # children share one denominator, (n-t)! or perm(n - t,
         # min(2kd, n - t)), so both routes compare raw integer sums
-        if _enumeration_cheaper(n, d, m, t - 1, nnz):
+        if _enumeration_cheaper(n, t - 1, nnz, visits):
             # one pass over the parent coset, split by the new image
             _check_enumeration_budget(n - t + 1, nnz, m, budget)
             sums = _enumerate_coset_power_sums(nz_a, ints_b, n, d, m,
                                                pairs, t - 1)
-            chosen.append(max(cands, key=lambda j: sums.get(j, 0)))
+            chosen.append(max(cands, key=sums.__getitem__))
         else:
-            scores = _typesweep.greedy_scores(rows_a, rows_b, n, d, m,
-                                              tuple(chosen), cands, budget)
+            scores = _typesweep.greedy_scores(*rows, n, d, m, tuple(chosen),
+                                              cands, budget)
             chosen.append(max(cands, key=scores.__getitem__))
     return chosen
 
@@ -631,7 +637,8 @@ def greedy_extract(a: DenseTensor, b: DenseTensor, k: int,
     as positions are fixed: n(n+1)/2 candidate cosets, each one term per
     integer partition of each j <= 2k with at most as many parts as the
     coset has free coordinates.  At d >= 2 each step runs a
-    pinned type sweep (O(n**(2kd)) visits) or enumerates the parent
+    pinned type sweep (max(nnz(A), nnz(B))**(2k) row visits, one per
+    choice of 2k nonzero entries of a side) or enumerates the parent
     coset, whichever is cheaper.  Either way the children of one step
     share a denominator, so their raw integer sums are compared: the
     sweep keeps each side's nonzero rows for the whole extraction,

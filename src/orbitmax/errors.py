@@ -8,9 +8,10 @@ __all__ = ["BudgetError"]
 class BudgetError(RuntimeError):
     """An enumeration would exceed its configured resource budget.
 
-    ``required`` is the projected work (collected terms or sequence
-    visits), ``budget`` the configured limit, and ``k`` the moment
-    order that triggered the blow-up when one is attributable.
+    ``required`` is the projected work (collected terms, plan terms,
+    sweep rows, enumerated evaluations or type-key values), ``budget``
+    the configured limit, and ``k`` the moment order that triggered the
+    blow-up when one is attributable.
     """
 
     def __init__(self, message: str, *, required: int | None = None,

@@ -595,14 +595,13 @@ class TestKeyRangeGuard:
     """Type keys times pin patterns must fit in int64, or the sweep refuses."""
 
     def test_coset_moment_refuses_before_sweeping(self, monkeypatch):
-        # 8**8 * 30**8 > 2**63: 30**8 visits are within the budget, so
-        # only the key guard stops the sweep of a 29-pin coset
+        # 8**8 * 30**8 > 2**63: the 900**4 rows are within the budget,
+        # so only the key guard stops the sweep of a 29-pin coset
         def unbuilt(*args):
             raise AssertionError("sweep built before the key guard")
 
         monkeypatch.setattr(assign, "_enumeration_cheaper", lambda *args: False)
         monkeypatch.setattr(_typesweep, "_build_chunk", unbuilt)
-        monkeypatch.setattr(_typesweep, "_table_cache", {})
         a = DenseTensor.from_entries(30, 2, [1] * 30 ** 2)
         prefix = PartialAssignment(tuple((p, (7 * p + 3) % 30)
                                          for p in range(29, 0, -1)))
@@ -616,9 +615,9 @@ class TestKeyRangeGuard:
 
     def test_boundary(self):
         # 8**8 * 29**8 < 2**63 <= 8**8 * 30**8
-        _typesweep.check_budget(30, 2, 4, 10 ** 20, npins=28)
+        _typesweep.check_budget(900 ** 4, 30, 2, 4, 10 ** 20, npins=28)
         with pytest.raises(BudgetError):
-            _typesweep.check_budget(30, 2, 4, 10 ** 20, npins=29)
+            _typesweep.check_budget(900 ** 4, 30, 2, 4, 10 ** 20, npins=29)
 
     def test_candidate_tables_count_the_candidate_pin(self):
         # 28 chosen images and the candidate make 29 pins, as in
@@ -626,8 +625,9 @@ class TestKeyRangeGuard:
         def unbuilt():
             raise AssertionError("rows built before the key guard")
 
+        rows = (900 ** 4, unbuilt)
         with pytest.raises(BudgetError) as exc:
-            _typesweep.greedy_scores(unbuilt, unbuilt, 30, 2, 4,
+            _typesweep.greedy_scores(rows, rows, 30, 2, 4,
                                      tuple(range(28)), (28, 29), 10 ** 20)
         assert exc.value.required == 8 ** 8 * 30 ** 8
         assert exc.value.required > exc.value.budget == 2 ** 63 - 1
@@ -710,8 +710,8 @@ class TestGreedyScores:
 
     @pytest.mark.parametrize("top", [3, 10 ** 12])
     def test_chunked_sweep_matches_unchunked(self, monkeypatch, top):
-        # 6**4 = 1296 sequences in six chunks; top = 10**12 sums in
-        # Python ints
+        # nnz**2 rows (961 or 1296) in chunks of 250, the last one
+        # partial; top = 10**12 sums in Python ints
         n, d, m = 6, 2, 2
         rng = random.Random(902 + top)
         flat_a = [rng.randint(-top, top) for _ in range(n ** d)]
@@ -721,8 +721,9 @@ class TestGreedyScores:
         whole = [_greedy_scores(flat_a, flat_b, n, d, m, c) for c in steps]
         monkeypatch.setattr(_typesweep, "CACHE_MAX", 100)
         monkeypatch.setattr(_typesweep, "CHUNK_SIZE", 250)
-        rows_a = _typesweep.sweep_rows(flat_a, n, d, m)
-        assert len(list(rows_a())) == 6
+        count, chunks = _typesweep.sweep_rows(flat_a, n, d, m)
+        assert count == sum(1 for v in flat_a if v) ** 2
+        assert count % 250 and len(list(chunks())) == count // 250 + 1
         assert [_greedy_scores(flat_a, flat_b, n, d, m, c)
                 for c in steps] == whole
         # one candidate of a step, as coset_moment asks, reads the same
@@ -731,6 +732,32 @@ class TestGreedyScores:
             cand = order[len(c)]
             assert _greedy_scores(flat_a, flat_b, n, d, m, c, (cand,)) == \
                 {cand: scores[cand]}
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_budget_counts_rows_of_nonzero_entries(self, monkeypatch, k):
+        # a row is one choice of 2k nonzero entries of a side: B's 9
+        # outnumber A's 5, so the sweep visits 9**(2k) rows where the
+        # index sequences number 8**(4k)
+        monkeypatch.setattr(assign, "_enumeration_cheaper", lambda *args: False)
+        rng = random.Random(905)
+        n = 8
+
+        def sparse(nnz):
+            flat = [0] * n * n
+            for i in rng.sample(range(n * n), nnz):
+                flat[i] = rng.choice((-3, -2, -1, 1, 2, 3))
+            return DenseTensor.from_entries(n, 2, flat)
+
+        a, b = sparse(5), sparse(9)
+        rows = 9 ** (2 * k)
+        prefix = PartialAssignment(((2, 5), (6, 0)))
+        calls = (lambda budget: coset_moment(a, b, k, prefix, budget),
+                 lambda budget: greedy_extract(a, b, k, budget))
+        for call in calls:
+            call(rows)
+            with pytest.raises(BudgetError) as exc:
+                call(rows - 1)
+            assert (exc.value.required, exc.value.budget) == (rows, rows - 1)
 
     def test_zero_sides_score_zero(self):
         n, d, m = 4, 2, 2
@@ -755,8 +782,11 @@ class TestCosetEnumeration:
         for split_pos in [None] + free[:1]:
             got = assign._enumerate_coset_power_sums(nz_a, flat_b, n, d, m,
                                                      pairs, split_pos)
-            assert got == loop_coset_power_sums(nz_a, flat_b, n, d, m,
-                                                pairs, split_pos)
+            want = loop_coset_power_sums(nz_a, flat_b, n, d, m, pairs,
+                                         split_pos)
+            if split_pos is not None:  # images no permutation reaches read 0
+                got, want = got.tolist(), [want.get(j, 0) for j in range(n)]
+            assert got == want
 
     def test_random_cosets(self):
         rng = random.Random(601)
@@ -782,7 +812,7 @@ class TestCosetEnumeration:
         for pairs in ((), ((1, 2),), ((0, 0), (1, 1), (2, 3), (3, 2))):
             self._check([0] * n ** d, flat_b, n, d, 2, pairs)
         assert assign._enumerate_coset_power_sums(
-            [], flat_b, n, d, 2, ((1, 2),), 0) == {0: 0, 1: 0, 3: 0}
+            [], flat_b, n, d, 2, ((1, 2),), 0).tolist() == [0, 0, 0, 0]
 
     @pytest.mark.parametrize("case,dtype", [("at", np.int64), ("above", object)])
     @pytest.mark.parametrize("signs", ["equal", "mixed"])
@@ -802,13 +832,14 @@ class TestCosetEnumeration:
         flat_a = [sign() * top_a for _ in range(nnz)] + [0] * (n ** d - nnz)
         flat_b = [sign() * top_b for _ in range(n ** d)]
         seen = []
-        record = _typesweep.add_power_sums
+        values = assign._coset_values
 
-        def spy(out, keys, f, m):
-            seen.append(f.dtype)
-            record(out, keys, f, m)
+        def spy(*args):
+            for img, f in values(*args):
+                seen.append(f.dtype)
+                yield img, f
 
-        monkeypatch.setattr(_typesweep, "add_power_sums", spy)
+        monkeypatch.setattr(assign, "_coset_values", spy)
         for pairs in ((), ((2, 0),)):
             self._check(flat_a, flat_b, n, d, 2, pairs)
         assert seen and set(seen) == {np.dtype(dtype)}
@@ -876,50 +907,6 @@ class TestIntegerCombine:
         b = random_int_tensor(rng, n, d, lo, hi)
         result = greedy_extract(a, b, k)
         assert (result.permutation.images, result.value) == (images, value)
-
-
-# the nine (n, d, 2k) shapes of hypergraph.align in the assign-greedy
-# benchmark; together their groupings hold about 33 MiB
-_ALIGN_SHAPES = [(n, 2, 2) for n in range(8, 15)] + [(8, 3, 2), (9, 3, 2)]
-
-
-class TestGroupingCache:
-    """Cached groupings are capped in bytes, oldest out first."""
-
-    @staticmethod
-    def _count_builds(monkeypatch):
-        builds = []
-        build = _typesweep._build_chunk
-
-        def counted(*args):
-            builds.append(args[:3])
-            return build(*args)
-
-        monkeypatch.setattr(_typesweep, "_build_chunk", counted)
-        monkeypatch.setattr(_typesweep, "_table_cache", {})
-        return builds
-
-    def test_align_shapes_are_built_once(self, monkeypatch):
-        builds = self._count_builds(monkeypatch)
-        for _ in range(2):
-            for shape in _ALIGN_SHAPES:
-                _typesweep._cached_table(*shape)
-        assert builds == _ALIGN_SHAPES
-
-    def test_bytes_stay_under_the_cap(self, monkeypatch):
-        builds = self._count_builds(monkeypatch)
-        cap = 2 << 20
-        monkeypatch.setattr(_typesweep, "_CACHE_BYTES", cap)
-        cache = _typesweep._table_cache
-        shapes = _ALIGN_SHAPES[:6] + [(8, 3, 2)] + _ALIGN_SHAPES[:2]
-        for shape in shapes:
-            _typesweep._cached_table(*shape)
-            held = sum(map(_typesweep._table_bytes, cache.values()))
-            assert list(cache)[-1] == shape
-            assert held <= cap or list(cache) == [shape]
-        # (8, 3, 2) alone exceeds the cap and evicts everything before it
-        assert builds.count((8, 2, 2)) == 2
-        assert builds.count((8, 3, 2)) == 1
 
 
 def _vector(rng, kind, n):
@@ -1053,6 +1040,20 @@ class TestPowerSumRoute:
         assert result.value == matrix_element(a, b, result.permutation)
 
 
+def _tensor_of_density(rng, n, d, density):
+    """Entries in -3..3: all drawn ("dense"), or nonzero only at one
+    random index, on the diagonal, or at each index with chance 1/10."""
+    if density == "dense":
+        return random_int_tensor(rng, n, d, -3, 3)
+    cells = {"one": [rng.randrange(n ** d)],
+             "diagonal": [i * sum(n ** j for j in range(d)) for i in range(n)],
+             "tenth": [i for i in range(n ** d) if rng.random() < 0.1]}[density]
+    flat = [0] * n ** d
+    for i in cells:
+        flat[i] = rng.choice((-3, -2, -1, 1, 2, 3))
+    return DenseTensor.from_entries(n, d, flat)
+
+
 class TestCosetMoment:
     def test_empty_prefix_is_moment(self):
         rng = random.Random(13)
@@ -1080,13 +1081,14 @@ class TestCosetMoment:
 
     def test_typesweep_matches_brute_coset_average(self):
         # pin the type-pattern path so the dual-route check never
-        # degenerates into enumeration against enumeration
+        # degenerates into enumeration against enumeration; the sparse
+        # inputs sweep far fewer rows than index sequences
         rng = random.Random(15)
-        for _ in range(30):
+        for density in ("dense",) * 30 + ("one", "diagonal", "tenth") * 8:
             n, d = rng.randint(2, 4), rng.randint(1, 2)
             k = rng.randint(1, 2)
-            a = random_int_tensor(rng, n, d, -3, 3)
-            b = random_int_tensor(rng, n, d, -3, 3)
+            a = _tensor_of_density(rng, n, d, density)
+            b = _tensor_of_density(rng, n, d, density)
             t = rng.randint(0, n)
             prefix = PartialAssignment(tuple(zip(
                 rng.sample(range(n), t), rng.sample(range(n), t))))

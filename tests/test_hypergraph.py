@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -160,6 +161,18 @@ class TestAlign:
             result = align(h1, h2, k)
             assert result.bounds.lower_exact <= best ** (2 * k) <= \
                 result.bounds.upper_exact
+
+    def test_sparse_three_uniform_at_sixteen(self):
+        # 24 edges make 144 nonzero entries a side: the greedy sweep visits
+        # 144**2 = 20,736 rows, not 16**6 index sequences, and the
+        # moment's contraction plan needs 131,059 units
+        rng = random.Random(16)
+        pool = list(itertools.combinations(range(16), 3))
+        h1, h2 = (Hypergraph.from_edges(16, 3, rng.sample(pool, 24))
+                  for _ in range(2))
+        result = align(h1, h2, 1, visit_budget=10 ** 6)
+        assert result.matched ** 2 >= result.bounds.lower_exact
+        assert result.matched == matched_edges(h1, h2, result.permutation)
 
     def test_complete_graph_self_alignment(self):
         h = Hypergraph.from_edges(4, 2, [(i, j) for i in range(4)
