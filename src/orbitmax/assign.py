@@ -31,7 +31,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from . import _typesweep
 from .bounds import Interval
 from .errors import BudgetError
-from .exact import format_rational, parse_rational
+from .exact import format_rational, parse_int, parse_rational
 
 __all__ = [
     "DEFAULT_VISIT_BUDGET",
@@ -41,7 +41,6 @@ __all__ = [
     "PartialAssignment",
     "GreedyResult",
     "BruteResult",
-    "index_type",
     "apply_perm",
     "matrix_element",
     "moment_2k",
@@ -189,28 +188,6 @@ class GreedyResult(NamedTuple):
 class BruteResult(NamedTuple):
     permutation: Permutation
     abs_value: Fraction
-
-
-def index_type(seq: Sequence[int], n: int | None = None) -> tuple[tuple[int, ...], ...]:
-    """Equality partition of positions 0..l-1 induced by the values of seq.
-
-    Blocks are ordered by smallest element; two sequences related by any
-    relabelling of values have equal types.
-    """
-    if n is not None:
-        for v in seq:
-            if not 0 <= v < n:
-                raise ValueError(f"value {v} out of range 0..{n - 1}")
-    first: dict[int, int] = {}
-    blocks: list[list[int]] = []
-    for pos, v in enumerate(seq):
-        b = first.get(v)
-        if b is None:
-            first[v] = len(blocks)
-            blocks.append([pos])
-        else:
-            blocks[b].append(pos)
-    return tuple(tuple(b) for b in blocks)
 
 
 def _check_shapes(a: DenseTensor, b: DenseTensor) -> None:
@@ -695,9 +672,9 @@ def tensor_to_json(t: DenseTensor) -> dict:
 
 def tensor_from_json(obj: Mapping) -> DenseTensor:
     try:
-        n = int(obj["n"])
-        d = int(obj["d"])
-        parsed = [(ent["index"], tuple(int(i) - 1 for i in ent["index"]),
+        n = parse_int(obj["n"])
+        d = parse_int(obj["d"])
+        parsed = [(ent["index"], tuple(parse_int(i) - 1 for i in ent["index"]),
                    parse_rational(ent["value"]))
                   for ent in obj.get("entries", [])]
     except (KeyError, TypeError, ValueError) as exc:
@@ -716,7 +693,7 @@ def permutation_to_json(g: Permutation) -> dict:
 
 def permutation_from_json(obj: Mapping) -> Permutation:
     try:
-        images = tuple(int(i) - 1 for i in obj["images"])
+        images = tuple(parse_int(i) - 1 for i in obj["images"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed permutation object: {exc}") from exc
     return Permutation(images)

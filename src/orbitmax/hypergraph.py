@@ -17,7 +17,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from . import assign
 from .bounds import Interval
-from .exact import format_rational, parse_rational
+from .exact import format_rational, parse_int, parse_rational
 
 __all__ = [
     "Hypergraph",
@@ -151,9 +151,9 @@ def hypergraph_to_json(h: Hypergraph) -> dict:
 
 def hypergraph_from_json(obj: Mapping) -> Hypergraph:
     try:
-        n = int(obj["n"])
-        d = int(obj["d"])
-        edges = [tuple(int(v) - 1 for v in e) for e in obj["edges"]]
+        n = parse_int(obj["n"])
+        d = parse_int(obj["d"])
+        edges = [tuple(parse_int(v) - 1 for v in e) for e in obj["edges"]]
         weights = [parse_rational(w) for w in obj.get("weights", [])]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed hypergraph object: {exc}") from exc

@@ -16,13 +16,11 @@ from typing import Iterable, Mapping, Sequence
 
 from .bounds import Interval
 from .errors import BudgetError
-from .exact import format_rational, parse_rational, root_2k
+from .exact import format_rational, parse_int, parse_rational, root_2k
 
 __all__ = [
     "DEFAULT_TERM_BUDGET",
     "SparsePoly",
-    "pow_collect",
-    "integrate_on_sphere",
     "moment_2k",
     "norm_2k",
     "sup_bounds",
@@ -31,7 +29,6 @@ __all__ = [
     "sample_lower_bound",
     "system_reduce",
     "SystemReduction",
-    "permute_variables",
     "poly_to_json",
     "poly_from_json",
 ]
@@ -134,98 +131,6 @@ class SparsePoly:
     def __sub__(self, other: "SparsePoly") -> "SparsePoly":
         return self + (other * Fraction(-1))
 
-    def __pow__(self, m: int) -> "SparsePoly":
-        return pow_collect(self, m)
-
-    def evaluate(self, point: Sequence[float]) -> float:
-        """Floating evaluation at a point (for sampling diagnostics)."""
-        total = 0.0
-        for exps, coef in self.terms.items():
-            v = float(coef)
-            for x, e in zip(point, exps):
-                if e:
-                    v *= x ** e
-            total += v
-        return total
-
-
-def permute_variables(p: SparsePoly, sigma: Sequence[int]) -> SparsePoly:
-    """Rename variable i to sigma[i] (sigma a permutation of 0..n-1)."""
-    if sorted(sigma) != list(range(p.n)):
-        raise ValueError("sigma must be a permutation of 0..n-1")
-    out: dict[tuple[int, ...], Fraction] = {}
-    for exps, coef in p.terms.items():
-        new = [0] * p.n
-        for i, e in enumerate(exps):
-            new[sigma[i]] = e
-        out[tuple(new)] = coef
-    return SparsePoly(p.n, p.d, out)
-
-
-def pow_collect(p: SparsePoly, m: int,
-                term_budget: int | None = None) -> SparsePoly:
-    """p**m with terms collected, via direct multinomial expansion.
-
-    The enumeration visits C(m + t - 1, t - 1) compositions for a
-    t-term polynomial, which stays polynomial in m for fixed t; the
-    projected count is checked against the term budget up front.  Each
-    composition costs its nonzero parts, not t, and the coefficients
-    are summed in integers over the common denominator.  It
-    builds the whole collected power, so :func:`moment_2k` does not use
-    it; it serves ``SparsePoly.__pow__`` and the ``|x|**(2d)`` factor
-    of :func:`system_reduce`.
-    """
-    if m < 1:
-        raise ValueError("exponent m must be >= 1")
-    budget = DEFAULT_TERM_BUDGET if term_budget is None else term_budget
-    if p.is_zero:
-        return SparsePoly.zero(p.n, p.d * m)
-    mono = list(p.terms.items())
-    t = len(mono)
-    comps = math.comb(m + t - 1, t - 1)
-    if comps > budget:
-        raise BudgetError(
-            f"expanding a {t}-term polynomial to power {m} needs {comps} "
-            f"collected terms, budget is {budget}",
-            required=comps, budget=budget)
-    # the compositions in lexicographic order (the terms keep the order in
-    # which they first appear), walked over their nonzero parts only: from
-    # (i, rem), those whose first nonzero part is r_j come by decreasing
-    # j, then increasing r_j, and the last monomial takes what is left.
-    # Each call carries the multinomial times the coefficient product and
-    # the exponent vector; the depth is at most min(t, m)
-    lcm = math.lcm(*(c.denominator for _, c in mono))
-    pows = []
-    for _, coef in mono:
-        a = coef.numerator * (lcm // coef.denominator)
-        row = [1]
-        for _ in range(m):
-            row.append(row[-1] * a)
-        pows.append(row)
-    binom = [[math.comb(s, r) for r in range(s + 1)] for s in range(m + 1)]
-    exps = [e for e, _ in mono]
-    last = t - 1
-    acc: dict[tuple[int, ...], int] = {}
-
-    def walk(i: int, rem: int, c: int, alpha: list[int]) -> None:
-        if rem == 0:
-            key = tuple(alpha)
-            acc[key] = acc.get(key, 0) + c
-            return
-        key = tuple(a + rem * x for a, x in zip(alpha, exps[last]))
-        acc[key] = acc.get(key, 0) + c * pows[last][rem]
-        brow = binom[rem]
-        for j in range(last - 1, i - 1, -1):
-            e, row = exps[j], pows[j]
-            for r in range(1, rem + 1):
-                walk(j + 1, rem - r, c * brow[r] * row[r],
-                     [a + r * x for a, x in zip(alpha, e)])
-
-    walk(0, m, 1, [0] * p.n)
-    den = lcm ** m
-    return SparsePoly(p.n, p.d * m,
-                      {e: Fraction(c, den) for e, c in acc.items() if c != 0})
-
 
 _ODD_DF_TABLE = [1]  # (2b - 1)!! by index b; the Gaussian moment E[g**(2b)]
 
@@ -234,30 +139,6 @@ def _odd_double_factorial(b: int) -> int:
     while len(_ODD_DF_TABLE) <= b:
         _ODD_DF_TABLE.append(_ODD_DF_TABLE[-1] * (2 * len(_ODD_DF_TABLE) - 1))
     return _ODD_DF_TABLE[b]
-
-
-def integrate_on_sphere(p: SparsePoly) -> Fraction:
-    """Exact average of a homogeneous polynomial over the unit sphere.
-
-    Equals the term-by-term monomial integral; computed with the shared
-    denominator prod_{j<D/2} (n + 2j) factored out of the term loop.
-    """
-    if p.is_zero or p.d % 2:
-        return Fraction(0)
-    half = p.d // 2
-    num = Fraction(0)
-    for exps, coef in p.terms.items():
-        if any(e % 2 for e in exps):
-            continue
-        w = 1
-        for e in exps:
-            if e:
-                w *= _odd_double_factorial(e // 2)
-        num += coef * w
-    den = 1
-    for j in range(half):
-        den *= p.n + 2 * j
-    return num / den
 
 
 def _parity_reach(odd: list[int], limit: int) -> list:
@@ -295,8 +176,9 @@ def moment_2k(p: SparsePoly, k: int, term_budget: int | None = None) -> Fraction
     time, and a branch is cut as soon as the XOR of the odd-exponent
     masks of the monomials used an odd number of times is not one the
     remaining monomials can cancel.  The result is
-    ``total / (L**(2k) * prod_{j<kd} (n + 2j))``, identical to
-    ``integrate_on_sphere(pow_collect(p, 2k))``.
+    ``total / (L**(2k) * prod_{j<kd} (n + 2j))``, the integral of the
+    collected power taken monomial by monomial (Folland, "How to
+    integrate a polynomial over a sphere", Amer. Math. Monthly 108, 2001).
 
     The term budget bounds the C(2k + t - 1, t - 1) compositions of the
     walk and is checked before any work.
@@ -324,7 +206,9 @@ def moment_2k(p: SparsePoly, k: int, term_budget: int | None = None) -> Fraction
         for _ in range(m):
             row.append(row[-1] * a)
         pows.append(row)
-    binom = [[math.comb(s, r) for r in range(s + 1)] for s in range(m + 1)]
+    # binomial rows by remainder, each built the first time the walk reads
+    # it: a 2-term form only ever reads row 2k
+    binom: list = [None] * (m + 1)
     # weight of an exponent a (used only at even a): (a - 1)!!
     dfw = [_odd_double_factorial(a >> 1) for a in range(m * p.d + 1)]
     odd = [sum(1 << j for j, e in enumerate(ex) if e & 1) for ex in exps]
@@ -348,6 +232,8 @@ def moment_2k(p: SparsePoly, k: int, term_budget: int | None = None) -> Fraction
                     total += acc * math.prod(map(dfw.__getitem__, alpha))
                 return
             e, row, brow, ok = exps[i], pows[i], binom[rem], reach[i + 1]
+            if brow is None:
+                brow = binom[rem] = [math.comb(rem, r) for r in range(rem + 1)]
             sub = mask ^ odd[i]
             if ok is None or sub in ok[(rem - 1) & 1]:
                 for r in range(1, rem + 1, 2):
@@ -389,7 +275,8 @@ def choose_k(n: int, d: int, eps: float) -> int:
     """Smallest k >= 1 with (n-1)/(2k) * ln(kd+1) < ln(1+eps).
 
     At this k the sup_bounds factor is below 1 + eps, so the interval
-    ratio is guaranteed; k grows like eps**-1 * n**2 * ln(d).
+    ratio is guaranteed; k grows like eps**-1 * n**2 * ln(d).  The
+    left side decreases in k, so k is found by doubling, then bisection.
     """
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
@@ -398,10 +285,21 @@ def choose_k(n: int, d: int, eps: float) -> int:
     if n == 1:
         return 1
     target = math.log1p(eps)
-    k = 1
-    while (n - 1) / (2 * k) * math.log(k * d + 1) >= target:
-        k += 1
-    return k
+
+    def too_small(k: int) -> bool:
+        return (n - 1) / (2 * k) * math.log(k * d + 1) >= target
+
+    hi = 1
+    while too_small(hi):
+        hi *= 2
+    lo = hi // 2        # too_small(lo) holds whenever hi > 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if too_small(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def fewnomial_sup(p: SparsePoly, eps: float,
@@ -474,8 +372,10 @@ def system_reduce(system: Sequence[SparsePoly], k: int, delta: float = 0.01,
     Builds q = sum p_i**2, picks a rational gamma certified to exceed
     max q on the sphere (by factor 1 + delta over the certified upper
     bound, with an exact 2k-power check), and bounds p = gamma*|x|**(2d)
-    - q.  A solution would force max |p| = gamma; if the certified upper
-    bound stays below gamma*(1 - delta), decided exactly as
+    - q, with |x|**(2d) written out as the sum over |beta| = d of
+    d!/beta! * x**(2 beta), whose C(n + d - 1, d) terms are checked
+    against the term budget.  A solution would force max |p| = gamma; if
+    the certified upper bound stays below gamma*(1 - delta), decided exactly as
     ``upper_exact < (gamma*(1 - delta))**(2k)``, the system is reported
     as a certified gap, with ``certified_min_q`` a float rounded down
     from gamma - upper, so that min q >= certified_min_q holds exactly.
@@ -503,11 +403,21 @@ def system_reduce(system: Sequence[SparsePoly], k: int, delta: float = 0.01,
         bump = 1 + Fraction(1, 1 << 20)
         while gamma_exact ** (2 * k) < qb.upper_exact:
             gamma_exact *= bump
-    norm_power = pow_collect(
-        SparsePoly.from_terms(
-            n, 2, [(tuple(2 if j == i else 0 for j in range(n)), 1)
-                   for i in range(n)]),
-        d, term_budget)
+    budget = DEFAULT_TERM_BUDGET if term_budget is None else term_budget
+    count = math.comb(n + d - 1, d)
+    if count > budget:
+        raise BudgetError(
+            f"|x|**(2d) at n={n}, d={d} has {count} terms, budget is {budget}",
+            required=count, budget=budget)
+    # the exponent vectors beta, |beta| = d, in ascending lexicographic order
+    betas = [()]
+    for i in range(n):
+        betas = [b + (r,) for b in betas
+                 for r in (range(d - sum(b) + 1) if i < n - 1 else (d - sum(b),))]
+    norm_power = SparsePoly(n, 2 * d, {
+        tuple(2 * r for r in b):
+            Fraction(math.factorial(d) // math.prod(map(math.factorial, b)))
+        for b in betas})
     p = norm_power * gamma_exact - q
     pb = sup_bounds(p, k, term_budget)
     gamma = float(gamma_exact)
@@ -536,10 +446,10 @@ def poly_to_json(p: SparsePoly) -> dict:
 
 def poly_from_json(obj: Mapping) -> SparsePoly:
     try:
-        n = int(obj["n"])
-        d = int(obj["d"])
+        n = parse_int(obj["n"])
+        d = parse_int(obj["d"])
         raw = obj.get("terms", [])
-        items = [(tuple(int(e) for e in t["exps"]), parse_rational(t["coef"]))
+        items = [(tuple(parse_int(e) for e in t["exps"]), parse_rational(t["coef"]))
                  for t in raw]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed polynomial object: {exc}") from exc

@@ -17,7 +17,7 @@ from helpers import (brute_group_moment, combinatorial_matched,
                      random_int_tensor, random_permutation)
 from helpers import naive_pow
 from orbitmax import assign, hypergraph, sandwich, sphere
-from orbitmax.exact import bound_factor, sphere_monomial_moment
+from orbitmax.exact import bound_factor
 from orbitmax.sphere import SparsePoly
 
 
@@ -75,7 +75,7 @@ def test_criterion_2_power_of_linear_diagnostic():
                 p = SparsePoly.from_terms(n, d, [((d,) + (0,) * (n - 1), 1)])
                 for k in range(1, 6):
                     moment = sphere.moment_2k(p, k)
-                    closed = sphere_monomial_moment(
+                    closed = oracle_monomial_moment(
                         (2 * k * d,) + (0,) * (n - 1), n)
                     assert moment == closed
                     # sup = 1, so the ratio bound reads, at the 2k power:

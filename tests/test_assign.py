@@ -17,8 +17,7 @@ from helpers import (brute_coset_average, brute_group_moment,
 from orbitmax import _contract, _typesweep, assign
 from orbitmax.assign import (DenseTensor, PartialAssignment, Permutation,
                              brute_max, coset_moment, greedy_extract,
-                             index_type, matrix_element, moment_2k,
-                             sup_bounds)
+                             matrix_element, moment_2k, sup_bounds)
 from orbitmax.errors import BudgetError
 
 
@@ -50,34 +49,18 @@ class TestTypes:
         g = Permutation((2, 0, 1))
         assert assign.permutation_from_json(assign.permutation_to_json(g)) == g
 
+    @pytest.mark.parametrize("images", [[1.5, 2.2], [2, True], [2.0, 1]])
+    def test_permutation_json_non_integral_images_rejected(self, images):
+        # [1.5, 2.2] used to load as the identity
+        with pytest.raises(ValueError, match="malformed permutation"):
+            assign.permutation_from_json({"images": images})
+
     def test_tensor_json_duplicate_index_rejected(self):
         obj = {"n": 2, "d": 1,
                "entries": [{"index": [1], "value": "1/1"},
                            {"index": [1], "value": "2/1"}]}
         with pytest.raises(ValueError):
             assign.tensor_from_json(obj)
-
-
-class TestIndexType:
-    def test_all_equal(self):
-        assert index_type((3, 3, 3)) == ((0, 1, 2),)
-
-    def test_mixed(self):
-        # 0-based positions; values (1,2,1,3) group positions {0,2},{1},{3}
-        assert index_type((1, 2, 1, 3)) == ((0, 2), (1,), (3,))
-
-    def test_invariant_under_value_relabelling(self):
-        rng = random.Random(9)
-        for _ in range(50):
-            n = rng.randint(2, 5)
-            seq = [rng.randrange(n) for _ in range(rng.randint(1, 7))]
-            g = random_permutation(rng, n)
-            relabelled = [g.images[v] for v in seq]
-            assert index_type(seq) == index_type(relabelled)
-
-    def test_range_check(self):
-        with pytest.raises(ValueError):
-            index_type((0, 3), n=3)
 
 
 class TestApplyPerm:

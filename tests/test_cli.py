@@ -66,6 +66,17 @@ class TestPolyNorm:
         path = write(tmp_path, "p.json", obj)
         assert_invalid_input(["poly-norm", "--poly", path, "--k", "1"], capsys)
 
+    @pytest.mark.parametrize("obj", [
+        # a float exponent used to be truncated: [2.5, 0] loaded as (2, 0)
+        {"n": 2, "d": 2, "terms": [{"exps": [2.5, 0], "coef": "1/1"}]},
+        {"n": 2.0, "d": 1, "terms": [{"exps": [1, 0], "coef": "1/1"}]},
+        {"n": 2, "d": 1, "terms": [{"exps": [True, 0], "coef": "1/1"}]},
+        {"n": 2, "d": 1, "terms": [{"exps": [1, 0], "coef": True}]},
+    ])
+    def test_non_integral_numbers_exit_2(self, tmp_path, capsys, obj):
+        path = write(tmp_path, "p.json", obj)
+        assert_invalid_input(["poly-norm", "--poly", path, "--k", "1"], capsys)
+
 
 class TestPolyBounds:
     def test_eps_interval_contains_one(self, tmp_path, capsys):
@@ -107,6 +118,16 @@ class TestPolyBounds:
             ["poly-bounds", "--poly", path, "--eps", "5e-324"], capsys)
         assert code == 0
         assert json.loads(out)["k"] == 1
+
+    def test_tiny_eps_exits_3_at_once(self, tmp_path, capsys):
+        # k = 24,619,970,972 at n = 3, d = 2: choose_k finds it by
+        # bisection, and the term budget refuses it
+        obj = {"n": 3, "d": 2, "terms": [
+            {"exps": [2, 0, 0], "coef": "1/1"}, {"exps": [0, 1, 1], "coef": "-2/1"},
+            {"exps": [1, 0, 1], "coef": "1/3"}]}
+        path = write(tmp_path, "p.json", obj)
+        assert main(["poly-bounds", "--poly", path, "--eps", "1e-9"]) == 3
+        assert "k=24619970972" in capsys.readouterr().err
 
     def test_both_k_and_eps_rejected(self, tmp_path):
         path = write(tmp_path, "p.json", poly_x1())
@@ -217,6 +238,19 @@ class TestAssign:
         assert_invalid_input(["assign", "--a", bad, "--b", good, "--k", "1"],
                              capsys)
 
+    @pytest.mark.parametrize("obj", [
+        # each used to load by truncation: n = 2, or index [1]
+        {"n": 2.7, "d": 1, "entries": [{"index": [1], "value": "1/1"}]},
+        {"n": 2, "d": 1, "entries": [{"index": [1.9], "value": "1/1"}]},
+        {"n": 2, "d": 1, "entries": [{"index": [True], "value": "1/1"}]},
+        {"n": 2, "d": 1, "entries": [{"index": [1], "value": True}]},
+    ])
+    def test_non_integral_numbers_exit_2(self, tmp_path, capsys, obj):
+        good = write(tmp_path, "a.json", tensor_10())
+        bad = write(tmp_path, "b.json", obj)
+        assert_invalid_input(["assign", "--a", bad, "--b", good, "--k", "1"],
+                             capsys)
+
     def test_shape_mismatch_exit_2(self, tmp_path):
         p1 = write(tmp_path, "a.json", tensor_10())
         p2 = write(tmp_path, "b.json",
@@ -282,6 +316,16 @@ class TestHyperAlign:
         h1 = write(tmp_path, "h1.json", {"n": 3, "d": 2, "edges": [[1, 2]]})
         h2 = write(tmp_path, "h2.json", {"n": 4, "d": 2, "edges": [[1, 2]]})
         assert main(["hyper-align", "--h1", h1, "--h2", h2, "--k", "1"]) == 2
+
+    @pytest.mark.parametrize("obj", [
+        # used to load as n = 3 with edge (0, 1)
+        {"n": 3.9, "d": 2, "edges": [[1, 2]]},
+        {"n": 3, "d": 2, "edges": [[1.2, 2.8]]},
+    ])
+    def test_non_integral_numbers_exit_2(self, tmp_path, capsys, obj):
+        h = write(tmp_path, "h.json", obj)
+        assert_invalid_input(["hyper-align", "--h1", h, "--h2", h, "--k", "1"],
+                             capsys)
 
     def test_zero_denominator_weight_exit_2(self, tmp_path, capsys):
         h = write(tmp_path, "h.json", {"n": 3, "d": 2, "edges": [[1, 2]],

@@ -6,44 +6,48 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import oracle_monomial_moment, wallis_circle_average
-from orbitmax import exact
+from orbitmax import exact, sphere
+from orbitmax.sphere import SparsePoly
 
 
 class TestSphereMonomialMoment:
+    """Known values of the recurrence integrator in helpers, the one
+    monomial reference the sphere tests compare against."""
+
     def test_square_coordinate(self):
-        assert exact.sphere_monomial_moment((2, 0, 0), 3) == Fraction(1, 3)
+        assert oracle_monomial_moment((2, 0, 0), 3) == Fraction(1, 3)
 
     def test_odd_exponent_vanishes(self):
-        assert exact.sphere_monomial_moment((1, 2, 0), 3) == 0
+        assert oracle_monomial_moment((1, 2, 0), 3) == 0
 
     def test_fourth_power_on_circle(self):
         # average of cos**4 over the circle, via the Wallis oracle
         assert wallis_circle_average(4, 0) == Fraction(3, 8)
-        assert exact.sphere_monomial_moment((4, 0), 2) == Fraction(3, 8)
+        assert oracle_monomial_moment((4, 0), 2) == Fraction(3, 8)
 
     def test_circle_oracle_cross_check(self):
         for a in range(0, 7):
             for b in range(0, 7):
-                assert exact.sphere_monomial_moment((a, b), 2) == \
+                assert oracle_monomial_moment((a, b), 2) == \
                     wallis_circle_average(a, b)
 
     def test_squares_sum_to_one(self):
         for n in range(1, 9):
             total = sum(
-                exact.sphere_monomial_moment(
+                oracle_monomial_moment(
                     tuple(2 if j == i else 0 for j in range(n)), n)
                 for i in range(n))
             assert total == 1
 
     def test_constant_is_one(self):
-        assert exact.sphere_monomial_moment((0, 0, 0, 0), 4) == 1
+        assert oracle_monomial_moment((0, 0, 0, 0), 4) == 1
 
     def test_even_moments_in_unit_interval(self):
         rng = random.Random(3)
         for _ in range(50):
             n = rng.randint(1, 6)
             alpha = tuple(2 * rng.randint(0, 3) for _ in range(n))
-            m = exact.sphere_monomial_moment(alpha, n)
+            m = oracle_monomial_moment(alpha, n)
             assert 0 < m <= 1
 
     def test_permutation_invariance(self):
@@ -53,24 +57,23 @@ class TestSphereMonomialMoment:
             alpha = [rng.randint(0, 5) for _ in range(n)]
             shuffled = alpha[:]
             rng.shuffle(shuffled)
-            assert exact.sphere_monomial_moment(tuple(alpha), n) == \
-                exact.sphere_monomial_moment(tuple(shuffled), n)
+            assert oracle_monomial_moment(tuple(alpha), n) == \
+                oracle_monomial_moment(tuple(shuffled), n)
 
     def test_matches_recurrence_oracle(self):
+        # the moment at k = 1 of the monomial x**beta is the integral of
+        # x**(2 beta), which the library takes by Folland's formula
         rng = random.Random(7)
         for _ in range(100):
             n = rng.randint(1, 6)
-            alpha = tuple(rng.randint(0, 6) for _ in range(n))
-            assert exact.sphere_monomial_moment(alpha, n) == \
-                oracle_monomial_moment(alpha, n)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            exact.sphere_monomial_moment((2, 0), 3)
+            beta = [rng.randint(0, 3) for _ in range(n)]
+            beta[rng.randrange(n)] += 1
+            assert sphere.moment_2k(SparsePoly.monomial(n, beta), 1) == \
+                oracle_monomial_moment(tuple(2 * b for b in beta), n)
 
     def test_single_point_sphere(self):
         # n = 1: the sphere is {-1, +1}, every even monomial averages to 1
-        assert exact.sphere_monomial_moment((8,), 1) == 1
+        assert oracle_monomial_moment((8,), 1) == 1
 
 
 class TestBoundFactor:
@@ -147,3 +150,19 @@ class TestRationalStrings:
         for text in ("1/0", " -3/0 ", "0/0"):
             with pytest.raises(ValueError, match="zero denominator"):
                 exact.parse_rational(text)
+
+    def test_reject_boolean(self):
+        for flag in (True, False):
+            with pytest.raises(ValueError):
+                exact.parse_rational(flag)
+
+
+class TestIntegerReader:
+    def test_accepts_ints_and_integer_strings(self):
+        assert exact.parse_int(7) == 7
+        assert exact.parse_int(" -12 ") == -12
+
+    @pytest.mark.parametrize("value", [2.7, 2.0, True, False, None, "1.5", "1/2"])
+    def test_refuses_the_rest(self, value):
+        with pytest.raises(ValueError):
+            exact.parse_int(value)

@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import oracle_sphere_moment_2k, random_poly, wallis_circle_average
+from helpers import (naive_poly_mul, naive_pow, oracle_monomial_moment,
+                     oracle_sphere_moment_2k, random_poly, wallis_circle_average)
 from orbitmax import sphere
 from orbitmax.bounds import Interval
 from orbitmax.errors import BudgetError
-from orbitmax.exact import sphere_monomial_moment
 from orbitmax.sphere import SparsePoly
 
 
@@ -59,52 +59,6 @@ class TestSparsePoly:
         assert sphere.poly_from_json(obj) == p
 
 
-class TestPowCollect:
-    def test_binomial_square(self):
-        p = SparsePoly.from_terms(2, 1, [((1, 0), 1), ((0, 1), 1)])
-        q = sphere.pow_collect(p, 2)
-        assert q.terms == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
-
-    def test_power_one_is_identity(self):
-        p = random_poly(random.Random(0), 3, 2, 4)
-        assert sphere.pow_collect(p, 1) == p
-
-    def test_single_term_power(self):
-        p = SparsePoly.from_terms(1, 2, [((2,), Fraction(3, 2))])
-        q = sphere.pow_collect(p, 2)
-        assert q.terms == {(4,): Fraction(9, 4)}
-
-    def test_matches_naive_expansion(self):
-        rng = random.Random(11)
-        for _ in range(25):
-            p = random_poly(rng, rng.randint(1, 4), rng.randint(1, 3), 3)
-            m = rng.randint(1, 4)
-            q = sphere.pow_collect(p, m)
-            from helpers import naive_pow
-            assert q.terms == naive_pow(p, m)
-
-    def test_more_terms_than_the_recursion_limit(self):
-        p = _wide_form()
-        assert sphere.pow_collect(p, 1) == p
-
-    def test_square_of_a_300_term_form(self):
-        # all 300 monomials of degree 23 in 3 variables, rational
-        # coefficients: 45,150 compositions, each walked over its nonzero
-        # parts only, against the term-by-term product
-        rng = random.Random(300)
-        p = SparsePoly(3, 23, {
-            (a, b, 23 - a - b): Fraction(rng.choice((-3, -1, 1, 2)),
-                                         rng.choice((1, 2, 3)))
-            for a in range(24) for b in range(24 - a)})
-        assert p.num_terms == 300
-        assert sphere.pow_collect(p, 2) == p * p
-
-    def test_budget_error(self):
-        p = random_poly(random.Random(1), 4, 2, 4)
-        with pytest.raises(BudgetError):
-            sphere.pow_collect(p, 100, term_budget=10)
-
-
 class TestMoment2k:
     def test_coordinate_n3(self):
         assert sphere.moment_2k(SparsePoly.variable(3, 0), 1) == Fraction(1, 3)
@@ -125,14 +79,6 @@ class TestMoment2k:
             k = rng.randint(1, 2)
             assert sphere.moment_2k(p, k) == oracle_sphere_moment_2k(p, k)
 
-    def test_integrate_matches_per_term_integrals(self):
-        rng = random.Random(29)
-        for _ in range(30):
-            p = random_poly(rng, rng.randint(1, 4), 2 * rng.randint(1, 2), 4)
-            direct = sum((c * sphere_monomial_moment(e, p.n)
-                          for e, c in p.terms.items()), Fraction(0))
-            assert sphere.integrate_on_sphere(p) == direct
-
     def test_scaling_equivariance(self):
         rng = random.Random(31)
         for _ in range(20):
@@ -148,7 +94,8 @@ class TestMoment2k:
             p = random_poly(rng, n, rng.randint(1, 3), 4)
             sigma = list(range(n))
             rng.shuffle(sigma)
-            q = sphere.permute_variables(p, sigma)
+            q = SparsePoly(n, p.d, {tuple(e[sigma.index(j)] for j in range(n)): c
+                                    for e, c in p.terms.items()})
             k = rng.randint(1, 2)
             assert sphere.moment_2k(p, k) == sphere.moment_2k(q, k)
 
@@ -173,11 +120,7 @@ class TestMoment2k:
 
 class TestMomentEngine:
     """moment_2k sums the expansion in integers; it must agree exactly
-    with the collected power integrated term by term."""
-
-    @staticmethod
-    def expansion_path(p, k):
-        return sphere.integrate_on_sphere(sphere.pow_collect(p, 2 * k))
+    with the literally expanded power integrated term by term."""
 
     @pytest.mark.parametrize("n,d,items", [
         (3, 2, [((2, 0, 0), Fraction(1, 6)), ((1, 1, 0), Fraction(-5, 4)),
@@ -192,16 +135,25 @@ class TestMomentEngine:
     def test_special_forms(self, n, d, items):
         p = SparsePoly.from_terms(n, d, items)
         for k in (1, 2, 3):
-            got = sphere.moment_2k(p, k)
-            assert got == self.expansion_path(p, k)
-            assert got == oracle_sphere_moment_2k(p, k)
+            assert sphere.moment_2k(p, k) == oracle_sphere_moment_2k(p, k)
 
     def test_random_forms(self):
         rng = random.Random(59)
         for _ in range(150):
             p = random_poly(rng, rng.randint(1, 5), rng.randint(1, 4), 6)
             k = rng.randint(1, 3)
-            assert sphere.moment_2k(p, k) == self.expansion_path(p, k)
+            assert sphere.moment_2k(p, k) == oracle_sphere_moment_2k(p, k)
+
+    def test_two_term_linear_form_at_k_300(self):
+        # only binomial row 2k is read; the reference distributes p**150
+        # literally and squares it twice, which is quicker than 600 steps
+        p = SparsePoly.from_terms(3, 1, [((1, 0, 0), 3), ((0, 0, 1), -2)])
+        power = naive_pow(p, 150)
+        for _ in range(2):
+            power = naive_poly_mul(power, power)
+        assert sphere.moment_2k(p, 300) == sum(
+            (c * oracle_monomial_moment(e, 3) for e, c in power.items()),
+            Fraction(0))
 
     def test_high_rank_parity_masks(self):
         # a chain x_j x_(j+1): every term has its own odd-exponent mask,
@@ -211,7 +163,7 @@ class TestMomentEngine:
             n, 2, [(tuple(1 if i in (j, j + 1) else 0 for i in range(n)),
                     Fraction(j + 1, j % 3 + 1)) for j in range(n - 1)])
         for k in (1, 2):
-            assert sphere.moment_2k(p, k) == self.expansion_path(p, k)
+            assert sphere.moment_2k(p, k) == oracle_sphere_moment_2k(p, k)
 
     def test_more_terms_than_the_recursion_limit(self):
         # the walk recurses once per used monomial, not once per term
@@ -223,8 +175,9 @@ class TestMomentEngine:
                 e2, c2 = terms[j]
                 key = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
                 square[key] = square.get(key, 0) + (1 if i == j else 2) * c1 * c2
-        p2 = SparsePoly(3, 118, {e: Fraction(c) for e, c in square.items() if c})
-        assert sphere.moment_2k(p, 1) == sphere.integrate_on_sphere(p2)
+        assert sphere.moment_2k(p, 1) == sum(
+            (c * oracle_monomial_moment(e, 3) for e, c in square.items()),
+            Fraction(0))
 
     def test_budget_error_fields(self):
         p = SparsePoly.from_terms(4, 2, [((2, 0, 0, 0), 1), ((0, 2, 0, 0), -3),
@@ -236,16 +189,13 @@ class TestMomentEngine:
         assert str(exc.value) == (f"moment at k=5 needs {required} collected terms "
                                   f"for the 4-term polynomial, budget is 100")
 
-    def test_never_expands_the_power(self, monkeypatch):
+    def test_never_expands_the_power(self):
+        # the sphere module has no power expansion left to call: the walk
+        # alone gives the moment, and fewnomial_sup is sup_bounds at its k
         p = SparsePoly.from_terms(3, 2, [((2, 0, 0), 1), ((0, 1, 1), Fraction(-1, 2))])
-        expected = (sphere.moment_2k(p, 4), sphere.fewnomial_sup(p, 0.5))
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("the moment engine must not expand p**(2k)")
-
-        monkeypatch.setattr(sphere, "pow_collect", refuse)
-        monkeypatch.setattr(sphere, "integrate_on_sphere", refuse)
-        assert (sphere.moment_2k(p, 4), sphere.fewnomial_sup(p, 0.5)) == expected
+        assert sphere.moment_2k(p, 4) == oracle_sphere_moment_2k(p, 4)
+        assert sphere.fewnomial_sup(p, 0.5) == sphere.sup_bounds(
+            p, sphere.choose_k(3, 2, 0.5))
 
 
 class TestNormAndBounds:
@@ -319,11 +269,11 @@ class TestNormAndBounds:
                     assert factor * moment <= 2 ** (k * d)
 
     def test_power_of_linear_closed_form(self):
-        # the closed Gamma-ratio value equals the expansion-path moment
+        # the monomial integral of x1**(2kd) equals the walk's moment
         for n in (2, 3, 5, 8):
             for d in (1, 2, 3):
                 for k in (1, 2, 3):
-                    closed = sphere_monomial_moment(
+                    closed = oracle_monomial_moment(
                         (2 * k * d,) + (0,) * (n - 1), n)
                     assert sphere.moment_2k(x1_power(n, d), k) == closed
 
@@ -347,6 +297,17 @@ class TestChooseK:
     def test_frozen_regression(self):
         # minimal k for n=3, d=4, eps=0.5 found by upward scan
         assert sphere.choose_k(3, 4, 0.5) == 9
+
+    def test_matches_the_upward_scan(self):
+        for n in range(2, 9):
+            for d in range(1, 7):
+                for eps in (1e6, 100.0, 10.0, 1.0, 0.5, 0.25, 0.1, 0.05, 0.01,
+                            1e-3, 5e-4):
+                    target = math.log1p(eps)
+                    k = 1
+                    while (n - 1) / (2 * k) * math.log(k * d + 1) >= target:
+                        k += 1
+                    assert sphere.choose_k(n, d, eps) == k
 
     def test_is_minimal(self):
         for (n, d, eps) in [(2, 3, 0.5), (3, 4, 0.5), (4, 2, 0.25)]:
@@ -493,6 +454,33 @@ class TestSystemReduce:
         r = sphere.system_reduce(system, k=6, delta=5e-324)
         assert r.gamma_exact > 1
         assert r.verdict in ("certified gap", "possibly solvable")
+
+    def test_p_is_gamma_times_norm_power_minus_q(self):
+        # |x|**(2d) against literal distribution of (x1**2 + ... + xn**2)**d;
+        # its keys come first in p.terms, in ascending order
+        rng = random.Random(73)
+        for n in range(1, 5):
+            for d in range(1, 4):
+                system = [random_poly(rng, n, d, 3) for _ in range(rng.randint(1, n))]
+                r = sphere.system_reduce(system, 1)
+                sum_sq = SparsePoly.from_terms(
+                    n, 2, [(tuple(2 if j == i else 0 for j in range(n)), 1)
+                           for i in range(n)])
+                norm = naive_pow(sum_sq, d)
+                expected = {e: r.gamma_exact * c for e, c in norm.items()}
+                for p_i in system:
+                    for e, c in naive_poly_mul(p_i.terms, p_i.terms).items():
+                        expected[e] = expected.get(e, Fraction(0)) - c
+                assert r.p.terms == {e: c for e, c in expected.items() if c}
+                keys = list(r.p.terms)
+                head = [e for e in keys if e in norm]
+                assert keys[:len(head)] == head == sorted(head)
+
+    def test_norm_power_over_budget_refused(self):
+        # |x|**2 in 4 variables has 4 terms; q = x1**2 needs one composition
+        with pytest.raises(BudgetError) as exc:
+            sphere.system_reduce([SparsePoly.variable(4, 0)], k=1, term_budget=3)
+        assert (exc.value.required, exc.value.budget) == (4, 3)
 
     def test_degree_mismatch_rejected(self):
         with pytest.raises(ValueError):
