@@ -17,10 +17,11 @@ floating root, and multiply by an exact combinatorial factor to certify
   inequalities for finite orbits, including orbit span dimensions.
 
 The engine modules and the names re-exported from them load on first
-access, so ``import orbitmax`` imports none of them.  Only
-:mod:`~orbitmax.assign` and the modules built on it
-(:mod:`~orbitmax.hypergraph`, :mod:`~orbitmax.sandwich`) import numpy;
-:mod:`~orbitmax.sphere` does not, except inside ``sample_lower_bound``.
+access, so ``import orbitmax`` imports none of them.  Importing any of
+them loads no numpy either: the d >= 2 engines of
+:mod:`~orbitmax.assign` (and so :mod:`~orbitmax.hypergraph`) load it
+when first called, and :mod:`~orbitmax.sphere` inside
+``sample_lower_bound``; :mod:`~orbitmax.sandwich` never does.
 """
 
 from .bounds import Interval

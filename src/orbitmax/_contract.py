@@ -46,15 +46,16 @@ counts a call needs, holds:
 * each representative's connected components, as representatives of
   the plans (d, c) for c segments.
 
-For each block limit the plan compiles its distinct connected
-components into one list of contraction steps, equal steps stored
-once.  Every segment takes its diagonals and sums the blocks no other
-segment holds; then the pair of operands that loops over the fewest
-indices is contracted, until one is left.  Each step is one
-unoptimised ``np.einsum`` of operands that share an index; numpy's
-optimised einsum paths silently wrap on object arrays when operands
-are disconnected, and are never used.  A side contracts
-in int64 when n**F * top**m, top its largest absolute entry, bounds
+The plan compiles each distinct connected component once, into one
+list of contraction steps shared by every block limit, equal steps
+stored once; the evaluator of a block limit runs the steps its
+components reach.  Every segment takes its diagonals and sums the
+blocks no other segment holds; then the pair of operands that loops
+over the fewest indices is contracted, until one is left.  Each step
+is one unoptimised ``np.einsum`` of operands that share an index;
+numpy's optimised einsum paths silently wrap on object arrays when
+operands are disconnected, and are never used.  A side contracts in
+int64 when n**F * top**m, top its largest absolute entry, bounds
 every partial sum, and on Python ints otherwise.
 
 Tensors are passed in as plain integer lists (callers clear rational
@@ -322,21 +323,41 @@ def _renamed_words(r: int, d: int, base: int) -> np.ndarray:
 
 
 class _Evaluator:
-    """What one side needs at one block limit ``top``: one node list for
-    all distinct connected factors (node 0 the tensor, each other node
+    """What one side needs at one block limit ``top``: the contraction
+    nodes its factors reach (node 0 the tensor, each other node
     (subscripts, x, y, width) on earlier nodes, equal nodes stored once),
     the node of each factor's value, each representative's factors
     (padded with the slot of a constant 1), and the Moebius rows as flat
-    column, coefficient and start arrays."""
+    column, coefficient and start arrays.  The factors are compiled into
+    the plan's shared node list, each distinct one once per process, and
+    the nodes they reach are copied out in order, so an evaluator loops
+    over the same indices whatever limits were asked for before it."""
 
     def __init__(self, plan: "_Plan", top: int):
         plan.extend_rows(top)
         count = plan.start[top + 1]
         keys = sorted({f for i in range(count) for f in plan.factors[i]})
+        for c, i in keys:
+            if (c, i) not in plan.compiled:
+                plan.compiled[(c, i)] = _compile(
+                    _plan(plan.d, c).reps[i].tolist(), plan.d, plan.nodes,
+                    plan.node_index)
+        reach, stack = set(), [plan.compiled[key] for key in keys]
+        while stack:
+            v = stack.pop()
+            if v and v not in reach:
+                reach.add(v)
+                _, x, y, _ = plan.nodes[v]
+                stack.extend((x,) if y is None else (x, y))
+        # operands are numbered before the nodes that read them
+        local = {0: 0}
         self.nodes: list = [None]
-        index: dict = {}
-        self.outputs = [_compile(_plan(plan.d, c).reps[i].tolist(), plan.d,
-                                 self.nodes, index) for c, i in keys]
+        for v in sorted(reach):
+            sub, x, y, width = plan.nodes[v]
+            local[v] = len(self.nodes)
+            self.nodes.append((sub, local[x], None if y is None else local[y],
+                               width))
+        self.outputs = [local[plan.compiled[key]] for key in keys]
         slot = {key: j for j, key in enumerate(keys)}
         self.factors = np.full((count, plan.m), len(keys), dtype=np.intp)
         for i in range(count):
@@ -393,6 +414,11 @@ class _Plan:
         self.row_cols: list[np.ndarray] = []
         self.row_coefs: list[np.ndarray] = []
         self.row_start = [0]
+        # the contraction nodes of every evaluator (node 0 the tensor), the
+        # number of each node, and the node of each compiled component
+        self.nodes: list = [None]
+        self.node_index: dict = {}
+        self.compiled: dict[tuple[int, int], int] = {}
         self.evaluators: dict[int, _Evaluator] = {}
 
     def evaluator(self, top: int) -> _Evaluator:

@@ -7,18 +7,22 @@ of S_n (or over a coset fixing a partial assignment) without touching
 the n! permutations, certifies two-sided bounds on max |f|, extracts a
 permutation greedily coset-by-coset, and provides a brute-force oracle.
 
-At d = 1 the moments come from the power sums of the two vectors: the
-sum over index sequences of one equality type is an injective power sum,
-a Moebius inversion of power sums, so the work is polynomial in n and in
-the number of integer partitions of 2k.  At d >= 2 the moment over all
-of S_n comes from ``_contract``: the same inversion over the set
-partitions of the 2kd index positions, each term one tensor
-contraction, so the work is polynomial in n.  Greedy steps and pinned
-cosets at d >= 2 share one scorer, the type sweep in ``_typesweep``
-(max(nnz(A), nnz(B))**(2k) row visits, one row per choice of 2k nonzero
-entries), and small cosets are enumerated directly by
-``_coset_values``, the one evaluator of f(g) over sets of permutations,
-which ``brute_max`` and ``sandwich.verify_sandwich`` share.
+At d = 1 everything is exact in Python integers: the moments come from
+the power sums of the two vectors (the sum over index sequences of one
+equality type is an injective power sum, a Moebius inversion of power
+sums, so the work is polynomial in n and in the number of integer
+partitions of 2k), and ``brute_max`` reads the maximum of |f| off the
+rearrangement inequality instead of enumerating S_n.  At d >= 2 the
+moment over all of S_n comes from ``_contract``: the same inversion
+over the set partitions of the 2kd index positions, each term one
+tensor contraction, so the work is polynomial in n.  Greedy steps and
+pinned cosets at d >= 2 share one scorer, the type sweep in
+``_typesweep`` (max(nnz(A), nnz(B))**(2k) row visits, one row per
+choice of 2k nonzero entries), and small cosets are enumerated directly
+by ``_coset_values``, the one evaluator of f(g) over sets of
+permutations at d >= 2, which ``brute_max`` shares.  The d >= 2 engines
+and numpy are imported by the functions that use them, so a process
+that only works at d = 1 loads neither.
 """
 
 from __future__ import annotations
@@ -28,10 +32,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from . import _typesweep
 from .bounds import Interval
 from .errors import BudgetError
-from .exact import format_rational, parse_int, parse_rational
+from .exact import _int_scaled, format_rational, parse_int, parse_rational
 
 __all__ = [
     "DEFAULT_VISIT_BUDGET",
@@ -218,12 +221,6 @@ def matrix_element(a: DenseTensor, b: DenseTensor, g: Permutation) -> Fraction:
     return total
 
 
-def _int_scaled(values: Sequence[Fraction | int]) -> tuple[list[int], int]:
-    """Clear denominators: returns (the integers L*v, L)."""
-    scale = math.lcm(*{v.denominator for v in values})
-    return [v.numerator * (scale // v.denominator) for v in values], scale
-
-
 def _d1_plan(m: int, top: int) -> tuple:
     """Recursion plan for the injective power sums M_lam over the integer
     partitions lam of 0..m with at most ``top`` parts, ordered by length.
@@ -397,8 +394,8 @@ def moment_2k(a: DenseTensor, b: DenseTensor, k: int,
     m = 2 * k
     if a.d == 1:
         return _d1_coset_moment(a, b, m, (), budget)
-    # imported here: processes that never take this path (d = 1, the
-    # sandwich verifier) do not compile it
+    # imported here: processes that never take this path (d = 1) do not
+    # compile it or import numpy
     from . import _contract
 
     ints_a, la = _int_scaled(a.entries)
@@ -450,6 +447,8 @@ def _coset_values(nz_a, flat_b: Sequence[int], n: int, d: int, pairs):
     gather arrays stay within ``CHUNK_SIZE`` elements.
     """
     import numpy as np
+
+    from . import _typesweep
 
     fixed = dict(pairs)
     free_pos = [p for p in range(n) if p not in fixed]
@@ -542,6 +541,8 @@ def coset_moment(a: DenseTensor, b: DenseTensor, k: int,
         return _d1_coset_moment(a, b, m, prefix.pairs, budget)
     if not prefix.pairs:
         return moment_2k(a, b, k, budget)
+    from . import _typesweep
+
     ints_a, la = _int_scaled(a.entries)
     ints_b, lb = _int_scaled(b.entries)
     scale = Fraction(la) ** m * Fraction(lb) ** m
@@ -577,6 +578,8 @@ def _sweep_greedy(ints_a: Sequence[int], ints_b: Sequence[int], n: int,
                   d: int, m: int, budget: int) -> list[int]:
     """Greedy images at d >= 2: per step, a pinned type sweep or one
     enumeration of the parent coset, whichever is cheaper."""
+    from . import _typesweep
+
     nnz = sum(1 for v in ints_a if v)
     nz_a = _nonzero_digit_entries(ints_a, n, d)
     rows = [_typesweep.sweep_rows(ints, n, d, m) for ints in (ints_a, ints_b)]
@@ -642,9 +645,15 @@ def greedy_extract(a: DenseTensor, b: DenseTensor, k: int,
 def brute_max(a: DenseTensor, b: DenseTensor) -> BruteResult:
     """Exact argmax of |<B, gA>| over all n! permutations.
 
-    The permutations come in lexicographic order and the first maximum
-    is kept, so ties resolve to the lexicographically smallest image
-    tuple.  Runtime grows as n! * nnz(A); refuse n > DEFAULT_BRUTE_CAP.
+    Ties resolve to the lexicographically smallest image tuple, the
+    first maximum in ``itertools.permutations`` order.  At d >= 2 the
+    permutations are enumerated in that order and the first maximum is
+    kept: n! * nnz(A) work.  At d = 1 nothing is enumerated: in cleared
+    integers, max f pairs sorted a with sorted b and min f pairs sorted a
+    with b reversed (the rearrangement inequality), so max |f| is known,
+    and the images are chosen position by position, each the smallest
+    after which the remaining positions can still reach it: O(n**3 log n)
+    integer work.  Either way n > DEFAULT_BRUTE_CAP is refused.
     """
     _check_shapes(a, b)
     n, d = a.n, a.d
@@ -653,14 +662,46 @@ def brute_max(a: DenseTensor, b: DenseTensor) -> BruteResult:
             f"brute force cap is n <= {DEFAULT_BRUTE_CAP}, got n = {n}")
     ints_a, la = _int_scaled(a.entries)
     ints_b, lb = _int_scaled(b.entries)
-    best = best_g = None
-    for img, f in _coset_values(_nonzero_digit_entries(ints_a, n, d),
-                                ints_b, n, d, ()):
-        f = abs(f)
-        i = int(f.argmax())
-        if best is None or f[i] > best:
-            best, best_g = int(f[i]), tuple(img[i].tolist())
+    if d == 1:
+        best, best_g = _d1_brute(ints_a, ints_b)
+    else:
+        best = best_g = None
+        for img, f in _coset_values(_nonzero_digit_entries(ints_a, n, d),
+                                    ints_b, n, d, ()):
+            f = abs(f)
+            i = int(f.argmax())
+            if best is None or f[i] > best:
+                best, best_g = int(f[i]), tuple(img[i].tolist())
     return BruteResult(Permutation(best_g), Fraction(best, la * lb))
+
+
+def _d1_brute(ints_a: Sequence[int], ints_b: Sequence[int]
+              ) -> tuple[int, tuple[int, ...]]:
+    """(max |f|, the lexicographically first maximiser) for integer
+    vectors at d = 1.  A completion of a prefix worth ``value`` reaches
+    +top or -top exactly when value plus the rest's max is top, or value
+    plus the rest's min is -top: no completion leaves [-top, top]."""
+    def extremes(xs: Sequence[int], ys: Sequence[int]) -> tuple[int, int]:
+        xs, ys = sorted(xs), sorted(ys)
+        return (sum(x * y for x, y in zip(xs, ys)),
+                sum(x * y for x, y in zip(xs, reversed(ys))))
+
+    hi, lo = extremes(ints_a, ints_b)
+    top = max(hi, -lo)
+    free = list(range(len(ints_b)))
+    images: list[int] = []
+    value = 0
+    for i, x in enumerate(ints_a):
+        rest = ints_a[i + 1:]
+        for j in free:
+            hi, lo = extremes(rest, [ints_b[q] for q in free if q != j])
+            here = value + x * ints_b[j]
+            if here + hi == top or here + lo == -top:
+                break
+        images.append(j)
+        free.remove(j)
+        value = here
+    return top, tuple(images)
 
 
 def tensor_to_json(t: DenseTensor) -> dict:

@@ -49,8 +49,9 @@ def _require_k(k: int) -> int:
     return k
 
 
-# Each command imports only the engine it runs, so that a sphere command
-# never loads numpy, which the assignment engines import at module level.
+# Each command imports only the engine it runs, so that a process compiles
+# only the modules it uses; numpy is loaded only by the d >= 2 assignment
+# engines, when first called.
 def _cmd_poly_norm(args) -> dict:
     from . import sphere
     p = sphere.poly_from_json(_load_json(args.poly))

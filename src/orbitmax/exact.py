@@ -1,4 +1,5 @@
-"""Exact scalar kernels: bound factors, roots, rational and integer parsing.
+"""Exact scalar kernels: bound factors, roots, rational and integer parsing,
+and clearing the denominators of a rational vector.
 
 Everything here is computed in exact integer / rational arithmetic
 (``fractions.Fraction``); floating point appears only at the very end,
@@ -9,8 +10,10 @@ inequality can be broken by intermediate roundoff.
 from __future__ import annotations
 
 import math
+import operator
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from typing import Sequence
 
 __all__ = [
     "bound_factor",
@@ -80,8 +83,20 @@ def parse_rational(value: str | int | Fraction) -> Fraction:
 
 
 def parse_int(value: str | int) -> int:
-    """An integer given as an int (not a bool) or a string int() accepts;
-    a float such as 2.7 is refused, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
+    """An integer given as an int (not a bool), another integer type that
+    defines ``__index__`` (such as numpy's), or a string int() accepts; a
+    float such as 2.7 is refused, not truncated."""
+    if isinstance(value, str):
+        return int(value)
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
+def _int_scaled(values: Sequence[Fraction | int]) -> tuple[list[int], int]:
+    """Clear denominators: returns (the integers L*v, L)."""
+    scale = math.lcm(*{v.denominator for v in values})
+    return [v.numerator * (scale // v.denominator) for v in values], scale

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import assign
-from .exact import bound_factor, format_rational
+from .exact import _int_scaled, bound_factor, format_rational
 
 __all__ = [
     "DEFAULT_GROUP_CAP",
@@ -134,7 +133,7 @@ def orbit_span_dim(v: Sequence[Fraction | int], k: int) -> int:
             f"orbit span cap is n <= {DEFAULT_GROUP_CAP}, got n = {n}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    ints, _ = assign._int_scaled([Fraction(x) for x in v])
+    ints, _ = _int_scaled([Fraction(x) for x in v])
     g = math.gcd(*ints)
     if not g:
         raise ValueError("v must be non-zero")
@@ -150,11 +149,11 @@ def verify_sandwich(v: Sequence[Fraction | int], ell: Sequence[Fraction | int],
                     k: int) -> SandwichReport:
     """Enumerate f(g) = <ell, gv> over all of S_n and check the sandwich.
 
-    One pass of the S_n evaluator over v and ell as d = 1 tensors, in
-    integers over the cleared denominators, gives sum f**2, sum f**(2k)
-    and max |f|.  Refuses n < 1 and n > DEFAULT_GROUP_CAP.  All four
-    inequalities are verified at the 2k-th-power level with exact
-    rational comparisons:
+    One pass over the n! orders of ell, in Python integers over the
+    cleared denominators, gives sum f**2, sum f**(2k) and max |f|: an
+    enumeration independent of the moment engines.  Refuses n < 1 and
+    n > DEFAULT_GROUP_CAP.  All four inequalities are verified at the
+    2k-th-power level with exact rational comparisons:
 
       moment_2k <= sup**(2k)              (norm below max)
       sup**(2k) <= D_k * moment_2k        (max below span-dim factor)
@@ -172,15 +171,15 @@ def verify_sandwich(v: Sequence[Fraction | int], ell: Sequence[Fraction | int],
     if k < 1:
         raise ValueError("k must be >= 1")
     vv = [Fraction(x) for x in v]
-    ints_v, lv = assign._int_scaled(vv)
-    ints_ell, lell = assign._int_scaled([Fraction(x) for x in ell])
+    ints_v, lv = _int_scaled(vv)
+    ints_ell, lell = _int_scaled([Fraction(x) for x in ell])
     s2 = s2k = top = 0
-    for _, f in assign._coset_values(
-            assign._nonzero_digit_entries(ints_v, n, 1), ints_ell, n, 1, ()):
-        for x in f.tolist():
-            s2 += x * x
-            s2k += x ** (2 * k)
-            top = max(top, abs(x))
+    # f(g) = sum_i v_i ell_{g(i)}: w runs over the tuples (ell_{g(i)})_i
+    for w in itertools.permutations(ints_ell):
+        x = sum(a * b for a, b in zip(ints_v, w))
+        s2 += x * x
+        s2k += x ** (2 * k)
+        top = max(top, abs(x))
     scale = lv * lell
     count = math.factorial(n)
     sup = Fraction(top, scale)
@@ -251,17 +250,22 @@ def cor16_factor_check(dim: int, eps: float) -> Cor16Report:
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    eps_exact = Fraction(eps)
-    k0 = 1
-    while not math.factorial(k0) * eps_exact ** (2 * k0) > 2 ** k0:
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+    num, den = Fraction(eps).as_integer_ratio()
+    # k0! * eps**(2 k0) > 2**k0 with denominators cleared: each step
+    # multiplies k0! * num**(2 k0) and 2**k0 * den**(2 k0) by one factor
+    k0, lhs, rhs = 1, num * num, 2 * den * den
+    while not lhs > rhs:
         k0 += 1
+        lhs *= k0 * num * num
+        rhs *= 2 * den * den
+    num_2k0, den_2k0 = num ** (2 * k0), den ** (2 * k0)
     dims = sorted({dim, k0, 2 * k0, 10 * k0})
     checks = []
     for dm in dims:
         applicable = dm >= k0
-        holds = math.comb(dm + k0 - 1, k0) <= eps_exact ** (2 * k0) * dm ** k0
+        holds = math.comb(dm + k0 - 1, k0) * den_2k0 <= num_2k0 * dm ** k0
         checks.append(Cor16Check(
             dim=dm,
             factor=bound_factor(dm, k0),

@@ -71,10 +71,13 @@ class SparsePoly:
     def from_terms(cls, n: int, d: int,
                    items: Iterable[tuple[Sequence[int], Fraction | int | str]]
                    ) -> "SparsePoly":
-        """Collect (exponents, coefficient) pairs, summing duplicates."""
+        """Collect (exponents, coefficient) pairs, summing duplicates.
+
+        Exponents are read with ``exact.parse_int``: a float or a bool
+        raises ``ValueError`` rather than being truncated."""
         acc: dict[tuple[int, ...], Fraction] = {}
         for exps, coef in items:
-            key = tuple(int(e) for e in exps)
+            key = tuple(map(parse_int, exps))
             acc[key] = acc.get(key, Fraction(0)) + parse_rational(coef)
         return cls(n, d, {e: c for e, c in acc.items() if c != 0})
 

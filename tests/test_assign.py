@@ -346,6 +346,50 @@ class TestPartitionMoments:
             assert moment_2k(a, b, k) == brute_group_moment(a, b, k)
         assert set(seen) == {np.dtype(object if above else np.int64)}
 
+    def test_components_compiled_once_per_process(self, monkeypatch):
+        # an evaluator compiles only the components that no evaluator of
+        # the same plan compiled before it
+        monkeypatch.setattr(_contract, "_plans", {})
+        calls = []
+        compile_ = _contract._compile
+
+        def spy(*args):
+            calls.append(args[0])
+            return compile_(*args)
+
+        monkeypatch.setattr(_contract, "_compile", spy)
+        plan = _contract._plan(2, 4)
+        plan.evaluator(4)
+        assert len(calls) == 174
+        plan.evaluator(5)
+        assert len(calls) == 174 + 35
+
+    def test_shared_compilation_is_order_independent(self, monkeypatch):
+        # moments, contraction widths and the budget's required count do
+        # not depend on which block limits were asked for before
+        requests = [(2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 4, 3), (2, 4, 4),
+                    (2, 4, 5), (3, 2, 4), (3, 2, 5), (3, 2, 6)]
+        rng = random.Random(1019)
+        tensors = {req: (random_int_tensor(rng, req[2], req[0], -4, 4),
+                         random_int_tensor(rng, req[2], req[0], -4, 4))
+                   for req in requests}
+        shuffled = requests[:]
+        rng.shuffle(shuffled)
+        seen = []
+        for order in (requests, requests[::-1], shuffled):
+            monkeypatch.setattr(_contract, "_plans", {})
+            out = {}
+            for d, m, top in order:
+                a, b = tensors[(d, m, top)]
+                widths = sorted(_contract._plan(d, m).evaluator(top).widths)
+                terms = _plan_terms(d, m, top)
+                with pytest.raises(BudgetError) as exc:
+                    moment_2k(a, b, m // 2, visit_budget=terms)
+                out[(d, m, top)] = (widths, exc.value.required,
+                                    moment_2k(a, b, m // 2))
+            seen.append(out)
+        assert seen[0] == seen[1] == seen[2]
+
     @pytest.mark.parametrize("n", [30, 100])
     def test_closed_forms_at_large_n(self, n):
         rng = random.Random(1014 + n)
@@ -1277,11 +1321,12 @@ class TestBruteMax:
                 assert result.permutation == Permutation.identity(n)
                 assert result.abs_value == best
 
-    @pytest.mark.parametrize("n,d", [(1, 1), (3, 2)])
+    @pytest.mark.parametrize("n,d", [(3, 2)])
     @pytest.mark.parametrize("case,dtype", [("at", np.int64), ("above", object)])
     def test_int64_bound(self, monkeypatch, n, d, case, dtype):
         # as for the coset enumeration: f is int64 while
-        # nnz * max|a| * max|b| <= 2**63 - 1, Python ints beyond
+        # nnz * max|a| * max|b| <= 2**63 - 1, Python ints beyond (d >= 2
+        # only: at d = 1 nothing is enumerated)
         nnz, top_a = min(7, n ** d), 7 * 73 * 127
         top_b = (2 ** 63 - 1) // (nnz * top_a) + (case == "above")
         assert (nnz * top_a * top_b <= 2 ** 63 - 1) == (case == "at")
@@ -1302,6 +1347,45 @@ class TestBruteMax:
         monkeypatch.setattr(assign, "_coset_values", spy)
         assert repr(brute_max(a, b)) == repr(loop_brute_max(a, b))
         assert seen and set(seen) == {np.dtype(dtype)}
+
+    def test_linear_matches_loop_oracle_on_ternary_vectors(self):
+        # every pair of vectors over {-1, 0, 1}: ties, zeros, and maxima
+        # reached only by min f
+        for n in range(1, 5):
+            for x in itertools.product((-1, 0, 1), repeat=n):
+                a = DenseTensor.from_entries(n, 1, x)
+                for y in itertools.product((-1, 0, 1), repeat=n):
+                    b = DenseTensor.from_entries(n, 1, y)
+                    assert repr(brute_max(a, b)) == repr(loop_brute_max(a, b))
+
+    def test_linear_matches_loop_oracle_on_rationals(self):
+        rng = random.Random(25)
+        for n in [*range(1, 8), *range(1, 8), 8]:
+            # few distinct values, so that many permutations tie
+            pool = [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                    for _ in range(rng.randint(1, 4))]
+            a = DenseTensor.from_entries(n, 1, [rng.choice(pool) for _ in range(n)])
+            b = random_rational_tensor(rng, n, 1)
+            assert repr(brute_max(a, b)) == repr(loop_brute_max(a, b))
+
+    def test_linear_at_the_cap(self):
+        # n = 9 with entries near 10**12 against a plain integer loop over
+        # itertools.permutations; n = 10 is refused
+        rng = random.Random(26)
+        xs = [rng.randint(10 ** 12 - 5, 10 ** 12 + 5) * rng.choice((-1, 1))
+              for _ in range(9)]
+        ys = [rng.randint(10 ** 12 - 5, 10 ** 12 + 5) * rng.choice((-1, 1))
+              for _ in range(9)]
+        best = best_g = None
+        for images in itertools.permutations(range(9)):
+            f = abs(sum(x * ys[j] for x, j in zip(xs, images)))
+            if best is None or f > best:
+                best, best_g = f, images
+        result = brute_max(DenseTensor.from_entries(9, 1, xs),
+                           DenseTensor.from_entries(9, 1, ys))
+        assert result == (Permutation(best_g), best)
+        with pytest.raises(ValueError):
+            brute_max(DenseTensor.zeros(10, 1), DenseTensor.zeros(10, 1))
 
 
 @st.composite

@@ -398,8 +398,9 @@ class TestBudgetEnvVar:
 class TestStartup:
     def test_sphere_commands_load_no_numpy(self, tmp_path):
         # A fresh interpreter, because this one has numpy loaded already.
-        # The eager numpy and _typesweep imports of assign are pinned too:
-        # deferring them would move their cost into the first timed call.
+        # Importing assign loads neither numpy nor _typesweep either: the
+        # d >= 2 engines import them on first use, so their cost lands in
+        # the first d >= 2 call rather than in every assign process.
         poly = write(tmp_path, "p.json", poly_x1())
         system = write(tmp_path, "s.json", [poly_x1()])
         child = textwrap.dedent("""
@@ -416,9 +417,47 @@ class TestStartup:
                       if m in sys.modules]
             assert not loaded, loaded
             from orbitmax import assign
-            assert "numpy" in sys.modules and "orbitmax._typesweep" in sys.modules
+            loaded = [m for m in ("numpy", "orbitmax._typesweep", "orbitmax._contract")
+                      if m in sys.modules]
+            assert not loaded, loaded
         """)
         src = str(Path(orbitmax.__file__).resolve().parents[1])
         proc = subprocess.run([sys.executable, "-c", child, src, poly, system],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_verify_and_linear_assign_load_no_numpy(self, tmp_path):
+        # verify enumerates S_n in Python integers and d = 1 assign works
+        # from power sums and the rearrangement inequality; a d = 2
+        # hyper-align afterwards loads the d >= 2 engines on demand
+        a = write(tmp_path, "a.json", {"n": 4, "d": 1, "entries": [
+            {"index": [1], "value": "3/2"}, {"index": [2], "value": "-1"},
+            {"index": [4], "value": "2"}]})
+        b = write(tmp_path, "b.json", {"n": 4, "d": 1, "entries": [
+            {"index": [1], "value": "1"}, {"index": [3], "value": "-4/3"}]})
+        h = write(tmp_path, "h.json",
+                  {"n": 3, "d": 2, "edges": [[1, 2], [2, 3], [1, 3]]})
+        child = textwrap.dedent("""
+            import contextlib, io, sys
+            sys.path.insert(0, sys.argv[1])
+            import orbitmax.cli
+            a, b, h = sys.argv[2:5]
+            engines = ("numpy", "orbitmax._typesweep", "orbitmax._contract")
+
+            def run(argv):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert orbitmax.cli.main(argv) == 0, argv
+
+            run(["verify", "--n", "4", "--k", "2", "--trials", "2"])
+            loaded = [m for m in engines + ("orbitmax.assign",) if m in sys.modules]
+            assert not loaded, loaded
+            run(["assign", "--a", a, "--b", b, "--k", "2", "--greedy", "--brute"])
+            loaded = [m for m in engines if m in sys.modules]
+            assert not loaded, loaded
+            run(["hyper-align", "--h1", h, "--h2", h, "--k", "1"])
+            assert "numpy" in sys.modules
+        """)
+        src = str(Path(orbitmax.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", child, src, a, b, h],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -162,7 +163,13 @@ class TestIntegerReader:
         assert exact.parse_int(7) == 7
         assert exact.parse_int(" -12 ") == -12
 
-    @pytest.mark.parametrize("value", [2.7, 2.0, True, False, None, "1.5", "1/2"])
+    def test_accepts_other_integer_types(self):
+        # types that define __index__, such as numpy's integers
+        value = exact.parse_int(np.int64(-5))
+        assert value == -5 and type(value) is int
+
+    @pytest.mark.parametrize("value", [2.7, 2.0, True, False, np.bool_(True), None,
+                                       "1.5", "1/2"])
     def test_refuses_the_rest(self, value):
         with pytest.raises(ValueError):
             exact.parse_int(value)

@@ -143,6 +143,19 @@ class TestCor16:
     def test_eps_two_gives_k0_one(self):
         assert cor16_factor_check(1, 2.0).k0 == 1
 
+    def test_k0_matches_the_factorial_scan(self):
+        # the running integers find the k0 of the from-scratch scan
+        for eps in [0.1 + 0.05 * i for i in range(79)] + [1.0, 2.0 ** 0.5]:
+            epsf, k0 = Fraction(eps), 1
+            while not math.factorial(k0) * epsf ** (2 * k0) > 2 ** k0:
+                k0 += 1
+            assert cor16_factor_check(5, eps).k0 == k0, eps
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0, -0.5])
+    def test_non_finite_or_non_positive_eps_refused(self, eps):
+        with pytest.raises(ValueError):
+            cor16_factor_check(5, eps)
+
     def test_huge_eps_gives_k0_one(self):
         assert cor16_factor_check(5, 1e9).k0 == 1
 

@@ -3,6 +3,7 @@ import random
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from helpers import (naive_poly_mul, naive_pow, oracle_monomial_moment,
@@ -42,6 +43,18 @@ class TestSparsePoly:
     def test_rejects_negative_exponent(self):
         with pytest.raises(ValueError):
             SparsePoly.from_terms(2, 0, [((-1, 1), 1)])
+
+    @pytest.mark.parametrize("exps", [(2.5, 0), (2.0, 0), (True, 1), (1, False)])
+    def test_rejects_float_and_boolean_exponents(self, exps):
+        # refused, not truncated to (2, 0) or read as 1
+        with pytest.raises(ValueError):
+            SparsePoly.from_terms(2, 2, [(exps, 1)])
+
+    def test_integer_and_string_exponents_load(self):
+        p = SparsePoly.from_terms(2, 2, [((2, 0), 1), (("1", " 1 "), 3),
+                                         ((np.int64(0), np.int64(2)), -1)])
+        assert p.terms == {(2, 0): 1, (1, 1): 3, (0, 2): -1}
+        assert all(type(e) is int for exps in p.terms for e in exps)
 
     def test_zero_poly_accepted(self):
         p = SparsePoly.zero(3, 2)
