@@ -30,18 +30,17 @@ one representative per orbit is evaluated, weighted by the orbit size.
 A plan per (d, m), kept for the process and extended to the block
 counts a call needs, holds:
 
-* per block count r, the orbits, found one of two ways.  From the
-  multisets of m segment words over r block names: an orbit is a
-  multiset up to renaming of the blocks, told apart by the smallest,
-  over the r! renamings, of its sorted words, and every multiset's key
-  maps to its orbit.  Or from the S(l, r) set partitions themselves:
-  an orbit is told apart by the smallest restricted-growth key over
-  the segment orders that sort a signature moving with the segments,
-  and every partition's key maps to its orbit.  Block counts 1..R take
-  the first way, R ending the run where ``plan_terms`` counts it as no
-  more work, unless the partitions with at most R blocks fit in one
-  chunk and are simply listed.  So a plan over many segments never
-  lists the 2**(l-1) - 1 partitions into two blocks;
+* per block count r, one representative per orbit, its member with
+  the smallest restricted-growth string.  Those of (d, m) extend each
+  representative of (d, m - 1) by one segment word over its block
+  names and new names in first-use order (those of (d, 1) are the
+  restricted-growth strings of d positions), one kept per canonical
+  key; dropping the last segment of any member leaves a member of a
+  (d, m - 1) orbit, so every orbit is reached (McKay, "Isomorph-free
+  exhaustive generation", J. Algorithms 26, 1998).  The key is the
+  smallest value of the sorted segment words over the block renamings
+  that list the blocks by an invariant signature, every order inside a
+  tie tried; a partition is looked up by canonicalising it;
 * the orbit sizes, and the Moebius rows folded onto representatives;
 * each representative's connected components, as representatives of
   the plans (d, c) for c segments.
@@ -78,9 +77,7 @@ from .errors import BudgetError
 
 _INT64_MAX = 2 ** 63 - 1
 _LETTERS = string.ascii_letters
-# partitions per canonicalisation chunk (and the most listed in place
-# of multisets of words), and array cells built at a time
-_CHUNK_ROWS = 1 << 16
+# array cells built at a time
 _CHUNK_CELLS = 1 << 23
 
 _plans: dict[tuple[int, int], "_Plan"] = {}
@@ -96,36 +93,28 @@ def _stirling(size: int) -> list[list[int]]:
     return rows
 
 
-@functools.lru_cache(maxsize=None)
-def _word_layers(d: int, m: int) -> int:
-    """The block counts 1..R whose orbits are found from the multisets of
-    m segment words (r! renamings each) rather than from the S(l, r) set
-    partitions (at most m! segment orders each): R is the last r of the
-    run from 1 where the words cost no more, or 0 when the partitions
-    with at most R blocks are few enough to list in one chunk."""
-    l, r = m * d, 0
-    while r < l and math.comb((r + 1) ** d + m - 1, m) * math.factorial(r + 1) \
-            <= _stirling(l)[l][r + 1] * math.factorial(m):
-        r += 1
-    return r if sum(_stirling(l)[l][:r + 1]) > _CHUNK_ROWS else 0
-
-
 def plan_terms(d: int, m: int, top: int) -> int:
-    """Work of the plan over m segments of d positions up to ``top``
-    blocks, counted before it is built.  A layer of r blocks found from
-    the comb(r**d + m - 1, m) multisets of segment words costs r!
-    renamings per multiset; one found from its S(l, r) set partitions
-    costs at most m! segment orders per partition, and listing the
-    partitions costs one term per partition with at most r blocks.
-    Each multiset or partition also charges its Bell(r) coarsenings for
-    the Moebius rows, and comb(m + 1, 3) for the pairwise contraction
-    order of its components (each of the m - 1 steps scans the pairs of
-    operands left)."""
+    """Work charged for the plan over m segments of d positions up to
+    ``top`` blocks, counted before it is built.  The count is kept from an
+    earlier builder so that the same calls are refused: block counts 1..R
+    charge the comb(r**d + m - 1, m) multisets of segment words, r!
+    renamings each, the others their S(l, r) set partitions, m! segment
+    orders each, plus one term per partition with at most r blocks; R ends
+    the run from 1 where the words cost no more, and is 0 when the
+    partitions with at most R blocks number at most 2**16.  Each item also
+    charges its Bell(r) coarsenings and comb(m + 1, 3) steps of
+    contraction ordering (each of the m - 1 steps scans the pairs left)."""
     l = m * d
     s = _stirling(l)
+    words = 0
+    while words < l and math.comb((words + 1) ** d + m - 1, m) \
+            * math.factorial(words + 1) <= s[l][words + 1] * math.factorial(m):
+        words += 1
+    if sum(s[l][:words + 1]) <= 1 << 16:
+        words = 0
     total = listed = 0
     for r in range(1, top + 1):
-        if r <= _word_layers(d, m):
+        if r <= words:
             items, tries = math.comb(r ** d + m - 1, m), math.factorial(r)
         else:
             items, tries = s[l][r], math.factorial(m)
@@ -135,35 +124,21 @@ def plan_terms(d: int, m: int, top: int) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _rgs(l: int, top: int) -> np.ndarray:
-    """The restricted-growth strings of length l with at most ``top``
-    blocks, in lexicographic order, as read-only int8 rows: the label of
-    each position, labels numbered in order of first use."""
-    if top > l:
-        return _rgs(l, l)
-    if l == 1:
-        rows = np.zeros((1, 1), dtype=np.int8)
-    else:
-        prev = _rgs(l - 1, top)
-        choices = np.minimum(prev.max(axis=1).astype(np.int64) + 2, top)
-        pick = np.repeat(np.arange(len(prev)), choices)
+def _rgs(l: int, names: int = 0) -> np.ndarray:
+    """Rows of l labels, in lexicographic order, as read-only int8 rows:
+    each label one of the ``names`` names in use before the row or a new
+    name, new names numbered in order of first use.  With no names before
+    the row, these are the restricted-growth strings of length l."""
+    rows = np.zeros((1, 0), dtype=np.int8)
+    used = np.full(1, names)
+    for _ in range(l):
+        choices = used + 1
+        pick = np.repeat(np.arange(len(rows)), choices)
         label = np.arange(len(pick)) - np.repeat(np.cumsum(choices) - choices,
                                                  choices)
-        rows = np.column_stack((prev[pick], label.astype(np.int8)))
+        rows = np.column_stack((rows[pick], label.astype(np.int8)))
+        used = np.maximum(used[pick], label + 1)
     rows.flags.writeable = False
-    return rows
-
-
-def _multisets(count: int, size: int) -> np.ndarray:
-    """The multisets of ``size`` values below ``count``, as nondecreasing
-    rows in lexicographic order."""
-    rows = np.arange(count, dtype=np.min_scalar_type(count))[:, None]
-    for _ in range(size - 1):
-        choices = count - rows[:, -1].astype(np.int64)
-        pick = np.repeat(np.arange(len(rows)), choices)
-        value = rows[pick, -1] + (np.arange(len(pick)) - np.repeat(
-            np.cumsum(choices) - choices, choices)).astype(rows.dtype)
-        rows = np.column_stack((rows[pick], value))
     return rows
 
 
@@ -192,14 +167,14 @@ def _relabel(rows: np.ndarray, r: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _coarsenings(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Bell(r) set partitions tau of r blocks, as label rows, their
-    Moebius weights prod_B (-1)**(|B|-1) (|B|-1)!, and their block counts."""
-    tau = _rgs(r, r)
+def _coarsenings(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Bell(r) set partitions tau of r blocks, as label rows, and
+    their Moebius weights prod_B (-1)**(|B|-1) (|B|-1)!."""
+    tau = _rgs(r)
     sizes = (tau[:, :, None] == np.arange(r, dtype=np.int8)).sum(axis=1)
     weight = np.array([1] + [(-1) ** (s - 1) * math.factorial(s - 1)
                              for s in range(1, r + 1)], dtype=np.int64)
-    return tau, weight[sizes].prod(axis=1), (sizes > 0).sum(axis=1)
+    return tau, weight[sizes].prod(axis=1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -302,24 +277,18 @@ def _pairing(shapes: tuple[tuple[int, ...], ...]) -> tuple:
 
 
 @functools.lru_cache(maxsize=None)
-def _sorting_orders(ranks: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The orders of the segments that list them by nondecreasing rank:
-    every order of each group of tied segments, the groups by rank."""
-    m = len(ranks)
-    groups = [[s for s in range(m) if ranks[s] == v] for v in sorted(set(ranks))]
-    return tuple(tuple(itertools.chain(*parts)) for parts in
-                 itertools.product(*map(itertools.permutations, groups)))
-
-
-@functools.lru_cache(maxsize=None)
-def _renamed_words(r: int, d: int, base: int) -> np.ndarray:
-    """Row p, column w: the word w of d block names, read as digits in
-    ``base``, under the p-th renaming of the names below r."""
-    places = base ** np.arange(d - 1, -1, -1)
-    digits = np.arange(base ** d)[:, None] // places % base
-    names = np.array([p + tuple(range(r, base))
-                      for p in itertools.permutations(range(r))])
-    return names[:, digits] @ places
+def _renamings(r: int, ties: int) -> np.ndarray:
+    """The renamings of r blocks listed in order that keep the order
+    between tie groups, bit i of ``ties`` set when places i and i + 1
+    of the list tie: row q names the block at each place."""
+    groups, lo = [], 0
+    for i in range(1, r + 1):
+        if i == r or not ties >> (i - 1) & 1:
+            groups.append(range(lo, i))
+            lo = i
+    return np.array([list(itertools.chain(*parts)) for parts in
+                     itertools.product(*map(itertools.permutations, groups))],
+                    dtype=np.intp)
 
 
 class _Evaluator:
@@ -388,26 +357,20 @@ class _Evaluator:
 
 class _Plan:
     """Orbit representatives of the set partitions of m segments of d
-    positions; see the module docstring.  Representatives are numbered
-    by block count, then by canonical key, so a coarser one always has
-    the smaller number.  Keys of listed partitions are restricted-growth
-    strings read in base ``base``; a plan that only names the components
-    of a larger one builds no Moebius rows or factors."""
+    positions, as restricted-growth strings, with their canonical keys;
+    see the module docstring.  Representatives are numbered by block
+    count, then by canonical key, so a coarser one always has the
+    smaller number.  Keys and strings are read as l digits in base
+    ``base``; a plan that only names the components of a larger one
+    builds no Moebius rows or factors."""
 
     def __init__(self, d: int, m: int):
         self.d, self.m, self.l = d, m, m * d
         self.base = _key_base(self.l)
         self.built = 0  # block counts 1..built are in the plan
-        # every listed partition's key, sorted, and its representative
-        self.keys = np.zeros(0, dtype=np.int64)
-        self.ids = np.zeros(0, dtype=np.intp)
-        # block counts 1..words are word layers; every multiset of their
-        # words, keyed in one base, sorted, and its representative
-        self.words = _word_layers(d, m)
-        self.word_base = max(1, min(self.words, self.base))
-        self.word_keys = np.zeros(0, dtype=np.int64)
-        self.word_ids = np.zeros(0, dtype=np.intp)
+        # each representative and its canonical key
         self.reps = np.zeros((0, self.l), dtype=np.int8)
+        self.keys = np.zeros(0, dtype=np.int64)
         self.start = [0, 0]  # start[r]: first representative with r blocks
         self.size: list[int] = []
         self.factors: list[tuple[tuple[int, int], ...]] = []
@@ -428,149 +391,125 @@ class _Plan:
         return hit
 
     def find(self, rows: np.ndarray) -> np.ndarray:
-        """Representative numbers of restricted-growth rows."""
+        """Representative numbers of restricted-growth rows: each distinct
+        row is canonicalised, and its key found among the keys of the
+        representatives with its block count."""
+        _, first, back = np.unique(_rgs_keys(rows, self.base),
+                                   return_index=True, return_inverse=True)
+        rows = rows[first]
         blocks = rows.max(axis=1) + 1
+        keys, _ = self._canonical(rows)
         out = np.empty(len(rows), dtype=np.intp)
-        worded = blocks <= self.words
-        out[worded] = self.word_ids[np.searchsorted(
-            self.word_keys, self._word_keys(self._words(rows[worded])))]
-        listed = ~worded
-        out[listed] = self.ids[np.searchsorted(
-            self.keys, _rgs_keys(rows[listed], self.base))]
-        return out
+        for r in set(blocks.tolist()):
+            mine = blocks == r
+            lo = self.start[r]
+            out[mine] = lo + np.searchsorted(self.keys[lo:self.start[r + 1]],
+                                             keys[mine])
+        return out[back]
 
     def extend(self, top: int) -> None:
-        """Add the orbits with built < r <= top blocks."""
-        for r in range(self.built + 1, min(top, self.words) + 1):
-            self._word_orbits(r)
-        if top > max(self.built, self.words):
-            self._partition_orbits(max(self.built, self.words) + 1, top)
-        self.built = max(self.built, top)
-
-    def _word_orbits(self, r: int) -> None:
-        """The orbits with r blocks from the multisets of m words over r
-        block names that use every name.  A multiset's key is its sorted
-        words read as digits; an orbit is keyed by the smallest key over
-        the r! renamings, and the multiset with that key, written as a
-        restricted-growth string, is its representative.  The orbit holds
-        (its multisets) * (orderings of one of them) / r! partitions."""
+        """Add the orbits with built < r <= top blocks: every
+        representative of (d, m - 1) with at most ``top`` blocks (of
+        (d, 1), the empty row), extended by each word over its names and
+        new ones, one extension kept per canonical key.  The smallest
+        string of an orbit starts with the smallest of its (d, m - 1)
+        orbit, so keeping the smallest extension keeps it.  An orbit's
+        size is m! / (automorphisms * the orders of its equal words)."""
+        top = min(top, self.l)
+        if top <= self.built:
+            return
         d, m = self.d, self.m
-        words = _multisets(r ** d, m)
-        digits = np.arange(r ** d)[:, None] // r ** np.arange(d - 1, -1, -1) % r
-        names = np.bitwise_or.reduce(1 << digits, axis=1)  # bit set per word
-        words = words[np.bitwise_or.reduce(names[words], axis=1) == (1 << r) - 1]
-        labels = digits.astype(np.int8)[words].reshape(len(words), self.l)
-        own = self._word_keys(self._words(labels))
-        canon = self._renamed_keys(labels, r)
-        _, orbit, count = np.unique(canon, return_inverse=True, return_counts=True)
-        mine = own == canon  # the canonical multisets, in key order
-        sizes = [math.factorial(m) * c // math.factorial(r) // math.prod(
-                 map(math.factorial, collections.Counter(row).values()))
-                 for c, row in zip(count.tolist(), words[mine].tolist())]
-        keys = np.concatenate((self.word_keys, own))
-        at = np.argsort(keys)
-        self.word_keys = keys[at]
-        self.word_ids = np.concatenate(
-            (self.word_ids, len(self.reps) + orbit.reshape(-1)))[at]
-        self.reps = np.concatenate((self.reps, _relabel(labels[mine], r)))
-        self.size.extend(sizes)
-        self.start.append(len(self.reps))
+        if m == 1:
+            heads = [(np.zeros((1, 0), dtype=np.int8), 0)]
+        else:
+            prev = _plan(d, m - 1)
+            prev.extend(top)
+            heads = [(prev.reps[prev.start[r]:prev.start[r + 1]], r)
+                     for r in range(1, min(top, prev.l) + 1)]
+        rows, blocks = [], []
+        for head, r in heads:
+            words = _rgs(d, r)
+            count = np.maximum(r, words.max(axis=1) + 1)
+            keep = (count > self.built) & (count <= top)
+            words, count = words[keep], count[keep]
+            if len(words):  # each head with each kept word
+                at, word = np.divmod(np.arange(len(head) * len(words)), len(words))
+                rows.append(np.hstack((head[at], words[word])))
+                blocks.append(count[word])
+        rows, blocks = np.concatenate(rows), np.concatenate(blocks)
+        keys, auts = self._canonical(rows)
+        # the smallest extension of each orbit, by block count, then key
+        order = np.lexsort((_rgs_keys(rows, self.base), keys, blocks))
+        first = order[np.flatnonzero(np.diff(keys[order], prepend=-1))]
+        # m! / (automorphisms * prod (multiplicity of each word)!), the
+        # product taken over each word's place in its run of equal words
+        words = np.sort(_rgs_keys(rows[first].reshape(-1, m, d), self.base),
+                        axis=1)
+        run = np.ones(len(first), dtype=np.int64)
+        div = auts[first].astype(
+            np.int64 if math.factorial(m) <= _INT64_MAX else object)
+        for s in range(1, m):
+            run = np.where(words[:, s] == words[:, s - 1], run + 1, 1)
+            div = div * run
+        self.size.extend((math.factorial(m) // div).tolist())
+        self.start.extend((len(self.reps) + np.searchsorted(
+            blocks[first], np.arange(self.built + 1, top + 1), side="right")).tolist())
+        self.reps = np.concatenate((self.reps, rows[first]))
+        self.keys = np.concatenate((self.keys, keys[first]))
+        self.built = top
 
-    def _words(self, rows: np.ndarray) -> np.ndarray:
-        """Each segment of each row read as a word in ``word_base``."""
-        return rows.reshape(len(rows), self.m, self.d).astype(np.int64) \
-            @ self.word_base ** np.arange(self.d - 1, -1, -1)
-
-    def _word_keys(self, words: np.ndarray) -> np.ndarray:
-        """The key of each multiset of m segment words (the last axis):
-        the words sorted, read as digits."""
-        return np.sort(words, axis=-1) \
-            @ (self.word_base ** self.d) ** np.arange(self.m - 1, -1, -1)
-
-    def _partition_orbits(self, lo: int, top: int) -> None:
-        """The orbits with lo <= r <= top blocks from the partitions
-        themselves, numbered by block count, then by canonical key; an
-        orbit's representative is its member with the smallest key."""
-        rows = _rgs(self.l, top)
-        blocks = rows.max(axis=1) + 1
-        rows, blocks = rows[blocks >= lo], blocks[blocks >= lo]
-        own = _rgs_keys(rows, self.base)
-        canon = np.empty(len(rows), dtype=np.int64)
-        for at in range(0, len(rows), _CHUNK_ROWS):
-            canon[at:at + _CHUNK_ROWS] = self._canonical_keys(
-                rows[at:at + _CHUNK_ROWS], top)
-        order = np.lexsort((canon, blocks))
-        new = np.flatnonzero((np.diff(canon[order], prepend=-1) != 0)
-                             | (np.diff(blocks[order], prepend=-1) != 0))
-        opens = np.zeros(len(rows), dtype=np.intp)
-        opens[new] = 1
-        orbit = np.empty(len(rows), dtype=np.intp)
-        orbit[order] = np.cumsum(opens) - 1 + len(self.reps)
-        keys = np.concatenate((self.keys, own))
-        at = np.argsort(keys)
-        self.keys = keys[at]
-        self.ids = np.concatenate((self.ids, orbit))[at]
-        first = len(self.reps)
-        self.reps = np.concatenate((self.reps, rows[order[new]]))
-        self.size.extend(np.diff(new, append=len(rows)).tolist())
-        self.start.extend((first + np.searchsorted(
-            blocks[order[new]], np.arange(lo, top + 1), side="right")).tolist())
-
-    def _renamed_keys(self, rows: np.ndarray, r: int) -> np.ndarray:
-        """A key of each row's orbit, for rows with r blocks: the
-        smallest, over the r! renamings of the blocks, of the sorted
-        segments read as words."""
-        words = self._words(rows)
-        renamed = _renamed_words(r, self.d, self.word_base)
-        keys = np.empty(len(rows), dtype=np.int64)
-        step = max(1, _CHUNK_CELLS // (self.m * len(renamed)))
-        for lo in range(0, len(rows), step):
-            keys[lo:lo + step] = self._word_keys(
-                renamed[:, words[lo:lo + step]]).min(axis=0)
-        return keys
-
-    def _canonical_keys(self, rows: np.ndarray, top: int) -> np.ndarray:
-        """The smallest key of each row's orbit.  Only the segment orders
-        that sort the segments by a signature (their equality pattern and
-        the sizes of the blocks their positions fall in) are tried: the
-        signatures move with the segments, so the orders tried for two
-        members of one orbit give the same rows."""
+    def _canonical(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The canonical key of each row of labels, its names the ones
+        below its block count, and its automorphism count.  A block's
+        signature counts the segments where it holds each bit set of
+        positions, packed in base m + 1 (modulo 2**62 where that does not
+        fit, which can only tie more blocks).  The key is the smallest
+        value of the sorted segment words, read as digits, over the
+        renamings that list the blocks by signature, every order inside
+        a tie tried.  Signatures move with the blocks and the segments,
+        so the renamings tried for two members of one orbit give the
+        same words, and as many of them as there are automorphisms reach
+        the smallest.  Names a row does not use are listed last, untied,
+        and change no word."""
         count, d, m = len(rows), self.d, self.m
-        sizes = np.bincount((np.arange(count)[:, None] * top + rows).reshape(-1),
-                            minlength=count * top).reshape(count, top)
-        size = np.take_along_axis(sizes, rows.astype(np.intp), axis=1)
-        size, seg = size.reshape(count, m, d), rows.reshape(count, m, d)
-        sig = np.zeros((count, m), dtype=np.int64)
-        for t in range(d):
-            sig = sig * (self.l + 1) + size[:, :, t]
-            for u in range(t):
-                sig = sig * 2 + (seg[:, :, t] == seg[:, :, u])
-        # rank of each segment's signature in its row (ties share a
-        # rank); the orders to try depend on the ranks alone
-        rank = (sig[:, :, None] > sig[:, None, :]).sum(axis=2, dtype=np.int64)
-        codes, pattern = np.unique(rank @ m ** np.arange(m), return_inverse=True)
-        lists = [_sorting_orders(tuple(c // m ** s % m for s in range(m)))
-                 for c in codes.tolist()]
-        orders = np.array(list(itertools.chain(*lists)), dtype=np.intp)
-        sizes = np.array(list(map(len, lists)))
+        r = int(rows.max()) + 1
+        # bits[i, j, s]: the positions of segment s that hold block j of row i
+        cell = (np.arange(count)[:, None] * r + rows) * m + np.repeat(np.arange(m), d)
+        bits = np.bincount(cell.reshape(-1), np.tile(1 << np.arange(d), count * m),
+                           count * r * m).astype(np.intp).reshape(count, r, m)
+        code = np.append(0, (m + 1) ** np.arange((1 << d) - 1, dtype=np.int64))
+        sig = np.where(bits.any(axis=2), code[bits].sum(axis=2) & (1 << 62) - 1,
+                       (1 << 62) + np.arange(r))
+        order = np.argsort(sig, axis=1, kind="stable")
+        # each position's block by its place in the list
+        place = np.argsort(order, axis=1)[np.arange(count)[:, None], rows]
+        sig.sort(axis=1)
+        codes, pattern = np.unique((sig[:, 1:] == sig[:, :-1]) @ (
+            1 << np.arange(r - 1)), return_inverse=True)
+        tables = [_renamings(r, c) for c in codes.tolist()]
+        names = np.concatenate(tables)
+        sizes = np.array(list(map(len, tables)))
         first = np.cumsum(sizes) - sizes
-        pattern = pattern.reshape(-1)
-        tried = np.cumsum(sizes[pattern])
-        canon = np.empty(count, dtype=np.int64)
+        per = sizes[pattern]  # renamings tried per row
+        tried = np.cumsum(per)
+        word = self.base ** np.arange(d - 1, -1, -1, dtype=np.int64)
+        digit = (self.base ** d) ** np.arange(m - 1, -1, -1, dtype=np.int64)
+        keys, auts = [], []
         lo = 0
         while lo < count:  # at most _CHUNK_CELLS labels at a time
-            done = tried[lo - 1] if lo else 0
             hi = max(lo + 1, int(np.searchsorted(
-                tried, done + _CHUNK_CELLS // self.l, side="right")))
-            per = sizes[pattern[lo:hi]]
-            who = np.repeat(np.arange(hi - lo), per)
-            which = np.repeat(first[pattern[lo:hi]] - np.cumsum(per) + per, per) \
-                + np.arange(len(who))
-            tries = seg[lo:hi][who[:, None], orders[which]].reshape(-1, self.l)
-            keys = _rgs_keys(_relabel(tries, top), self.base)
-            canon[lo:hi] = np.minimum.reduceat(keys, np.cumsum(per) - per)
+                tried, tried[lo] - per[lo] + _CHUNK_CELLS // self.l, side="right")))
+            heads = tried[lo:hi] - tried[lo] + per[lo] - per[lo:hi]
+            who = np.repeat(np.arange(lo, hi), per[lo:hi])
+            which = np.arange(len(who)) + np.repeat(
+                first[pattern[lo:hi]] - heads, per[lo:hi])
+            tries = np.sort(names[which[:, None], place[who]].reshape(-1, m, d)
+                            @ word, axis=1) @ digit
+            keys.append(np.minimum.reduceat(tries, heads))
+            auts.append(np.add.reduceat(
+                tries == np.repeat(keys[-1], per[lo:hi]), heads))
             lo = hi
-        return canon
+        return np.concatenate(keys), np.concatenate(auts)
 
     def extend_rows(self, top: int) -> None:
         """Moebius rows and factors of the representatives with at most
@@ -584,37 +523,27 @@ class _Plan:
 
     def _moebius_rows(self, lo: int, top: int) -> None:
         """S(pi) = sum over the coarsenings sigma of pi, each pi composed
-        with a partition tau of its blocks, of mu(tau) T(rep of sigma)."""
+        with a partition tau of its blocks, of mu(tau) T(rep of sigma).
+        tau o pi is a restricted-growth string whose key is linear in
+        tau: sum_j tau[j] * (place values of pi's block j)."""
         total = self.start[top + 1]
-        cells, weights = [], []
+        keys, owners, weights = [], [], []
         for r in range(1, top + 1):
             a, b = max(lo, self.start[r]), self.start[r + 1]
             if a >= b:
                 continue
-            tau, mu, count = _coarsenings(r)
-            reps = self.reps[a:b]
-            found = np.empty((len(tau), b - a), dtype=np.intp)
-            # the keys and segment words of tau o pi are linear in tau
-            listed = count > self.words
-            if listed.any():
-                # key = sum_j tau[j] * (place values of pi's block j)
-                place = np.zeros((r, b - a), dtype=np.int64)
-                np.add.at(place, (reps, np.arange(b - a)[:, None]),
-                          self.base ** np.arange(self.l - 1, -1, -1))
-                found[listed] = self.ids[np.searchsorted(
-                    self.keys, tau[listed] @ place)]
-            if not listed.all():
-                # word s = sum_j tau[j] * (digit values of block j in segment s)
-                digit = np.zeros((b - a, r, self.m), dtype=np.int64)
-                np.add.at(digit, (np.arange(b - a)[:, None, None],
-                                  reps.reshape(b - a, self.m, self.d),
-                                  np.arange(self.m)[:, None]),
-                          self.word_base ** np.arange(self.d - 1, -1, -1))
-                found[~listed] = self.word_ids[np.searchsorted(
-                    self.word_keys, self._word_keys(tau[~listed] @ digit))].T
-            cells.append((np.arange(a, b) * total + found).reshape(-1))
+            tau, mu = _coarsenings(r)
+            place = np.zeros((r, b - a), dtype=np.int64)
+            np.add.at(place, (self.reps[a:b], np.arange(b - a)[:, None]),
+                      self.base ** np.arange(self.l - 1, -1, -1))
+            keys.append((tau @ place).reshape(-1))
+            owners.append(np.tile(np.arange(a, b), len(tau)))
             weights.append(np.repeat(mu, b - a))
-        cell, weight = np.concatenate(cells), np.concatenate(weights)
+        keys, back = np.unique(np.concatenate(keys), return_inverse=True)
+        found = self.find((keys[:, None] // self.base ** np.arange(
+            self.l - 1, -1, -1) % self.base).astype(np.int8))[back]
+        cell = np.concatenate(owners) * total + found
+        weight = np.concatenate(weights)
         order = np.argsort(cell, kind="stable")
         cell, weight = cell[order], weight[order]
         head = np.flatnonzero(np.diff(cell, prepend=-1))
@@ -651,19 +580,24 @@ class _Plan:
         new[1:] = (comps[1:] != comps[:-1]) | (owners[1:] != owners[:-1])
         comps, owners = comps[new], owners[new]
         heads = np.flatnonzero(np.diff(comps, prepend=comps[0] - 1)).tolist()
-        out: list[list] = [[] for _ in range(count)]
+        # the components of c < m segments, looked up in (d, c) at once
+        parts = collections.defaultdict(list)
         for a, b in zip(heads, heads[1:] + [len(comps)]):
             comp, who = int(comps[a]), owners[a:b]
-            if comp == (1 << m) - 1:
-                for i in who.tolist():
-                    out[i].append((m, lo + i))
-                continue
             cols = [s * d + t for s in range(m) if comp >> s & 1 for t in range(d)]
-            plan = _plan(d, len(cols) // d)
-            plan.extend(min(top, len(cols)))
-            ids = plan.find(_relabel(rows[who][:, cols], top))
-            for i, j in zip(who.tolist(), ids.tolist()):
-                out[i].append((len(cols) // d, j))
+            parts[len(cols) // d].append((who, rows[who][:, cols]))
+        out: list[list] = [[] for _ in range(count)]
+        for c, found in parts.items():
+            who = np.concatenate([w for w, _ in found]).tolist()
+            if c == m:
+                ids = [lo + i for i in who]
+            else:
+                plan = _plan(d, c)
+                plan.extend(top)
+                ids = plan.find(_relabel(np.concatenate(
+                    [part for _, part in found]), top)).tolist()
+            for i, j in zip(who, ids):
+                out[i].append((c, j))
         self.factors.extend(tuple(sorted(f)) for f in out)
 
 

@@ -94,18 +94,19 @@ def _build_chunk(digits: np.ndarray, vals: np.ndarray, n: int, m: int,
     count = stop - start
     ix = digits.dtype
     entries = np.unravel_index(np.arange(start, stop), (nnz,) * m)
-    cols = np.concatenate([digits[e] for e in entries], axis=1)
+    # column-major, so that each position's column is contiguous
+    cols = np.asfortranarray(np.concatenate([digits[e] for e in entries], axis=1))
     prods = math.prod(vals[e] for e in entries)
     # restricted-growth labels: label[i] = index of the block position i joins
-    labels = np.zeros((count, l), dtype=ix)
+    labels = np.zeros((count, l), dtype=ix, order="F")
     blockvals = np.full((count, rmax), -1, dtype=ix)
     blockvals[:, 0] = cols[:, 0]
     nblocks = np.ones(count, dtype=ix)
     for i in range(1, l):
+        col = cols[:, i]
         lab = np.full(count, -1, dtype=ix)
         for j in range(i):
-            eq = cols[:, j] == cols[:, i]
-            lab[eq] = labels[eq, j]
+            lab = np.where(cols[:, j] == col, labels[:, j], lab)
         new = lab < 0
         labels[:, i] = np.where(new, nblocks, lab)
         rows = np.nonzero(new)[0]

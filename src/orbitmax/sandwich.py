@@ -253,13 +253,26 @@ def cor16_factor_check(dim: int, eps: float) -> Cor16Report:
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
     num, den = Fraction(eps).as_integer_ratio()
-    # k0! * eps**(2 k0) > 2**k0 with denominators cleared: each step
-    # multiplies k0! * num**(2 k0) and 2**k0 * den**(2 k0) by one factor
-    k0, lhs, rhs = 1, num * num, 2 * den * den
-    while not lhs > rhs:
+
+    def above(k: int) -> bool:
+        # k! * eps**(2k) > 2**k, with denominators cleared
+        return math.factorial(k) * num ** (2 * k) > 2 ** k * den ** (2 * k)
+
+    # log(k! * eps**(2k) / 2**k) has increasing steps log(k + 1) + c and
+    # is 0 at k = 0, so the k >= 1 where it is positive run from k0 on:
+    # bisect its float value, then settle k0 on the exact comparison
+    c = 2 * math.log(eps) - math.log(2)
+    lo, hi = 0, 1
+    while math.lgamma(hi + 1) + hi * c <= 0:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if math.lgamma(mid + 1) + mid * c <= 0 else (lo, mid)
+    k0 = hi
+    while not above(k0):
         k0 += 1
-        lhs *= k0 * num * num
-        rhs *= 2 * den * den
+    while k0 > 1 and above(k0 - 1):
+        k0 -= 1
     num_2k0, den_2k0 = num ** (2 * k0), den ** (2 * k0)
     dims = sorted({dim, k0, 2 * k0, 10 * k0})
     checks = []

@@ -14,6 +14,8 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from orbitmax import _typesweep, assign
 from orbitmax.hypergraph import Hypergraph
 from orbitmax.sphere import SparsePoly
@@ -157,6 +159,64 @@ def random_permutation(rng: random.Random, n: int) -> assign.Permutation:
     return assign.Permutation(tuple(images))
 
 
+def _set_partitions(size: int):
+    """Every set partition of range(size) as a restricted-growth tuple,
+    grown one position at a time."""
+    rows = [()]
+    for _ in range(size):
+        rows = [row + (lab,) for row in rows
+                for lab in range(max(row, default=-1) + 2)]
+    return rows
+
+
+def _first_use(labels) -> tuple:
+    """Labels renamed in order of first use."""
+    names: dict = {}
+    return tuple(names.setdefault(lab, len(names)) for lab in labels)
+
+
+def brute_orbit_form(rgs, d: int, m: int) -> tuple:
+    """The smallest restricted-growth string over all m! orders of the
+    m segments of d positions, relabelled after each reorder."""
+    segs = [rgs[s * d:(s + 1) * d] for s in range(m)]
+    return min(_first_use([x for s in order for x in segs[s]])
+               for order in itertools.permutations(range(m)))
+
+
+def brute_partition_orbits(d: int, m: int):
+    """The orbits of the set partitions of m segments of d positions under
+    the m! segment orders, by brute force: (orbit of every
+    restricted-growth string, members of each orbit), orbits in order of
+    their first member in lexicographic order."""
+    orbit_of: dict = {}
+    members: list = []
+    for rgs in _set_partitions(m * d):
+        if rgs not in orbit_of:
+            segs = [rgs[s * d:(s + 1) * d] for s in range(m)]
+            orbit = {_first_use([x for s in order for x in segs[s]])
+                     for order in itertools.permutations(range(m))}
+            for q in orbit:
+                orbit_of[q] = len(members)
+            members.append(orbit)
+    return orbit_of, members
+
+
+def brute_moebius_row(rgs, orbit_of) -> dict:
+    """S(pi) = sum over the coarsenings sigma of pi of mu(pi, sigma)
+    T(sigma), folded onto orbits: {orbit of sigma: coefficient}, with
+    mu(pi, sigma) = prod over the blocks of sigma of (-1)**(c - 1) (c - 1)!,
+    c the blocks of pi it merges."""
+    row: dict = {}
+    for tau in _set_partitions(max(rgs) + 1):
+        mu = 1
+        for block in set(tau):
+            c = tau.count(block)
+            mu *= (-1) ** (c - 1) * math.factorial(c - 1)
+        key = orbit_of[_first_use([tau[x] for x in rgs])]
+        row[key] = row.get(key, 0) + mu
+    return {k: v for k, v in row.items() if v}
+
+
 def loop_coset_power_sums(nz_a, flat_b, n: int, d: int, m: int, pairs,
                           split_pos):
     """Sum of <B, gA>**m over the coset fixed by ``pairs`` (one sum per
@@ -185,6 +245,36 @@ def loop_coset_power_sums(nz_a, flat_b, n: int, d: int, m: int, pairs,
         else:
             split[img[split_pos]] = split.get(img[split_pos], 0) + f ** m
     return split if split_pos is not None else total
+
+
+def mask_build_chunk(digits, vals, n: int, m: int, start: int, stop: int):
+    """Type keys, block values and products of the sweep rows
+    start..stop-1, each position labelled by boolean-mask assignment over
+    row-major columns: the oracle for ``_typesweep._build_chunk``."""
+    nnz, d = digits.shape
+    l = m * d
+    rmax = min(l, n)
+    count = stop - start
+    ix = digits.dtype
+    entries = np.unravel_index(np.arange(start, stop), (nnz,) * m)
+    cols = np.concatenate([digits[e] for e in entries], axis=1)
+    prods = math.prod(vals[e] for e in entries)
+    labels = np.zeros((count, l), dtype=ix)
+    blockvals = np.full((count, rmax), -1, dtype=ix)
+    blockvals[:, 0] = cols[:, 0]
+    nblocks = np.ones(count, dtype=ix)
+    for i in range(1, l):
+        lab = np.full(count, -1, dtype=ix)
+        for j in range(i):
+            eq = cols[:, j] == cols[:, i]
+            lab[eq] = labels[eq, j]
+        new = lab < 0
+        labels[:, i] = np.where(new, nblocks, lab)
+        rows = np.nonzero(new)[0]
+        blockvals[rows, nblocks[rows]] = cols[rows, i]
+        nblocks[new] += 1
+    powers = (max(rmax, 2) ** np.arange(l)).astype(np.int64)
+    return labels.astype(np.int64) @ powers, blockvals, prods
 
 
 def _pins_first(flat, n: int, d: int, pins) -> list:
@@ -272,3 +362,16 @@ def fraction_sandwich_sums(v, ell, k: int) -> tuple[Fraction, Fraction, Fraction
         sup = max(sup, abs(f))
         count += 1
     return sup, s2 / count, s2k / count
+
+
+def walk_cor16_k0(eps: float) -> int:
+    """Smallest k >= 1 with k! * eps**(2k) > 2**k, walking k up from 1
+    with both sides' products kept in integers: the oracle for
+    ``sandwich.cor16_factor_check``'s k0."""
+    num, den = Fraction(eps).as_integer_ratio()
+    k0, lhs, rhs = 1, num * num, 2 * den * den
+    while not lhs > rhs:
+        k0 += 1
+        lhs *= k0 * num * num
+        rhs *= 2 * den * den
+    return k0

@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (brute_coset_average, brute_group_moment,
-                     enumerated_coset_moment,
+                     brute_moebius_row, brute_orbit_form,
+                     brute_partition_orbits, enumerated_coset_moment,
                      loop_brute_max, loop_coset_power_sums,
+                     mask_build_chunk,
                      random_int_tensor, random_permutation,
                      random_rational_tensor, sweep_coset_moment)
 from orbitmax import _contract, _typesweep, assign
@@ -407,7 +409,8 @@ class TestPartitionMoments:
             Fraction(-7, 3) ** 4 * Fraction(sum(off), n * (n - 1))
 
     def test_orbits_cover_every_partition(self):
-        for d, m in ((2, 1), (2, 2), (3, 2), (2, 4)):
+        for d, m in ((2, 1), (2, 2), (3, 2), (2, 4), (2, 3), (3, 3), (4, 2),
+                     (2, 5), (5, 2)):
             l = m * d
             plan = _contract._plan(d, m)
             plan.extend(l)
@@ -416,11 +419,10 @@ class TestPartitionMoments:
                 sizes = plan.size[plan.start[r]:plan.start[r + 1]]
                 assert sum(sizes) == blocks.count(r) == _stirling2(l, r)
         assert _contract._plan(2, 4).start[-1] == 296
-        # plans whose first layers come from multisets of factor words
+        # plans over many segments, up to a few blocks
         for d, m, top in ((2, 6, 4), (3, 4, 3), (2, 12, 2)):
             plan = _contract._plan(d, m)
             plan.extend(top)
-            assert plan.words >= top
             for r in range(1, top + 1):
                 sizes = plan.size[plan.start[r]:plan.start[r + 1]]
                 assert sum(sizes) == _stirling2(m * d, r)
@@ -443,25 +445,6 @@ class TestPartitionMoments:
             moment_2k(a, a, 2, visit_budget=required - 1)
         assert (exc.value.required, exc.value.budget, exc.value.k) == \
             (required, required - 1, 2)
-
-    @pytest.mark.parametrize("words", [1, 2, 3, 5])
-    def test_word_and_listed_layers_mix(self, monkeypatch, words):
-        # any split of the block counts between multisets of factor words
-        # (1..words) and listed partitions gives the same orbits and moments
-        monkeypatch.setattr(_contract, "_plans", {})
-        monkeypatch.setattr(_contract, "_word_layers",
-                            lambda d, m: min(words, m * d))
-        rng = random.Random(1018 + words)
-        for n, d, k in ((4, 2, 2), (5, 2, 2), (4, 3, 1), (6, 3, 1)):
-            a = random_int_tensor(rng, n, d, -3, 3)
-            b = random_int_tensor(rng, n, d, -3, 3)
-            assert moment_2k(a, b, k) == brute_group_moment(a, b, k)
-        plan = _contract._plan(2, 4)
-        plan.extend(8)
-        assert plan.start[-1] == 296
-        for r in range(1, 9):
-            assert sum(plan.size[plan.start[r]:plan.start[r + 1]]) == \
-                _stirling2(8, r)
 
     def test_twelve_factors_at_one_and_two_points(self):
         # 2k = 12 factors of order 2: at n = 2 the 2**23 partitions into
@@ -501,6 +484,100 @@ class TestPartitionMoments:
             assert coset_moment(a, b, k, PartialAssignment.empty()) == moment
         with pytest.raises(AssertionError):
             sweep_coset_moment(a, b, k, PartialAssignment.empty())
+
+
+# every plan shape (d, m) with d >= 2 and at most 8 positions
+_SMALL_PLANS = [(d, l // d) for l in range(2, 9) for d in range(2, l + 1)
+                if l % d == 0]
+
+
+def _check_plan(plan, top, orbit_of, members, rows):
+    """The plan's representatives with at most ``top`` blocks are one per
+    orbit, numbered by block count, then by key, with the orbit sizes
+    and the Moebius rows of the brute-force oracle."""
+    cols = np.concatenate(plan.row_cols)
+    coefs = np.concatenate(plan.row_coefs)
+    orbits = [orbit_of[tuple(rep)] for rep in plan.reps.tolist()]
+    assert sorted(orbits[:plan.start[top + 1]]) == sorted(
+        o for o, mem in enumerate(members) if max(min(mem)) < top)
+    for r in range(1, top + 1):
+        lo, hi = plan.start[r], plan.start[r + 1]
+        assert all(max(plan.reps[i]) == r - 1 for i in range(lo, hi))
+        assert np.all(np.diff(plan.keys[lo:hi]) > 0)
+    for i in range(plan.start[top + 1]):
+        orbit = orbits[i]
+        assert plan.size[i] == len(members[orbit])
+        if orbit not in rows:
+            rows[orbit] = brute_moebius_row(min(members[orbit]), orbit_of)
+        a, b = plan.row_start[i], plan.row_start[i + 1]
+        assert dict(zip((orbits[c] for c in cols[a:b].tolist()),
+                        coefs[a:b].tolist())) == rows[orbit]
+
+
+class TestPartitionOrbits:
+    """The plan's orbits, orbit sizes, Moebius rows and canonical keys
+    against brute force over every segment order."""
+
+    @pytest.mark.parametrize("d, m", _SMALL_PLANS)
+    def test_plans_match_brute_force(self, monkeypatch, d, m):
+        orbit_of, members = brute_partition_orbits(d, m)
+        rows: dict = {}
+        l = m * d
+        for top in range(1, l + 1):
+            monkeypatch.setattr(_contract, "_plans", {})
+            plan = _contract._plan(d, m)
+            plan.extend_rows(top)
+            _check_plan(plan, top, orbit_of, members, rows)
+        # one plan extended block count by block count
+        monkeypatch.setattr(_contract, "_plans", {})
+        plan = _contract._plan(d, m)
+        for top in range(1, l + 1):
+            plan.extend_rows(top)
+        _check_plan(plan, l, orbit_of, members, rows)
+
+    @pytest.mark.parametrize("d, m", _SMALL_PLANS)
+    def test_canonical_key_tells_orbits_apart(self, d, m):
+        # every member of every orbit, and each under a random renaming
+        # of its blocks
+        rng = random.Random(1021 + 10 * d + m)
+        orbit_of, members = brute_partition_orbits(d, m)
+        rgs = sorted(orbit_of)
+        renamed = []
+        for row in rgs:
+            names = rng.sample(range(max(row) + 1), max(row) + 1)
+            renamed.append([names[x] for x in row])
+        plan = _contract._plan(d, m)
+        keys = plan._canonical(np.array(rgs, dtype=np.int8))[0].tolist()
+        assert plan._canonical(np.array(renamed, dtype=np.int8))[0].tolist() == keys
+        key_of = {}
+        for row, key in zip(rgs, keys):
+            assert key_of.setdefault(orbit_of[row], key) == key
+        assert len(set(key_of.values())) == len(members)
+
+    @pytest.mark.parametrize("d, m, samples", [(2, 6, 40), (3, 4, 40), (2, 8, 10)])
+    def test_canonical_key_on_random_partitions(self, d, m, samples):
+        # few blocks, so that some samples share an orbit
+        rng = random.Random(1022 + m)
+        plan = _contract._plan(d, m)
+        rgs = []
+        for _ in range(samples):
+            blocks = rng.randint(1, 4)
+            names: dict = {}
+            rgs.append([names.setdefault(rng.randrange(blocks), len(names))
+                        for _ in range(m * d)])
+        keys = plan._canonical(np.array(rgs, dtype=np.int8))[0].tolist()
+        moved = []
+        for row in rgs:
+            for _ in range(5):
+                order = rng.sample(range(m), m)
+                names = rng.sample(range(max(row) + 1), max(row) + 1)
+                moved.append([names[row[s * d + t]] for s in order
+                              for t in range(d)])
+        assert plan._canonical(np.array(moved, dtype=np.int8))[0].tolist() == \
+            [key for key in keys for _ in range(5)]
+        forms = [brute_orbit_form(row, d, m) for row in rgs]
+        for i, j in itertools.combinations(range(samples), 2):
+            assert (keys[i] == keys[j]) == (forms[i] == forms[j])
 
 
 class TestSupBounds:
@@ -796,6 +873,30 @@ class TestGreedyScores:
 
 def _random_pairs(rng, n, size):
     return tuple(zip(rng.sample(range(n), size), rng.sample(range(n), size)))
+
+
+class TestSweepLabels:
+    @pytest.mark.parametrize("n", [3, 6, 9, 128, 131])
+    def test_matches_mask_labelling(self, n):
+        # sweep rows of random tensors, int8 indices below n = 128 and
+        # int16 from 128 on, whole and in ranges of row ids
+        rng = random.Random(1020 + n)
+        for d, m in ((1, 4), (2, 2), (2, 3), (3, 2)):
+            flat = [0] * n ** d
+            for pos in rng.sample(range(n ** d), min(n ** d, 7)):
+                flat[pos] = rng.choice((-3, -1, 2, 5))
+            arr = _typesweep._entry_array(flat, n, min(m * d, n), m)
+            nz = np.flatnonzero(arr)
+            digits = np.stack(np.unravel_index(nz, (n,) * d), axis=1) \
+                .astype(_typesweep._index_dtype(n))
+            if n >= 128:
+                assert digits.dtype == np.int16
+            total = len(nz) ** m
+            for start, stop in ((0, total), (total // 3, total - 5)):
+                got = _typesweep._build_chunk(digits, arr[nz], n, m, start, stop)
+                want = mask_build_chunk(digits, arr[nz], n, m, start, stop)
+                for x, y in zip(got, want):
+                    assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 class TestCosetEnumeration:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import fraction_sandwich_sums, random_fraction
+from helpers import fraction_sandwich_sums, random_fraction, walk_cor16_k0
 from orbitmax import assign
 from orbitmax.exact import bound_factor
 from orbitmax.sandwich import (cor16_factor_check, orbit_span_dim,
@@ -150,6 +150,14 @@ class TestCor16:
             while not math.factorial(k0) * epsf ** (2 * k0) > 2 ** k0:
                 k0 += 1
             assert cor16_factor_check(5, eps).k0 == k0, eps
+
+    def test_k0_matches_the_running_walk(self):
+        # the estimate settled on exact integers finds the walk's k0, also
+        # above sqrt(2), where k0 = 1
+        grid = [0.05 * i for i in range(1, 81)] + [2.0 ** 0.5, 1.4143, 0.0999]
+        for eps in grid:
+            assert cor16_factor_check(5, eps).k0 == walk_cor16_k0(eps), eps
+        assert cor16_factor_check(5, 1.4143).k0 == 1
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0, -0.5])
     def test_non_finite_or_non_positive_eps_refused(self, eps):
