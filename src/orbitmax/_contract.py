@@ -95,15 +95,16 @@ def _stirling(size: int) -> list[list[int]]:
 
 def plan_terms(d: int, m: int, top: int) -> int:
     """Work charged for the plan over m segments of d positions up to
-    ``top`` blocks, counted before it is built.  The count is kept from an
-    earlier builder so that the same calls are refused: block counts 1..R
-    charge the comb(r**d + m - 1, m) multisets of segment words, r!
-    renamings each, the others their S(l, r) set partitions, m! segment
-    orders each, plus one term per partition with at most r blocks; R ends
-    the run from 1 where the words cost no more, and is 0 when the
-    partitions with at most R blocks number at most 2**16.  Each item also
-    charges its Bell(r) coarsenings and comb(m + 1, 3) steps of
-    contraction ordering (each of the m - 1 steps scans the pairs left)."""
+    ``top`` blocks, counted before it is built.  The count follows an
+    earlier way of finding the orbits, kept so that the same calls are
+    refused: block counts 1..R charge the comb(r**d + m - 1, m)
+    multisets of segment words, r! renamings each, the others their
+    S(l, r) set partitions, m! segment orders each, plus one term per
+    partition with at most r blocks; R ends the run from 1 where the
+    words cost no more, and is 0 when the partitions with at most R
+    blocks number at most 2**16.  Each item also charges its Bell(r)
+    coarsenings and comb(m + 1, 3) steps of contraction ordering (each
+    of the m - 1 steps scans the pairs left)."""
     l = m * d
     s = _stirling(l)
     words = 0
@@ -478,15 +479,17 @@ class _Plan:
         bits = np.bincount(cell.reshape(-1), np.tile(1 << np.arange(d), count * m),
                            count * r * m).astype(np.intp).reshape(count, r, m)
         code = np.append(0, (m + 1) ** np.arange((1 << d) - 1, dtype=np.int64))
-        sig = np.where(bits.any(axis=2), code[bits].sum(axis=2) & (1 << 62) - 1,
-                       (1 << 62) + np.arange(r))
+        sig = np.where(np.arange(r) <= rows.max(axis=1)[:, None],
+                       code[bits].sum(axis=2) & (1 << 62) - 1, (1 << 62) + np.arange(r))
         order = np.argsort(sig, axis=1, kind="stable")
         # each position's block by its place in the list
         place = np.argsort(order, axis=1)[np.arange(count)[:, None], rows]
         sig.sort(axis=1)
-        codes, pattern = np.unique((sig[:, 1:] == sig[:, :-1]) @ (
-            1 << np.arange(r - 1)), return_inverse=True)
-        tables = [_renamings(r, c) for c in codes.tolist()]
+        # each row's tie pattern, numbered among the patterns that occur
+        ties = (sig[:, 1:] == sig[:, :-1]) @ (1 << np.arange(r - 1))
+        seen = np.bincount(ties) > 0
+        pattern = (np.cumsum(seen) - 1)[ties]
+        tables = [_renamings(r, c) for c in np.flatnonzero(seen).tolist()]
         names = np.concatenate(tables)
         sizes = np.array(list(map(len, tables)))
         first = np.cumsum(sizes) - sizes
