@@ -24,12 +24,9 @@ scorer weights each group sum by perm(N - j, F - j), F = min(rmax, N),
 so that the candidate cosets of a greedy step share the denominator
 perm(N, F), and reads every candidate's score off one grouping of each
 side's rows (``sweep_rows``, kept for the whole extraction up to
-CACHE_MAX rows and rebuilt chunk by chunk above it).
-``assign.coset_moment`` relabels a prefix to come first, which makes
-its coset the one candidate of such a step.
-
-The module also enumerates permutations of the free coordinates in
-blocks of numpy rows, for the direct coset enumeration in ``assign``.
+CACHE_MAX rows and rebuilt chunk by chunk above it).  The pins are
+passed explicitly, A's positions and B's images, so a coset of
+``assign.coset_moment`` is the one candidate of a step as it stands.
 
 Tensors are passed in as plain integer lists (callers clear rational
 denominators first and rescale the results).
@@ -38,7 +35,6 @@ denominators first and rescale the results).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from typing import Iterator, Sequence
 
@@ -170,24 +166,24 @@ def sweep_rows(flat: Sequence[int], n: int, d: int, m: int):
 
 
 def greedy_scores(rows_a, rows_b, n: int, d: int, m: int,
-                  chosen: Sequence[int], cands: Sequence[int],
-                  budget: int) -> dict[int, int]:
+                  pins: Sequence[int], chosen: Sequence[int],
+                  cands: Sequence[int], budget: int) -> dict[int, int]:
     """For each image c in ``cands`` (none in ``chosen``), perm(N, F)
-    times the average over the coset pinning positions 0..t-1 to
-    chosen + (c,), t = len(chosen) + 1, N = n - t, F = min(rmax, N).
-    The rows come from ``sweep_rows``, and the budget caps the larger
-    side's row count.
+    times the average over the coset pinning position pins[i] to
+    (chosen + (c,))[i] for every i, t = len(pins) = len(chosen) + 1,
+    N = n - t, F = min(rmax, N).  The rows come from ``sweep_rows``, and
+    the budget caps the larger side's row count.
 
-    A's rows are grouped by (type, pattern of positions 0..t-1), a group
-    with j free blocks weighted by perm(N - j, F - j).  B's rows are
-    grouped once by (type, pattern of ``chosen``); candidate c moves the
-    rows holding c at slot s from their group g's key to
-    key + T*(T+1)**s, T = t, so
+    A's rows are grouped by (type, pattern of ``pins``), a group with j
+    free blocks weighted by perm(N - j, F - j).  B's rows are grouped
+    once by (type, pattern of ``chosen``); candidate c moves the rows
+    holding c at slot s from their group g's key to key + T*(T+1)**s,
+    T = t, so
     score[c] = sum G0[g] * W(g) + sum H[g, s, c] * (W(g, s) - W(g)),
     G0 the group sums and H those of the moved rows, both in the entry
     dtype and H only over the cells of candidates that occur.
     """
-    t = len(chosen) + 1
+    t = len(pins)
     (count_a, chunks_a), (count_b, chunks_b) = rows_a, rows_b
     check_budget(max(count_a, count_b), n, d, m, budget, t)
     rmax = min(m * d, n)
@@ -199,10 +195,10 @@ def greedy_scores(rows_a, rows_b, n: int, d: int, m: int,
                       dtype=object)
     parts = []
     for keys, blockvals, vals in chunks_a():
-        dig = _pin_digits(blockvals, range(t), n)
+        dig = _pin_digits(blockvals, pins, n)
         uk, inv, sums = _group_sums(keys * pb + dig @ place, vals)
         nfree = np.zeros(len(uk), dtype=np.int64)
-        nfree[inv] = (blockvals >= t).sum(axis=1)  # values 0..t-1 are pins
+        nfree[inv] = ((blockvals >= 0) & (dig == 0)).sum(axis=1)
         parts.append((uk, sums.astype(object) * weight[nfree]))
     uk, wa = parts[0]
     if len(parts) > 1:  # merge the chunks' groups
@@ -233,43 +229,3 @@ def greedy_scores(rows_a, rows_b, n: int, d: int, m: int,
         uc, _, h = _group_sums(cell, vals[row])
         np.add.at(moved, uc // width, h.astype(object) * diff[uc % width])
     return {c: int(base_sum + moved[c]) for c in cands}
-
-
-@functools.lru_cache(maxsize=16)
-def _lex_permutations(s: int) -> np.ndarray:
-    """The s! permutations of range(s) as int8 rows, in the order of
-    ``itertools.permutations``.  ``permutation_blocks`` keeps s! within
-    CHUNK_SIZE, so s, and this cache, stay small."""
-    rows = np.zeros((1, 0), dtype=np.int8)
-    for size in range(1, s + 1):
-        prev = rows
-        rows = np.empty((size * len(prev), size), dtype=np.int8)
-        for first in range(size):
-            rest = np.array([x for x in range(size) if x != first],
-                            dtype=np.int8)
-            part = rows[first * len(prev):(first + 1) * len(prev)]
-            part[:, 0] = first
-            part[:, 1:] = rest[prev]
-    rows.flags.writeable = False  # shared by every caller
-    return rows
-
-
-def permutation_blocks(values: Sequence[int],
-                       max_rows: int) -> Iterator[np.ndarray]:
-    """Every permutation of ``values`` as an int64 row, in the order of
-    ``itertools.permutations``, in blocks of at most max(max_rows, 1)
-    rows.  A block fixes a head of the leading values and permutes the
-    rest through a cached index table; no values (a full prefix) give
-    one empty row."""
-    size = len(values)
-    s = size
-    while s and math.factorial(s) > max_rows:
-        s -= 1
-    block = _lex_permutations(s)
-    for head in itertools.permutations(values, size - s):
-        rest = np.array([v for v in values if v not in head], dtype=np.int64)
-        rows = np.empty((len(block), size), dtype=np.int64)
-        rows[:, :size - s] = head
-        rows[:, size - s:] = rest[block]
-        yield rows
-

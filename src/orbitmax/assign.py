@@ -15,18 +15,24 @@ partitions of 2k), and ``brute_max`` reads the maximum of |f| off the
 rearrangement inequality instead of enumerating S_n.  At d >= 2 the
 moment over all of S_n comes from ``_contract``: the same inversion
 over the set partitions of the 2kd index positions, each term one
-tensor contraction, so the work is polynomial in n.  Greedy steps and
-pinned cosets at d >= 2 share one scorer, the type sweep in
-``_typesweep`` (max(nnz(A), nnz(B))**(2k) row visits, one row per
-choice of 2k nonzero entries), and small cosets are enumerated directly
-by ``_coset_values``, the one evaluator of f(g) over sets of
-permutations at d >= 2, which ``brute_max`` shares.  The d >= 2 engines
-and numpy are imported by the functions that use them, so a process
-that only works at d = 1 loads neither.
+tensor contraction, so the work is polynomial in n.
+
+Greedy steps and pinned cosets share one step scorer per engine, which
+returns the raw sums of f**(2k) over some child cosets of a prefix and
+their one denominator: ``_d1_sums`` at d = 1, and at d >= 2
+``_pinned_sums``, which either sweeps (``_typesweep``,
+max(nnz(A), nnz(B))**(2k) row visits, one row per choice of 2k nonzero
+entries) or enumerates the cosets directly by ``_coset_values``, the
+one evaluator of f(g) over sets of permutations at d >= 2, which
+``brute_max`` shares.  The d >= 2 engines and numpy are imported by the
+functions that use them, so a process that only works at d = 1 loads
+neither, and one that never sweeps does not load ``_typesweep``.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -221,6 +227,7 @@ def matrix_element(a: DenseTensor, b: DenseTensor, g: Permutation) -> Fraction:
     return total
 
 
+@functools.lru_cache(maxsize=64)
 def _d1_plan(m: int, top: int) -> tuple:
     """Recursion plan for the injective power sums M_lam over the integer
     partitions lam of 0..m with at most ``top`` parts, ordered by length.
@@ -319,58 +326,27 @@ def _d1_pair(plan: tuple, m: int, nfree: int, weights: Sequence[int],
                for w, y, row in zip(weights, inj, plan) if w)
 
 
-def _d1_coset_moment(a: DenseTensor, b: DenseTensor, m: int,
-                     pairs: Sequence[tuple[int, int]], budget: int) -> Fraction:
-    """Coset average of <b, g a>**m at d = 1; the prefix adds the
-    constant shift sum a_p b_q to f over the free coordinates."""
-    nfree = a.n - len(pairs)
-    top = min(m, nfree)
-    _d1_check_budget(a.n, m, {top: 1}, budget)
-    ints_a, la = _int_scaled(a.entries)
-    ints_b, lb = _int_scaled(b.entries)
+def _d1_sums(ints_a: Sequence[int], ints_b: Sequence[int], m: int,
+             pairs: Sequence[tuple[int, int]], pos: int,
+             cands: Iterable[int]) -> tuple[dict[int, int], int]:
+    """The d = 1 step scorer: for each image c in ``cands``, (N)_top
+    times the average of f**m over the coset fixing ``pairs`` and
+    pos -> c, and the denominator (N)_top the candidates share, N the
+    free coordinates.  A pin (p, q) adds a_p * b_q to f and takes a_p
+    and b_q out of the free power sums.  The caller charges the budget."""
     fixed = dict(pairs)
-    used = set(fixed.values())
-    free_a = [x for i, x in enumerate(ints_a) if i not in fixed]
-    free_b = [y for j, y in enumerate(ints_b) if j not in used]
+    nfree = len(ints_a) - len(fixed) - 1
+    top = min(m, nfree)
     plan = _d1_plan(m, top)
-    weights = _d1_weights(plan, m, nfree, _power_sums(free_a, m))
-    total = _d1_pair(plan, m, nfree, weights, _power_sums(free_b, m),
-                     sum(ints_a[p] * ints_b[q] for p, q in pairs))
-    return (Fraction(total, math.perm(nfree, top))
-            / (Fraction(la) ** m * Fraction(lb) ** m))
-
-
-def _d1_greedy(a: DenseTensor, b: DenseTensor, m: int, budget: int) -> list[int]:
-    """Greedy images at d = 1; fixing a position subtracts its powers from
-    the free power sums.  The children of one step share the denominator
-    (N)_top, so their raw sums are compared."""
-    n = a.n
-    cosets: dict[int, int] = {}
-    for t in range(n):
-        top = min(m, n - t - 1)
-        cosets[top] = cosets.get(top, 0) + n - t
-    _d1_check_budget(n, m, cosets, budget)
-    ints_a, _ = _int_scaled(a.entries)
-    ints_b, _ = _int_scaled(b.entries)
-    plan = _d1_plan(m, min(m, n - 1))
-    pow_a = [[x ** s for s in range(m + 1)] for x in ints_a]
-    pow_b = [[y ** s for s in range(m + 1)] for y in ints_b]
-    pa, pb = [sum(col) for col in zip(*pow_a)], [sum(col) for col in zip(*pow_b)]
-    shift = 0
-    free = list(range(n))
-    chosen: list[int] = []
-    for t in range(n):
-        nfree = n - t - 1
-        pa = [s - x for s, x in zip(pa, pow_a[t])]
-        weights = _d1_weights(plan, m, nfree, pa)
-        best_j = max(free, key=lambda j: _d1_pair(
-            plan, m, nfree, weights, [s - y for s, y in zip(pb, pow_b[j])],
-            shift + ints_a[t] * ints_b[j]))
-        chosen.append(best_j)
-        free.remove(best_j)
-        pb = [s - y for s, y in zip(pb, pow_b[best_j])]
-        shift += ints_a[t] * ints_b[best_j]
-    return chosen
+    weights = _d1_weights(plan, m, nfree, _power_sums(
+        [x for i, x in enumerate(ints_a) if i != pos and i not in fixed], m))
+    used = set(fixed.values())
+    pb = _power_sums([y for j, y in enumerate(ints_b) if j not in used], m)
+    shift = sum(ints_a[p] * ints_b[q] for p, q in pairs)
+    return {c: _d1_pair(plan, m, nfree, weights,
+                        [s - ints_b[c] ** e for e, s in enumerate(pb)],
+                        shift + ints_a[pos] * ints_b[c])
+            for c in cands}, math.perm(nfree, top)
 
 
 def moment_2k(a: DenseTensor, b: DenseTensor, k: int,
@@ -391,17 +367,22 @@ def moment_2k(a: DenseTensor, b: DenseTensor, k: int,
     if k < 1:
         raise ValueError("k must be >= 1")
     budget = DEFAULT_VISIT_BUDGET if visit_budget is None else visit_budget
-    m = 2 * k
+    n, m = a.n, 2 * k
+    ints_a, la = _int_scaled(a.entries)
+    ints_b, lb = _int_scaled(b.entries)
+    scale = Fraction(la) ** m * Fraction(lb) ** m
     if a.d == 1:
-        return _d1_coset_moment(a, b, m, (), budget)
+        top = min(m, n)
+        _d1_check_budget(n, m, {top: 1}, budget)
+        plan = _d1_plan(m, top)
+        weights = _d1_weights(plan, m, n, _power_sums(ints_a, m))
+        total = _d1_pair(plan, m, n, weights, _power_sums(ints_b, m), 0)
+        return Fraction(total, math.perm(n, top)) / scale
     # imported here: processes that never take this path (d = 1) do not
     # compile it or import numpy
     from . import _contract
 
-    ints_a, la = _int_scaled(a.entries)
-    ints_b, lb = _int_scaled(b.entries)
-    total = _contract.moment(ints_a, ints_b, a.n, a.d, m, budget)
-    return total / (Fraction(la) ** m * Fraction(lb) ** m)
+    return _contract.moment(ints_a, ints_b, n, a.d, m, budget) / scale
 
 
 def bound_factor_exact(a: DenseTensor, b: DenseTensor, k: int) -> int:
@@ -436,6 +417,52 @@ def _nonzero_digit_entries(flat: Sequence, n: int, d: int) -> list[tuple]:
     return out
 
 
+_INT64_MAX = 2 ** 63 - 1
+_CHUNK_SIZE = 1 << 20  # elements of one enumeration block's image array
+
+
+@functools.lru_cache(maxsize=16)
+def _lex_permutations(s: int):
+    """The s! permutations of range(s) as int8 rows, in the order of
+    ``itertools.permutations``.  ``permutation_blocks`` keeps s! within
+    its row cap, so s, and this cache, stay small."""
+    import numpy as np
+
+    rows = np.zeros((1, 0), dtype=np.int8)
+    for size in range(1, s + 1):
+        prev = rows
+        rows = np.empty((size * len(prev), size), dtype=np.int8)
+        for first in range(size):
+            rest = np.array([x for x in range(size) if x != first],
+                            dtype=np.int8)
+            part = rows[first * len(prev):(first + 1) * len(prev)]
+            part[:, 0] = first
+            part[:, 1:] = rest[prev]
+    rows.flags.writeable = False  # shared by every caller
+    return rows
+
+
+def permutation_blocks(values: Sequence[int], max_rows: int):
+    """Every permutation of ``values`` as an int64 row, in the order of
+    ``itertools.permutations``, in blocks of at most max(max_rows, 1)
+    rows.  A block fixes a head of the leading values and permutes the
+    rest through a cached index table; no values (a full prefix) give
+    one empty row."""
+    import numpy as np
+
+    size = len(values)
+    s = size
+    while s and math.factorial(s) > max_rows:
+        s -= 1
+    block = _lex_permutations(s)
+    for head in itertools.permutations(values, size - s):
+        rest = np.array([v for v in values if v not in head], dtype=np.int64)
+        rows = np.empty((len(block), size), dtype=np.int64)
+        rows[:, :size - s] = head
+        rows[:, size - s:] = rest[block]
+        yield rows
+
+
 def _coset_values(nz_a, flat_b: Sequence[int], n: int, d: int, pairs):
     """f = <B, gA> over the coset fixed by ``pairs``, as numpy blocks
     (image rows, f) in ``itertools.permutations`` order of the free values.
@@ -443,12 +470,10 @@ def _coset_values(nz_a, flat_b: Sequence[int], n: int, d: int, pairs):
     Each block gathers B at the images of A's nonzero entries, and
     f = B[g(I)] @ a.  f is int64 when nnz * max|a| * max|b| fits, which
     bounds every partial sum, and Python ints otherwise.  A block has at
-    most ``_typesweep.CHUNK_SIZE // max(n, nnz)`` rows, so its image and
-    gather arrays stay within ``CHUNK_SIZE`` elements.
+    most ``_CHUNK_SIZE // max(n, nnz)`` rows, so its image and gather
+    arrays stay within ``_CHUNK_SIZE`` elements.
     """
     import numpy as np
-
-    from . import _typesweep
 
     fixed = dict(pairs)
     free_pos = [p for p in range(n) if p not in fixed]
@@ -457,13 +482,11 @@ def _coset_values(nz_a, flat_b: Sequence[int], n: int, d: int, pairs):
     nnz = len(nz_a)
     top_a = max((abs(v) for _, v in nz_a), default=0)
     top_b = max(map(abs, flat_b), default=0)
-    dtype = (np.int64 if nnz * top_a * top_b <= _typesweep._INT64_MAX
-             else object)
+    dtype = np.int64 if nnz * top_a * top_b <= _INT64_MAX else object
     vals = np.array([v for _, v in nz_a], dtype=dtype)
     flat = np.array(flat_b, dtype=dtype)
     digits = np.array([dg for dg, _ in nz_a], dtype=np.int64).reshape(nnz, d)
-    for rows in _typesweep.permutation_blocks(
-            free_val, _typesweep.CHUNK_SIZE // max(n, nnz)):
+    for rows in permutation_blocks(free_val, _CHUNK_SIZE // max(n, nnz)):
         img = np.empty((len(rows), n), dtype=np.int64)
         for p, q in fixed.items():
             img[:, p] = q
@@ -475,37 +498,72 @@ def _coset_values(nz_a, flat_b: Sequence[int], n: int, d: int, pairs):
 
 
 def _enumerate_coset_power_sums(nz_a, flat_b: Sequence[int], n: int, d: int,
-                                m: int, pairs, split_pos: int | None):
-    """Sum of <B, gA>**m over the coset fixed by ``pairs``; with
-    ``split_pos`` set, one sum per value of g(split_pos) instead.
-    f**m and the sums are Python ints whatever the dtype of f; split, the
-    sums are an object array indexed by image, and unsplit the per-image
-    sums of column 0 are added up."""
+                                m: int, pairs, split_pos: int):
+    """Sums of <B, gA>**m over the coset fixed by ``pairs``, one per
+    value of g(split_pos), as an object array of Python ints indexed by
+    image (f**m is taken in Python ints whatever the dtype of f)."""
     import numpy as np
 
     sums = np.zeros(n, dtype=object)
     for img, f in _coset_values(nz_a, flat_b, n, d, pairs):
-        np.add.at(sums, img[:, split_pos or 0], f.astype(object) ** m)
-    return sums if split_pos is not None else int(sums.sum())
+        np.add.at(sums, img[:, split_pos], f.astype(object) ** m)
+    return sums
 
 
-def _enumeration_cheaper(n: int, npins: int, nnz: int, rows: int) -> bool:
-    """Direct coset enumeration beats the type sweep when the coset is
-    small: (n - T)! * nnz(A) Python operations against the sweep's
-    ``rows`` vectorised row visits (plus the pattern tables, which stop
-    compressing as T grows)."""
-    brute_cost = math.factorial(n - npins) * max(nnz, 1)
-    return brute_cost <= max(200_000, rows // 4)
+def _enumeration_cheaper(evaluations: int, rows: int) -> bool:
+    """Direct coset enumeration beats the type sweep when the cosets are
+    small: ``evaluations``, len(cands) * (n - t)! * nnz(A) Python
+    operations, against the sweep's ``rows`` vectorised row visits
+    (plus the pattern tables, which stop compressing as t grows)."""
+    return evaluations <= max(200_000, rows // 4)
 
 
-def _check_enumeration_budget(nfree: int, nnz: int, m: int,
-                              budget: int) -> None:
-    """Refuse more than ``budget`` evaluations: nfree! times nnz(A)."""
-    cost = math.factorial(nfree) * max(nnz, 1)
-    if cost > budget:
-        raise BudgetError(
-            f"coset enumeration needs {cost} evaluations, budget is {budget}",
-            required=cost, budget=budget, k=m // 2)
+def _pinned_scorer(ints_a: Sequence[int], ints_b: Sequence[int], n: int,
+                   d: int, m: int, budget: int):
+    """The d >= 2 step scorer ``_pinned_sums`` of one extraction.
+
+    ``_pinned_sums(pairs, pos, cands)`` returns, for each image c in
+    ``cands``, the sum of f**m over the coset fixing ``pairs`` and
+    pos -> c times D / |coset|, and the denominator D the candidates
+    share.  The route is picked from counts alone: the enumeration of
+    the candidates' cosets (len(cands) * (n - t)! * nnz(A) evaluations,
+    t = len(pairs) + 1, D = (n - t)!) if ``_enumeration_cheaper`` says
+    so against the sweep's max(nnz(A), nnz(B))**m rows, else
+    ``_typesweep.greedy_scores`` (D = perm(n - t, F)).  Each route is
+    charged to the budget before it runs.  A's nonzero entries are found
+    once; the sweep's rows are built by the first step that sweeps.
+    """
+    nz_a = _nonzero_digit_entries(ints_a, n, d)
+    rows = max(len(nz_a), sum(1 for v in ints_b if v)) ** m
+    sweep: list = []
+
+    def _pinned_sums(pairs: Sequence[tuple[int, int]], pos: int,
+                     cands: Sequence[int]):
+        free = n - len(pairs) - 1
+        evaluations = len(cands) * math.factorial(free) * max(len(nz_a), 1)
+        if _enumeration_cheaper(evaluations, rows):
+            if evaluations > budget:
+                raise BudgetError(
+                    f"coset enumeration needs {evaluations} evaluations, "
+                    f"budget is {budget}",
+                    required=evaluations, budget=budget, k=m // 2)
+            # every child: one pass over the parent coset, split by image
+            cosets = ([pairs] if len(cands) + len(pairs) == n
+                      else [(*pairs, (pos, c)) for c in cands])
+            return sum(_enumerate_coset_power_sums(nz_a, ints_b, n, d, m,
+                                                   coset, pos)
+                       for coset in cosets), math.factorial(free)
+        from . import _typesweep
+
+        if not sweep:
+            sweep.extend(_typesweep.sweep_rows(ints, n, d, m)
+                         for ints in (ints_a, ints_b))
+        scores = _typesweep.greedy_scores(
+            *sweep, n, d, m, (*(p for p, _ in pairs), pos),
+            tuple(q for _, q in pairs), cands, budget)
+        return scores, math.perm(free, min(m * d, free))
+
+    return _pinned_sums
 
 
 def coset_moment(a: DenseTensor, b: DenseTensor, k: int,
@@ -513,94 +571,41 @@ def coset_moment(a: DenseTensor, b: DenseTensor, k: int,
                  visit_budget: int | None = None) -> Fraction:
     """Exact average of <B, gA>**(2k) over {g : g(p) = q for (p, q) in prefix}.
 
-    The empty prefix recovers the full-group moment; a length-n prefix
-    pins a single permutation and returns f(g)**(2k) exactly.
+    The empty prefix recovers the full-group moment (``moment_2k``); a
+    length-n prefix pins a single permutation and returns f(g)**(2k)
+    exactly.
 
-    At d = 1 it uses the power-sum engine (the prefix adds a constant to
-    f; see ``moment_2k``).  At d >= 2 the empty prefix is ``moment_2k``;
-    a nonempty one takes the cheaper of two exact routes, judged from n,
-    k, the prefix length, nnz(A) and nnz(B): the greedy scorer's type
-    sweep (max(nnz(A), nnz(B))**(2k) row visits, one per choice of 2k
-    nonzero entries of a side), or a direct enumeration of the coset
-    ((n - len(prefix))! evaluations of f, vectorised over blocks of
-    permutations).  The sweep relabels A's coordinates so that the
-    prefix's positions come first, as 0..T-1, and B's so that its images
-    do.  That maps the coset one-to-one, with equal f, onto the child
-    coset of a greedy step that has chosen 0..T-2 and scores T-1.
+    A nonempty prefix is one call of the greedy step scorer, whose one
+    candidate is the prefix's last pair: ``_d1_sums`` (power sums; the
+    prefix adds a constant to f) at d = 1, charged one coset's partition
+    terms, and ``_pinned_sums`` at d >= 2, which takes the cheaper of
+    two exact routes judged from counts: the type sweep
+    (max(nnz(A), nnz(B))**(2k) row visits, one per choice of 2k nonzero
+    entries of a side), or a direct enumeration of the coset
+    ((n - len(prefix))! * nnz(A) evaluations of f, vectorised over
+    blocks of permutations).  The pins are passed to the sweep as they
+    stand; nothing is relabelled.
     """
     _check_shapes(a, b)
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = a.n
+    n, d, m = a.n, a.d, 2 * k
     for p, q in prefix.pairs:
         if not (0 <= p < n and 0 <= q < n):
             raise ValueError(f"prefix pair ({p}, {q}) out of range 0..{n - 1}")
     budget = DEFAULT_VISIT_BUDGET if visit_budget is None else visit_budget
-    m = 2 * k
-    if a.d == 1:
-        return _d1_coset_moment(a, b, m, prefix.pairs, budget)
     if not prefix.pairs:
         return moment_2k(a, b, k, budget)
-    from . import _typesweep
-
     ints_a, la = _int_scaled(a.entries)
     ints_b, lb = _int_scaled(b.entries)
-    scale = Fraction(la) ** m * Fraction(lb) ** m
-    t = len(prefix)
-    rows = [_typesweep.sweep_rows(_pins_first(ints, n, a.d, pins), n, a.d, m)
-            for ints, pins in ((ints_a, prefix.positions),
-                               (ints_b, prefix.images))]
-    nnz = sum(1 for v in ints_a if v)
-    if _enumeration_cheaper(n, t, nnz, max(count for count, _ in rows)):
-        _check_enumeration_budget(n - t, nnz, m, budget)
-        nz_a = _nonzero_digit_entries(ints_a, n, a.d)
-        total = _enumerate_coset_power_sums(nz_a, ints_b, n, a.d, m,
-                                            prefix.pairs, None)
-        return Fraction(total, math.factorial(n - t)) / scale
-    score = _typesweep.greedy_scores(*rows, n, a.d, m, tuple(range(t - 1)),
-                                     (t - 1,), budget)[t - 1]
-    free = n - t  # the score is perm(free, F) times the average
-    return Fraction(score, math.perm(free, min(m * a.d, free))) / scale
-
-
-def _pins_first(flat: Sequence[int], n: int, d: int,
-                pins: Sequence[int]) -> list[int]:
-    """A row-major tensor relabelled so that ``pins`` are coordinates
-    0..len(pins)-1, the rest after them in order: one gather per axis."""
-    import numpy as np
-
-    order = [*pins, *sorted(set(range(n)) - set(pins))]
-    return (np.array(flat, dtype=object).reshape((n,) * d)
-            [np.ix_(*[order] * d)].reshape(-1).tolist())
-
-
-def _sweep_greedy(ints_a: Sequence[int], ints_b: Sequence[int], n: int,
-                  d: int, m: int, budget: int) -> list[int]:
-    """Greedy images at d >= 2: per step, a pinned type sweep or one
-    enumeration of the parent coset, whichever is cheaper."""
-    from . import _typesweep
-
-    nnz = sum(1 for v in ints_a if v)
-    nz_a = _nonzero_digit_entries(ints_a, n, d)
-    rows = [_typesweep.sweep_rows(ints, n, d, m) for ints in (ints_a, ints_b)]
-    visits = max(count for count, _ in rows)
-    chosen: list[int] = []
-    for t in range(1, n + 1):
-        cands = tuple(j for j in range(n) if j not in chosen)
-        pairs = tuple((i, chosen[i]) for i in range(t - 1))
-        # children share one denominator, (n-t)! or perm(n - t,
-        # min(2kd, n - t)), so both routes compare raw integer sums
-        if _enumeration_cheaper(n, t - 1, nnz, visits):
-            # one pass over the parent coset, split by the new image
-            _check_enumeration_budget(n - t + 1, nnz, m, budget)
-            sums = _enumerate_coset_power_sums(nz_a, ints_b, n, d, m,
-                                               pairs, t - 1)
-            chosen.append(max(cands, key=sums.__getitem__))
-        else:
-            scores = _typesweep.greedy_scores(*rows, n, d, m, tuple(chosen),
-                                              cands, budget)
-            chosen.append(max(cands, key=scores.__getitem__))
-    return chosen
+    *pairs, (pos, image) = prefix.pairs
+    if d == 1:
+        _d1_check_budget(n, m, {min(m, n - len(prefix)): 1}, budget)
+        sums, den = _d1_sums(ints_a, ints_b, m, pairs, pos, (image,))
+    else:
+        sums, den = _pinned_scorer(ints_a, ints_b, n, d, m, budget)(
+            pairs, pos, (image,))
+    return Fraction(sums[image], den) / (Fraction(la) ** m * Fraction(lb) ** m)
 
 
 def greedy_extract(a: DenseTensor, b: DenseTensor, k: int,
@@ -613,30 +618,42 @@ def greedy_extract(a: DenseTensor, b: DenseTensor, k: int,
     average, the returned permutation satisfies f(g)**(2k) >= the full
     moment, i.e. |f(g)| >= the certified lower bound.
 
-    At d = 1 every child moment comes from the free power sums, updated
-    as positions are fixed: n(n+1)/2 candidate cosets, each one term per
-    integer partition of each j <= 2k with at most as many parts as the
-    coset has free coordinates.  At d >= 2 each step runs a
-    pinned type sweep (max(nnz(A), nnz(B))**(2k) row visits, one per
-    choice of 2k nonzero entries of a side) or enumerates the parent
-    coset, whichever is cheaper.  Either way the children of one step
-    share a denominator, so their raw integer sums are compared: the
-    sweep keeps each side's nonzero rows for the whole extraction,
-    groups and weights A's rows once per step, groups B's rows once by
-    the images already chosen and reads every candidate's sum off those
-    groups (``_typesweep.greedy_scores``); the enumeration sums f**m per
-    image of the position being fixed.
+    One loop serves every d: each step asks the step scorer for the raw
+    integer sums of its candidates' cosets, which share a denominator,
+    and keeps the largest.  At d = 1 the scorer is ``_d1_sums`` (free
+    power sums; n(n+1)/2 candidate cosets, each one term per integer
+    partition of each j <= 2k with at most as many parts as the coset
+    has free coordinates, all charged before the first step).  At
+    d >= 2 it is ``_pinned_sums``, which per step either runs a pinned
+    type sweep (max(nnz(A), nnz(B))**(2k) row visits, one per choice of
+    2k nonzero entries of a side, the rows built once per extraction;
+    ``_typesweep.greedy_scores`` groups and weights A's rows once per
+    step, groups B's rows once by the images already chosen and reads
+    every candidate's sum off those groups) or enumerates the parent
+    coset once, summing f**m per image of the position being fixed,
+    whichever is cheaper.
     """
     _check_shapes(a, b)
     if k < 1:
         raise ValueError("k must be >= 1")
     budget = DEFAULT_VISIT_BUDGET if visit_budget is None else visit_budget
-    n, d, m = a.n, a.d, 2 * k
-    if d == 1:
-        chosen = _d1_greedy(a, b, m, budget)
+    n, m = a.n, 2 * k
+    ints_a = _int_scaled(a.entries)[0]
+    ints_b = _int_scaled(b.entries)[0]
+    if a.d == 1:
+        cosets: dict[int, int] = {}
+        for t in range(n):
+            top = min(m, n - t - 1)
+            cosets[top] = cosets.get(top, 0) + n - t
+        _d1_check_budget(n, m, cosets, budget)
+        scorer = functools.partial(_d1_sums, ints_a, ints_b, m)
     else:
-        chosen = _sweep_greedy(_int_scaled(a.entries)[0],
-                               _int_scaled(b.entries)[0], n, d, m, budget)
+        scorer = _pinned_scorer(ints_a, ints_b, n, a.d, m, budget)
+    chosen: list[int] = []
+    for pos in range(n):
+        cands = [j for j in range(n) if j not in chosen]
+        sums, _ = scorer(tuple(enumerate(chosen)), pos, cands)
+        chosen.append(max(cands, key=sums.__getitem__))
     g = Permutation(tuple(chosen))
     value = matrix_element(a, b, g)
     return GreedyResult(g, value, float(abs(value)))

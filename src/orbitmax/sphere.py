@@ -9,6 +9,7 @@ root extraction of an interval end.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -135,13 +136,22 @@ class SparsePoly:
         return self + (other * Fraction(-1))
 
 
-_ODD_DF_TABLE = [1]  # (2b - 1)!! by index b; the Gaussian moment E[g**(2b)]
+class _OddDoubleFactorials(dict):
+    """(a - 1)!! by even exponent a, the Gaussian moment E[g**a], each
+    computed when first read from the largest smaller exponent read, so
+    a call only builds the weights its walk reaches."""
 
+    def __init__(self) -> None:
+        super().__init__({0: 1})
+        self._read = [0]  # the exponents computed so far, sorted
 
-def _odd_double_factorial(b: int) -> int:
-    while len(_ODD_DF_TABLE) <= b:
-        _ODD_DF_TABLE.append(_ODD_DF_TABLE[-1] * (2 * len(_ODD_DF_TABLE) - 1))
-    return _ODD_DF_TABLE[b]
+    def __missing__(self, a: int) -> int:
+        i = bisect.bisect(self._read, a)
+        b = self._read[i - 1]
+        value = self[b] * math.prod(range(b + 1, a, 2))
+        self[a] = value
+        self._read.insert(i, a)
+        return value
 
 
 def _parity_reach(odd: list[int], limit: int) -> list:
@@ -184,7 +194,8 @@ def moment_2k(p: SparsePoly, k: int, term_budget: int | None = None) -> Fraction
     integrate a polynomial over a sphere", Amer. Math. Monthly 108, 2001).
 
     The term budget bounds the C(2k + t - 1, t - 1) compositions of the
-    walk and is checked before any work.
+    walk and, second, the k*d odd factors of the largest weight (a - 1)!!
+    (a <= 2kd); both are checked before any work.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -198,6 +209,11 @@ def moment_2k(p: SparsePoly, k: int, term_budget: int | None = None) -> Fraction
             f"moment at k={k} needs {comps} collected terms for the "
             f"{t}-term polynomial, budget is {budget}",
             required=comps, budget=budget, k=k)
+    if k * p.d > budget:
+        raise BudgetError(
+            f"moment at k={k} needs weights of up to k*d = {k * p.d} odd "
+            f"factors, budget is {budget}",
+            required=k * p.d, budget=budget, k=k)
     m = 2 * k
     exps = list(p.terms)
     coefs = list(p.terms.values())
@@ -212,8 +228,8 @@ def moment_2k(p: SparsePoly, k: int, term_budget: int | None = None) -> Fraction
     # binomial rows by remainder, each built the first time the walk reads
     # it: a 2-term form only ever reads row 2k
     binom: list = [None] * (m + 1)
-    # weight of an exponent a (used only at even a): (a - 1)!!
-    dfw = [_odd_double_factorial(a >> 1) for a in range(m * p.d + 1)]
+    # weight of an exponent a (read only at even a): (a - 1)!!
+    dfw = _OddDoubleFactorials()
     odd = [sum(1 << j for j, e in enumerate(ex) if e & 1) for ex in exps]
     reach = _parity_reach(odd, comps)
     last = t - 1

@@ -295,9 +295,9 @@ def sweep_coset_moment(a: assign.DenseTensor, b: assign.DenseTensor, k: int,
     """Coset average of <B, gA>**(2k) by the greedy scorer's type sweep
     alone, at any d, with the scales put back.  A prefix of length T is
     moved to coordinates 0..T-1 on both sides, which makes its coset the
-    one candidate T-1 of a step that has chosen 0..T-2; an empty prefix
-    sums the n children of position 0, which share the denominator
-    n * perm(n - 1, F)."""
+    one candidate T-1 of a step that pins positions 0..T-1 and has
+    chosen 0..T-2; an empty prefix sums the n children of position 0,
+    which share the denominator n * perm(n - 1, F)."""
     m = 2 * k
     n, d = a.n, a.d
     ints_a, la = assign._int_scaled(a.entries)
@@ -311,8 +311,8 @@ def sweep_coset_moment(a: assign.DenseTensor, b: assign.DenseTensor, k: int,
         t, chosen, cands, children = 1, (), tuple(range(n)), n
     scores = _typesweep.greedy_scores(
         _typesweep.sweep_rows(ints_a, n, d, m),
-        _typesweep.sweep_rows(ints_b, n, d, m), n, d, m, chosen, cands,
-        assign.DEFAULT_VISIT_BUDGET)
+        _typesweep.sweep_rows(ints_b, n, d, m), n, d, m, tuple(range(t)),
+        chosen, cands, assign.DEFAULT_VISIT_BUDGET)
     free = n - t
     total = Fraction(sum(scores.values()),
                      children * math.perm(free, min(m * d, free)))
@@ -322,15 +322,82 @@ def sweep_coset_moment(a: assign.DenseTensor, b: assign.DenseTensor, k: int,
 def enumerated_coset_moment(a: assign.DenseTensor, b: assign.DenseTensor,
                             k: int, prefix: assign.PartialAssignment) -> Fraction:
     """Coset average of <B, gA>**(2k) by the numpy coset enumeration
-    alone, at any d, with the scales put back."""
+    alone, at any d, with the scales put back: the sums split by the
+    image of position 0, added up."""
     m = 2 * k
     ints_a, la = assign._int_scaled(a.entries)
     ints_b, lb = assign._int_scaled(b.entries)
     nz_a = assign._nonzero_digit_entries(ints_a, a.n, a.d)
-    total = assign._enumerate_coset_power_sums(nz_a, ints_b, a.n, a.d, m,
-                                               prefix.pairs, None)
+    total = int(assign._enumerate_coset_power_sums(
+        nz_a, ints_b, a.n, a.d, m, prefix.pairs, 0).sum())
     return (Fraction(total, math.factorial(a.n - len(prefix)))
             / (Fraction(la) ** m * Fraction(lb) ** m))
+
+
+def pinned_coset_moment(a: assign.DenseTensor, b: assign.DenseTensor, k: int,
+                        prefix: assign.PartialAssignment) -> Fraction:
+    """Coset average of <B, gA>**(2k) over {g : g(p_i) = q_i}, by the
+    pinned form of the partition expansion, with no engine code: the
+    oracle for ``coset_moment`` at sizes brute force cannot reach.
+
+    With T pins, N = n - T free coordinates and l = 2kd index slots,
+    M = sum over subsets P of the slots and partitions pi of the other
+    slots with |pi| <= N of <U_A(P, pi), U_B(P, pi)> / (N)_|pi|, where
+    U_X(P, pi) = sum over coarsenings sigma of pi of mu(pi, sigma)
+    T_X(P, sigma), mu = prod over blocks of sigma of (-1)**(c-1) (c-1)!,
+    c the blocks of pi merged.  T_X(P, sigma) is an einsum of the 2k
+    copies of X: each slot in P is its own open axis over the pinned
+    coordinates (p_1..p_T for A, q_1..q_T for B), each block of sigma
+    one index summed over the free coordinates.  The entries are
+    cleared to integers and summed in Python ints (object arrays)."""
+    n, d, m = a.n, a.d, 2 * k
+    l = m * d
+    letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+    sides = []
+    for x, pins in ((a, prefix.positions), (b, prefix.images)):
+        lcm = math.lcm(*(v.denominator for v in x.entries))
+        arr = np.array([int(v * lcm) for v in x.entries],
+                       dtype=object).reshape((n,) * d)
+        free = [i for i in range(n) if i not in pins]
+        sides.append((arr, list(pins), free, lcm))
+    nfree = n - len(prefix)
+    cache: dict = {}
+
+    def contract(side, opened, labels):
+        # labels: the block of sigma of each slot not in ``opened``
+        key = (side, opened, labels)
+        if key not in cache:
+            arr, pins, free, _ = sides[side]
+            block = dict(zip([s for s in range(l) if s not in opened], labels))
+            subs, ops = [], []
+            for j in range(m):
+                slots = range(j * d, (j + 1) * d)
+                ops.append(arr[np.ix_(*[pins if s in opened else free
+                                        for s in slots])])
+                subs.append("".join(letters[s] if s in opened
+                                    else letters[l + block[s]] for s in slots))
+            out = "".join(letters[s] for s in opened)
+            cache[key] = np.einsum(",".join(subs) + "->" + out, *ops)
+        return cache[key]
+
+    total = Fraction(0)
+    for size in range(l + 1):
+        for opened in itertools.combinations(range(l), size):
+            for pi in _set_partitions(l - size):
+                r = max(pi, default=-1) + 1
+                if r > nfree:
+                    continue
+                coarsenings = [
+                    (math.prod((-1) ** (tau.count(blk) - 1)
+                               * math.factorial(tau.count(blk) - 1)
+                               for blk in set(tau)),
+                     _first_use([tau[x] for x in pi]))
+                    for tau in _set_partitions(r)]
+                u_a, u_b = (sum(mu * contract(side, opened, labels)
+                                for mu, labels in coarsenings)
+                            for side in (0, 1))
+                total += Fraction(int(np.sum(u_a * u_b)), math.perm(nfree, r))
+    return total / (Fraction(sides[0][3]) ** m * Fraction(sides[1][3]) ** m)
 
 
 def loop_brute_max(a: assign.DenseTensor,

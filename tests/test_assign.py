@@ -13,10 +13,10 @@ from helpers import (brute_coset_average, brute_group_moment,
                      brute_moebius_row, brute_orbit_form,
                      brute_partition_orbits, enumerated_coset_moment,
                      loop_brute_max, loop_coset_power_sums,
-                     mask_build_chunk,
+                     mask_build_chunk, pinned_coset_moment,
                      random_int_tensor, random_permutation,
                      random_rational_tensor, sweep_coset_moment)
-from orbitmax import _contract, _typesweep, assign
+from orbitmax import _contract, _typesweep, assign, hypergraph
 from orbitmax.assign import (DenseTensor, PartialAssignment, Permutation,
                              brute_max, coset_moment, greedy_extract,
                              matrix_element, moment_2k, sup_bounds)
@@ -645,13 +645,15 @@ def _closed_form_k1(a, b):
 
 def _greedy_scores(flat_a, flat_b, n, d, m, chosen, cands=None,
                    budget=10 ** 8):
-    """One greedy sweep step's raw candidate scores, rows built afresh;
-    the candidates default to every image not in ``chosen``."""
+    """One greedy sweep step's raw candidate scores, rows built afresh,
+    with positions 0..len(chosen) pinned; the candidates default to
+    every image not in ``chosen``."""
     if cands is None:
         cands = tuple(c for c in range(n) if c not in chosen)
     return _typesweep.greedy_scores(_typesweep.sweep_rows(flat_a, n, d, m),
                                     _typesweep.sweep_rows(flat_b, n, d, m),
-                                    n, d, m, tuple(chosen), cands, budget)
+                                    n, d, m, tuple(range(len(chosen) + 1)),
+                                    tuple(chosen), cands, budget)
 
 
 class TestWideIndices:
@@ -731,7 +733,7 @@ class TestKeyRangeGuard:
 
         rows = (900 ** 4, unbuilt)
         with pytest.raises(BudgetError) as exc:
-            _typesweep.greedy_scores(rows, rows, 30, 2, 4,
+            _typesweep.greedy_scores(rows, rows, 30, 2, 4, tuple(range(29)),
                                      tuple(range(28)), (28, 29), 10 ** 20)
         assert exc.value.required == 8 ** 8 * 30 ** 8
         assert exc.value.required > exc.value.budget == 2 ** 63 - 1
@@ -803,7 +805,8 @@ class TestGreedyScores:
                 chosen = tuple(order[:t - 1])
                 cands = tuple(sorted(set(range(n)) - set(chosen)))
                 scores = _typesweep.greedy_scores(rows_a, rows_b, n, d, m,
-                                                  chosen, cands, 10 ** 8)
+                                                  tuple(range(t)), chosen,
+                                                  cands, 10 ** 8)
                 assert sorted(scores) == list(cands)
                 free = n - t
                 den = math.perm(free, min(m * d, free))
@@ -901,20 +904,22 @@ class TestSweepLabels:
 
 class TestCosetEnumeration:
     """The numpy coset enumeration against the one-permutation-at-a-time
-    loop in ``tests/helpers``, split by the first free position and not."""
+    loop in ``tests/helpers``, split by the first free position and by
+    the first pinned one, and added up."""
 
     @staticmethod
     def _check(flat_a, flat_b, n, d, m, pairs):
         nz_a = assign._nonzero_digit_entries(flat_a, n, d)
         free = [p for p in range(n) if p not in dict(pairs)]
-        for split_pos in [None] + free[:1]:
+        for split_pos in free[:1] + [p for p, _ in pairs][:1]:
             got = assign._enumerate_coset_power_sums(nz_a, flat_b, n, d, m,
                                                      pairs, split_pos)
             want = loop_coset_power_sums(nz_a, flat_b, n, d, m, pairs,
                                          split_pos)
-            if split_pos is not None:  # images no permutation reaches read 0
-                got, want = got.tolist(), [want.get(j, 0) for j in range(n)]
-            assert got == want
+            # images no permutation reaches read 0
+            assert got.tolist() == [want.get(j, 0) for j in range(n)]
+            assert sum(got) == loop_coset_power_sums(nz_a, flat_b, n, d, m,
+                                                     pairs, None)
 
     def test_random_cosets(self):
         rng = random.Random(601)
@@ -976,7 +981,7 @@ class TestCosetEnumeration:
     def test_chunk_boundaries(self, monkeypatch, chunk):
         # rows per block = chunk // max(n, nnz): one row, a few rows, or
         # blocks of 2 or 3! rows with a fixed head of leading values
-        monkeypatch.setattr(_typesweep, "CHUNK_SIZE", chunk * 5)
+        monkeypatch.setattr(assign, "_CHUNK_SIZE", chunk * 5)
         rng = random.Random(604 + chunk)
         n, d = 5, 1
         flat_a = [rng.randint(-3, 3) or 1 for _ in range(n)]
@@ -987,7 +992,7 @@ class TestCosetEnumeration:
     def test_blocks_follow_itertools_order(self):
         for values, max_rows in (((), 10), ((4,), 1), ((1, 3, 4, 6), 7),
                                  ((0, 2, 5, 6, 8), 0), ((9, 1, 2), 100)):
-            rows = np.concatenate(list(_typesweep.permutation_blocks(values, max_rows)))
+            rows = np.concatenate(list(assign.permutation_blocks(values, max_rows)))
             assert rows.shape == (math.factorial(len(values)), len(values))
             assert list(map(tuple, rows.tolist())) == \
                 list(itertools.permutations(values))
@@ -1262,9 +1267,9 @@ class TestCosetMoment:
 
     @pytest.mark.parametrize("tier", ["integer", "rational"])
     def test_relabelled_sweep_matches_enumeration(self, monkeypatch, tier):
-        # the sweep route moves the prefix to coordinates 0..T-1; the
-        # prefixes here are unsorted and away from 0..T-1, short, one
-        # short of full, and full
+        # the sweep route takes the prefix's positions and images as
+        # pins where they stand; the prefixes here are unsorted and away
+        # from 0..T-1, short, one short of full, and full
         monkeypatch.setattr(assign, "_enumeration_cheaper", lambda *args: False)
         rng = random.Random(f"relabel-{tier}")
 
@@ -1289,6 +1294,65 @@ class TestCosetMoment:
                                                      shuffled(n, t))))
                 assert coset_moment(a, b, k, prefix) == \
                     enumerated_coset_moment(a, b, k, prefix)
+
+
+def _oracle_pair(shape):
+    """The benchmark-sized pairs of ``TestPinnedOracle``: a dense d = 2,
+    n = 11 pair, or the adjacency tensors of two random hypergraphs."""
+    rng = random.Random(shape)
+    if shape == "dense-2-11":
+        return (random_int_tensor(rng, 11, 2, -9, 9),
+                random_int_tensor(rng, 11, 2, -9, 9))
+    n, d, edges = {"hyper-2-14": (14, 2, 21), "hyper-3-9": (9, 3, 13)}[shape]
+    pool = list(itertools.combinations(range(n), d))
+    return tuple(hypergraph.adjacency_tensor(hypergraph.Hypergraph.from_edges(
+        n, d, rng.sample(pool, edges)), role) for role in ("source", "target"))
+
+
+class TestPinnedOracle:
+    """Pinned cosets at sizes brute force cannot reach, against the
+    pinned partition expansion in ``tests/helpers``."""
+
+    @pytest.mark.parametrize("shape", ["dense-2-11", "hyper-2-14", "hyper-3-9"])
+    def test_coset_moment_matches(self, monkeypatch, shape):
+        routes = []
+        sweep = _typesweep.greedy_scores
+        enum = assign._enumerate_coset_power_sums
+        monkeypatch.setattr(_typesweep, "greedy_scores",
+                            lambda *a: routes.append("sweep") or sweep(*a))
+        monkeypatch.setattr(assign, "_enumerate_coset_power_sums",
+                            lambda *a: routes.append("enumerate") or enum(*a))
+        a, b = _oracle_pair(shape)
+        rng = random.Random(f"prefix-{shape}")
+        for size in (1, 2, 4):
+            prefix = PartialAssignment(tuple(zip(rng.sample(range(a.n), size),
+                                                 rng.sample(range(a.n), size))))
+            routes.clear()
+            assert coset_moment(a, b, 1, prefix) == \
+                pinned_coset_moment(a, b, 1, prefix)
+            # only the 4-pin d = 3 coset is small enough to enumerate
+            assert routes == ["enumerate" if (shape, size) == ("hyper-3-9", 4)
+                              else "sweep"]
+
+    def test_oracle_matches_brute_force(self):
+        rng = random.Random(1601)
+        for n, d, k in ((4, 1, 2), (4, 2, 1), (4, 3, 1), (5, 2, 1)):
+            a = random_rational_tensor(rng, n, d)
+            b = random_int_tensor(rng, n, d, -3, 3)
+            for size in range(n + 1):
+                prefix = PartialAssignment(tuple(zip(rng.sample(range(n), size),
+                                                     rng.sample(range(n), size))))
+                assert pinned_coset_moment(a, b, k, prefix) == \
+                    brute_coset_average(a, b, k, prefix)
+
+    def test_greedy_first_image_is_oracle_argmax(self):
+        a, b = _oracle_pair("hyper-2-14")
+        vals = {c: pinned_coset_moment(a, b, 1, PartialAssignment(((0, c),)))
+                for c in range(a.n)}
+        best = max(vals.values())
+        assert len(set(vals.values())) > 1
+        assert greedy_extract(a, b, 1).permutation.images[0] == \
+            min(c for c, v in vals.items() if v == best)
 
 
 class TestGreedyExtract:
@@ -1411,7 +1475,7 @@ class TestBruteMax:
                                                     one_row_blocks):
         # the first maximum wins within a block and across blocks
         if one_row_blocks:
-            monkeypatch.setattr(_typesweep, "CHUNK_SIZE", 1)
+            monkeypatch.setattr(assign, "_CHUNK_SIZE", 1)
         for n in range(1, 5):
             a = DenseTensor.from_entries(n, d, [Fraction(-3, 2)] * n ** d)
             b = DenseTensor.from_entries(n, d, [7] * n ** d)

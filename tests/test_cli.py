@@ -129,6 +129,14 @@ class TestPolyBounds:
         assert main(["poly-bounds", "--poly", path, "--eps", "1e-9"]) == 3
         assert "k=24619970972" in capsys.readouterr().err
 
+    def test_one_term_tiny_eps_exits_3_at_once(self, tmp_path, capsys):
+        # x1*x2 is one composition at every k; the weights' k*d = 2k odd
+        # factors are what the budget refuses
+        obj = {"n": 2, "d": 2, "terms": [{"exps": [1, 1], "coef": "1/1"}]}
+        path = write(tmp_path, "p.json", obj)
+        assert main(["poly-bounds", "--poly", path, "--eps", "1e-9"]) == 3
+        assert "weights of up to" in capsys.readouterr().err
+
     def test_both_k_and_eps_rejected(self, tmp_path):
         path = write(tmp_path, "p.json", poly_x1())
         assert main(["poly-bounds", "--poly", path, "--k", "1",
@@ -425,6 +433,43 @@ class TestStartup:
         proc = subprocess.run([sys.executable, "-c", child, src, poly, system],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+    def test_sweep_loads_only_when_a_step_sweeps(self, tmp_path):
+        # n = 4 at d = 2 and a 6-vertex hyper-align enumerate every coset,
+        # and brute force enumerates S_n, so the sweep module stays
+        # unloaded; a dense n = 11 pair sweeps its first greedy steps
+        def dense(n, seed):
+            return {"n": n, "d": 2, "entries": [
+                {"index": [i + 1, j + 1],
+                 "value": str((i * 7 + j * 3 + seed) % 5 - 2)}
+                for i in range(n) for j in range(n)]}
+
+        small = write(tmp_path, "s.json", dense(4, 1))
+        big_a = write(tmp_path, "a.json", dense(11, 1))
+        big_b = write(tmp_path, "b.json", dense(11, 2))
+        h1 = write(tmp_path, "h1.json", {"n": 6, "d": 2, "edges": [
+            [1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [1, 6], [1, 4]]})
+        h2 = write(tmp_path, "h2.json", {"n": 6, "d": 2, "edges": [
+            [1, 2], [2, 3], [3, 1], [4, 5], [5, 6], [6, 4], [1, 4]]})
+        child = textwrap.dedent("""
+            import contextlib, io, sys
+            sys.path.insert(0, sys.argv[1])
+            import orbitmax.cli
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert orbitmax.cli.main(sys.argv[2:]) == 0, sys.argv[2:]
+            print("orbitmax._typesweep" in sys.modules)
+        """)
+        src = str(Path(orbitmax.__file__).resolve().parents[1])
+        for argv, sweeps in (
+                (["assign", "--a", small, "--b", small, "--k", "1",
+                  "--greedy", "--brute"], False),
+                (["hyper-align", "--h1", h1, "--h2", h2, "--k", "1"], False),
+                (["assign", "--a", big_a, "--b", big_b, "--k", "1",
+                  "--greedy"], True)):
+            proc = subprocess.run([sys.executable, "-c", child, src, *argv],
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.split() == [str(sweeps)], argv
 
     def test_verify_and_linear_assign_load_no_numpy(self, tmp_path):
         # verify enumerates S_n in Python integers and d = 1 assign works

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -369,6 +370,46 @@ class TestFewnomialSup:
         with pytest.raises(BudgetError) as exc:
             sphere.fewnomial_sup(p, 0.1, term_budget=1000)
         assert exc.value.k is not None and exc.value.k >= 1
+
+
+class TestOddFactorWeights:
+    """A one-term form charges one composition at every k, so the
+    weights (a - 1)!! are built per call, only at the exponents the walk
+    reads, and k * d odd factors are charged apart."""
+
+    X1X2 = SparsePoly.from_terms(2, 2, [((1, 1), 1)])
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-9])
+    def test_large_k_refused_at_once(self, eps):
+        # k = 8,313,259 and about 1.2e10: one composition each, and the
+        # weights of up to 2k factors would not fit in memory
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match="weights of up to") as exc:
+            sphere.fewnomial_sup(self.X1X2, eps)
+        assert time.perf_counter() - start < 1.0
+        k = sphere.choose_k(2, 2, eps)
+        assert (exc.value.required, exc.value.budget, exc.value.k) == \
+            (2 * k, sphere.DEFAULT_TERM_BUDGET, k)
+
+    def test_closed_form_at_large_k(self):
+        # x1**(2k) x2**(2k) integrates to ((2k - 1)!!)**2 / prod_{j<2k} (2 + 2j)
+        k = sphere.choose_k(2, 2, 1e-3)
+        assert k == 4562
+        odd = math.prod(range(1, 2 * k, 2))
+        assert sphere.moment_2k(self.X1X2, k) == Fraction(
+            odd * odd, math.prod(2 + 2 * j for j in range(2 * k)))
+
+    def test_charge_boundary(self):
+        # k = 3 at d = 2: one composition, 6 odd factors
+        sphere.moment_2k(self.X1X2, 3, term_budget=6)
+        with pytest.raises(BudgetError) as exc:
+            sphere.moment_2k(self.X1X2, 3, term_budget=5)
+        assert (exc.value.required, exc.value.budget, exc.value.k) == (6, 5, 3)
+
+    def test_no_module_level_table(self):
+        tables = [name for name, value in vars(sphere).items()
+                  if isinstance(value, (list, dict)) and not name.startswith("__")]
+        assert tables == []
 
 
 class TestSampleLowerBound:
