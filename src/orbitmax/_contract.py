@@ -40,7 +40,9 @@ counts a call needs, holds:
   exhaustive generation", J. Algorithms 26, 1998).  The key is the
   smallest value of the sorted segment words over the block renamings
   that list the blocks by an invariant signature, every order inside a
-  tie tried; a partition is looked up by canonicalising it;
+  tie tried, one table of renamings per pattern of ties; a partition is
+  looked up by canonicalising it, whatever names its blocks carry (a
+  component keeps the names it has in the larger partition);
 * the orbit sizes, and the Moebius rows folded onto representatives;
 * each representative's connected components, as representatives of
   the plans (d, c) for c segments.
@@ -147,24 +149,6 @@ def _rgs_keys(rows: np.ndarray, base: int) -> np.ndarray:
     """Integer key of each row of labels; key order is lexicographic order."""
     width = rows.shape[-1]
     return rows @ base ** np.arange(width - 1, -1, -1, dtype=np.int64)
-
-
-def _relabel(rows: np.ndarray, r: int) -> np.ndarray:
-    """Restricted-growth strings of label rows (labels < r): each label
-    renamed to the number of distinct labels before its first use."""
-    cell = np.arange(len(rows)) * r
-    seen = np.full(len(rows) * r, -1, dtype=np.int8)
-    count = np.zeros(len(rows), dtype=np.int8)
-    out = np.empty_like(rows)
-    for i in range(rows.shape[1]):
-        at = cell + rows[:, i]
-        lab = seen[at]
-        new = lab < 0
-        lab = np.where(new, count, lab)
-        seen[at] = lab
-        count += new
-        out[:, i] = lab
-    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -392,15 +376,14 @@ class _Plan:
         return hit
 
     def find(self, rows: np.ndarray) -> np.ndarray:
-        """Representative numbers of restricted-growth rows: each distinct
-        row is canonicalised, and its key found among the keys of the
-        representatives with its block count."""
-        _, first, back = np.unique(_rgs_keys(rows, self.base),
+        """Representative numbers of rows of labels, any names: each
+        distinct row is canonicalised, and its key found among the keys of
+        the representatives with its block count.  Rows are told apart in
+        the base of their own largest label, which may exceed the plan's."""
+        _, first, back = np.unique(_rgs_keys(rows, int(rows.max()) + 1),
                                    return_index=True, return_inverse=True)
-        rows = rows[first]
-        blocks = rows.max(axis=1) + 1
-        keys, _ = self._canonical(rows)
-        out = np.empty(len(rows), dtype=np.intp)
+        keys, _, blocks = self._canonical(rows[first])
+        out = np.empty(len(keys), dtype=np.intp)
         for r in set(blocks.tolist()):
             mine = blocks == r
             lo = self.start[r]
@@ -427,18 +410,16 @@ class _Plan:
             prev.extend(top)
             heads = [(prev.reps[prev.start[r]:prev.start[r + 1]], r)
                      for r in range(1, min(top, prev.l) + 1)]
-        rows, blocks = [], []
+        rows = []
         for head, r in heads:
             words = _rgs(d, r)
             count = np.maximum(r, words.max(axis=1) + 1)
-            keep = (count > self.built) & (count <= top)
-            words, count = words[keep], count[keep]
+            words = words[(count > self.built) & (count <= top)]
             if len(words):  # each head with each kept word
                 at, word = np.divmod(np.arange(len(head) * len(words)), len(words))
                 rows.append(np.hstack((head[at], words[word])))
-                blocks.append(count[word])
-        rows, blocks = np.concatenate(rows), np.concatenate(blocks)
-        keys, auts = self._canonical(rows)
+        rows = np.concatenate(rows)
+        keys, auts, blocks = self._canonical(rows)
         # the smallest extension of each orbit, by block count, then key
         order = np.lexsort((_rgs_keys(rows, self.base), keys, blocks))
         first = order[np.flatnonzero(np.diff(keys[order], prepend=-1))]
@@ -459,60 +440,53 @@ class _Plan:
         self.keys = np.concatenate((self.keys, keys[first]))
         self.built = top
 
-    def _canonical(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The canonical key of each row of labels, its names the ones
-        below its block count, and its automorphism count.  A block's
-        signature counts the segments where it holds each bit set of
-        positions, packed in base m + 1 (modulo 2**62 where that does not
-        fit, which can only tie more blocks).  The key is the smallest
-        value of the sorted segment words, read as digits, over the
-        renamings that list the blocks by signature, every order inside
-        a tie tried.  Signatures move with the blocks and the segments,
-        so the renamings tried for two members of one orbit give the
-        same words, and as many of them as there are automorphisms reach
-        the smallest.  Names a row does not use are listed last, untied,
-        and change no word."""
+    def _canonical(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                                    np.ndarray]:
+        """The canonical key, automorphism count and block count of each
+        row of labels, any names; a name is a block when some position
+        holds it.  A block's signature counts the segments where it holds
+        each bit set of positions, packed in base m + 1 (modulo 2**62
+        where that does not fit, which can only tie more blocks).  The key
+        is the smallest value of the sorted segment words, read as digits,
+        over the renamings that list the blocks by signature, every order
+        inside a tie tried.  Signatures move with the blocks and the
+        segments, so the renamings tried for two members of one orbit give
+        the same words, and as many of them as there are automorphisms
+        reach the smallest.  Names a row does not use are listed last,
+        untied, and change no word."""
         count, d, m = len(rows), self.d, self.m
         r = int(rows.max()) + 1
         # bits[i, j, s]: the positions of segment s that hold block j of row i
         cell = (np.arange(count)[:, None] * r + rows) * m + np.repeat(np.arange(m), d)
         bits = np.bincount(cell.reshape(-1), np.tile(1 << np.arange(d), count * m),
                            count * r * m).astype(np.intp).reshape(count, r, m)
+        used = bits.any(axis=2)
         code = np.append(0, (m + 1) ** np.arange((1 << d) - 1, dtype=np.int64))
-        sig = np.where(np.arange(r) <= rows.max(axis=1)[:, None],
-                       code[bits].sum(axis=2) & (1 << 62) - 1, (1 << 62) + np.arange(r))
+        sig = np.where(used, code[bits].sum(axis=2) & (1 << 62) - 1,
+                       (1 << 62) + np.arange(r))
         order = np.argsort(sig, axis=1, kind="stable")
         # each position's block by its place in the list
         place = np.argsort(order, axis=1)[np.arange(count)[:, None], rows]
         sig.sort(axis=1)
-        # each row's tie pattern, numbered among the patterns that occur
+        # the rows of each tie pattern together, each pattern's renamings
+        # tried on at most _CHUNK_CELLS labels at a time
         ties = (sig[:, 1:] == sig[:, :-1]) @ (1 << np.arange(r - 1))
-        seen = np.bincount(ties) > 0
-        pattern = (np.cumsum(seen) - 1)[ties]
-        tables = [_renamings(r, c) for c in np.flatnonzero(seen).tolist()]
-        names = np.concatenate(tables)
-        sizes = np.array(list(map(len, tables)))
-        first = np.cumsum(sizes) - sizes
-        per = sizes[pattern]  # renamings tried per row
-        tried = np.cumsum(per)
+        by = np.argsort(ties, kind="stable")
+        heads = np.flatnonzero(np.diff(ties[by], prepend=-1))
         word = self.base ** np.arange(d - 1, -1, -1, dtype=np.int64)
         digit = (self.base ** d) ** np.arange(m - 1, -1, -1, dtype=np.int64)
-        keys, auts = [], []
-        lo = 0
-        while lo < count:  # at most _CHUNK_CELLS labels at a time
-            hi = max(lo + 1, int(np.searchsorted(
-                tried, tried[lo] - per[lo] + _CHUNK_CELLS // self.l, side="right")))
-            heads = tried[lo:hi] - tried[lo] + per[lo] - per[lo:hi]
-            who = np.repeat(np.arange(lo, hi), per[lo:hi])
-            which = np.arange(len(who)) + np.repeat(
-                first[pattern[lo:hi]] - heads, per[lo:hi])
-            tries = np.sort(names[which[:, None], place[who]].reshape(-1, m, d)
-                            @ word, axis=1) @ digit
-            keys.append(np.minimum.reduceat(tries, heads))
-            auts.append(np.add.reduceat(
-                tries == np.repeat(keys[-1], per[lo:hi]), heads))
-            lo = hi
-        return np.concatenate(keys), np.concatenate(auts)
+        keys = np.empty(count, dtype=np.int64)
+        auts = np.empty(count, dtype=np.int64)
+        for c, group in zip(ties[by[heads]].tolist(), np.split(by, heads[1:])):
+            names = _renamings(r, c)
+            step = max(1, _CHUNK_CELLS // (self.l * len(names)))
+            for at in range(0, len(group), step):
+                who = group[at:at + step]
+                tries = np.sort(names[:, place[who]].reshape(-1, len(who), m, d)
+                                @ word, axis=2) @ digit
+                key = tries.min(axis=0)
+                keys[who], auts[who] = key, (tries == key).sum(axis=0)
+        return keys, auts, used.sum(axis=1)
 
     def extend_rows(self, top: int) -> None:
         """Moebius rows and factors of the representatives with at most
@@ -597,8 +571,7 @@ class _Plan:
             else:
                 plan = _plan(d, c)
                 plan.extend(top)
-                ids = plan.find(_relabel(np.concatenate(
-                    [part for _, part in found]), top)).tolist()
+                ids = plan.find(np.concatenate([part for _, part in found])).tolist()
             for i, j in zip(who, ids):
                 out[i].append((c, j))
         self.factors.extend(tuple(sorted(f)) for f in out)

@@ -2,8 +2,9 @@
 
 One JSON document per invocation on stdout; diagnostics on stderr.
 Exit codes: 0 success, 2 input/validation error, 3 resource budget
-exceeded.  Output is deterministic for identical inputs and seeds
-(sorted keys, canonical num/den rationals).
+exceeded or out of memory.  Output is deterministic for identical inputs
+and seeds (sorted keys, canonical num/den rationals, printed in full
+whatever their length).
 """
 
 from __future__ import annotations
@@ -228,19 +229,35 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+def _run(args) -> int:
     try:
         payload = args.func(args)
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print(f"budget exceeded: out of memory running {args.command}",
+              file=sys.stderr)
         return 3
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     print(json.dumps(payload, sort_keys=True, indent=2))
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _build_parser().parse_args(argv)
+    # exact ends are printed in full, whatever their number of digits;
+    # the interpreter's limit (0 when there is none) is put back after
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(args)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

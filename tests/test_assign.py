@@ -554,6 +554,17 @@ class TestPartitionOrbits:
             assert key_of.setdefault(orbit_of[row], key) == key
         assert len(set(key_of.values())) == len(members)
 
+    def test_find_takes_labels_above_the_plan_base(self):
+        # a component of (2, 4) at top 8 can carry label 7, above the base
+        # 4 of (2, 2); read in base 4, [1, 2, 2, 2] and [0, 5, 5, 6] are
+        # both 106, so find must tell rows apart in their own base
+        plan = _contract._plan(2, 2)
+        plan.extend(4)
+        found = plan.find(np.array([[1, 2, 2, 2], [0, 5, 5, 6]], dtype=np.int8))
+        renamed = plan.find(np.array([[0, 1, 1, 1], [0, 1, 1, 2]], dtype=np.int8))
+        assert found.tolist() == renamed.tolist()
+        assert renamed[0] != renamed[1]
+
     @pytest.mark.parametrize("d, m, samples", [(2, 6, 40), (3, 4, 40), (2, 8, 10)])
     def test_canonical_key_on_random_partitions(self, d, m, samples):
         # few blocks, so that some samples share an orbit
@@ -1414,6 +1425,27 @@ class TestGreedyExtract:
                 expected = min(j for j, v in vals.items() if v == best)
                 assert g.images[i] == expected
                 prefix = prefix.extended(i, g.images[i])
+
+    def test_enumeration_refused_over_budget(self):
+        # a dense d = 2, n = 5 pair with no zero entry: nnz(A) = 25, and
+        # the sweep's 25**2 = 625 rows lose the route choice to the
+        # enumeration of the first step's 5 * 4! * 25 = 3000 evaluations
+        rng = random.Random(1031)
+        a, b = (DenseTensor.from_entries(5, 2, [
+            rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(25)])
+            for _ in range(2))
+        with pytest.raises(BudgetError) as exc:
+            greedy_extract(a, b, 1, visit_budget=2999)
+        assert (exc.value.required, exc.value.budget) == (3000, 2999)
+        assert "coset enumeration needs 3000 evaluations" in str(exc.value)
+        greedy_extract(a, b, 1, visit_budget=3000)
+        # one coset of 4! permutations
+        prefix = PartialAssignment(((0, 2),))
+        with pytest.raises(BudgetError) as exc:
+            coset_moment(a, b, 1, prefix, visit_budget=599)
+        assert exc.value.required == 600
+        assert coset_moment(a, b, 1, prefix, visit_budget=600) == \
+            enumerated_coset_moment(a, b, 1, prefix)
 
     def test_greedy_sweep_regime_matches_enumeration_argmax(self):
         # n=8, d=1 puts early steps in the vectorised-sweep regime;

@@ -1,3 +1,4 @@
+import itertools
 import json
 import subprocess
 import sys
@@ -88,6 +89,32 @@ class TestPolyBounds:
         payload = json.loads(out)
         assert payload["lower"] <= 1.0 <= payload["upper"]
         assert payload["upper"] / payload["lower"] <= 1.5
+
+    def test_exact_ends_printed_in_full(self, tmp_path, capsys):
+        # at eps = 1e-3 the exact upper end of x1*x2 has about 8,240
+        # characters, past the default limit of 4,300 digits on integer
+        # to string conversion; main lifts the limit and puts it back
+        from orbitmax import sphere
+        from orbitmax.exact import format_rational
+        obj = {"n": 2, "d": 2, "terms": [{"exps": [1, 1], "coef": "1"}]}
+        path = write(tmp_path, "p.json", obj)
+        digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+        limit = digits()
+        code, out = run_main(["poly-bounds", "--poly", path, "--eps", "1e-3"],
+                             capsys)
+        assert code == 0
+        assert digits() == limit
+        payload = json.loads(out)
+        assert payload["k"] == 4562
+        assert len(payload["upper_exact"]) > 8000
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            expected = sphere.fewnomial_sup(sphere.poly_from_json(obj), 1e-3)
+            assert payload["upper_exact"] == format_rational(expected.upper_exact)
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
 
     def test_zero_polynomial_flagged(self, tmp_path, capsys):
         path = write(tmp_path, "z.json", {"n": 2, "d": 2, "terms": []})
@@ -232,6 +259,15 @@ class TestAssign:
         assert main(["assign", "--a", path, "--b", path, "--k", "1",
                      "--brute"]) == 2
 
+    def test_out_of_memory_exit_3(self, tmp_path, capsys):
+        # a dense n = 10**7 tensor at d = 2 is a list of 10**14 entries,
+        # refused when the list is allocated, before any memory is touched
+        huge = write(tmp_path, "t.json", {"n": 10 ** 7, "d": 2, "entries": []})
+        assert main(["assign", "--a", huge, "--b", huge, "--k", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("budget exceeded: out of memory")
+
     def test_zero_denominator_value_exit_2(self, tmp_path, capsys):
         good = write(tmp_path, "a.json", tensor_10())
         bad = write(tmp_path, "b.json", {"n": 2, "d": 1, "entries": [
@@ -319,6 +355,15 @@ class TestHyperAlign:
             ["hyper-align", "--h1", pth, "--h2", tri, "--k", "1"], capsys)
         assert code == 0
         assert json.loads(out)["matched"] == 2
+
+    def test_out_of_memory_exit_3(self, tmp_path, capsys):
+        # the adjacency tensor of 10**7 vertices at d = 2 is a list of
+        # 10**14 entries, refused when the list is allocated
+        h = write(tmp_path, "h.json", {"n": 10 ** 7, "d": 2, "edges": [[1, 2]]})
+        assert main(["hyper-align", "--h1", h, "--h2", h, "--k", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("budget exceeded: out of memory")
 
     def test_n_mismatch_exit_2(self, tmp_path):
         h1 = write(tmp_path, "h1.json", {"n": 3, "d": 2, "edges": [[1, 2]]})
@@ -470,6 +515,38 @@ class TestStartup:
                                   capture_output=True, text=True)
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout.split() == [str(sweeps)], argv
+
+    def test_assign_loads_no_numpy_submodules(self, tmp_path):
+        # a d >= 2 assign --greedy process loads no numpy submodule beyond
+        # those of ``import numpy`` itself (plain np.unique, for one, pulls
+        # in numpy.ma); a dense d = 3, n = 9 pair sweeps its first greedy
+        # steps, a dense d = 2, n = 5 pair enumerates its cosets
+        def dense(n, d, seed):
+            return {"n": n, "d": d, "entries": [
+                {"index": [i + 1 for i in idx],
+                 "value": str((sum(idx) * 7 + idx[0] * 3 + seed) % 5 - 2)}
+                for idx in itertools.product(range(n), repeat=d)]}
+
+        child = textwrap.dedent("""
+            import contextlib, io, sys
+            sys.path.insert(0, sys.argv[1])
+            import numpy
+            before = set(sys.modules)
+            import orbitmax.cli
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert orbitmax.cli.main(sys.argv[2:]) == 0, sys.argv[2:]
+            print(sorted(m for m in set(sys.modules) - before
+                         if m.startswith("numpy.")))
+        """)
+        src = str(Path(orbitmax.__file__).resolve().parents[1])
+        for n, d in ((9, 3), (5, 2)):
+            a = write(tmp_path, "a.json", dense(n, d, 1))
+            b = write(tmp_path, "b.json", dense(n, d, 2))
+            argv = ["assign", "--a", a, "--b", b, "--k", "1", "--greedy"]
+            proc = subprocess.run([sys.executable, "-c", child, src, *argv],
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.split() == ["[]"], (n, d, proc.stdout)
 
     def test_verify_and_linear_assign_load_no_numpy(self, tmp_path):
         # verify enumerates S_n in Python integers and d = 1 assign works
