@@ -239,6 +239,18 @@ class Cor16Report:
         }
 
 
+def _below(x: int, a: int, b: int) -> bool:
+    """x < a * b for x >= 0 and a, b >= 1.  The product has bit length
+    bits(a) + bits(b) - 1 or one more, so it is built only when x's bit
+    length is one of those two."""
+    bits = a.bit_length() + b.bit_length()
+    if x.bit_length() < bits - 1:
+        return True
+    if x.bit_length() > bits:
+        return False
+    return x < a * b
+
+
 def cor16_factor_check(dim: int, eps: float) -> Cor16Report:
     """Smallest k0 with (k0!)**(1/k0) > 2/eps**2, then verify the bound
     factor is below eps * sqrt(dim) at k0 for sampled dimensions >= k0.
@@ -252,11 +264,16 @@ def cor16_factor_check(dim: int, eps: float) -> Cor16Report:
         raise ValueError("dim must be >= 1")
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
-    num, den = Fraction(eps).as_integer_ratio()
+    # a float's denominator is a power of two, 2**s, so den**(2k) and 2**k
+    # are shifts
+    num, den = float(eps).as_integer_ratio()
+    s = den.bit_length() - 1
+    num_pows: dict[int, int] = {}  # num**(2k) by k, read again at k0
 
     def above(k: int) -> bool:
         # k! * eps**(2k) > 2**k, with denominators cleared
-        return math.factorial(k) * num ** (2 * k) > 2 ** k * den ** (2 * k)
+        num_pows[k] = num ** (2 * k)
+        return _below(1 << k * (2 * s + 1), math.factorial(k), num_pows[k])
 
     # log(k! * eps**(2k) / 2**k) has increasing steps log(k + 1) + c and
     # is 0 at k = 0, so the k >= 1 where it is positive run from k0 on:
@@ -273,12 +290,14 @@ def cor16_factor_check(dim: int, eps: float) -> Cor16Report:
         k0 += 1
     while k0 > 1 and above(k0 - 1):
         k0 -= 1
-    num_2k0, den_2k0 = num ** (2 * k0), den ** (2 * k0)
+    num_2k0 = num_pows[k0]
     dims = sorted({dim, k0, 2 * k0, 10 * k0})
     checks = []
     for dm in dims:
         applicable = dm >= k0
-        holds = math.comb(dm + k0 - 1, k0) * den_2k0 <= num_2k0 * dm ** k0
+        # C(dm + k0 - 1, k0) * den**(2 k0) <= num**(2 k0) * dm**k0
+        holds = _below((math.comb(dm + k0 - 1, k0) << 2 * k0 * s) - 1,
+                       num_2k0, dm ** k0)
         checks.append(Cor16Check(
             dim=dm,
             factor=bound_factor(dm, k0),

@@ -13,6 +13,8 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count, repeat
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .bounds import Interval
@@ -136,6 +138,17 @@ class SparsePoly:
         return self + (other * Fraction(-1))
 
 
+def _prod_by_twos(start: int, stop: int) -> int:
+    """The product of range(start, stop, 2), multiplied as a balanced
+    tree, so that the big multiplies pair factors of like size instead of
+    growing one small factor at a time."""
+    size = len(range(start, stop, 2))
+    if size <= 64:
+        return math.prod(range(start, stop, 2))
+    mid = start + 2 * (size // 2)
+    return _prod_by_twos(start, mid) * _prod_by_twos(mid, stop)
+
+
 class _OddDoubleFactorials(dict):
     """(a - 1)!! by even exponent a, the Gaussian moment E[g**a], each
     computed when first read from the largest smaller exponent read, so
@@ -148,7 +161,7 @@ class _OddDoubleFactorials(dict):
     def __missing__(self, a: int) -> int:
         i = bisect.bisect(self._read, a)
         b = self._read[i - 1]
-        value = self[b] * math.prod(range(b + 1, a, 2))
+        value = self[b] * _prod_by_twos(b + 1, a)
         self[a] = value
         self._read.insert(i, a)
         return value
@@ -188,7 +201,17 @@ def moment_2k(p: SparsePoly, k: int, term_budget: int | None = None) -> Fraction
     a_j integrate to zero).  Compositions are walked one monomial at a
     time, and a branch is cut as soon as the XOR of the odd-exponent
     masks of the monomials used an odd number of times is not one the
-    remaining monomials can cancel.  The result is
+    remaining monomials can cancel.  The last two monomials a and b are
+    one line r_a + r_b = rem, walked per parity class of r_a whose masks
+    cancel: its first term is a leaf, and each later one (r_a = r -> r + 2)
+    is the one before times (rem - r)(rem - r - 1) c_a**2 R / ((r + 1)
+    (r + 2) c_b**2 F), where x is the term's exponent vector, delta =
+    e_a - e_b, R is the product over delta_j > 0 of (x_j + 1)(x_j + 3)..
+    (x_j + 2 delta_j - 1) and F over delta_j < 0 of (x_j - 1)(x_j - 3)..
+    (x_j + 2 delta_j + 1).  The term is hypergeometric in r_a (Petkovsek,
+    Wilf and Zeilberger, "A = B", 1996, ch. 3) and an integer, so one
+    small multiply and one exact division replace a leaf's n big weight
+    products.  The result is
     ``total / (L**(2k) * prod_{j<kd} (n + 2j))``, the integral of the
     collected power taken monomial by monomial (Folland, "How to
     integrate a polynomial over a sphere", Amer. Math. Monthly 108, 2001).
@@ -225,16 +248,48 @@ def moment_2k(p: SparsePoly, k: int, term_budget: int | None = None) -> Fraction
         for _ in range(m):
             row.append(row[-1] * a)
         pows.append(row)
-    # binomial rows by remainder, each built the first time the walk reads
-    # it: a 2-term form only ever reads row 2k
+    # binomial rows by remainder, each built the first time the walk reads it
     binom: list = [None] * (m + 1)
     # weight of an exponent a (read only at even a): (a - 1)!!
     dfw = _OddDoubleFactorials()
     odd = [sum(1 << j for j, e in enumerate(ex) if e & 1) for ex in exps]
     reach = _parity_reach(odd, comps)
-    last = t - 1
+    last, pen = t - 1, t - 2
     e_last, pow_last, odd_last = exps[last], pows[last], odd[last]
+    e_pen, pow_pen, odd_pen = exps[pen], pows[pen], odd[pen]
+    # the factors x_j + o of R (rising) and F (falling) as (j, o, 2 delta_j),
+    # the amount each moves by per step of the line
+    rising, falling = [], []
+    for j, (u, v) in enumerate(zip(e_pen, e_last)):
+        rising += [(j, o, 2 * (u - v)) for o in range(1, 2 * (u - v), 2)]
+        falling += [(j, -o, 2 * (u - v)) for o in range(1, 2 * (v - u), 2)]
     total = 0
+
+    def line(rem: int, acc: int, alpha: list[int], mask: int) -> None:
+        # r_pen + r_last = rem, one parity class q of r_pen at a time: the
+        # first term is a leaf, each later one the term before times the
+        # exact ratio nums / dens of small integers
+        nonlocal total
+        for q in (0, 1):
+            if mask ^ (odd_pen if q else 0) ^ (odd_last if (rem - q) & 1 else 0):
+                continue
+            x = [a + q * u + (rem - q) * v for a, u, v in zip(alpha, e_pen, e_last)]
+            # C(rem, q) is 1 or rem
+            term = (acc * (rem if q else 1) * pow_pen[q] * pow_last[rem - q]
+                    * math.prod(map(dfw.__getitem__, x)))
+            total += term
+            # the steps r -> r + 2 for r = q, q + 2, .. <= rem - 2
+            nums = map(mul, range(rem - q, 1, -2), range(rem - q - 1, 0, -2))
+            dens = map(mul, range(q + 1, rem, 2), range(q + 2, rem + 1, 2))
+            nums = map(mul, nums, repeat(pow_pen[2]))
+            dens = map(mul, dens, repeat(pow_last[2]))
+            for j, o, s in rising:
+                nums = map(mul, nums, count(x[j] + o, s))
+            for j, o, s in falling:
+                dens = map(mul, dens, count(x[j] + o, s))
+            for nu, de in zip(nums, dens):
+                term = term * nu // de
+                total += term
 
     def walk(i: int, rem: int, acc: int, alpha: list[int], mask: int) -> None:
         # recurses only on r_i >= 1 and steps over r_i = 0 in this frame,
@@ -249,6 +304,11 @@ def moment_2k(p: SparsePoly, k: int, term_budget: int | None = None) -> Fraction
                         alpha = [a + rem * x for a, x in zip(alpha, e_last)]
                         acc *= pow_last[rem]
                     total += acc * math.prod(map(dfw.__getitem__, alpha))
+                return
+            if i == pen and rem > 3:
+                # a line of at most one step per class keeps the leaves:
+                # setting up its ratios costs more than they save
+                line(rem, acc, alpha, mask)
                 return
             e, row, brow, ok = exps[i], pows[i], binom[rem], reach[i + 1]
             if brow is None:
@@ -266,10 +326,7 @@ def moment_2k(p: SparsePoly, k: int, term_budget: int | None = None) -> Fraction
             i += 1
 
     walk(0, m, 1, [0] * p.n, 0)
-    den = lcm ** m
-    for j in range(k * p.d):
-        den *= p.n + 2 * j
-    return Fraction(total, den)
+    return Fraction(total, lcm ** m * _prod_by_twos(p.n, p.n + 2 * k * p.d))
 
 
 def norm_2k(p: SparsePoly, k: int, term_budget: int | None = None) -> float:
@@ -347,14 +404,19 @@ def sample_lower_bound(p: SparsePoly, trials: int, seed: int) -> float:
     # every sphere-only CLI process its import time
     import numpy as np
 
+    try:
+        coefs = [float(c) for c in p.terms.values()]
+    except OverflowError:
+        raise ValueError("a coefficient is outside the float range, and the "
+                         "samples evaluate p in floats") from None
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal((trials, p.n))
     norms = np.linalg.norm(pts, axis=1)
     norms[norms == 0] = 1.0
     pts /= norms[:, None]
     vals = np.zeros(trials)
-    for exps, coef in p.terms.items():
-        term = np.full(trials, float(coef))
+    for exps, coef in zip(p.terms, coefs):
+        term = np.full(trials, coef)
         for i, e in enumerate(exps):
             if e:
                 term *= pts[:, i] ** e
@@ -417,7 +479,11 @@ def system_reduce(system: Sequence[SparsePoly], k: int, delta: float = 0.01,
     if q.is_zero:
         gamma_exact = Fraction(0)
     else:
-        gamma_exact = Fraction(float((1.0 + delta) * qb.upper))
+        top = (1.0 + delta) * qb.upper
+        if top == math.inf:
+            raise ValueError("(1 + delta) times the certified upper end of max q "
+                             "is above the float range")
+        gamma_exact = Fraction(top)
         # exact guarantee gamma**(2k) >= factor * moment, i.e. gamma >= max q
         bump = 1 + Fraction(1, 1 << 20)
         while gamma_exact ** (2 * k) < qb.upper_exact:

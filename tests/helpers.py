@@ -62,6 +62,36 @@ def oracle_sphere_moment_2k(p: SparsePoly, k: int) -> Fraction:
     return total
 
 
+def leaf_sphere_moment(p: SparsePoly, k: int) -> Fraction:
+    """Integral of p**(2k) over the sphere, one composition r of 2k over
+    the monomials at a time: with the coefficients cleared to integers
+    c_i over L, each adds multinomial(r) * prod c_i**r_i * prod_j
+    (a_j - 1)!! for its exponent vector a when every a_j is even, and the
+    sum is divided by L**(2k) * prod_{j<kd} (n + 2j).  The oracle for
+    ``sphere.moment_2k``'s line steps."""
+    exps = list(p.terms)
+    lcm = math.lcm(*(c.denominator for c in p.terms.values()))
+    ints = [c.numerator * (lcm // c.denominator) for c in p.terms.values()]
+    weights = [math.prod(range(1, a, 2)) for a in range(2 * k * p.d + 1)]
+    total = 0
+
+    def walk(i: int, rem: int, acc: int, alpha: list[int]) -> None:
+        nonlocal total
+        if i == len(exps) - 1:
+            alpha = [a + rem * e for a, e in zip(alpha, exps[i])]
+            if not any(a & 1 for a in alpha):
+                total += acc * ints[i] ** rem * math.prod(weights[a] for a in alpha)
+            return
+        for r in range(rem + 1):
+            walk(i + 1, rem - r, acc * math.comb(rem, r) * ints[i] ** r,
+                 [a + r * e for a, e in zip(alpha, exps[i])])
+
+    if exps:
+        walk(0, 2 * k, 1, [0] * p.n)
+    return Fraction(total, lcm ** (2 * k)
+                    * math.prod(range(p.n, p.n + 2 * k * p.d, 2)))
+
+
 def wallis_circle_average(a: int, b: int) -> Fraction:
     """Average of cos**a * sin**b over the full circle, by the Wallis
     recursion W(a, b) = (a-1)/(a+b) * W(a-2, b)."""

@@ -230,6 +230,14 @@ class TestSystemTest:
         assert code == 0
         assert json.loads(out)["verdict"] == "possibly solvable"
 
+    def test_coefficient_beyond_the_float_range_exit_2(self, tmp_path, capsys):
+        # max q is about 10**400, so gamma has no float; this used to end
+        # in an uncaught OverflowError
+        system = [{"n": 2, "d": 1, "terms": [{"exps": [1, 0], "coef": str(10 ** 200)},
+                                             {"exps": [0, 1], "coef": "1"}]}]
+        path = write(tmp_path, "s.json", system)
+        assert_invalid_input(["system-test", "--system", path, "--k", "1"], capsys)
+
     def test_degree_mismatch_exit_2(self, tmp_path):
         system = [
             {"n": 2, "d": 1, "terms": [{"exps": [1, 0], "coef": "1/1"}]},

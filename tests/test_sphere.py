@@ -7,8 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import (naive_poly_mul, naive_pow, oracle_monomial_moment,
-                     oracle_sphere_moment_2k, random_poly, wallis_circle_average)
+from helpers import (leaf_sphere_moment, naive_poly_mul, naive_pow,
+                     oracle_monomial_moment, oracle_sphere_moment_2k,
+                     random_fraction, random_poly, wallis_circle_average)
 from orbitmax import sphere
 from orbitmax.bounds import Interval
 from orbitmax.errors import BudgetError
@@ -192,6 +193,51 @@ class TestMomentEngine:
         assert sphere.moment_2k(p, 1) == sum(
             (c * oracle_monomial_moment(e, 3) for e, c in square.items()),
             Fraction(0))
+
+    @pytest.mark.parametrize("n,d,t,k", [
+        (4, 2, 3, 80), (6, 4, 3, 62), (3, 4, 3, 58), (6, 3, 3, 58),
+        (3, 3, 3, 54), (3, 2, 3, 48), (3, 4, 4, 20), (5, 2, 4, 18),
+        (3, 4, 5, 9), (3, 3, 5, 8),
+    ])
+    def test_benchmark_shapes_match_the_leaf_walk(self, n, d, t, k):
+        # the sphere-bounds fewnomial cells with the most compositions:
+        # long lines of the last two monomials, several forms each
+        rng = random.Random(f"{n} {d} {t} {k}")
+        for _ in range(2):
+            monos: set = set()
+            while len(monos) < t:
+                exps = [0] * n
+                for _ in range(d):
+                    exps[rng.randrange(n)] += 1
+                monos.add(tuple(exps))
+            p = SparsePoly(n, d, {e: random_fraction(rng, 1, 9, 4) * rng.choice((-1, 1))
+                                  for e in sorted(monos)})
+            assert sphere.moment_2k(p, k) == leaf_sphere_moment(p, k)
+
+    @pytest.mark.parametrize("n,d,items", [
+        # delta_3 = 0: a coordinate the line leaves in place
+        (3, 3, [((2, 0, 1), 3), ((0, 2, 1), -1)]),
+        (4, 2, [((1, 0, 0, 1), 2), ((0, 1, 0, 1), 5), ((0, 0, 1, 1), -1)]),
+        # |delta_j| = d of both signs, and mixed sizes
+        (2, 3, [((3, 0), 1), ((0, 3), 2)]),
+        (3, 4, [((0, 1, 3), Fraction(1, 2)), ((4, 0, 0), Fraction(-3, 5))]),
+        (3, 4, [((1, 1, 2), 1), ((2, 2, 0), 1), ((0, 0, 4), -2)]),
+        # odd r_pen is cut: x1 x2 an odd number of times cannot cancel
+        (2, 2, [((1, 1), 3), ((2, 0), -1)]),
+        (3, 2, [((0, 1, 1), 1), ((1, 1, 0), 2), ((0, 0, 2), 1)]),
+        # c_pen**2 / c_last**2 not an integer: mixed denominators and signs
+        (2, 2, [((2, 0), Fraction(2, 3)), ((1, 1), Fraction(-5, 7))]),
+        (3, 3, [((1, 1, 1), Fraction(-7, 2)), ((3, 0, 0), Fraction(4, 9)),
+                ((0, 2, 1), Fraction(5, 6))]),
+        # n = 1, and t = 1 in more variables: no line
+        (1, 3, [((3,), Fraction(-2, 7))]),
+        (3, 4, [((2, 1, 1), Fraction(3, 2))]),
+    ])
+    def test_line_edges_match_the_expanded_power(self, n, d, items):
+        p = SparsePoly.from_terms(n, d, items)
+        for k in (2, 3, 4):
+            assert sphere.moment_2k(p, k) == oracle_sphere_moment_2k(p, k)
+        assert sphere.moment_2k(p, 15) == leaf_sphere_moment(p, 15)
 
     def test_budget_error_fields(self):
         p = SparsePoly.from_terms(4, 2, [((2, 0, 0, 0), 1), ((0, 2, 0, 0), -3),
@@ -438,6 +484,11 @@ class TestSampleLowerBound:
             sampled = sphere.sample_lower_bound(p, 2000, seed=rng.randint(0, 99))
             assert sampled <= iv.upper
 
+    def test_coefficient_beyond_the_float_range_refused(self):
+        p = SparsePoly.from_terms(2, 1, [((1, 0), 10 ** 400), ((0, 1), 1)])
+        with pytest.raises(ValueError, match="float range"):
+            sphere.sample_lower_bound(p, trials=10, seed=1)
+
 
 class TestSystemReduce:
     def test_orthonormal_coordinates_certified_gap(self):
@@ -535,6 +586,12 @@ class TestSystemReduce:
         with pytest.raises(BudgetError) as exc:
             sphere.system_reduce([SparsePoly.variable(4, 0)], k=1, term_budget=3)
         assert (exc.value.required, exc.value.budget) == (4, 3)
+
+    def test_gamma_beyond_the_float_range_refused(self):
+        # max q is about 10**400, above the float range of gamma
+        p = SparsePoly.from_terms(2, 1, [((1, 0), 10 ** 200), ((0, 1), 1)])
+        with pytest.raises(ValueError, match="float range"):
+            sphere.system_reduce([p], k=1)
 
     def test_degree_mismatch_rejected(self):
         with pytest.raises(ValueError):
