@@ -40,7 +40,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .bounds import Interval
 from .errors import BudgetError
-from .exact import _int_scaled, format_rational, parse_int, parse_rational
+from .exact import _int_scaled, format_rational, parse_int, parse_list, parse_rational
 
 __all__ = [
     "DEFAULT_VISIT_BUDGET",
@@ -732,7 +732,7 @@ def tensor_from_json(obj: Mapping) -> DenseTensor:
     try:
         n = parse_int(obj["n"])
         d = parse_int(obj["d"])
-        parsed = [(ent["index"], tuple(parse_int(i) - 1 for i in ent["index"]),
+        parsed = [(ent["index"], tuple(parse_int(i) - 1 for i in parse_list(ent["index"])),
                    parse_rational(ent["value"]))
                   for ent in obj.get("entries", [])]
     except (KeyError, TypeError, ValueError) as exc:
@@ -751,7 +751,7 @@ def permutation_to_json(g: Permutation) -> dict:
 
 def permutation_from_json(obj: Mapping) -> Permutation:
     try:
-        images = tuple(parse_int(i) - 1 for i in obj["images"])
+        images = tuple(parse_int(i) - 1 for i in parse_list(obj["images"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed permutation object: {exc}") from exc
     return Permutation(images)

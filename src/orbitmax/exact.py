@@ -21,6 +21,7 @@ __all__ = [
     "format_rational",
     "parse_rational",
     "parse_int",
+    "parse_list",
 ]
 
 
@@ -94,6 +95,14 @@ def parse_int(value: str | int) -> int:
         except TypeError:
             pass
     raise ValueError(f"expected an integer, got {value!r}")
+
+
+def parse_list(value: object) -> list:
+    """A JSON array, as read from the input; a string is refused rather
+    than read as the list of its characters, and so is any other value."""
+    if not isinstance(value, list):
+        raise ValueError(f"expected a JSON array, got {value!r}")
+    return value
 
 
 def _int_scaled(values: Sequence[Fraction | int]) -> tuple[list[int], int]:

@@ -17,7 +17,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from . import assign
 from .bounds import Interval
-from .exact import format_rational, parse_int, parse_rational
+from .exact import format_rational, parse_int, parse_list, parse_rational
 
 __all__ = [
     "Hypergraph",
@@ -153,8 +153,9 @@ def hypergraph_from_json(obj: Mapping) -> Hypergraph:
     try:
         n = parse_int(obj["n"])
         d = parse_int(obj["d"])
-        edges = [tuple(parse_int(v) - 1 for v in e) for e in obj["edges"]]
-        weights = [parse_rational(w) for w in obj.get("weights", [])]
+        edges = [tuple(parse_int(v) - 1 for v in parse_list(e))
+                 for e in parse_list(obj["edges"])]
+        weights = [parse_rational(w) for w in parse_list(obj.get("weights", []))]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed hypergraph object: {exc}") from exc
     return Hypergraph.from_edges(n, d, edges, weights or None)

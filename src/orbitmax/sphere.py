@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .bounds import Interval
 from .errors import BudgetError
-from .exact import format_rational, parse_int, parse_rational, root_2k
+from .exact import format_rational, parse_int, parse_list, parse_rational, root_2k
 
 __all__ = [
     "DEFAULT_TERM_BUDGET",
@@ -201,17 +201,20 @@ def moment_2k(p: SparsePoly, k: int, term_budget: int | None = None) -> Fraction
     a_j integrate to zero).  Compositions are walked one monomial at a
     time, and a branch is cut as soon as the XOR of the odd-exponent
     masks of the monomials used an odd number of times is not one the
-    remaining monomials can cancel.  The last two monomials a and b are
-    one line r_a + r_b = rem, walked per parity class of r_a whose masks
-    cancel: its first term is a leaf, and each later one (r_a = r -> r + 2)
-    is the one before times (rem - r)(rem - r - 1) c_a**2 R / ((r + 1)
+    remaining monomials can cancel.  Every factor of a term comes from
+    its neighbour by an exact ratio, as the term is hypergeometric in
+    each r_i (Petkovsek, Wilf and Zeilberger, "A = B", 1996, ch. 3): at
+    monomial i, C(rem, r) c_i**r steps from r to r + 2 by (rem - r)
+    (rem - r - 1) c_i**2 / ((r + 1)(r + 2)).  The last two monomials a
+    and b are one line r_a + r_b = rem, walked per parity class of r_a
+    whose masks cancel: its first term is a leaf, and each later one is
+    the one before times (rem - r)(rem - r - 1) c_a**2 R / ((r + 1)
     (r + 2) c_b**2 F), where x is the term's exponent vector, delta =
     e_a - e_b, R is the product over delta_j > 0 of (x_j + 1)(x_j + 3)..
     (x_j + 2 delta_j - 1) and F over delta_j < 0 of (x_j - 1)(x_j - 3)..
-    (x_j + 2 delta_j + 1).  The term is hypergeometric in r_a (Petkovsek,
-    Wilf and Zeilberger, "A = B", 1996, ch. 3) and an integer, so one
-    small multiply and one exact division replace a leaf's n big weight
-    products.  The result is
+    (x_j + 2 delta_j + 1).  Each step is one small multiply and one
+    exact division, and no power or binomial is tabled: memory is the
+    (a - 1)!! weights the walk reads and O(k) per frame.  The result is
     ``total / (L**(2k) * prod_{j<kd} (n + 2j))``, the integral of the
     collected power taken monomial by monomial (Folland, "How to
     integrate a polynomial over a sphere", Amer. Math. Monthly 108, 2001).
@@ -241,22 +244,14 @@ def moment_2k(p: SparsePoly, k: int, term_budget: int | None = None) -> Fraction
     exps = list(p.terms)
     coefs = list(p.terms.values())
     lcm = math.lcm(*(c.denominator for c in coefs))
-    pows = []
-    for c in coefs:
-        a = c.numerator * (lcm // c.denominator)
-        row = [1]
-        for _ in range(m):
-            row.append(row[-1] * a)
-        pows.append(row)
-    # binomial rows by remainder, each built the first time the walk reads it
-    binom: list = [None] * (m + 1)
+    ints = [c.numerator * (lcm // c.denominator) for c in coefs]
     # weight of an exponent a (read only at even a): (a - 1)!!
     dfw = _OddDoubleFactorials()
     odd = [sum(1 << j for j, e in enumerate(ex) if e & 1) for ex in exps]
     reach = _parity_reach(odd, comps)
     last, pen = t - 1, t - 2
-    e_last, pow_last, odd_last = exps[last], pows[last], odd[last]
-    e_pen, pow_pen, odd_pen = exps[pen], pows[pen], odd[pen]
+    e_last, c_last, odd_last = exps[last], ints[last], odd[last]
+    e_pen, c_pen, odd_pen = exps[pen], ints[pen], odd[pen]
     # the factors x_j + o of R (rising) and F (falling) as (j, o, 2 delta_j),
     # the amount each moves by per step of the line
     rising, falling = [], []
@@ -275,14 +270,14 @@ def moment_2k(p: SparsePoly, k: int, term_budget: int | None = None) -> Fraction
                 continue
             x = [a + q * u + (rem - q) * v for a, u, v in zip(alpha, e_pen, e_last)]
             # C(rem, q) is 1 or rem
-            term = (acc * (rem if q else 1) * pow_pen[q] * pow_last[rem - q]
+            term = (acc * (rem * c_pen if q else 1) * c_last ** (rem - q)
                     * math.prod(map(dfw.__getitem__, x)))
             total += term
             # the steps r -> r + 2 for r = q, q + 2, .. <= rem - 2
             nums = map(mul, range(rem - q, 1, -2), range(rem - q - 1, 0, -2))
             dens = map(mul, range(q + 1, rem, 2), range(q + 2, rem + 1, 2))
-            nums = map(mul, nums, repeat(pow_pen[2]))
-            dens = map(mul, dens, repeat(pow_last[2]))
+            nums = map(mul, nums, repeat(c_pen * c_pen))
+            dens = map(mul, dens, repeat(c_last * c_last))
             for j, o, s in rising:
                 nums = map(mul, nums, count(x[j] + o, s))
             for j, o, s in falling:
@@ -302,7 +297,7 @@ def moment_2k(p: SparsePoly, k: int, term_budget: int | None = None) -> Fraction
                 if mask == 0:
                     if rem:
                         alpha = [a + rem * x for a, x in zip(alpha, e_last)]
-                        acc *= pow_last[rem]
+                        acc *= c_last ** rem
                     total += acc * math.prod(map(dfw.__getitem__, alpha))
                 return
             if i == pen and rem > 3:
@@ -310,19 +305,20 @@ def moment_2k(p: SparsePoly, k: int, term_budget: int | None = None) -> Fraction
                 # setting up its ratios costs more than they save
                 line(rem, acc, alpha, mask)
                 return
-            e, row, brow, ok = exps[i], pows[i], binom[rem], reach[i + 1]
-            if brow is None:
-                brow = binom[rem] = [math.comb(rem, r) for r in range(rem + 1)]
+            e, c, ok = exps[i], ints[i], reach[i + 1]
             sub = mask ^ odd[i]
+            # term = acc * C(rem, r) * c**r, stepped r -> r + 2 by its exact ratio
             if ok is None or sub in ok[(rem - 1) & 1]:
+                term = acc * rem * c
                 for r in range(1, rem + 1, 2):
-                    walk(i + 1, rem - r, acc * brow[r] * row[r],
-                         [a + r * x for a, x in zip(alpha, e)], sub)
+                    walk(i + 1, rem - r, term, [a + r * x for a, x in zip(alpha, e)], sub)
+                    term = term * ((rem - r) * (rem - r - 1) * c * c) // ((r + 1) * (r + 2))
             if ok is not None and mask not in ok[rem & 1]:
                 return
+            term = acc * (rem * (rem - 1) // 2) * c * c
             for r in range(2, rem + 1, 2):
-                walk(i + 1, rem - r, acc * brow[r] * row[r],
-                     [a + r * x for a, x in zip(alpha, e)], mask)
+                walk(i + 1, rem - r, term, [a + r * x for a, x in zip(alpha, e)], mask)
+                term = term * ((rem - r) * (rem - r - 1) * c * c) // ((r + 1) * (r + 2))
             i += 1
 
     walk(0, m, 1, [0] * p.n, 0)
@@ -534,7 +530,7 @@ def poly_from_json(obj: Mapping) -> SparsePoly:
         n = parse_int(obj["n"])
         d = parse_int(obj["d"])
         raw = obj.get("terms", [])
-        items = [(tuple(parse_int(e) for e in t["exps"]), parse_rational(t["coef"]))
+        items = [(tuple(map(parse_int, parse_list(t["exps"]))), parse_rational(t["coef"]))
                  for t in raw]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed polynomial object: {exc}") from exc

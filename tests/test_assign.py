@@ -51,9 +51,9 @@ class TestTypes:
         g = Permutation((2, 0, 1))
         assert assign.permutation_from_json(assign.permutation_to_json(g)) == g
 
-    @pytest.mark.parametrize("images", [[1.5, 2.2], [2, True], [2.0, 1]])
+    @pytest.mark.parametrize("images", [[1.5, 2.2], [2, True], [2.0, 1], "21"])
     def test_permutation_json_non_integral_images_rejected(self, images):
-        # [1.5, 2.2] used to load as the identity
+        # [1.5, 2.2] used to load as the identity, and "21" as (2, 1)
         with pytest.raises(ValueError, match="malformed permutation"):
             assign.permutation_from_json({"images": images})
 

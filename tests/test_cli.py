@@ -78,6 +78,12 @@ class TestPolyNorm:
         path = write(tmp_path, "p.json", obj)
         assert_invalid_input(["poly-norm", "--poly", path, "--k", "1"], capsys)
 
+    def test_string_for_the_exponent_list_exit_2(self, tmp_path, capsys):
+        # "20" used to be read as its characters, the exponents of x1**2
+        obj = {"n": 2, "d": 2, "terms": [{"exps": "20", "coef": "1"}]}
+        path = write(tmp_path, "p.json", obj)
+        assert_invalid_input(["poly-norm", "--poly", path, "--k", "1"], capsys)
+
 
 class TestPolyBounds:
     def test_eps_interval_contains_one(self, tmp_path, capsys):
@@ -303,6 +309,15 @@ class TestAssign:
         assert_invalid_input(["assign", "--a", bad, "--b", good, "--k", "1"],
                              capsys)
 
+    def test_string_for_the_index_exit_2(self, tmp_path, capsys):
+        # "12" used to be read as the index [1, 2]
+        good = write(tmp_path, "a.json", {"n": 2, "d": 2, "entries": [
+            {"index": [1, 2], "value": "1/1"}]})
+        bad = write(tmp_path, "b.json", {"n": 2, "d": 2, "entries": [
+            {"index": "12", "value": "1/1"}]})
+        assert_invalid_input(["assign", "--a", good, "--b", bad, "--k", "1"],
+                             capsys)
+
     def test_shape_mismatch_exit_2(self, tmp_path):
         p1 = write(tmp_path, "a.json", tensor_10())
         p2 = write(tmp_path, "b.json",
@@ -384,6 +399,18 @@ class TestHyperAlign:
         {"n": 3, "d": 2, "edges": [[1.2, 2.8]]},
     ])
     def test_non_integral_numbers_exit_2(self, tmp_path, capsys, obj):
+        h = write(tmp_path, "h.json", obj)
+        assert_invalid_input(["hyper-align", "--h1", h, "--h2", h, "--k", "1"],
+                             capsys)
+
+    @pytest.mark.parametrize("obj", [
+        # each used to be read character by character: two edges (1, 2) and
+        # (2, 3), the weight list [2], and two one-vertex edges
+        {"n": 3, "d": 2, "edges": ["12", "23"]},
+        {"n": 3, "d": 2, "edges": [[1, 2]], "weights": "2"},
+        {"n": 2, "d": 1, "edges": "12"},
+    ])
+    def test_string_for_a_list_exit_2(self, tmp_path, capsys, obj):
         h = write(tmp_path, "h.json", obj)
         assert_invalid_input(["hyper-align", "--h1", h, "--h2", h, "--k", "1"],
                              capsys)

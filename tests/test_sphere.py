@@ -2,6 +2,7 @@ import math
 import random
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -160,8 +161,9 @@ class TestMomentEngine:
             assert sphere.moment_2k(p, k) == oracle_sphere_moment_2k(p, k)
 
     def test_two_term_linear_form_at_k_300(self):
-        # only binomial row 2k is read; the reference distributes p**150
-        # literally and squares it twice, which is quicker than 600 steps
+        # one line, each term stepped from the one before; the reference
+        # distributes p**150 literally and squares it twice, which is
+        # quicker than 600 steps
         p = SparsePoly.from_terms(3, 1, [((1, 0, 0), 3), ((0, 0, 1), -2)])
         power = naive_pow(p, 150)
         for _ in range(2):
@@ -232,11 +234,21 @@ class TestMomentEngine:
         # n = 1, and t = 1 in more variables: no line
         (1, 3, [((3,), Fraction(-2, 7))]),
         (3, 4, [((2, 1, 1), Fraction(3, 2))]),
+        # t = 3, 4, 5: every walk level steps C(rem, r) c**r up to r = rem - 1
+        # and r = rem, with coefficients of +-1, negatives and mixed denominators
+        (3, 2, [((2, 0, 0), 1), ((1, 1, 0), -1), ((0, 1, 1), 1)]),
+        (3, 3, [((3, 0, 0), Fraction(-2, 3)), ((1, 2, 0), Fraction(5, 4)),
+                ((0, 1, 2), -7), ((1, 1, 1), Fraction(1, 6))]),
+        (4, 2, [((1, 1, 0, 0), -1), ((0, 0, 1, 1), 1), ((1, 0, 1, 0), Fraction(-5, 3)),
+                ((0, 1, 0, 1), Fraction(2, 7))]),
+        (2, 4, [((4, 0), -1), ((3, 1), 2), ((2, 2), Fraction(-3, 5)),
+                ((1, 3), Fraction(7, 2)), ((0, 4), -1)]),
     ])
     def test_line_edges_match_the_expanded_power(self, n, d, items):
         p = SparsePoly.from_terms(n, d, items)
-        for k in (2, 3, 4):
-            assert sphere.moment_2k(p, k) == oracle_sphere_moment_2k(p, k)
+        for k in (1, 2, 3, 4):
+            assert sphere.moment_2k(p, k) == oracle_sphere_moment_2k(p, k) \
+                == leaf_sphere_moment(p, k)
         assert sphere.moment_2k(p, 15) == leaf_sphere_moment(p, 15)
 
     def test_budget_error_fields(self):
@@ -444,6 +456,29 @@ class TestOddFactorWeights:
         odd = math.prod(range(1, 2 * k, 2))
         assert sphere.moment_2k(self.X1X2, k) == Fraction(
             odd * odd, math.prod(2 + 2 * j for j in range(2 * k)))
+
+    def test_closed_form_with_growing_powers(self):
+        # (3 x1 x2)**(2k): the walk's term carries 3**(2k), built by steps
+        k = 8000
+        odd = math.prod(range(1, 2 * k, 2))
+        assert sphere.moment_2k(SparsePoly.from_terms(2, 2, [((1, 1), 3)]), k) == \
+            Fraction(3 ** (2 * k) * odd * odd, math.prod(2 + 2 * j for j in range(2 * k)))
+
+    @pytest.mark.parametrize("items,k", [
+        ([((1, 1), 3)], 8000),
+        ([((2, 0), 9), ((1, 1), -7)], 3000),
+    ])
+    def test_large_k_in_little_memory(self, items, k):
+        # no table of the powers c**r, r <= 2k: such a table grows as k**2,
+        # to about 28 and 15 MB at these k
+        p = SparsePoly.from_terms(2, 2, items)
+        tracemalloc.start()
+        try:
+            sphere.moment_2k(p, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_charge_boundary(self):
         # k = 3 at d = 2: one composition, 6 odd factors
