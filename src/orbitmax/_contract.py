@@ -44,14 +44,15 @@ counts a call needs, holds:
   looked up by canonicalising it, whatever names its blocks carry (a
   component keeps the names it has in the larger partition);
 * the orbit sizes, and the Moebius rows folded onto representatives;
-* each representative's connected components, as representatives of
-  the plans (d, c) for c segments.
+* each representative's connected components, as the contraction
+  nodes of their values.
 
-The plan compiles each distinct connected component once, into one
-list of contraction steps shared by every block limit, equal steps
-stored once; the evaluator of a block limit runs the steps its
-components reach.  Every segment takes its diagonals and sums the
-blocks no other segment holds; then the pair of operands that loops
+Representatives are numbered by block count, so a block limit reads a
+prefix of one plan.  The plan compiles each distinct connected
+component once, into one list of contraction steps shared by every
+block limit, equal steps stored once; a limit runs the steps that its
+prefix's components reach.  Every segment takes its diagonals and sums
+the blocks no other segment holds; then the pair of operands that loops
 over the fewest indices is contracted, until one is left.  Each step
 is one unoptimised ``np.einsum`` of operands that share an index;
 numpy's optimised einsum paths silently wrap on object arrays when
@@ -276,78 +277,15 @@ def _renamings(r: int, ties: int) -> np.ndarray:
                     dtype=np.intp)
 
 
-class _Evaluator:
-    """What one side needs at one block limit ``top``: the contraction
-    nodes its factors reach (node 0 the tensor, each other node
-    (subscripts, x, y, width) on earlier nodes, equal nodes stored once),
-    the node of each factor's value, each representative's factors
-    (padded with the slot of a constant 1), and the Moebius rows as flat
-    column, coefficient and start arrays.  The factors are compiled into
-    the plan's shared node list, each distinct one once per process, and
-    the nodes they reach are copied out in order, so an evaluator loops
-    over the same indices whatever limits were asked for before it."""
-
-    def __init__(self, plan: "_Plan", top: int):
-        plan.extend_rows(top)
-        count = plan.start[top + 1]
-        keys = sorted({f for i in range(count) for f in plan.factors[i]})
-        for c, i in keys:
-            if (c, i) not in plan.compiled:
-                plan.compiled[(c, i)] = _compile(
-                    _plan(plan.d, c).reps[i].tolist(), plan.d, plan.nodes,
-                    plan.node_index)
-        reach, stack = set(), [plan.compiled[key] for key in keys]
-        while stack:
-            v = stack.pop()
-            if v and v not in reach:
-                reach.add(v)
-                _, x, y, _ = plan.nodes[v]
-                stack.extend((x,) if y is None else (x, y))
-        # operands are numbered before the nodes that read them
-        local = {0: 0}
-        self.nodes: list = [None]
-        for v in sorted(reach):
-            sub, x, y, width = plan.nodes[v]
-            local[v] = len(self.nodes)
-            self.nodes.append((sub, local[x], None if y is None else local[y],
-                               width))
-        self.outputs = [local[plan.compiled[key]] for key in keys]
-        slot = {key: j for j, key in enumerate(keys)}
-        self.factors = np.full((count, plan.m), len(keys), dtype=np.intp)
-        for i in range(count):
-            fs = [slot[f] for f in plan.factors[i]]
-            self.factors[i, :len(fs)] = fs
-        self.starts = np.array(plan.row_start[:count], dtype=np.intp)
-        end = plan.row_start[count]
-        self.cols = np.concatenate(plan.row_cols)[:end]
-        self.coefs = np.concatenate(plan.row_coefs)[:end]
-        self.coefs_obj = self.coefs.astype(object)
-        self.row_abs = int(np.add.reduceat(np.abs(self.coefs), self.starts).max())
-        self.widths = [node[3] for node in self.nodes[1:]]
-
-    def side(self, tensor: np.ndarray) -> list[int]:
-        """S of every representative for one tensor (int64 or object)."""
-        values = [tensor]
-        for sub, x, y, _ in self.nodes[1:]:
-            values.append(np.einsum(sub, values[x]) if y is None
-                          else np.einsum(sub, values[x], values[y]))
-        comps = [int(values[i]) for i in self.outputs] + [1]
-        hom = np.array(comps, dtype=tensor.dtype)[self.factors].prod(axis=1)
-        if tensor.dtype != object and \
-                self.row_abs * int(np.abs(hom).max()) > _INT64_MAX:
-            hom = hom.astype(object)
-        coefs = self.coefs_obj if hom.dtype == object else self.coefs
-        return np.add.reduceat(coefs * hom[self.cols], self.starts).tolist()
-
-
 class _Plan:
     """Orbit representatives of the set partitions of m segments of d
     positions, as restricted-growth strings, with their canonical keys;
     see the module docstring.  Representatives are numbered by block
     count, then by canonical key, so a coarser one always has the
-    smaller number.  Keys and strings are read as l digits in base
-    ``base``; a plan that only names the components of a larger one
-    builds no Moebius rows or factors."""
+    smaller number, and a block limit ``top`` reads the prefix of the
+    first ``start[top + 1]`` representatives.  Keys and strings are read
+    as l digits in base ``base``; a plan that only names the components
+    of a larger one builds no Moebius rows or factors."""
 
     def __init__(self, d: int, m: int):
         self.d, self.m, self.l = d, m, m * d
@@ -358,22 +296,69 @@ class _Plan:
         self.keys = np.zeros(0, dtype=np.int64)
         self.start = [0, 0]  # start[r]: first representative with r blocks
         self.size: list[int] = []
-        self.factors: list[tuple[tuple[int, int], ...]] = []
-        self.row_cols: list[np.ndarray] = []
-        self.row_coefs: list[np.ndarray] = []
-        self.row_start = [0]
-        # the contraction nodes of every evaluator (node 0 the tensor), the
-        # number of each node, and the node of each compiled component
+        # row i: the nodes of representative i's component values, padded
+        # with node 0, which no component's value is
+        self.factors = np.zeros((0, m), dtype=np.intp)
+        # Moebius row i: columns and coefficients row_start[i]:row_start[i + 1],
+        # the coefficients also as Python ints for Python-int sums
+        self.cols = np.zeros(0, dtype=np.intp)
+        self.coefs = np.zeros(0, dtype=np.int64)
+        self.coefs_obj = self.coefs.astype(object)
+        self.row_start = np.zeros(1, dtype=np.intp)
+        # the contraction nodes of every block limit (node 0 the tensor),
+        # the number of each node, and the node of each compiled component
         self.nodes: list = [None]
         self.node_index: dict = {}
         self.compiled: dict[tuple[int, int], int] = {}
-        self.evaluators: dict[int, _Evaluator] = {}
+        self.limits: dict[int, tuple[list[int], list[int], int]] = {}
 
-    def evaluator(self, top: int) -> _Evaluator:
-        hit = self.evaluators.get(top)
+    def limit(self, top: int) -> tuple[list[int], list[int], int]:
+        """What a block limit cannot slice off the plan: the nodes that its
+        prefix's factors reach, operands first, the component values among
+        them, and the largest sum of |coefficients| over its Moebius rows."""
+        hit = self.limits.get(top)
         if hit is None:
-            hit = self.evaluators[top] = _Evaluator(self, top)
+            self.extend_rows(top)
+            count = self.start[top + 1]
+            roots = sorted(set(self.factors[:count].ravel().tolist()) - {0})
+            reach, stack = set(), roots[:]
+            while stack:
+                v = stack.pop()
+                if v and v not in reach:
+                    reach.add(v)
+                    _, x, y, _ = self.nodes[v]
+                    stack.extend((x,) if y is None else (x, y))
+            row_abs = np.add.reduceat(np.abs(self.coefs[:self.row_start[count]]),
+                                      self.row_start[:count])
+            hit = self.limits[top] = (sorted(reach), roots, int(row_abs.max()))
         return hit
+
+    def side(self, top: int, flat: Sequence[int]) -> list[int]:
+        """S of every representative with at most ``top`` blocks for one
+        side's integer tensor of n**d entries, flattened.  Contractions
+        run in int64 when n**top * max|entry|**m bounds every partial sum,
+        and on Python ints otherwise; the Moebius sums move to Python ints
+        when a row's |coefficients| times the largest product could leave
+        int64."""
+        nodes, roots, row_abs = self.limit(top)
+        count, d = self.start[top + 1], self.d
+        n = round(len(flat) ** (1 / d))
+        wide = n ** top * max(map(abs, flat), default=0) ** self.m > _INT64_MAX
+        dtype = object if wide else np.int64
+        values = {0: np.array(flat, dtype=dtype).reshape((n,) * d)}
+        for v in nodes:
+            sub, x, y, _ = self.nodes[v]
+            values[v] = np.einsum(sub, values[x]) if y is None \
+                else np.einsum(sub, values[x], values[y])
+        scalars = np.ones(len(self.nodes), dtype=dtype)
+        scalars[roots] = [int(values[v]) for v in roots]
+        hom = scalars[self.factors[:count]].prod(axis=1)
+        if not wide and row_abs * int(np.abs(hom).max()) > _INT64_MAX:
+            hom = hom.astype(object)
+        end = self.row_start[count]
+        coefs = self.coefs_obj if hom.dtype == object else self.coefs
+        return np.add.reduceat(coefs[:end] * hom[self.cols[:end]],
+                               self.row_start[:count]).tolist()
 
     def find(self, rows: np.ndarray) -> np.ndarray:
         """Representative numbers of rows of labels, any names: each
@@ -527,14 +512,17 @@ class _Plan:
         coef = np.add.reduceat(weight, head)
         keep = coef != 0
         who, col = np.divmod(cell[head[keep]], total)
-        self.row_cols.append(col)
-        self.row_coefs.append(coef[keep])
-        self.row_start.extend((self.row_start[-1] + np.searchsorted(
-            who, np.arange(lo + 1, total + 1))).tolist())
+        self.cols = np.concatenate((self.cols, col))
+        self.coefs = np.concatenate((self.coefs, coef[keep]))
+        self.coefs_obj = self.coefs.astype(object)
+        ends = self.row_start[-1] + np.searchsorted(who, np.arange(lo + 1, total + 1))
+        self.row_start = np.concatenate((self.row_start, ends))
 
     def _factors(self, lo: int, top: int) -> None:
         """Connected components of the representatives lo.. with at most
-        ``top`` blocks, each as (c, representative of the plan (d, c))."""
+        ``top`` blocks, each as the node of its value.  A component of c
+        segments is a representative of the plan (d, c), compiled the
+        first time it is met."""
         d, m = self.d, self.m
         rows = self.reps[lo:self.start[top + 1]]
         count = len(rows)
@@ -567,14 +555,21 @@ class _Plan:
         for c, found in parts.items():
             who = np.concatenate([w for w, _ in found]).tolist()
             if c == m:
-                ids = [lo + i for i in who]
+                plan, ids = self, [lo + i for i in who]
             else:
                 plan = _plan(d, c)
                 plan.extend(top)
                 ids = plan.find(np.concatenate([part for _, part in found])).tolist()
             for i, j in zip(who, ids):
-                out[i].append((c, j))
-        self.factors.extend(tuple(sorted(f)) for f in out)
+                node = self.compiled.get((c, j))
+                if node is None:
+                    node = self.compiled[(c, j)] = _compile(
+                        plan.reps[j].tolist(), d, self.nodes, self.node_index)
+                out[i].append(node)
+        factors = np.zeros((count, m), dtype=np.intp)
+        for i, nodes in enumerate(out):
+            factors[i, :len(nodes)] = nodes
+        self.factors = np.concatenate((self.factors, factors))
 
 
 def _plan(d: int, m: int) -> _Plan:
@@ -593,12 +588,12 @@ def _key_base(l: int) -> int:
     return base
 
 
-def check_budget(n: int, d: int, m: int, budget: int) -> _Evaluator:
+def check_budget(n: int, d: int, m: int, budget: int) -> None:
     """Refuse more than ``budget`` plan terms (``plan_terms``, counted
     before the plan is built) plus the multiply-adds of both sides'
-    contractions (read off the plan before any tensor is touched), and
-    partitions whose keys would not fit in int64; returns the evaluator
-    for min(n, l) blocks."""
+    contractions at min(n, l) blocks (read off the plan before any
+    tensor is touched), and partitions whose keys would not fit in
+    int64."""
     l = m * d
     top = min(n, l)
     if top > _key_base(l):
@@ -608,32 +603,23 @@ def check_budget(n: int, d: int, m: int, budget: int) -> _Evaluator:
             required=top ** l, budget=_INT64_MAX, k=m // 2)
     required = plan_terms(d, m, top)
     if required <= budget:
-        ev = _plan(d, m).evaluator(top)
-        required += 2 * sum(n ** w for w in ev.widths)
+        plan = _plan(d, m)
+        required += 2 * sum(n ** plan.nodes[v][3] for v in plan.limit(top)[0])
     if required > budget:
         raise BudgetError(
             f"partition moments need at least {required} plan terms and "
             f"multiply-adds (n={n}, d={d}, 2k={m}), budget is {budget}",
             required=required, budget=budget, k=m // 2)
-    return ev
 
 
 def moment(flat_a: Sequence[int], flat_b: Sequence[int], n: int, d: int,
            m: int, budget: int) -> Fraction:
-    """Average of <B, gA>**m over S_n for integer tensors at d >= 2.
-
-    A side's contractions run in int64 when n**F * top**m, F = min(n, l)
-    and top its largest absolute entry, bounds every partial sum, and on
-    Python ints otherwise."""
-    ev = check_budget(n, d, m, budget)
+    """Average of <B, gA>**m over S_n for integer tensors at d >= 2, each
+    side's S read at min(n, l) blocks (``_Plan.side``)."""
+    check_budget(n, d, m, budget)
     plan = _plan(d, m)
     top = min(n, m * d)
-    sides = []
-    for flat in (flat_a, flat_b):
-        wide = n ** top * max(map(abs, flat), default=0) ** m > _INT64_MAX
-        sides.append(ev.side(np.array(flat, dtype=object if wide else np.int64)
-                             .reshape((n,) * d)))
-    sa, sb = sides
+    sa, sb = (plan.side(top, flat) for flat in (flat_a, flat_b))
     total = 0
     for r in range(1, top + 1):
         w = math.perm(n - r, top - r)

@@ -40,7 +40,8 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .bounds import Interval
 from .errors import BudgetError
-from .exact import _int_scaled, format_rational, parse_int, parse_list, parse_rational
+from .exact import (_int_scaled, format_rational, parse_int, parse_ints, parse_list,
+                    parse_rational)
 
 __all__ = [
     "DEFAULT_VISIT_BUDGET",
@@ -92,7 +93,7 @@ class DenseTensor:
                     items: Mapping[tuple[int, ...], Fraction | int]) -> "DenseTensor":
         flat = [Fraction(0)] * n ** d
         for idx, val in items.items():
-            flat[_flat_index(idx, n, d)] = Fraction(val)
+            flat[_flat_index(parse_ints(idx), n, d)] = Fraction(val)
         return cls(n, d, tuple(flat))
 
     @classmethod

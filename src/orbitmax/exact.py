@@ -22,6 +22,7 @@ __all__ = [
     "parse_rational",
     "parse_int",
     "parse_list",
+    "parse_ints",
 ]
 
 
@@ -103,6 +104,14 @@ def parse_list(value: object) -> list:
     if not isinstance(value, list):
         raise ValueError(f"expected a JSON array, got {value!r}")
     return value
+
+
+def parse_ints(value: object) -> tuple[int, ...]:
+    """A sequence of integers, each read with ``parse_int``; a string or
+    bytes is refused rather than read as its characters."""
+    if isinstance(value, (str, bytes)):
+        raise ValueError(f"expected a sequence of integers, got {value!r}")
+    return tuple(map(parse_int, value))
 
 
 def _int_scaled(values: Sequence[Fraction | int]) -> tuple[list[int], int]:

@@ -17,7 +17,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from . import assign
 from .bounds import Interval
-from .exact import format_rational, parse_int, parse_list, parse_rational
+from .exact import format_rational, parse_int, parse_ints, parse_list, parse_rational
 
 __all__ = [
     "Hypergraph",
@@ -69,7 +69,7 @@ class Hypergraph:
     def from_edges(cls, n: int, d: int, edges: Sequence[Sequence[int]],
                    weights: Sequence[Fraction | int] | None = None) -> "Hypergraph":
         w = tuple(Fraction(x) for x in weights) if weights is not None else ()
-        return cls(n, d, tuple(tuple(e) for e in edges), w)
+        return cls(n, d, tuple(map(parse_ints, edges)), w)
 
     @property
     def uniform(self) -> bool:

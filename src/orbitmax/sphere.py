@@ -19,7 +19,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .bounds import Interval
 from .errors import BudgetError
-from .exact import format_rational, parse_int, parse_list, parse_rational, root_2k
+from .exact import (format_rational, parse_int, parse_ints, parse_list, parse_rational,
+                    root_2k)
 
 __all__ = [
     "DEFAULT_TERM_BUDGET",
@@ -76,11 +77,12 @@ class SparsePoly:
                    ) -> "SparsePoly":
         """Collect (exponents, coefficient) pairs, summing duplicates.
 
-        Exponents are read with ``exact.parse_int``: a float or a bool
-        raises ``ValueError`` rather than being truncated."""
+        Exponents are read with ``exact.parse_ints``: a float, a bool or
+        a string raises ``ValueError`` rather than being truncated or
+        read as its characters."""
         acc: dict[tuple[int, ...], Fraction] = {}
         for exps, coef in items:
-            key = tuple(map(parse_int, exps))
+            key = parse_ints(exps)
             acc[key] = acc.get(key, Fraction(0)) + parse_rational(coef)
         return cls(n, d, {e: c for e, c in acc.items() if c != 0})
 
@@ -447,11 +449,12 @@ def system_reduce(system: Sequence[SparsePoly], k: int, delta: float = 0.01,
     """Test whether p_1 = ... = p_s = 0 can have a nonzero real solution.
 
     Builds q = sum p_i**2, picks a rational gamma certified to exceed
-    max q on the sphere (by factor 1 + delta over the certified upper
-    bound, with an exact 2k-power check), and bounds p = gamma*|x|**(2d)
-    - q, with |x|**(2d) written out as the sum over |beta| = d of
-    d!/beta! * x**(2 beta), whose C(n + d - 1, d) terms are checked
-    against the term budget.  A solution would force max |p| = gamma; if
+    max q on the sphere (the float (1 + delta) times the certified upper
+    end: at least that end, whose 2k-th power ``Interval``'s outward
+    rounding already puts at or above ``upper_exact``), and bounds
+    p = gamma*|x|**(2d) - q, with |x|**(2d) written out as the sum over
+    |beta| = d of d!/beta! * x**(2 beta), whose C(n + d - 1, d) terms are
+    checked against the term budget.  A solution would force max |p| = gamma; if
     the certified upper bound stays below gamma*(1 - delta), decided exactly as
     ``upper_exact < (gamma*(1 - delta))**(2k)``, the system is reported
     as a certified gap, with ``certified_min_q`` a float rounded down
@@ -480,10 +483,6 @@ def system_reduce(system: Sequence[SparsePoly], k: int, delta: float = 0.01,
             raise ValueError("(1 + delta) times the certified upper end of max q "
                              "is above the float range")
         gamma_exact = Fraction(top)
-        # exact guarantee gamma**(2k) >= factor * moment, i.e. gamma >= max q
-        bump = 1 + Fraction(1, 1 << 20)
-        while gamma_exact ** (2 * k) < qb.upper_exact:
-            gamma_exact *= bump
     budget = DEFAULT_TERM_BUDGET if term_budget is None else term_budget
     count = math.comb(n + d - 1, d)
     if count > budget:

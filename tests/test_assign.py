@@ -28,6 +28,23 @@ class TestTypes:
         with pytest.raises(ValueError):
             DenseTensor(2, 2, (Fraction(1),) * 3)
 
+    @pytest.mark.parametrize("make, match", [
+        (lambda: DenseTensor(0, 2, ()), "n >= 1 and d >= 1"),
+        (lambda: DenseTensor(2, 0, (Fraction(1),)), "n >= 1 and d >= 1"),
+        (lambda: DenseTensor.from_sparse(2, 2, {(0,): 1}), "index of length 1"),
+        (lambda: DenseTensor.from_sparse(2, 2, {(0, 2): 1}), "out of range"),
+        (lambda: DenseTensor.from_sparse(2, 2, {(-1, 0): 1}), "out of range"),
+    ])
+    def test_tensor_shape_and_index_checked(self, make, match):
+        with pytest.raises(ValueError, match=match):
+            make()
+
+    @pytest.mark.parametrize("index", ["12", b"12"])
+    def test_string_for_a_tensor_index_refused(self, index):
+        # a ValueError, not a bare TypeError from comparing characters
+        with pytest.raises(ValueError, match="sequence of integers"):
+            DenseTensor.from_sparse(2, 2, {index: 1})
+
     def test_permutation_bijectivity_checked(self):
         with pytest.raises(ValueError):
             Permutation((0, 0, 2))
@@ -124,6 +141,11 @@ class TestMatrixElement:
         with pytest.raises(ValueError):
             matrix_element(DenseTensor.zeros(2, 1), DenseTensor.zeros(2, 2),
                            Permutation.identity(2))
+
+    def test_permutation_size_mismatch(self):
+        a = DenseTensor.zeros(2, 2)
+        with pytest.raises(ValueError, match="permutation on 3 points"):
+            matrix_element(a, a, Permutation.identity(3))
 
 
 class TestMoment2k:
@@ -332,13 +354,13 @@ class TestPartitionMoments:
         top = math.isqrt((2 ** 63 - 1) // n ** 4) + above
         assert (n ** 4 * top ** 2 > 2 ** 63 - 1) == above
         seen = []
-        side = _contract._Evaluator.side
+        einsum = np.einsum
 
-        def spy(self, tensor):
-            seen.append(tensor.dtype)
-            return side(self, tensor)
+        def spy(sub, *operands):
+            seen.extend(x.dtype for x in operands)
+            return einsum(sub, *operands)
 
-        monkeypatch.setattr(_contract._Evaluator, "side", spy)
+        monkeypatch.setattr(_contract.np, "einsum", spy)
         rng = random.Random(1013 + above)
         for _ in range(3):
             a = DenseTensor.from_entries(
@@ -349,8 +371,8 @@ class TestPartitionMoments:
         assert set(seen) == {np.dtype(object if above else np.int64)}
 
     def test_components_compiled_once_per_process(self, monkeypatch):
-        # an evaluator compiles only the components that no evaluator of
-        # the same plan compiled before it
+        # a block limit compiles only the components that no smaller
+        # limit of the same plan compiled before it
         monkeypatch.setattr(_contract, "_plans", {})
         calls = []
         compile_ = _contract._compile
@@ -361,9 +383,9 @@ class TestPartitionMoments:
 
         monkeypatch.setattr(_contract, "_compile", spy)
         plan = _contract._plan(2, 4)
-        plan.evaluator(4)
+        plan.limit(4)
         assert len(calls) == 174
-        plan.evaluator(5)
+        plan.limit(5)
         assert len(calls) == 174 + 35
 
     def test_shared_compilation_is_order_independent(self, monkeypatch):
@@ -383,7 +405,8 @@ class TestPartitionMoments:
             out = {}
             for d, m, top in order:
                 a, b = tensors[(d, m, top)]
-                widths = sorted(_contract._plan(d, m).evaluator(top).widths)
+                plan = _contract._plan(d, m)
+                widths = sorted(plan.nodes[v][3] for v in plan.limit(top)[0])
                 terms = _plan_terms(d, m, top)
                 with pytest.raises(BudgetError) as exc:
                     moment_2k(a, b, m // 2, visit_budget=terms)
@@ -495,8 +518,7 @@ def _check_plan(plan, top, orbit_of, members, rows):
     """The plan's representatives with at most ``top`` blocks are one per
     orbit, numbered by block count, then by key, with the orbit sizes
     and the Moebius rows of the brute-force oracle."""
-    cols = np.concatenate(plan.row_cols)
-    coefs = np.concatenate(plan.row_coefs)
+    cols, coefs = plan.cols, plan.coefs
     orbits = [orbit_of[tuple(rep)] for rep in plan.reps.tolist()]
     assert sorted(orbits[:plan.start[top + 1]]) == sorted(
         o for o, mem in enumerate(members) if max(min(mem)) < top)
@@ -1199,6 +1221,17 @@ def _tensor_of_density(rng, n, d, density):
 
 
 class TestCosetMoment:
+    @pytest.mark.parametrize("k, pairs, match", [
+        (0, (), "k must be"),
+        (1, ((0, 3),), "out of range"),
+        (1, ((3, 0),), "out of range"),
+        (1, ((-1, 0),), "out of range"),
+    ])
+    def test_k_and_prefix_checked(self, k, pairs, match):
+        a = DenseTensor.zeros(3, 2)
+        with pytest.raises(ValueError, match=match):
+            coset_moment(a, a, k, PartialAssignment(pairs))
+
     def test_empty_prefix_is_moment(self):
         rng = random.Random(13)
         a = random_int_tensor(rng, 3, 2, -3, 3)
@@ -1367,6 +1400,11 @@ class TestPinnedOracle:
 
 
 class TestGreedyExtract:
+    def test_k_below_one_refused(self):
+        a = DenseTensor.from_entries(2, 1, [1, 0])
+        with pytest.raises(ValueError, match="k must be"):
+            greedy_extract(a, a, 0)
+
     def test_two_point_example(self):
         a = DenseTensor.from_entries(2, 1, [1, 0])
         result = greedy_extract(a, a, 1)

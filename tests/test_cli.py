@@ -253,6 +253,11 @@ class TestSystemTest:
         assert main(["system-test", "--system", path, "--k", "1",
                      "--delta", "0.01"]) == 2
 
+    @pytest.mark.parametrize("obj", [poly_x1(n=2), "[]", 3])
+    def test_system_not_a_json_array_exit_2(self, tmp_path, capsys, obj):
+        path = write(tmp_path, "s.json", obj)
+        assert_invalid_input(["system-test", "--system", path, "--k", "1"], capsys)
+
 
 class TestAssign:
     def test_greedy_equals_brute(self, tmp_path, capsys):
@@ -442,6 +447,9 @@ class TestVerify:
     def test_cap_exit_2(self):
         assert main(["verify", "--n", "9", "--k", "1"]) == 2
 
+    def test_n_zero_exit_2(self, capsys):
+        assert_invalid_input(["verify", "--n", "0", "--k", "1"], capsys)
+
     def test_negative_trials_exit_2(self):
         # "trials": -4 used to be reported as a successful run
         assert main(["verify", "--n", "3", "--k", "1", "--trials", "-1"]) == 2
@@ -481,6 +489,11 @@ class TestBudgetEnvVar:
         # explicit flag overrides the restrictive environment default
         assert main(["assign", "--a", path, "--b", path, "--k", "1",
                      "--budget", str(10 ** 8)]) == 0
+
+    def test_non_integer_env_exit_2(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, "p.json", poly_x1())
+        monkeypatch.setenv("ORBITMAX_BUDGET", "abc")
+        assert_invalid_input(["poly-norm", "--poly", path, "--k", "1"], capsys)
 
 
 class TestStartup:

@@ -96,6 +96,11 @@ class TestBoundFactor:
             values = [exact.bound_factor(dim, k) for k in range(1, 9)]
             assert all(a >= b for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("dim, k, match", [(0, 1, "dim"), (3, 0, "k")])
+    def test_dim_or_k_below_one_rejected(self, dim, k, match):
+        with pytest.raises(ValueError, match=match):
+            exact.bound_factor(dim, k)
+
 
 class TestRoot2k:
     def test_one(self):
@@ -112,6 +117,10 @@ class TestRoot2k:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             exact.root_2k(Fraction(-1), 1)
+
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ValueError, match="k must be"):
+            exact.root_2k(Fraction(4), 0)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 10 ** 12), st.integers(1, 10 ** 12), st.integers(1, 10))
@@ -173,3 +182,10 @@ class TestIntegerReader:
     def test_refuses_the_rest(self, value):
         with pytest.raises(ValueError):
             exact.parse_int(value)
+
+    def test_sequence_reader(self):
+        assert exact.parse_ints([1, " 2 ", np.int64(3)]) == (1, 2, 3)
+        assert exact.parse_ints(()) == ()
+        for value in ("12", b"12", [1, 2.5], [True]):
+            with pytest.raises(ValueError):
+                exact.parse_ints(value)

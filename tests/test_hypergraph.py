@@ -31,6 +31,22 @@ class TestHypergraph:
         with pytest.raises(ValueError):
             Hypergraph.from_edges(4, 3, [(0, 1)])
 
+    @pytest.mark.parametrize("n, d, edges, weights, match", [
+        (0, 2, [], None, "n >= 1 and d >= 1"),
+        (3, 0, [], None, "n >= 1 and d >= 1"),
+        (3, 2, [(0, 1), (1, 2)], [1], "parallel"),
+        (3, 2, [(0, 1)], [1, 2], "parallel"),
+    ])
+    def test_shape_and_weights_checked(self, n, d, edges, weights, match):
+        with pytest.raises(ValueError, match=match):
+            Hypergraph.from_edges(n, d, edges, weights)
+
+    @pytest.mark.parametrize("edges", [["12"], [b"12"], "12"])
+    def test_string_for_an_edge_refused(self, edges):
+        # a ValueError, not a bare TypeError from comparing characters
+        with pytest.raises(ValueError, match="sequence of integers"):
+            Hypergraph.from_edges(3, 2, edges)
+
     def test_uniformity_detection(self):
         assert triangle().uniform
         assert not Hypergraph.from_edges(3, 2, [(0, 0), (1, 2)]).uniform

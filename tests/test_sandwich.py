@@ -67,6 +67,10 @@ class TestOrbitSpanDim:
         with pytest.raises(ValueError):
             orbit_span_dim([0, 0], 1)
 
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ValueError, match="k must be"):
+            orbit_span_dim([1, 2], 0)
+
 
 class TestVerifySandwich:
     def test_point_mass_tight_case(self):
@@ -118,6 +122,14 @@ class TestVerifySandwich:
         with pytest.raises(ValueError):
             verify_sandwich([], [], 1)
 
+    @pytest.mark.parametrize("v, ell, k, match", [
+        ([1, 2], [1], 1, "equal length"),
+        ([1, 2], [2, 1], 0, "k must be"),
+    ])
+    def test_malformed_input_refused(self, v, ell, k, match):
+        with pytest.raises(ValueError, match=match):
+            verify_sandwich(v, ell, k)
+
     def test_matches_fraction_oracle(self):
         rng = random.Random(5)
         for trial in range(60):
@@ -163,6 +175,19 @@ class TestCor16:
     def test_non_finite_or_non_positive_eps_refused(self, eps):
         with pytest.raises(ValueError):
             cor16_factor_check(5, eps)
+
+    def test_dim_below_one_refused(self):
+        with pytest.raises(ValueError, match="dim must be"):
+            cor16_factor_check(0, 0.5)
+
+    def test_report_json_shape(self):
+        report = cor16_factor_check(3, 1.0)
+        obj = report.to_json()
+        assert (obj["eps"], obj["k0"], obj["all_hold"]) == \
+            (1.0, report.k0, report.all_hold)
+        assert obj["checks"] == [
+            {"dim": c.dim, "factor": c.factor, "threshold": c.threshold,
+             "holds": c.holds, "applicable": c.applicable} for c in report.checks]
 
     def test_huge_eps_gives_k0_one(self):
         assert cor16_factor_check(5, 1e9).k0 == 1

@@ -47,6 +47,24 @@ class TestSparsePoly:
         with pytest.raises(ValueError):
             SparsePoly.from_terms(2, 0, [((-1, 1), 1)])
 
+    @pytest.mark.parametrize("exps", ["20", b"20"])
+    def test_string_for_the_exponent_vector_refused(self, exps):
+        # refused, not read as the exponents 2 and 0 of its characters
+        with pytest.raises(ValueError, match="sequence of integers"):
+            SparsePoly.from_terms(2, 2, [(exps, 1)])
+
+    @pytest.mark.parametrize("make, match", [
+        (lambda: SparsePoly(0, 1, {}), "n must be"),
+        (lambda: SparsePoly(2, 1, {(-1, 2): Fraction(1)}), "negative exponent"),
+        (lambda: SparsePoly(2, 1, {(1, 0): Fraction(0)}), "zero coefficients"),
+        (lambda: SparsePoly.variable(2, 0) * SparsePoly.variable(3, 0), "product"),
+        (lambda: SparsePoly.variable(2, 0) + x1_power(2, 2), "sum"),
+        (lambda: SparsePoly.variable(2, 0) + SparsePoly.variable(3, 0), "sum"),
+    ])
+    def test_constructor_and_arithmetic_guards(self, make, match):
+        with pytest.raises(ValueError, match=match):
+            make()
+
     @pytest.mark.parametrize("exps", [(2.5, 0), (2.0, 0), (True, 1), (1, False)])
     def test_rejects_float_and_boolean_exponents(self, exps):
         # refused, not truncated to (2, 0) or read as 1
@@ -85,6 +103,10 @@ class TestMoment2k:
 
     def test_zero_poly(self):
         assert sphere.moment_2k(SparsePoly.zero(3, 2), 2) == 0
+
+    def test_k_below_one_refused(self):
+        with pytest.raises(ValueError, match="k must be"):
+            sphere.moment_2k(SparsePoly.variable(3, 0), 0)
 
     def test_oracle_equivalence(self):
         # optimized path (multinomial power + shared-denominator integral)
@@ -340,6 +362,18 @@ class TestNormAndBounds:
                     factor = math.comb(k * d + n - 1, k * d)
                     assert factor * moment <= 2 ** (k * d)
 
+    @pytest.mark.parametrize("make, match", [
+        (lambda: Interval(2.0, 1.0, Fraction(2), Fraction(1), 1), "out of order"),
+        (lambda: Interval.from_moment(Fraction(-1), 1, 1), "negative"),
+    ])
+    def test_interval_guards(self, make, match):
+        with pytest.raises(ValueError, match=match):
+            make()
+
+    def test_ratio_with_a_zero_lower_end_is_infinite(self):
+        assert Interval(0.0, 0.5, Fraction(0), Fraction(1, 4), 1).ratio == math.inf
+        assert Interval.from_moment(Fraction(0), 3, 1).ratio == 1.0
+
     def test_power_of_linear_closed_form(self):
         # the monomial integral of x1**(2kd) equals the walk's moment
         for n in (2, 3, 5, 8):
@@ -356,6 +390,11 @@ class TestChooseK:
 
     def test_huge_eps_is_one(self):
         assert sphere.choose_k(5, 4, 1e6) == 1
+
+    @pytest.mark.parametrize("n, d", [(0, 2), (3, 0)])
+    def test_n_or_d_below_one_refused(self, n, d):
+        with pytest.raises(ValueError, match="n >= 1 and d >= 1"):
+            sphere.choose_k(n, d, 0.5)
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf, -1.0, 0.0])
     def test_non_finite_or_non_positive_eps_refused(self, eps):
@@ -524,6 +563,10 @@ class TestSampleLowerBound:
         with pytest.raises(ValueError, match="float range"):
             sphere.sample_lower_bound(p, trials=10, seed=1)
 
+    def test_no_trials_refused(self):
+        with pytest.raises(ValueError, match="trials"):
+            sphere.sample_lower_bound(SparsePoly.variable(2, 0), trials=0, seed=1)
+
 
 class TestSystemReduce:
     def test_orthonormal_coordinates_certified_gap(self):
@@ -549,6 +592,28 @@ class TestSystemReduce:
         result = sphere.system_reduce(system, k=4)
         # q == 1 on the sphere, so gamma must exceed 1
         assert result.gamma_exact > 1
+
+    @pytest.mark.parametrize("delta", [0.01, 1e-300])
+    def test_gamma_is_the_float_above_the_upper_end(self, delta):
+        # gamma is the float (1 + delta) * upper, which rounding keeps at
+        # or above upper, and the outward-rounded upper end already has
+        # its 2k-th power at or above upper_exact; at delta = 1e-300,
+        # 1 + delta rounds to 1 and gamma is upper itself
+        rng = random.Random(547)
+        for _ in range(20):
+            n, d, k = rng.randint(2, 3), rng.randint(1, 2), rng.randint(1, 4)
+            system = [random_poly(rng, n, d, 3) for _ in range(rng.randint(1, n))]
+            q = SparsePoly.zero(n, 2 * d)
+            for p_i in system:
+                q = q + p_i * p_i
+            qb = sphere.sup_bounds(q, k)
+            gamma = sphere.system_reduce(system, k, delta).gamma_exact
+            assert gamma == Fraction((1 + delta) * qb.upper)
+            assert gamma ** (2 * k) >= qb.upper_exact
+
+    def test_empty_system_refused(self):
+        with pytest.raises(ValueError, match="at least one"):
+            sphere.system_reduce([], k=1)
 
     def test_verdict_decided_exactly(self):
         rng = random.Random(71)
