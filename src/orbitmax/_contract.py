@@ -77,8 +77,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetError
+from .exact import _INT64_MAX
 
-_INT64_MAX = 2 ** 63 - 1
 _LETTERS = string.ascii_letters
 # array cells built at a time
 _CHUNK_CELLS = 1 << 23
@@ -299,11 +299,9 @@ class _Plan:
         # row i: the nodes of representative i's component values, padded
         # with node 0, which no component's value is
         self.factors = np.zeros((0, m), dtype=np.intp)
-        # Moebius row i: columns and coefficients row_start[i]:row_start[i + 1],
-        # the coefficients also as Python ints for Python-int sums
+        # Moebius row i: columns and coefficients row_start[i]:row_start[i + 1]
         self.cols = np.zeros(0, dtype=np.intp)
         self.coefs = np.zeros(0, dtype=np.int64)
-        self.coefs_obj = self.coefs.astype(object)
         self.row_start = np.zeros(1, dtype=np.intp)
         # the contraction nodes of every block limit (node 0 the tensor),
         # the number of each node, and the node of each compiled component
@@ -356,8 +354,7 @@ class _Plan:
         if not wide and row_abs * int(np.abs(hom).max()) > _INT64_MAX:
             hom = hom.astype(object)
         end = self.row_start[count]
-        coefs = self.coefs_obj if hom.dtype == object else self.coefs
-        return np.add.reduceat(coefs[:end] * hom[self.cols[:end]],
+        return np.add.reduceat(self.coefs[:end] * hom[self.cols[:end]],
                                self.row_start[:count]).tolist()
 
     def find(self, rows: np.ndarray) -> np.ndarray:
@@ -514,7 +511,6 @@ class _Plan:
         who, col = np.divmod(cell[head[keep]], total)
         self.cols = np.concatenate((self.cols, col))
         self.coefs = np.concatenate((self.coefs, coef[keep]))
-        self.coefs_obj = self.coefs.astype(object)
         ends = self.row_start[-1] + np.searchsorted(who, np.arange(lo + 1, total + 1))
         self.row_start = np.concatenate((self.row_start, ends))
 

@@ -41,10 +41,10 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import BudgetError
+from .exact import _INT64_MAX
 
 CHUNK_SIZE = 1 << 20
 CACHE_MAX = 1 << 21
-_INT64_MAX = 2 ** 63 - 1  # bounds the type keys and the int64 group sums
 
 
 def check_budget(rows: int, n: int, d: int, m: int, budget: int,
@@ -199,7 +199,7 @@ def greedy_scores(rows_a, rows_b, n: int, d: int, m: int,
         uk, inv, sums = _group_sums(keys * pb + dig @ place, vals)
         nfree = np.zeros(len(uk), dtype=np.int64)
         nfree[inv] = ((blockvals >= 0) & (dig == 0)).sum(axis=1)
-        parts.append((uk, sums.astype(object) * weight[nfree]))
+        parts.append((uk, sums * weight[nfree]))
     uk, wa = parts[0]
     if len(parts) > 1:  # merge the chunks' groups
         uk, _, wa = _group_sums(*(np.concatenate(p) for p in zip(*parts)))
@@ -218,7 +218,7 @@ def greedy_scores(rows_a, rows_b, n: int, d: int, m: int,
         dig = _pin_digits(blockvals, chosen, n)
         ub, inv, g0 = _group_sums(keys * pb + dig @ place, vals)
         w_base = weighted(ub)
-        base_sum += np.dot(g0.astype(object), w_base)
+        base_sum += np.dot(g0, w_base)
         # W(g, s) - W(g) per base group and slot, and one cell per
         # (c, g, s) that occurs, keyed c * width + (g * rmax + s)
         diff = (weighted(ub[:, None] + t * place) - w_base[:, None]).reshape(-1)
@@ -227,5 +227,5 @@ def greedy_scores(rows_a, rows_b, n: int, d: int, m: int,
         cell = (blockvals[row, slot].astype(np.int64) * width
                 + inv[row] * rmax + slot)
         uc, _, h = _group_sums(cell, vals[row])
-        np.add.at(moved, uc // width, h.astype(object) * diff[uc % width])
+        np.add.at(moved, uc // width, h * diff[uc % width])
     return {c: int(base_sum + moved[c]) for c in cands}

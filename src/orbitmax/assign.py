@@ -40,8 +40,8 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .bounds import Interval
 from .errors import BudgetError
-from .exact import (_int_scaled, format_rational, parse_int, parse_ints, parse_list,
-                    parse_rational)
+from .exact import (_INT64_MAX, _int_scaled, format_rational, parse_int, parse_ints,
+                    parse_list, parse_rational)
 
 __all__ = [
     "DEFAULT_VISIT_BUDGET",
@@ -292,13 +292,11 @@ def _power_sums(vals: Sequence[int], m: int) -> list[int]:
     return [sum(v ** s for v in vals) for s in range(m + 1)]
 
 
-def _injective_sums(plan: tuple, p: Sequence[int], top: int) -> list[int]:
+def _injective_sums(plan: tuple, p: Sequence[int]) -> list[int]:
     """M_lam = sum over distinct i_1..i_r of prod x_{i_t}**lam_t from the
-    power sums p, for the plan rows with at most ``top`` parts."""
+    power sums p, for every plan row."""
     out = [1]
-    for _, r, _, parent, s, merged in plan[1:]:
-        if r > top:
-            break
+    for _, _, _, parent, s, merged in plan[1:]:
         v = out[parent] * p[s]
         for i in merged:
             v -= out[i]
@@ -307,8 +305,9 @@ def _injective_sums(plan: tuple, p: Sequence[int], top: int) -> list[int]:
 
 
 def _d1_weights(plan: tuple, m: int, nfree: int, p: Sequence[int]) -> list[int]:
-    """C(m, j) * N_lam * M_lam * (N)_top / (N)_r for each plan row lam of j
-    with r <= top = min(m, N) parts, N_lam the set partitions of shape lam.
+    """C(m, j) * N_lam * M_lam * (N)_top / (N)_r for each row lam of j with
+    r parts of the plan ``_d1_plan(m, top)``, top = min(m, N), N_lam the
+    set partitions of shape lam.
 
     Against the other side's M_lam and the shift power c**(m - j) they
     sum to (N)_top times the average of (c + f_free)**m over the
@@ -316,12 +315,12 @@ def _d1_weights(plan: tuple, m: int, nfree: int, p: Sequence[int]) -> list[int]:
     """
     top = min(m, nfree)
     return [math.comb(m, j) * count * math.perm(nfree - r, top - r) * x
-            for (j, r, count, *_), x in zip(plan, _injective_sums(plan, p, top))]
+            for (j, r, count, *_), x in zip(plan, _injective_sums(plan, p))]
 
 
-def _d1_pair(plan: tuple, m: int, nfree: int, weights: Sequence[int],
-             p: Sequence[int], shift: int) -> int:
-    inj = _injective_sums(plan, p, min(m, nfree))
+def _d1_pair(plan: tuple, m: int, weights: Sequence[int], p: Sequence[int],
+             shift: int) -> int:
+    inj = _injective_sums(plan, p)
     shifts = [shift ** (m - j) for j in range(m + 1)]
     return sum(w * y * shifts[row[0]]
                for w, y, row in zip(weights, inj, plan) if w)
@@ -344,7 +343,7 @@ def _d1_sums(ints_a: Sequence[int], ints_b: Sequence[int], m: int,
     used = set(fixed.values())
     pb = _power_sums([y for j, y in enumerate(ints_b) if j not in used], m)
     shift = sum(ints_a[p] * ints_b[q] for p, q in pairs)
-    return {c: _d1_pair(plan, m, nfree, weights,
+    return {c: _d1_pair(plan, m, weights,
                         [s - ints_b[c] ** e for e, s in enumerate(pb)],
                         shift + ints_a[pos] * ints_b[c])
             for c in cands}, math.perm(nfree, top)
@@ -377,7 +376,7 @@ def moment_2k(a: DenseTensor, b: DenseTensor, k: int,
         _d1_check_budget(n, m, {top: 1}, budget)
         plan = _d1_plan(m, top)
         weights = _d1_weights(plan, m, n, _power_sums(ints_a, m))
-        total = _d1_pair(plan, m, n, weights, _power_sums(ints_b, m), 0)
+        total = _d1_pair(plan, m, weights, _power_sums(ints_b, m), 0)
         return Fraction(total, math.perm(n, top)) / scale
     # imported here: processes that never take this path (d = 1) do not
     # compile it or import numpy
@@ -418,7 +417,6 @@ def _nonzero_digit_entries(flat: Sequence, n: int, d: int) -> list[tuple]:
     return out
 
 
-_INT64_MAX = 2 ** 63 - 1
 _CHUNK_SIZE = 1 << 20  # elements of one enumeration block's image array
 
 

@@ -15,6 +15,8 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
 
+_INT64_MAX = 2 ** 63 - 1  # the largest value numpy's int64 fast paths may hold
+
 __all__ = [
     "bound_factor",
     "root_2k",

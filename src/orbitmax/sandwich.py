@@ -81,6 +81,13 @@ class SandwichReport:
         }
 
 
+def _primitive(row: list[int]) -> list[int]:
+    """The integer row divided by the gcd of its entries; a row whose gcd
+    is 0 or 1 is returned as it is."""
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
 def _int_row_rank(rows: Sequence[tuple[int, ...]], ncols: int) -> int:
     """Exact rank over Q of integer rows, by fraction-free elimination.
 
@@ -98,21 +105,11 @@ def _int_row_rank(rows: Sequence[tuple[int, ...]], ncols: int) -> int:
                 break
             b = basis.get(lead)
             if b is None:
-                g = 0
-                for x in r:
-                    g = math.gcd(g, abs(x))
-                if g > 1:
-                    r = [x // g for x in r]
-                basis[lead] = r
+                basis[lead] = _primitive(r)
                 rank += 1
                 break
             bl, rl = b[lead], r[lead]
-            r = [x * bl - y * rl for x, y in zip(r, b)]
-            g = 0
-            for x in r:
-                g = math.gcd(g, abs(x))
-            if g > 1:
-                r = [x // g for x in r]
+            r = _primitive([x * bl - y * rl for x, y in zip(r, b)])
         if rank == ncols:
             break
     return rank
@@ -133,11 +130,9 @@ def orbit_span_dim(v: Sequence[Fraction | int], k: int) -> int:
             f"orbit span cap is n <= {DEFAULT_GROUP_CAP}, got n = {n}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    ints, _ = _int_scaled([Fraction(x) for x in v])
-    g = math.gcd(*ints)
-    if not g:
+    ints = _primitive(_int_scaled([Fraction(x) for x in v])[0])
+    if not any(ints):
         raise ValueError("v must be non-zero")
-    ints = [x // g for x in ints]
     combos = list(itertools.combinations_with_replacement(range(n), k))
     rows = set()
     for w in set(itertools.permutations(ints)):

@@ -19,8 +19,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .bounds import Interval
 from .errors import BudgetError
-from .exact import (format_rational, parse_int, parse_ints, parse_list, parse_rational,
-                    root_2k)
+from .exact import (_int_scaled, format_rational, parse_int, parse_ints, parse_list,
+                    parse_rational, root_2k)
 
 __all__ = [
     "DEFAULT_TERM_BUDGET",
@@ -244,9 +244,7 @@ def moment_2k(p: SparsePoly, k: int, term_budget: int | None = None) -> Fraction
             required=k * p.d, budget=budget, k=k)
     m = 2 * k
     exps = list(p.terms)
-    coefs = list(p.terms.values())
-    lcm = math.lcm(*(c.denominator for c in coefs))
-    ints = [c.numerator * (lcm // c.denominator) for c in coefs]
+    ints, lcm = _int_scaled(list(p.terms.values()))
     # weight of an exponent a (read only at even a): (a - 1)!!
     dfw = _OddDoubleFactorials()
     odd = [sum(1 << j for j, e in enumerate(ex) if e & 1) for ex in exps]
