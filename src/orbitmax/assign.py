@@ -70,13 +70,16 @@ DEFAULT_BRUTE_CAP = 9
 
 @dataclass(frozen=True)
 class DenseTensor:
-    """Order-d array with side n over exact rationals, row-major, 0-based."""
+    """Order-d array with side n over exact rationals, row-major, 0-based.
+    The shape and every index are read with ``exact.parse_int``."""
 
     n: int
     d: int
     entries: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", parse_int(self.n))
+        object.__setattr__(self, "d", parse_int(self.d))
         if self.n < 1 or self.d < 1:
             raise ValueError("tensor needs n >= 1 and d >= 1")
         if len(self.entries) != self.n ** self.d:
@@ -101,7 +104,7 @@ class DenseTensor:
         return cls(n, d, (Fraction(0),) * n ** d)
 
     def get(self, idx: Sequence[int]) -> Fraction:
-        return self.entries[_flat_index(tuple(idx), self.n, self.d)]
+        return self.entries[_flat_index(parse_ints(idx), self.n, self.d)]
 
     @property
     def is_zero_one(self) -> bool:
@@ -121,11 +124,13 @@ def _flat_index(idx: tuple[int, ...], n: int, d: int) -> int:
 
 @dataclass(frozen=True)
 class Permutation:
-    """A bijection of {0..n-1}; images[i] = g(i)."""
+    """A bijection of {0..n-1}; images[i] = g(i), each read with
+    ``exact.parse_int``."""
 
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "images", parse_ints(self.images))
         n = len(self.images)
         if sorted(self.images) != list(range(n)):
             raise ValueError(f"not a permutation of 0..{n - 1}: {self.images}")
@@ -158,11 +163,13 @@ class Permutation:
 
 @dataclass(frozen=True)
 class PartialAssignment:
-    """Injective prefix of a permutation: ordered (position, image) pairs."""
+    """Injective prefix of a permutation: ordered (position, image) pairs,
+    each read with ``exact.parse_ints``."""
 
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "pairs", tuple(map(parse_ints, self.pairs)))
         pos = [p for p, _ in self.pairs]
         img = [q for _, q in self.pairs]
         if len(set(pos)) != len(pos):
@@ -224,7 +231,7 @@ def matrix_element(a: DenseTensor, b: DenseTensor, g: Permutation) -> Fraction:
         raise ValueError(f"permutation on {g.n} points, tensors on {a.n}")
     total = Fraction(0)
     for digits, val in _nonzero_digit_entries(a.entries, a.n, a.d):
-        total += val * b.get(g.apply_index(digits))
+        total += val * b.entries[_flat_index(g.apply_index(digits), b.n, b.d)]
     return total
 
 

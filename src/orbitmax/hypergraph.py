@@ -37,7 +37,8 @@ class Hypergraph:
     Shorter edges must be padded to size d by repeating vertices, which
     changes their symmetrisation weight accordingly.  Edges are stored
     sorted; duplicates (as multisets) are rejected.  ``weights`` are
-    optional per-edge prices, defaulting to 1.
+    optional per-edge prices, defaulting to 1.  The shape and every
+    vertex are read with ``exact.parse_int``.
     """
 
     n: int
@@ -46,6 +47,8 @@ class Hypergraph:
     weights: tuple[Fraction, ...] = ()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", parse_int(self.n))
+        object.__setattr__(self, "d", parse_int(self.d))
         if self.n < 1 or self.d < 1:
             raise ValueError("hypergraph needs n >= 1 and d >= 1")
         if not self.weights:
@@ -53,7 +56,7 @@ class Hypergraph:
         if len(self.weights) != len(self.edges):
             raise ValueError("weights must parallel edges")
         canon = []
-        for e in self.edges:
+        for e in map(parse_ints, self.edges):
             if len(e) != self.d:
                 raise ValueError(
                     f"edge {e} has {len(e)} vertices (with multiplicity), "
@@ -69,7 +72,7 @@ class Hypergraph:
     def from_edges(cls, n: int, d: int, edges: Sequence[Sequence[int]],
                    weights: Sequence[Fraction | int] | None = None) -> "Hypergraph":
         w = tuple(Fraction(x) for x in weights) if weights is not None else ()
-        return cls(n, d, tuple(map(parse_ints, edges)), w)
+        return cls(n, d, tuple(edges), w)
 
     @property
     def uniform(self) -> bool:

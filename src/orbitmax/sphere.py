@@ -46,8 +46,9 @@ class SparsePoly:
 
     ``terms`` maps exponent tuples (length n, entries summing to d) to
     non-zero Fraction coefficients.  The zero polynomial is the empty
-    map with a declared (n, d).  Instances are canonical on
-    construction: no zero coefficients, no duplicate exponent vectors.
+    map with a declared (n, d), read with ``exact.parse_int``.  Instances
+    are canonical on construction: no zero coefficients, no duplicate
+    exponent vectors.
     """
 
     n: int
@@ -55,6 +56,8 @@ class SparsePoly:
     terms: dict[tuple[int, ...], Fraction] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", parse_int(self.n))
+        object.__setattr__(self, "d", parse_int(self.d))
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.d < 1:

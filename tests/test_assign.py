@@ -45,6 +45,47 @@ class TestTypes:
         with pytest.raises(ValueError, match="sequence of integers"):
             DenseTensor.from_sparse(2, 2, {index: 1})
 
+    # indices and shapes are read as the JSON readers read them: a string
+    # where a sequence belongs, a float or a bool is a ValueError, not a
+    # bare TypeError later or a float accepted as an index
+    @pytest.mark.parametrize("index", ["12", (0, 1.0), (0, True)])
+    def test_tensor_get_reads_integer_indices(self, index):
+        with pytest.raises(ValueError, match="integer"):
+            DenseTensor.zeros(2, 2).get(index)
+
+    @pytest.mark.parametrize("images", ["012", (0.0, 1.0, 2.0), (True, False)])
+    def test_permutation_reads_integer_images(self, images):
+        with pytest.raises(ValueError, match="integer"):
+            Permutation(images)
+
+    @pytest.mark.parametrize("pairs", [("01",), ((0, 1.0),), ((0, True),)])
+    def test_partial_assignment_reads_integer_pairs(self, pairs):
+        with pytest.raises(ValueError, match="integer"):
+            PartialAssignment(pairs)
+
+    def test_integer_types_normalised_to_int(self):
+        g = Permutation((np.int64(1), np.int8(0)))
+        prefix = PartialAssignment(((np.int64(0), 1),))
+        assert g.images == (1, 0) and prefix.pairs == ((0, 1),)
+        assert all(type(i) is int for i in g.images + prefix.pairs[0])
+        t = DenseTensor.from_entries(2, 2, [1, 2, 3, 4])
+        assert t.get((np.int64(1), 0)) == 3
+
+    @pytest.mark.parametrize("n, d", [("2", 1), (2.0, 1), (2, True)])
+    def test_tensor_shape_read_as_json_reads_it(self, n, d):
+        # the string "2" is read as 2 by both, a float or a bool by neither
+        entries = (Fraction(1), Fraction(2))
+        obj = {"n": n, "d": d, "entries": [{"index": [1], "value": "1"},
+                                           {"index": [2], "value": "2"}]}
+        if isinstance(n, str):
+            t = DenseTensor(n, d, entries)
+            assert t == assign.tensor_from_json(obj) and t.n == 2
+        else:
+            for make in (lambda: DenseTensor(n, d, entries),
+                         lambda: assign.tensor_from_json(obj)):
+                with pytest.raises(ValueError, match="integer"):
+                    make()
+
     def test_permutation_bijectivity_checked(self):
         with pytest.raises(ValueError):
             Permutation((0, 0, 2))
@@ -370,6 +411,35 @@ class TestPartitionMoments:
             assert moment_2k(a, b, k) == brute_group_moment(a, b, k)
         assert set(seen) == {np.dtype(object if above else np.int64)}
 
+    def test_moebius_sums_leave_int64_contractions(self, monkeypatch):
+        # a side whose contractions fit int64 (n**F * top**(2k) <= 2**63 - 1)
+        # while a Moebius row's sum of |coefficients| times the largest T
+        # may not: its int64 coefficients meet T as Python ints
+        n, d, k = 4, 2, 1
+        m, blocks = 2 * k, min(n, 2 * k * d)
+        top = math.isqrt((2 ** 63 - 1) // n ** blocks)
+        rng = random.Random(1)
+        a, b = (DenseTensor.from_entries(
+            n, d, [rng.choice((top, -top, 0, 1)) for _ in range(n * n)])
+            for _ in range(2))
+        plan = _contract._plan(d, m)
+        row_abs = plan.limit(blocks)[2]
+        for t in (a, b):
+            flat = [int(v) for v in t.entries]
+            hom = [_brute_hom(flat, n, d, rgs)
+                   for rgs in plan.reps[:plan.start[blocks + 1]].tolist()]
+            assert n ** blocks * top ** m <= 2 ** 63 - 1 < row_abs * max(map(abs, hom))
+        seen = []
+        einsum = np.einsum
+
+        def spy(sub, *operands):
+            seen.extend(x.dtype for x in operands)
+            return einsum(sub, *operands)
+
+        monkeypatch.setattr(_contract.np, "einsum", spy)
+        assert moment_2k(a, b, k) == brute_group_moment(a, b, k)
+        assert set(seen) == {np.dtype(np.int64)}
+
     def test_components_compiled_once_per_process(self, monkeypatch):
         # a block limit compiles only the components that no smaller
         # limit of the same plan compiled before it
@@ -512,6 +582,22 @@ class TestPartitionMoments:
 # every plan shape (d, m) with d >= 2 and at most 8 positions
 _SMALL_PLANS = [(d, l // d) for l in range(2, 9) for d in range(2, l + 1)
                 if l % d == 0]
+
+
+def _brute_hom(flat, n, d, rgs):
+    """T(sigma) of a flat tensor: the sum over the index sequences constant
+    on the blocks of the restricted-growth string ``rgs`` of the product of
+    the tensor's entries at its segments of d positions."""
+    total = 0
+    for value in itertools.product(range(n), repeat=max(rgs) + 1):
+        term = 1
+        for s in range(0, len(rgs), d):
+            index = 0
+            for lab in rgs[s:s + d]:
+                index = index * n + value[lab]
+            term *= flat[index]
+        total += term
+    return total
 
 
 def _check_plan(plan, top, orbit_of, members, rows):

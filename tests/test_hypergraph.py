@@ -47,6 +47,25 @@ class TestHypergraph:
         with pytest.raises(ValueError, match="sequence of integers"):
             Hypergraph.from_edges(3, 2, edges)
 
+    @pytest.mark.parametrize("n, d", [("3", 2), (3, 2.0), (3, True)])
+    def test_shape_read_as_json_reads_it(self, n, d):
+        # the string "3" is read as 3 by both, a float or a bool by neither
+        edges = [(0, 1)] if d == 2 else [(0,)]
+        obj = {"n": n, "d": d, "edges": [[v + 1 for v in e] for e in edges]}
+        if isinstance(n, str):
+            h = Hypergraph.from_edges(n, d, edges)
+            assert h == hypergraph.hypergraph_from_json(obj) and h.n == 3
+        else:
+            for make in (lambda: Hypergraph.from_edges(n, d, edges),
+                         lambda: hypergraph.hypergraph_from_json(obj)):
+                with pytest.raises(ValueError, match="integer"):
+                    make()
+
+    @pytest.mark.parametrize("edge", ["01", (0, 1.0), (0, True)])
+    def test_constructor_reads_integer_vertices(self, edge):
+        with pytest.raises(ValueError, match="integer"):
+            Hypergraph(3, 2, (edge,))
+
     def test_uniformity_detection(self):
         assert triangle().uniform
         assert not Hypergraph.from_edges(3, 2, [(0, 0), (1, 2)]).uniform

@@ -53,6 +53,19 @@ class TestSparsePoly:
         with pytest.raises(ValueError, match="sequence of integers"):
             SparsePoly.from_terms(2, 2, [(exps, 1)])
 
+    @pytest.mark.parametrize("n, d", [("2", 1), (2.0, 1), (2, True)])
+    def test_shape_read_as_json_reads_it(self, n, d):
+        # the string "2" is read as 2 by both, a float or a bool by neither
+        obj = {"n": n, "d": d, "terms": []}
+        if isinstance(n, str):
+            p = SparsePoly(n, d)
+            assert p == sphere.poly_from_json(obj) and p.n == 2
+        else:
+            for make in (lambda: SparsePoly.zero(n, d),
+                         lambda: sphere.poly_from_json(obj)):
+                with pytest.raises(ValueError, match="integer"):
+                    make()
+
     @pytest.mark.parametrize("make, match", [
         (lambda: SparsePoly(0, 1, {}), "n must be"),
         (lambda: SparsePoly(2, 1, {(-1, 2): Fraction(1)}), "negative exponent"),
