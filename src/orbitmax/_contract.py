@@ -337,7 +337,7 @@ class _Plan:
         run in int64 when n**top * max|entry|**m bounds every partial sum,
         and on Python ints otherwise; the Moebius sums move to Python ints
         when a row's |coefficients| times the largest product could leave
-        int64."""
+        int64, numpy widening the int64 coefficients in the product."""
         nodes, roots, row_abs = self.limit(top)
         count, d = self.start[top + 1], self.d
         n = round(len(flat) ** (1 / d))

@@ -191,6 +191,7 @@ def greedy_scores(rows_a, rows_b, n: int, d: int, m: int,
     place = (t + 1) ** np.arange(rmax, dtype=np.int64)
     free = n - t
     top = min(rmax, free)
+    # Python ints, so every product and dot with a weight is exact
     weight = np.array([math.perm(free - j, top - j) for j in range(top + 1)],
                       dtype=object)
     parts = []

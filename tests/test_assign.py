@@ -414,7 +414,8 @@ class TestPartitionMoments:
     def test_moebius_sums_leave_int64_contractions(self, monkeypatch):
         # a side whose contractions fit int64 (n**F * top**(2k) <= 2**63 - 1)
         # while a Moebius row's sum of |coefficients| times the largest T
-        # may not: its int64 coefficients meet T as Python ints
+        # may not: its contractions run in int64 and its Moebius sums in
+        # Python ints
         n, d, k = 4, 2, 1
         m, blocks = 2 * k, min(n, 2 * k * d)
         top = math.isqrt((2 ** 63 - 1) // n ** blocks)
@@ -429,16 +430,28 @@ class TestPartitionMoments:
             hom = [_brute_hom(flat, n, d, rgs)
                    for rgs in plan.reps[:plan.start[blocks + 1]].tolist()]
             assert n ** blocks * top ** m <= 2 ** 63 - 1 < row_abs * max(map(abs, hom))
-        seen = []
-        einsum = np.einsum
+        seen, summed = [], []
 
-        def spy(sub, *operands):
-            seen.extend(x.dtype for x in operands)
-            return einsum(sub, *operands)
+        class Numpy:
+            # numpy as _contract sees it, recording the dtypes of every
+            # contraction's operands and of every Moebius sum
+            def __getattr__(self, name):
+                return getattr(np, name)
 
-        monkeypatch.setattr(_contract.np, "einsum", spy)
+            def einsum(self, sub, *operands):
+                seen.extend(x.dtype for x in operands)
+                return np.einsum(sub, *operands)
+
+            class add:
+                @staticmethod
+                def reduceat(values, starts):
+                    summed.append(values.dtype)
+                    return np.add.reduceat(values, starts)
+
+        monkeypatch.setattr(_contract, "np", Numpy())
         assert moment_2k(a, b, k) == brute_group_moment(a, b, k)
         assert set(seen) == {np.dtype(np.int64)}
+        assert summed == [np.dtype(object)] * 2
 
     def test_components_compiled_once_per_process(self, monkeypatch):
         # a block limit compiles only the components that no smaller
