@@ -10,9 +10,9 @@ sequence of that type equally often, so
 
 where S_X(pi) sums prod_s X[segment s] over the sequences of exact
 type pi.  The sum T_X(sigma) over the sequences merely constant on the
-blocks of sigma is a tensor contraction: the product, in Python ints,
-of one contraction per connected component (segments that share a
-block).  Moebius inversion over the partition lattice gives
+blocks of sigma is a tensor contraction: the product of one
+contraction per connected component (segments that share a block).
+Moebius inversion over the partition lattice gives
 
     S_X(pi) = sum over sigma >= pi of mu(pi, sigma) * T_X(sigma),
     mu(pi, sigma) = prod over blocks B of sigma of (-1)**(c_B - 1) (c_B - 1)!,
@@ -56,9 +56,12 @@ the blocks no other segment holds; then the pair of operands that loops
 over the fewest indices is contracted, until one is left.  Each step
 is one unoptimised ``np.einsum`` of operands that share an index;
 numpy's optimised einsum paths silently wrap on object arrays when
-operands are disconnected, and are never used.  A side contracts in
-int64 when n**F * top**m, top its largest absolute entry, bounds
-every partial sum, and on Python ints otherwise.
+operands are disconnected, and are never used.  A side runs in int64
+when n**F * top**m, top its largest absolute entry, is at most
+``exact._INT64_MAX``, and on Python ints otherwise: that bound holds
+every component value, every T(sigma) and every |S(pi)| <= (n)_r * top**m,
+so the int64 rule beside ``_INT64_MAX`` keeps the side exact, whatever
+its Moebius products wrap to on the way.
 
 Tensors are passed in as plain integer lists (callers clear rational
 denominators first and rescale the results).
@@ -308,12 +311,12 @@ class _Plan:
         self.nodes: list = [None]
         self.node_index: dict = {}
         self.compiled: dict[tuple[int, int], int] = {}
-        self.limits: dict[int, tuple[list[int], list[int], int]] = {}
+        self.limits: dict[int, tuple[list[int], list[int]]] = {}
 
-    def limit(self, top: int) -> tuple[list[int], list[int], int]:
+    def limit(self, top: int) -> tuple[list[int], list[int]]:
         """What a block limit cannot slice off the plan: the nodes that its
-        prefix's factors reach, operands first, the component values among
-        them, and the largest sum of |coefficients| over its Moebius rows."""
+        prefix's factors reach, operands first, and the component values
+        among them."""
         hit = self.limits.get(top)
         if hit is None:
             self.extend_rows(top)
@@ -326,23 +329,20 @@ class _Plan:
                     reach.add(v)
                     _, x, y, _ = self.nodes[v]
                     stack.extend((x,) if y is None else (x, y))
-            row_abs = np.add.reduceat(np.abs(self.coefs[:self.row_start[count]]),
-                                      self.row_start[:count])
-            hit = self.limits[top] = (sorted(reach), roots, int(row_abs.max()))
+            hit = self.limits[top] = (sorted(reach), roots)
         return hit
 
     def side(self, top: int, flat: Sequence[int]) -> list[int]:
         """S of every representative with at most ``top`` blocks for one
-        side's integer tensor of n**d entries, flattened.  Contractions
-        run in int64 when n**top * max|entry|**m bounds every partial sum,
-        and on Python ints otherwise; the Moebius sums move to Python ints
-        when a row's |coefficients| times the largest product could leave
-        int64, numpy widening the int64 coefficients in the product."""
-        nodes, roots, row_abs = self.limit(top)
+        side's integer tensor of n**d entries, flattened, in int64 when
+        n**top * max|entry|**m is at most ``_INT64_MAX`` and on Python ints
+        otherwise (see the module docstring); numpy widens the int64
+        coefficients in the Moebius products of a Python-int side."""
+        nodes, roots = self.limit(top)
         count, d = self.start[top + 1], self.d
         n = round(len(flat) ** (1 / d))
-        wide = n ** top * max(map(abs, flat), default=0) ** self.m > _INT64_MAX
-        dtype = object if wide else np.int64
+        fits = n ** top * max(map(abs, flat), default=0) ** self.m <= _INT64_MAX
+        dtype = np.int64 if fits else object
         values = {0: np.array(flat, dtype=dtype).reshape((n,) * d)}
         for v in nodes:
             sub, x, y, _ = self.nodes[v]
@@ -351,8 +351,6 @@ class _Plan:
         scalars = np.ones(len(self.nodes), dtype=dtype)
         scalars[roots] = [int(values[v]) for v in roots]
         hom = scalars[self.factors[:count]].prod(axis=1)
-        if not wide and row_abs * int(np.abs(hom).max()) > _INT64_MAX:
-            hom = hom.astype(object)
         end = self.row_start[count]
         return np.add.reduceat(self.coefs[:end] * hom[self.cols[:end]],
                                self.row_start[:count]).tolist()

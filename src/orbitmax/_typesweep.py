@@ -14,9 +14,9 @@ from ``_contract``, which needs no sweep.
 There is one accumulation path.  The entry products go into an int64
 array when ``perm(n, rmax) * top**m``, a bound on every group sum
 (``top`` the largest absolute entry, ``rmax`` the most blocks a type can
-have), fits in int64, and into an object array of Python ints
-otherwise.  Either way each group sum is ``np.unique`` plus
-``np.add.at``.
+have), is at most ``exact._INT64_MAX`` (``_entry_array``), and into an
+object array of Python ints otherwise.  Either way each group sum is
+``np.unique`` plus ``np.add.at``.
 
 ``greedy_scores`` is the one scorer.  A (type, pattern) group with j
 free blocks averages over perm(N, j) placements, N = n - npins; the
@@ -114,8 +114,10 @@ def _build_chunk(digits: np.ndarray, vals: np.ndarray, n: int, m: int,
 
 
 def _entry_array(flat: Sequence[int], n: int, rmax: int, m: int) -> np.ndarray:
-    """The entries as int64 when no group sum can leave int64, else as
-    Python ints.  A group of a type with r blocks holds at most
+    """The entries as int64 when perm(n, rmax) * top**m is at most
+    ``_INT64_MAX``, else as Python ints.  That bound holds every group
+    sum, the one value read out of int64 (the int64 rule beside
+    ``exact._INT64_MAX``): a group of a type with r blocks holds at most
     perm(n, r) <= perm(n, rmax) rows, each a product of m entries."""
     top = max((abs(v) for v in flat), default=0)
     if math.perm(n, rmax) * top ** m <= _INT64_MAX:

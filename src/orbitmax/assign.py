@@ -71,37 +71,40 @@ DEFAULT_BRUTE_CAP = 9
 @dataclass(frozen=True)
 class DenseTensor:
     """Order-d array with side n over exact rationals, row-major, 0-based.
-    The shape and every index are read with ``exact.parse_int``."""
+    The shape and every index are read with ``exact.parse_int``, and every
+    entry with ``exact.parse_rational``."""
 
     n: int
     d: int
     entries: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", parse_int(self.n))
-        object.__setattr__(self, "d", parse_int(self.d))
-        if self.n < 1 or self.d < 1:
-            raise ValueError("tensor needs n >= 1 and d >= 1")
-        if len(self.entries) != self.n ** self.d:
-            raise ValueError(
-                f"expected {self.n ** self.d} entries, got {len(self.entries)}")
+        n, d = _shape(self.n, self.d)
+        entries = tuple(map(parse_rational, self.entries))
+        if len(entries) != n ** d:
+            raise ValueError(f"expected {n ** d} entries, got {len(entries)}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_entries(cls, n: int, d: int,
-                     values: Iterable[Fraction | int]) -> "DenseTensor":
-        return cls(n, d, tuple(Fraction(v) for v in values))
+                     values: Iterable[Fraction | int | str]) -> "DenseTensor":
+        return cls(n, d, tuple(values))
 
     @classmethod
     def from_sparse(cls, n: int, d: int,
-                    items: Mapping[tuple[int, ...], Fraction | int]) -> "DenseTensor":
+                    items: Mapping[tuple[int, ...], Fraction | int | str]
+                    ) -> "DenseTensor":
+        n, d = _shape(n, d)
         flat = [Fraction(0)] * n ** d
         for idx, val in items.items():
-            flat[_flat_index(parse_ints(idx), n, d)] = Fraction(val)
+            flat[_flat_index(parse_ints(idx), n, d)] = val
         return cls(n, d, tuple(flat))
 
     @classmethod
     def zeros(cls, n: int, d: int) -> "DenseTensor":
-        return cls(n, d, (Fraction(0),) * n ** d)
+        return cls.from_sparse(n, d, {})
 
     def get(self, idx: Sequence[int]) -> Fraction:
         return self.entries[_flat_index(parse_ints(idx), self.n, self.d)]
@@ -109,6 +112,15 @@ class DenseTensor:
     @property
     def is_zero_one(self) -> bool:
         return all(v == 0 or v == 1 for v in self.entries)
+
+
+def _shape(n: int, d: int) -> tuple[int, int]:
+    """A tensor's n and d, read with ``exact.parse_int`` before any size
+    is computed from them."""
+    n, d = parse_int(n), parse_int(d)
+    if n < 1 or d < 1:
+        raise ValueError("tensor needs n >= 1 and d >= 1")
+    return n, d
 
 
 def _flat_index(idx: tuple[int, ...], n: int, d: int) -> int:
@@ -474,8 +486,9 @@ def _coset_values(nz_a, flat_b: Sequence[int], n: int, d: int, pairs):
     (image rows, f) in ``itertools.permutations`` order of the free values.
 
     Each block gathers B at the images of A's nonzero entries, and
-    f = B[g(I)] @ a.  f is int64 when nnz * max|a| * max|b| fits, which
-    bounds every partial sum, and Python ints otherwise.  A block has at
+    f = B[g(I)] @ a.  f is int64 when nnz * max|a| * max|b|, a bound on
+    every f, is at most ``_INT64_MAX`` (the int64 rule beside it in
+    ``exact``), and Python ints otherwise.  A block has at
     most ``_CHUNK_SIZE // max(n, nnz)`` rows, so its image and gather
     arrays stay within ``_CHUNK_SIZE`` elements.
     """

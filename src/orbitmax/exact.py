@@ -15,7 +15,13 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
 
-_INT64_MAX = 2 ** 63 - 1  # the largest value numpy's int64 fast paths may hold
+# The one exactness rule of every int64 fast path: an engine computes in
+# int64 when a bound on every value it reads out is at most _INT64_MAX.
+# int64 arithmetic is exact modulo 2**64, so products and partial sums
+# between those values may wrap without changing them (the one-modulus
+# case of the modular method: von zur Gathen and Gerhard, *Modern Computer
+# Algebra*, ch. 5).
+_INT64_MAX = 2 ** 63 - 1
 
 __all__ = [
     "bound_factor",

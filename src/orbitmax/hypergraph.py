@@ -38,7 +38,8 @@ class Hypergraph:
     changes their symmetrisation weight accordingly.  Edges are stored
     sorted; duplicates (as multisets) are rejected.  ``weights`` are
     optional per-edge prices, defaulting to 1.  The shape and every
-    vertex are read with ``exact.parse_int``.
+    vertex are read with ``exact.parse_int``, and every weight with
+    ``exact.parse_rational``.
     """
 
     n: int
@@ -51,8 +52,8 @@ class Hypergraph:
         object.__setattr__(self, "d", parse_int(self.d))
         if self.n < 1 or self.d < 1:
             raise ValueError("hypergraph needs n >= 1 and d >= 1")
-        if not self.weights:
-            object.__setattr__(self, "weights", (Fraction(1),) * len(self.edges))
+        object.__setattr__(self, "weights", tuple(map(parse_rational, self.weights))
+                           or (Fraction(1),) * len(self.edges))
         if len(self.weights) != len(self.edges):
             raise ValueError("weights must parallel edges")
         canon = []
@@ -71,8 +72,7 @@ class Hypergraph:
     @classmethod
     def from_edges(cls, n: int, d: int, edges: Sequence[Sequence[int]],
                    weights: Sequence[Fraction | int] | None = None) -> "Hypergraph":
-        w = tuple(Fraction(x) for x in weights) if weights is not None else ()
-        return cls(n, d, tuple(edges), w)
+        return cls(n, d, tuple(edges), () if weights is None else tuple(weights))
 
     @property
     def uniform(self) -> bool:

@@ -46,8 +46,9 @@ class SparsePoly:
 
     ``terms`` maps exponent tuples (length n, entries summing to d) to
     non-zero Fraction coefficients.  The zero polynomial is the empty
-    map with a declared (n, d), read with ``exact.parse_int``.  Instances
-    are canonical on construction: no zero coefficients, no duplicate
+    map with a declared (n, d), read with ``exact.parse_int``; every
+    coefficient is read with ``exact.parse_rational``.  Instances are
+    canonical on construction: no zero coefficients, no duplicate
     exponent vectors.
     """
 
@@ -62,6 +63,8 @@ class SparsePoly:
             raise ValueError("n must be >= 1")
         if self.d < 1:
             raise ValueError("d must be >= 1 (homogeneous, non-constant)")
+        object.__setattr__(self, "terms", {
+            exps: parse_rational(coef) for exps, coef in self.terms.items()})
         for exps, coef in self.terms.items():
             if len(exps) != self.n:
                 raise ValueError(

@@ -86,6 +86,39 @@ class TestTypes:
                 with pytest.raises(ValueError, match="integer"):
                     make()
 
+    @pytest.mark.parametrize("make", [
+        lambda: DenseTensor.zeros(2, 2.0), lambda: DenseTensor.zeros(2, -1),
+        lambda: DenseTensor.from_sparse(2, 1.5, {})],
+        ids=["float d", "negative d", "float d, sparse"])
+    def test_shape_read_before_its_size(self, make):
+        # a ValueError, not a bare TypeError from n ** d
+        with pytest.raises(ValueError, match="integer|n >= 1 and d >= 1"):
+            make()
+
+    def test_string_shape_read_before_its_size(self):
+        t = DenseTensor.from_sparse("2", 1, {(1,): 3})
+        assert t.n == 2 and t.entries == (0, 3)
+
+    # values are read as the JSON readers read them: a float, a bool or a
+    # non-numeric string is a ValueError, not a bare AttributeError in
+    # moment_2k or a float's binary expansion stored as exact
+    @pytest.mark.parametrize("value, match", [
+        (0.5, "float"), (0.1, "float"), (True, "boolean"), ("half", "Invalid literal")])
+    def test_tensor_values_read_as_json_reads_them(self, value, match):
+        for make in (lambda: DenseTensor(2, 1, (value, 2)),
+                     lambda: DenseTensor.from_entries(2, 1, [value, 2]),
+                     lambda: DenseTensor.from_sparse(2, 1, {(0,): value})):
+            with pytest.raises(ValueError, match=match):
+                make()
+
+    def test_tensor_reads_rational_strings(self):
+        t = DenseTensor(2, 1, ("1/2", 2))
+        assert t.entries == (Fraction(1, 2), 2)
+        assert all(type(v) is Fraction for v in t.entries)
+        assert t == DenseTensor.from_entries(2, 1, ["1/2", 2]) == \
+            DenseTensor.from_sparse(2, 1, {(0,): "1/2", (1,): 2})
+        assert moment_2k(t, t, 1) == brute_group_moment(t, t, 1)
+
     def test_permutation_bijectivity_checked(self):
         with pytest.raises(ValueError):
             Permutation((0, 0, 2))
@@ -387,35 +420,53 @@ class TestPartitionMoments:
             assert n ** min(n, 2 * k * d) * max(ints) ** (2 * k) > 2 ** 63 - 1
             assert moment_2k(a, b, k) == brute_group_moment(a, b, k)
 
-    @pytest.mark.parametrize("above", [False, True])
-    def test_int64_boundary(self, monkeypatch, above):
-        # contractions run in int64 while n**F * top**(2k) <= 2**63 - 1,
-        # F = min(n, 2kd) the most blocks, and on Python ints above that
-        n, d, k = 4, 2, 1
-        top = math.isqrt((2 ** 63 - 1) // n ** 4) + above
-        assert (n ** 4 * top ** 2 > 2 ** 63 - 1) == above
-        seen = []
-        einsum = np.einsum
-
-        def spy(sub, *operands):
-            seen.extend(x.dtype for x in operands)
-            return einsum(sub, *operands)
-
-        monkeypatch.setattr(_contract.np, "einsum", spy)
+    @pytest.mark.parametrize("n, d, k, wraps", [pytest.param(
+        *shape, wraps, id="-".join(map(str, shape))) for shape, wraps in (
+            ((4, 2, 1), False), ((4, 2, 2), False), ((5, 2, 2), True),
+            ((3, 3, 1), False), ((6, 2, 1), False), ((6, 2, 2), True))])
+    @pytest.mark.parametrize("above", [False, True], ids=["below", "above"])
+    def test_int64_boundary(self, monkeypatch, n, d, k, wraps, above):
+        # a side runs in int64, its contractions and its Moebius sums,
+        # while n**F * top**(2k) <= 2**63 - 1, F = min(n, 2kd) the most
+        # blocks, and on Python ints above that.  The first draw of A is
+        # constant, so its T(sigma) is n**r * top**(2k) for sigma of r
+        # blocks; where ``wraps``, a Moebius row's running sum of that side
+        # leaves int64, and the wrapped sums must still read out exact
+        m, blocks = 2 * k, min(n, 2 * k * d)
+        top = _iroot((2 ** 63 - 1) // n ** blocks, m) + above
+        assert (n ** blocks * top ** m > 2 ** 63 - 1) == above
         rng = random.Random(1013 + above)
-        for _ in range(3):
-            a = DenseTensor.from_entries(
-                n, d, [rng.choice((top, -top, 0, 1)) for _ in range(n * n)])
-            b = DenseTensor.from_entries(
-                n, d, [rng.choice((top, -top, 2)) for _ in range(n * n)])
+        draws = []
+        for i in range(3):
+            a = [top] * n ** d if i == 0 else \
+                [top] + [rng.choice((top, -top, 0, 1)) for _ in range(n ** d - 1)]
+            b = [-top] + [rng.choice((top, -top, 2)) for _ in range(n ** d - 1)]
+            draws.append((DenseTensor.from_entries(n, d, a),
+                          DenseTensor.from_entries(n, d, b)))
+        plan = _contract._plan(d, m)
+        plan.limit(blocks)
+        if not above:
+            count = plan.start[blocks + 1]
+            row_sums = _moebius_row_sums(plan, count)
+            hom = [n ** r * top ** m for r in (np.searchsorted(
+                plan.start, np.arange(count), side="right") - 1).tolist()]
+            assert max(row_sums) * max(hom) > 2 ** 63 - 1
+            running = max(abs(part) for i in range(count) for part in
+                          itertools.accumulate(
+                              int(plan.coefs[j]) * hom[plan.cols[j]]
+                              for j in range(plan.row_start[i], plan.row_start[i + 1])))
+            assert (running > 2 ** 63 - 1) == wraps
+        seen, summed = _record_dtypes(monkeypatch)
+        for a, b in draws:
             assert moment_2k(a, b, k) == brute_group_moment(a, b, k)
-        assert set(seen) == {np.dtype(object if above else np.int64)}
+        dtype = np.dtype(object if above else np.int64)
+        assert set(seen) == {dtype} and summed == [dtype] * (2 * len(draws))
 
     def test_moebius_sums_leave_int64_contractions(self, monkeypatch):
         # a side whose contractions fit int64 (n**F * top**(2k) <= 2**63 - 1)
         # while a Moebius row's sum of |coefficients| times the largest T
-        # may not: its contractions run in int64 and its Moebius sums in
-        # Python ints
+        # does not: its Moebius sums stay in int64 with its contractions,
+        # exact whatever their products wrap to
         n, d, k = 4, 2, 1
         m, blocks = 2 * k, min(n, 2 * k * d)
         top = math.isqrt((2 ** 63 - 1) // n ** blocks)
@@ -424,34 +475,17 @@ class TestPartitionMoments:
             n, d, [rng.choice((top, -top, 0, 1)) for _ in range(n * n)])
             for _ in range(2))
         plan = _contract._plan(d, m)
-        row_abs = plan.limit(blocks)[2]
+        plan.limit(blocks)
+        row_abs = max(_moebius_row_sums(plan, plan.start[blocks + 1]))
         for t in (a, b):
             flat = [int(v) for v in t.entries]
             hom = [_brute_hom(flat, n, d, rgs)
                    for rgs in plan.reps[:plan.start[blocks + 1]].tolist()]
             assert n ** blocks * top ** m <= 2 ** 63 - 1 < row_abs * max(map(abs, hom))
-        seen, summed = [], []
-
-        class Numpy:
-            # numpy as _contract sees it, recording the dtypes of every
-            # contraction's operands and of every Moebius sum
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            def einsum(self, sub, *operands):
-                seen.extend(x.dtype for x in operands)
-                return np.einsum(sub, *operands)
-
-            class add:
-                @staticmethod
-                def reduceat(values, starts):
-                    summed.append(values.dtype)
-                    return np.add.reduceat(values, starts)
-
-        monkeypatch.setattr(_contract, "np", Numpy())
+        seen, summed = _record_dtypes(monkeypatch)
         assert moment_2k(a, b, k) == brute_group_moment(a, b, k)
         assert set(seen) == {np.dtype(np.int64)}
-        assert summed == [np.dtype(object)] * 2
+        assert summed == [np.dtype(np.int64)] * 2
 
     def test_components_compiled_once_per_process(self, monkeypatch):
         # a block limit compiles only the components that no smaller
@@ -595,6 +629,48 @@ class TestPartitionMoments:
 # every plan shape (d, m) with d >= 2 and at most 8 positions
 _SMALL_PLANS = [(d, l // d) for l in range(2, 9) for d in range(2, l + 1)
                 if l % d == 0]
+
+
+def _iroot(x, m):
+    """The largest integer whose m-th power is at most x >= 0."""
+    r = math.isqrt(x) if m == 2 else round(x ** (1 / m))
+    while r ** m > x:
+        r -= 1
+    while (r + 1) ** m <= x:
+        r += 1
+    return r
+
+
+def _moebius_row_sums(plan, count):
+    """The sum of |coefficients| of each of the plan's first ``count``
+    Moebius rows."""
+    ends = plan.row_start
+    return [int(np.abs(plan.coefs[ends[i]:ends[i + 1]]).sum()) for i in range(count)]
+
+
+def _record_dtypes(monkeypatch):
+    """Lists that record, from now on, the dtypes of the operands of every
+    contraction of ``_contract`` and of every Moebius sum.  Build the plans
+    a call reads before: the numpy that ``_contract`` now sees has no
+    other method of ``np.add``."""
+    seen, summed = [], []
+
+    class Numpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def einsum(self, sub, *operands):
+            seen.extend(x.dtype for x in operands)
+            return np.einsum(sub, *operands)
+
+        class add:
+            @staticmethod
+            def reduceat(values, starts):
+                summed.append(values.dtype)
+                return np.add.reduceat(values, starts)
+
+    monkeypatch.setattr(_contract, "np", Numpy())
+    return seen, summed
 
 
 def _brute_hom(flat, n, d, rgs):

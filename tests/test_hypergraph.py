@@ -66,6 +66,20 @@ class TestHypergraph:
         with pytest.raises(ValueError, match="integer"):
             Hypergraph(3, 2, (edge,))
 
+    # weights are read as the JSON readers read them
+    @pytest.mark.parametrize("weight, match", [
+        (0.5, "float"), (True, "boolean"), ("half", "Invalid literal")])
+    def test_weights_read_as_json_reads_them(self, weight, match):
+        for make in (lambda: Hypergraph(3, 2, ((0, 1),), (weight,)),
+                     lambda: Hypergraph.from_edges(3, 2, [(0, 1)], [weight])):
+            with pytest.raises(ValueError, match=match):
+                make()
+
+    def test_weights_read_from_rational_strings(self):
+        h = Hypergraph(3, 2, ((0, 1),), ("1/2",))
+        assert h.weights == (Fraction(1, 2),) and type(h.weights[0]) is Fraction
+        assert h == Hypergraph.from_edges(3, 2, [(0, 1)], ["1/2"])
+
     def test_uniformity_detection(self):
         assert triangle().uniform
         assert not Hypergraph.from_edges(3, 2, [(0, 0), (1, 2)]).uniform

@@ -90,6 +90,23 @@ class TestSparsePoly:
         assert p.terms == {(2, 0): 1, (1, 1): 3, (0, 2): -1}
         assert all(type(e) is int for exps in p.terms for e in exps)
 
+    # coefficients are read as the JSON readers read them: a float, a bool
+    # or a non-numeric string is a ValueError, not a bare AttributeError in
+    # moment_2k
+    @pytest.mark.parametrize("coef, match", [
+        (0.5, "float"), (True, "boolean"), ("half", "Invalid literal")])
+    def test_constructor_reads_rational_coefficients(self, coef, match):
+        with pytest.raises(ValueError, match=match):
+            SparsePoly(2, 1, {(1, 0): coef})
+
+    def test_constructor_reads_rational_strings(self):
+        p = SparsePoly(2, 1, {(1, 0): "1/2", (0, 1): 3})
+        assert p.terms == {(1, 0): Fraction(1, 2), (0, 1): 3}
+        assert all(type(c) is Fraction for c in p.terms.values())
+        assert p == SparsePoly.from_terms(2, 1, [((1, 0), "1/2"), ((0, 1), 3)])
+        # the average of (x1/2 + 3 x2)**2 over the circle
+        assert sphere.moment_2k(p, 1) == Fraction(37, 8)
+
     def test_zero_poly_accepted(self):
         p = SparsePoly.zero(3, 2)
         assert p.is_zero and p.n == 3 and p.d == 2
