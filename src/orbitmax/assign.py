@@ -41,7 +41,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from .bounds import Interval
 from .errors import BudgetError
 from .exact import (_INT64_MAX, _int_scaled, format_rational, parse_int, parse_ints,
-                    parse_list, parse_rational)
+                    parse_list, parse_rational, parse_rationals)
 
 __all__ = [
     "DEFAULT_VISIT_BUDGET",
@@ -71,8 +71,8 @@ DEFAULT_BRUTE_CAP = 9
 @dataclass(frozen=True)
 class DenseTensor:
     """Order-d array with side n over exact rationals, row-major, 0-based.
-    The shape and every index are read with ``exact.parse_int``, and every
-    entry with ``exact.parse_rational``."""
+    The shape and every index are read with ``exact.parse_int``, and the
+    entries with ``exact.parse_rationals``."""
 
     n: int
     d: int
@@ -80,7 +80,7 @@ class DenseTensor:
 
     def __post_init__(self) -> None:
         n, d = _shape(self.n, self.d)
-        entries = tuple(map(parse_rational, self.entries))
+        entries = parse_rationals(self.entries)
         if len(entries) != n ** d:
             raise ValueError(f"expected {n ** d} entries, got {len(entries)}")
         object.__setattr__(self, "n", n)
@@ -90,7 +90,7 @@ class DenseTensor:
     @classmethod
     def from_entries(cls, n: int, d: int,
                      values: Iterable[Fraction | int | str]) -> "DenseTensor":
-        return cls(n, d, tuple(values))
+        return cls(n, d, values)
 
     @classmethod
     def from_sparse(cls, n: int, d: int,

@@ -7,7 +7,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import format_rational, root_2k
+from .exact import _power_cmp, format_rational, root_2k
 
 __all__ = ["Interval"]
 
@@ -70,19 +70,21 @@ class Interval:
 
 
 def _outward_root(x: Fraction, k: int, upward: bool) -> float:
-    """The float nearest x**(1/(2k)), moved one step outward when its
-    exact 2k-th power lies on the wrong side of x.  The nearest float is
-    within one step of the true root, so one step suffices, and a root
-    that is itself a float is returned unchanged.  A root above the
-    float range gives inf upward and the largest float downward."""
+    """x**(1/(2k)) rounded outward: the smallest float whose 2k-th power
+    is at least x (upward), or the largest float whose 2k-th power is at
+    most x.  It starts from ``root_2k``, which is within one float step
+    of the root, and steps outward until the exact comparison of the
+    float's 2k-th power with x brackets the root, so a seed on the wrong
+    side costs one more comparison per step, never an uncertified end.
+    A root above the float range gives inf upward and the largest float
+    downward."""
+    n = 2 * k
     f = root_2k(x, k)
-    if math.isinf(f):
-        if upward:
-            return f
-        f = sys.float_info.max  # checked below like any other root
-    power = Fraction(f) ** (2 * k)
-    if upward and power < x:
-        return math.nextafter(f, math.inf)
-    if not upward and power > x:
-        return math.nextafter(f, 0.0)
+    if upward:
+        while f < math.inf and _power_cmp(f, n, x) < 0:
+            f = math.nextafter(f, math.inf)
+    else:
+        f = min(f, sys.float_info.max)
+        while _power_cmp(f, n, x) > 0:
+            f = math.nextafter(f, 0.0)
     return f

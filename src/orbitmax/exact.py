@@ -4,14 +4,18 @@ and clearing the denominators of a rational vector.
 Everything here is computed in exact integer / rational arithmetic
 (``fractions.Fraction``); floating point appears only at the very end,
 in :func:`root_2k` and :func:`bound_factor`, so that no certified
-inequality can be broken by intermediate roundoff.
+inequality can be broken by intermediate roundoff.  :func:`root_2k`
+estimates its root in integers cut to their leading 160 bits, and the
+float it returns is within one step of the root.  ``bounds`` certifies
+each interval end from it with ``_power_cmp``, which compares a float's
+2k-th power with a rational on the same 160-bit bounds, and exactly
+only where those cannot tell them apart.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
 
@@ -31,16 +35,49 @@ __all__ = [
     "parse_int",
     "parse_list",
     "parse_ints",
+    "parse_rationals",
 ]
 
 
-def root_2k(x: Fraction | int, k: int) -> float:
-    """x**(1/(2k)) as a float64, relative error well under 4 ulp.
+# the precision of root_2k's estimate and of the 2k-th power bounds
+_BITS = 160
 
-    Computed through 60-digit decimal arithmetic and rounded once to
-    binary, so the result is correctly rounded for all practical
-    purposes (in particular exact whenever the true root is a
-    representable float, e.g. roots of perfect powers).
+
+def _lead(v: int) -> tuple[int, int]:
+    """(t, s) with t the leading _BITS bits of v >= 0: t == v >> s."""
+    s = max(v.bit_length() - _BITS, 0)
+    return v >> s, s
+
+
+def _pow_trunc(m: int, n: int) -> tuple[int, int, int]:
+    """(lo, hi, s) with lo * 2**s <= m**n <= hi * 2**s for m >= 1, n >= 2.
+
+    Left-to-right square and multiply, each product cut to its leading
+    _BITS bits: rounded down in lo and up in hi.  Both are exact while
+    no product is cut."""
+    lo = hi = m
+    s = 0
+    for bit in bin(n)[3:]:
+        lo, hi, s = lo * lo, hi * hi, 2 * s
+        if bit == "1":
+            lo, hi = lo * m, hi * m
+        cut = hi.bit_length() - _BITS
+        if cut > 0:
+            lo, hi, s = lo >> cut, -(-hi >> cut), s + cut
+    return lo, hi, s
+
+
+def root_2k(x: Fraction | int, k: int) -> float:
+    """x**(1/(2k)) as a float64 within one float step of the true root.
+
+    The numerator and denominator are cut to their leading 160 bits; a
+    float seed taken from their log2 and bit lengths is refined by two
+    Newton steps in 160-bit integers (one ``_pow_trunc`` each), and the
+    estimate, within about 2**-140 of the root relative, is rounded once
+    to the nearest float.  So the result is the nearest float unless the
+    root lies that close to a midpoint between two floats, and is exact
+    whenever the root is a float not that close to one.  A root above
+    the float range is inf, one below half the smallest subnormal 0.0.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -49,11 +86,65 @@ def root_2k(x: Fraction | int, k: int) -> float:
         raise ValueError("root_2k requires a non-negative argument")
     if x == 0:
         return 0.0
-    with localcontext() as ctx:
-        ctx.prec = 60
-        num = Decimal(x.numerator)
-        den = Decimal(x.denominator)
-        return float((num / den) ** (Decimal(1) / Decimal(2 * k)))
+    n = 2 * k
+    num, sn = _lead(x.numerator)
+    den, sd = _lead(x.denominator)
+    c = _BITS + den.bit_length() - num.bit_length()
+    q, e = (num << c) // den, sn - sd - c  # x ~ q * 2**e, q of _BITS bits
+    mant, bits = math.frexp(q)  # q ~ mant * 2**bits, 0.5 <= mant < 1
+    whole, rem = divmod(e + bits, n)
+    # the root ~ 2**(whole + (rem + log2(mant)) / n) ~ y * 2**s
+    y = int(math.ldexp(2.0 ** ((rem + math.log2(mant)) / n), _BITS - 1))
+    s = whole - _BITS + 1
+    for _ in range(2):
+        # Newton for y**n * 2**(n s) = x: y *= ((n - 1) + x / root**n) / n,
+        # with z = x / root**n in units of 2**-_BITS
+        power, _, ps = _pow_trunc(y, n)
+        z, shift = (q << _BITS) // power, e - ps - n * s
+        z = z << shift if shift >= 0 else z >> -shift
+        y = y * (((n - 1) << _BITS) + z) // (n << _BITS)
+    if s < 0:
+        return y / (1 << -s)  # correctly rounded, subnormals included
+    try:
+        return float(y << s)
+    except OverflowError:
+        return math.inf
+
+
+def _power_cmp(f: float, n: int, x: Fraction) -> int:
+    """The sign of f**n - x for a finite f >= 0 and x >= 0.
+
+    Decided on 160-bit bounds of both sides: ``_pow_trunc`` rounds f**n
+    down and up, and x is bracketed by its leading bits.  Only when the
+    two brackets overlap, as for a perfect power, does it compare
+    exactly, in integers: f is m / 2**e, so the power of two is a shift,
+    not a power."""
+    m, d = f.as_integer_ratio()
+    if m == 0:
+        return -1 if x else 0
+    e = d.bit_length() - 1
+    lo, hi, s = _pow_trunc(m, n)
+    s -= n * e  # lo * 2**s <= f**n <= hi * 2**s
+    num, sn = _lead(x.numerator)
+    den, sd = _lead(x.denominator)
+    # num * 2**sn <= x.numerator < (num + 1) * 2**sn when cut, and so for den
+    if _dyadic_lt(hi * (den + (sd > 0)), s + sd, num, sn):
+        return -1
+    if _dyadic_lt(num + (sn > 0), sn, lo * den, s + sd):
+        return 1
+    left, right = m ** n * x.denominator, x.numerator << n * e
+    return (left > right) - (left < right)
+
+
+def _dyadic_lt(a: int, ea: int, b: int, eb: int) -> bool:
+    """a * 2**ea < b * 2**eb for ints a, b >= 0, shifting by no more
+    than their bit lengths."""
+    if not a or not b:
+        return b > a
+    la, lb = a.bit_length() + ea, b.bit_length() + eb
+    if la != lb:
+        return la < lb
+    return a << (ea - eb) < b if ea >= eb else a < b << (eb - ea)
 
 
 def bound_factor(dim: int, k: int) -> float:
@@ -120,6 +211,14 @@ def parse_ints(value: object) -> tuple[int, ...]:
     if isinstance(value, (str, bytes)):
         raise ValueError(f"expected a sequence of integers, got {value!r}")
     return tuple(map(parse_int, value))
+
+
+def parse_rationals(value: object) -> tuple[Fraction, ...]:
+    """A sequence of rationals, each read with ``parse_rational``; a
+    string or bytes is refused rather than read as its characters."""
+    if isinstance(value, (str, bytes)):
+        raise ValueError(f"expected a sequence of rationals, got {value!r}")
+    return tuple(map(parse_rational, value))
 
 
 def _int_scaled(values: Sequence[Fraction | int]) -> tuple[list[int], int]:

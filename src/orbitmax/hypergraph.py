@@ -17,7 +17,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from . import assign
 from .bounds import Interval
-from .exact import format_rational, parse_int, parse_ints, parse_list, parse_rational
+from .exact import format_rational, parse_int, parse_ints, parse_list, parse_rationals
 
 __all__ = [
     "Hypergraph",
@@ -38,8 +38,8 @@ class Hypergraph:
     changes their symmetrisation weight accordingly.  Edges are stored
     sorted; duplicates (as multisets) are rejected.  ``weights`` are
     optional per-edge prices, defaulting to 1.  The shape and every
-    vertex are read with ``exact.parse_int``, and every weight with
-    ``exact.parse_rational``.
+    vertex are read with ``exact.parse_int``, and the weights with
+    ``exact.parse_rationals``.
     """
 
     n: int
@@ -52,7 +52,7 @@ class Hypergraph:
         object.__setattr__(self, "d", parse_int(self.d))
         if self.n < 1 or self.d < 1:
             raise ValueError("hypergraph needs n >= 1 and d >= 1")
-        object.__setattr__(self, "weights", tuple(map(parse_rational, self.weights))
+        object.__setattr__(self, "weights", parse_rationals(self.weights)
                            or (Fraction(1),) * len(self.edges))
         if len(self.weights) != len(self.edges):
             raise ValueError("weights must parallel edges")
@@ -72,7 +72,7 @@ class Hypergraph:
     @classmethod
     def from_edges(cls, n: int, d: int, edges: Sequence[Sequence[int]],
                    weights: Sequence[Fraction | int] | None = None) -> "Hypergraph":
-        return cls(n, d, tuple(edges), () if weights is None else tuple(weights))
+        return cls(n, d, tuple(edges), () if weights is None else weights)
 
     @property
     def uniform(self) -> bool:
@@ -158,7 +158,7 @@ def hypergraph_from_json(obj: Mapping) -> Hypergraph:
         d = parse_int(obj["d"])
         edges = [tuple(parse_int(v) - 1 for v in parse_list(e))
                  for e in parse_list(obj["edges"])]
-        weights = [parse_rational(w) for w in parse_list(obj.get("weights", []))]
+        weights = parse_rationals(parse_list(obj.get("weights", [])))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed hypergraph object: {exc}") from exc
     return Hypergraph.from_edges(n, d, edges, weights or None)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import _int_scaled, bound_factor, format_rational
+from .exact import _int_scaled, bound_factor, format_rational, parse_rationals
 
 __all__ = [
     "DEFAULT_GROUP_CAP",
@@ -121,16 +121,18 @@ def orbit_span_dim(v: Sequence[Fraction | int], k: int) -> int:
     The tensor power of a vector is symmetric, so columns at permuted
     multi-indices are identical across all rows; one column per k-multiset
     of coordinates preserves the row-space rank and keeps the
-    elimination small.  Invariant under permuting or rescaling v.
-    Refuses n > DEFAULT_GROUP_CAP.
+    elimination small.  Invariant under permuting or rescaling v, whose
+    values are read with ``exact.parse_rationals``.  Refuses
+    n > DEFAULT_GROUP_CAP.
     """
+    v = parse_rationals(v)
     n = len(v)
     if n > DEFAULT_GROUP_CAP:
         raise ValueError(
             f"orbit span cap is n <= {DEFAULT_GROUP_CAP}, got n = {n}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    ints = _primitive(_int_scaled([Fraction(x) for x in v])[0])
+    ints = _primitive(_int_scaled(v)[0])
     if not any(ints):
         raise ValueError("v must be non-zero")
     combos = list(itertools.combinations_with_replacement(range(n), k))
@@ -146,7 +148,8 @@ def verify_sandwich(v: Sequence[Fraction | int], ell: Sequence[Fraction | int],
 
     One pass over the n! orders of ell, in Python integers over the
     cleared denominators, gives sum f**2, sum f**(2k) and max |f|: an
-    enumeration independent of the moment engines.  Refuses n < 1 and
+    enumeration independent of the moment engines.  v and ell are read
+    with ``exact.parse_rationals``.  Refuses n < 1 and
     n > DEFAULT_GROUP_CAP.  All four inequalities are verified at the
     2k-th-power level with exact rational comparisons:
 
@@ -155,7 +158,8 @@ def verify_sandwich(v: Sequence[Fraction | int], ell: Sequence[Fraction | int],
       moment_2  <= sup**2                 (the k = 1 case)
       sup**2    <= n * moment_2           (max below sqrt(dim) factor)
     """
-    n = len(v)
+    vv, ell = parse_rationals(v), parse_rationals(ell)
+    n = len(vv)
     if len(ell) != n:
         raise ValueError("v and ell must have equal length")
     if n < 1:
@@ -165,9 +169,8 @@ def verify_sandwich(v: Sequence[Fraction | int], ell: Sequence[Fraction | int],
             f"group enumeration cap is n <= {DEFAULT_GROUP_CAP}, got n = {n}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    vv = [Fraction(x) for x in v]
     ints_v, lv = _int_scaled(vv)
-    ints_ell, lell = _int_scaled([Fraction(x) for x in ell])
+    ints_ell, lell = _int_scaled(ell)
     s2 = s2k = top = 0
     # f(g) = sum_i v_i ell_{g(i)}: w runs over the tuples (ell_{g(i)})_i
     for w in itertools.permutations(ints_ell):

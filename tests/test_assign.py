@@ -111,6 +111,19 @@ class TestTypes:
             with pytest.raises(ValueError, match=match):
                 make()
 
+    # a string where the sequence of values belongs is refused, not read
+    # as its characters (it used to give the entries (1, 2))
+    @pytest.mark.parametrize("values", ["12", b"12"], ids=["str", "bytes"])
+    def test_tensor_refuses_a_string_of_values(self, values):
+        for make in (lambda: DenseTensor(2, 1, values),
+                     lambda: DenseTensor.from_entries(2, 1, values)):
+            with pytest.raises(ValueError, match="sequence of rationals"):
+                make()
+
+    def test_tensor_reads_values_from_any_iterable(self):
+        t = DenseTensor.from_entries(2, 1, (v for v in ("1/2", 2)))
+        assert t.entries == (Fraction(1, 2), 2)
+
     def test_tensor_reads_rational_strings(self):
         t = DenseTensor(2, 1, ("1/2", 2))
         assert t.entries == (Fraction(1, 2), 2)

@@ -1,4 +1,6 @@
+import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -130,6 +132,76 @@ class TestRoot2k:
         eps = Fraction(4, 2 ** 53)
         assert (r * (1 - eps)) ** (2 * k) <= x <= (r * (1 + eps)) ** (2 * k)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 10 ** 300), st.integers(1, 10 ** 300), st.integers(1, 80))
+    def test_within_one_float_step(self, num, den, k):
+        # the root lies between the floats on either side of the result,
+        # and in fact between the midpoints to them: the nearest float
+        x = Fraction(num, den)
+        r = exact.root_2k(x, k)
+        below, above = math.nextafter(r, 0.0), math.nextafter(r, math.inf)
+        assert Fraction(below) ** (2 * k) <= x <= Fraction(above) ** (2 * k)
+        low, r, high = map(Fraction, (below, r, above))
+        assert ((low + r) / 2) ** (2 * k) <= x <= ((r + high) / 2) ** (2 * k)
+
+    @pytest.mark.parametrize("root", [0.375, 12.0, 1 / 3, 5e-324, sys.float_info.max])
+    @pytest.mark.parametrize("k", [1, 7, 4562])
+    def test_exact_on_float_roots(self, root, k):
+        assert exact.root_2k(Fraction(root) ** (2 * k), k) == root
+
+    def test_outside_the_float_range(self):
+        assert exact.root_2k(Fraction(2 ** 2050), 1) == math.inf
+        assert exact.root_2k(Fraction(1, 2 ** 2152), 1) == 0.0
+
+
+class TestTruncatedPower:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 2 ** 1100), st.integers(2, 5000))
+    def test_bounds_the_power(self, m, n):
+        lo, hi, s = exact._pow_trunc(m, n)
+        power = m ** n
+        assert hi.bit_length() <= exact._BITS + 1 and s >= 0
+        assert lo << s <= power <= hi << s
+        # a cut loses under 2**(2 - _BITS) of both ends together, and the
+        # squarings after it double that at most log2(n) + 1 times
+        assert (hi - lo) * 2 ** exact._BITS <= 16 * n * hi
+
+    def test_exact_while_nothing_is_cut(self):
+        assert exact._pow_trunc(3, 40) == (3 ** 40, 3 ** 40, 0)
+
+
+class TestPowerComparison:
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.0, 1e300), st.integers(1, 60), st.integers(0, 10 ** 200),
+           st.integers(1, 10 ** 200))
+    def test_sign_matches_exact(self, f, k, num, den):
+        x = Fraction(num, den)
+        p = Fraction(f) ** (2 * k)
+        assert exact._power_cmp(f, 2 * k, x) == (p > x) - (p < x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(1e-300, 1e300), st.integers(1, 60), st.integers(-3, 3),
+           st.integers(4, 2 ** 200))
+    def test_sign_next_to_a_power(self, f, k, offset, den):
+        # x within a relative 3 / den of f**(2k), where the 160-bit
+        # brackets overlap and the exact comparison decides
+        p = Fraction(f) ** (2 * k)
+        x = p * Fraction(den + offset, den)
+        assert exact._power_cmp(f, 2 * k, x) == (p > x) - (p < x)
+
+    @pytest.mark.parametrize("f", [5e-324, 0.375, 1.0, 2.0 ** 70 + 2.0 ** 18, sys.float_info.max])
+    @pytest.mark.parametrize("k", [1, 2, 30])
+    def test_perfect_powers_and_their_neighbours(self, f, k):
+        n = 2 * k
+        power = Fraction(f) ** n
+        step = Fraction(1, 3 ** 260)  # about 2**-412, cut from x's denominator
+        assert exact._power_cmp(f, n, power) == 0
+        assert exact._power_cmp(f, n, power * (1 + step)) == -1
+        assert exact._power_cmp(f, n, power * (1 - step)) == 1
+        assert exact._power_cmp(0.0, n, power) == -1
+        assert exact._power_cmp(0.0, n, Fraction(0)) == 0
+        assert exact._power_cmp(f, n, Fraction(0)) == 1
+
 
 class TestExactArithmetic:
     @settings(max_examples=200, deadline=None)
@@ -189,3 +261,17 @@ class TestIntegerReader:
         for value in ("12", b"12", [1, 2.5], [True]):
             with pytest.raises(ValueError):
                 exact.parse_ints(value)
+
+
+class TestRationalSequenceReader:
+    def test_reads_each_value(self):
+        values = exact.parse_rationals([1, " 2/4 ", Fraction(3, 5)])
+        assert values == (1, Fraction(1, 2), Fraction(3, 5))
+        assert all(type(v) is Fraction for v in values)
+        assert exact.parse_rationals(()) == ()
+        assert exact.parse_rationals(iter(["7"])) == (7,)
+
+    @pytest.mark.parametrize("value", ["12", b"12", [1, 2.5], [True], ["half"]])
+    def test_refuses_strings_and_bad_values(self, value):
+        with pytest.raises(ValueError):
+            exact.parse_rationals(value)

@@ -75,6 +75,15 @@ class TestHypergraph:
             with pytest.raises(ValueError, match=match):
                 make()
 
+    # a string of weights is refused, not read as its characters (it
+    # used to give the weights (2,))
+    @pytest.mark.parametrize("weights", ["2", b"2"], ids=["str", "bytes"])
+    def test_weights_refuse_a_string(self, weights):
+        for make in (lambda: Hypergraph(3, 2, ((0, 1),), weights),
+                     lambda: Hypergraph.from_edges(3, 2, [(0, 1)], weights)):
+            with pytest.raises(ValueError, match="sequence of rationals"):
+                make()
+
     def test_weights_read_from_rational_strings(self):
         h = Hypergraph(3, 2, ((0, 1),), ("1/2",))
         assert h.weights == (Fraction(1, 2),) and type(h.weights[0]) is Fraction

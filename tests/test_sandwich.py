@@ -71,6 +71,12 @@ class TestOrbitSpanDim:
         with pytest.raises(ValueError, match="k must be"):
             orbit_span_dim([1, 2], 0)
 
+    @pytest.mark.parametrize("v, match", [("12", "sequence of rationals"),
+                                          ([1, 0.5], "float")])
+    def test_values_read_as_rationals(self, v, match):
+        with pytest.raises(ValueError, match=match):
+            orbit_span_dim(v, 1)
+
 
 class TestVerifySandwich:
     def test_point_mass_tight_case(self):
@@ -125,6 +131,9 @@ class TestVerifySandwich:
     @pytest.mark.parametrize("v, ell, k, match", [
         ([1, 2], [1], 1, "equal length"),
         ([1, 2], [2, 1], 0, "k must be"),
+        ("12", [2, 1], 1, "sequence of rationals"),
+        ([1, 2], "21", 1, "sequence of rationals"),
+        ([1, 2], [2, 0.5], 1, "float"),
     ])
     def test_malformed_input_refused(self, v, ell, k, match):
         with pytest.raises(ValueError, match=match):
