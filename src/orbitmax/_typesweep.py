@@ -16,17 +16,23 @@ array when ``perm(n, rmax) * top**m``, a bound on every group sum
 (``top`` the largest absolute entry, ``rmax`` the most blocks a type can
 have), is at most ``exact._INT64_MAX`` (``_entry_array``), and into an
 object array of Python ints otherwise.  Either way each group sum is
-``np.unique`` plus ``np.add.at``.
+one ``np.add.at`` by group id.
 
-``greedy_scores`` is the one scorer.  A (type, pattern) group with j
-free blocks averages over perm(N, j) placements, N = n - npins; the
-scorer weights each group sum by perm(N - j, F - j), F = min(rmax, N),
-so that the candidate cosets of a greedy step share the denominator
-perm(N, F), and reads every candidate's score off one grouping of each
-side's rows (``sweep_rows``, kept for the whole extraction up to
-CACHE_MAX rows and rebuilt chunk by chunk above it).  The pins are
-passed explicitly, A's positions and B's images, so a coset of
-``assign.coset_moment`` is the one candidate of a step as it stands.
+``PinnedScorer`` is the one scorer, one per greedy extraction.  Its
+group ids refine partitions (Paige and Tarjan, "Three partition
+refinement algorithms", SIAM J. Comput. 16, 1987): they start from the
+type keys (one ``np.unique`` per chunk built), and each pin only splits
+groups, so a row's next id is a table lookup at its id and the slot
+holding the pin, with no sort; a kept row is refined once per pin.  A
+(type, pattern) group with j free blocks averages over perm(N, j)
+placements, N = n - npins; the scorer weights each group sum by
+perm(N - j, F - j), F = min(rmax, N), so that the candidate cosets of a
+step share the denominator perm(N, F), and reads every candidate's
+score off one pass over each side's rows (``sweep_rows``, kept for the
+whole extraction up to CACHE_MAX rows and rebuilt chunk by chunk above
+it).  The pins are passed explicitly, A's positions and B's images, so
+a coset of ``assign.coset_moment`` is the one candidate of a step as it
+stands.
 
 Tensors are passed in as plain integer lists (callers clear rational
 denominators first and rescale the results).
@@ -34,7 +40,6 @@ denominators first and rescale the results).
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Iterator, Sequence
 
@@ -47,27 +52,13 @@ CHUNK_SIZE = 1 << 20
 CACHE_MAX = 1 << 21
 
 
-def check_budget(rows: int, n: int, d: int, m: int, budget: int,
-                 npins: int) -> None:
-    """Refuse a sweep of more than ``budget`` rows, and (type, pin
-    pattern) keys that would not fit in int64."""
+def check_budget(rows: int, n: int, d: int, m: int, budget: int) -> None:
+    """Refuse a sweep of more than ``budget`` rows."""
     if rows > budget:
         raise BudgetError(
             f"type sweep needs {rows} row visits "
             f"(n={n}, d={d}, 2k={m}), budget is {budget}",
             required=rows, budget=budget, k=m // 2)
-    l = m * d
-    rmax = min(l, n)
-    keys = _key_base(rmax) ** l * (npins + 1) ** rmax
-    if keys > _INT64_MAX:
-        raise BudgetError(
-            f"type keys need {keys} values (n={n}, d={d}, 2k={m}, "
-            f"{npins} pins), int64 holds {_INT64_MAX}",
-            required=keys, budget=_INT64_MAX, k=m // 2)
-
-
-def _key_base(rmax: int) -> int:
-    return max(rmax, 2)
 
 
 def _index_dtype(n: int):
@@ -108,8 +99,12 @@ def _build_chunk(digits: np.ndarray, vals: np.ndarray, n: int, m: int,
         rows = np.nonzero(new)[0]
         blockvals[rows, nblocks[rows]] = cols[rows, i]
         nblocks[new] += 1
-    powers = (_key_base(rmax) ** np.arange(l)).astype(np.int64)
-    keys = labels.astype(np.int64) @ powers
+    # the labels in base max(rmax, 2): int64 keys while base**l fits,
+    # Python ints beyond
+    base = max(rmax, 2)
+    powers = np.array([base ** i for i in range(l)],
+                      dtype=np.int64 if base ** l <= _INT64_MAX else object)
+    keys = labels.astype(powers.dtype) @ powers
     return keys, blockvals, prods
 
 
@@ -125,31 +120,11 @@ def _entry_array(flat: Sequence[int], n: int, rmax: int, m: int) -> np.ndarray:
     return np.array(flat, dtype=object)
 
 
-def _pin_digits(blockvals: np.ndarray, pins: Sequence[int],
-                n: int) -> np.ndarray:
-    """Per block slot, the 1-based index of the pin its value is; 0 for
-    other values and for empty slots (-1 reads ``lut[n]``)."""
-    lut = np.zeros(n + 1, dtype=np.int64)
-    lut[list(pins)] = np.arange(1, len(pins) + 1)
-    return lut[blockvals]
-
-
-def _group_sums(keys: np.ndarray, vals: np.ndarray):
-    """Distinct keys (sorted), the group of every row, and the sum of vals
-    per key in the dtype of vals."""
-    uk, inv = np.unique(keys, return_inverse=True)
-    inv = inv.reshape(-1)
-    sums = np.zeros(len(uk), dtype=vals.dtype)
-    np.add.at(sums, inv, vals)
-    return uk, inv, sums
-
-
 def sweep_rows(flat: Sequence[int], n: int, d: int, m: int):
-    """The sweep of a row-major tensor: (row count, a callable returning
+    """The sweep of a row-major tensor: (row count, a callable yielding
     (type keys, block values, products) per chunk of rows).  A row is
     one choice of m nonzero entries, so there are nnz**m rows, all with
-    nonzero products.  The chunks are built on the first call and kept
-    up to CACHE_MAX rows, rebuilt on every call above it."""
+    nonzero products.  Each call builds the chunks anew."""
     arr = _entry_array(flat, n, min(m * d, n), m)
     nz = np.flatnonzero(arr)
     digits = np.stack(np.unravel_index(nz, (n,) * d), axis=1)
@@ -162,73 +137,198 @@ def sweep_rows(flat: Sequence[int], n: int, d: int, m: int):
             yield _build_chunk(digits, vals, n, m, start,
                                min(start + CHUNK_SIZE, total))
 
-    if total > CACHE_MAX:
-        return total, build
-    return total, functools.cache(lambda: list(build()))
+    return total, build
 
 
-def greedy_scores(rows_a, rows_b, n: int, d: int, m: int,
-                  pins: Sequence[int], chosen: Sequence[int],
-                  cands: Sequence[int], budget: int) -> dict[int, int]:
-    """For each image c in ``cands`` (none in ``chosen``), perm(N, F)
-    times the average over the coset pinning position pins[i] to
-    (chosen + (c,))[i] for every i, t = len(pins) = len(chosen) + 1,
-    N = n - t, F = min(rmax, N).  The rows come from ``sweep_rows``, and
-    the budget caps the larger side's row count.
+def _slots(blockvals: np.ndarray, value: int) -> np.ndarray:
+    """The block slot holding ``value`` in each row, rmax (the width of
+    ``blockvals``) where no block does."""
+    width = blockvals.shape[1]
+    slot = np.full(len(blockvals), width, dtype=np.int64)
+    hold = np.flatnonzero(blockvals == value)
+    slot[hold // width] = hold % width
+    return slot
 
-    A's rows are grouped by (type, pattern of ``pins``), a group with j
-    free blocks weighted by perm(N - j, F - j).  B's rows are grouped
-    once by (type, pattern of ``chosen``); candidate c moves the rows
-    holding c at slot s from their group g's key to key + T*(T+1)**s,
-    T = t, so
-    score[c] = sum G0[g] * W(g) + sum H[g, s, c] * (W(g, s) - W(g)),
-    G0 the group sums and H those of the moved rows, both in the entry
-    dtype and H only over the cells of candidates that occur.
+
+def _grown(arr: np.ndarray, size: int, fill: int) -> np.ndarray:
+    if len(arr) >= size:
+        return arr
+    pad = np.full(size - len(arr), fill, dtype=arr.dtype)
+    return np.concatenate([arr, pad])
+
+
+class PinnedScorer:
+    """The sweep's step scorer (``scores``) for one extraction.
+
+    Every row carries a group id, and equal ids mean equal type and
+    equal pattern of the pins so far on either side.  The ids start from
+    A's type keys; each pin pair (p, q) then refines them: a row's next
+    id is read from a table at its id and the slot holding p (on A; q on
+    B), or none.  A's rows enter what the table lacks, in order, through
+    an occupancy mask over the table, so nothing is sorted and no key
+    grows with the pins.  A B row whose entry A never made has no A row
+    of its type and pattern, adds nothing to any score, and is dropped.
+
+    A side of at most CACHE_MAX rows is built once and kept with its ids,
+    so a pin refines each row once; a larger side is rebuilt chunk by
+    chunk for every step and its ids replayed through the tables, which
+    are sized by groups, not rows.
     """
-    t = len(pins)
-    (count_a, chunks_a), (count_b, chunks_b) = rows_a, rows_b
-    check_budget(max(count_a, count_b), n, d, m, budget, t)
-    rmax = min(m * d, n)
-    pb = (t + 1) ** rmax
-    place = (t + 1) ** np.arange(rmax, dtype=np.int64)
-    free = n - t
-    top = min(rmax, free)
-    # Python ints, so every product and dot with a weight is exact
-    weight = np.array([math.perm(free - j, top - j) for j in range(top + 1)],
-                      dtype=object)
-    parts = []
-    for keys, blockvals, vals in chunks_a():
-        dig = _pin_digits(blockvals, pins, n)
-        uk, inv, sums = _group_sums(keys * pb + dig @ place, vals)
-        nfree = np.zeros(len(uk), dtype=np.int64)
-        nfree[inv] = ((blockvals >= 0) & (dig == 0)).sum(axis=1)
-        parts.append((uk, sums * weight[nfree]))
-    uk, wa = parts[0]
-    if len(parts) > 1:  # merge the chunks' groups
-        uk, _, wa = _group_sums(*(np.concatenate(p) for p in zip(*parts)))
-    # a trailing key no lookup matches, so a search past the end reads 0
-    uk, wa = np.append(uk, -1), np.append(wa, 0)
 
-    def weighted(q: np.ndarray) -> np.ndarray:
-        i = np.searchsorted(uk[:-1], q)
-        return np.where(uk[i] == q, wa[i], 0)
+    def __init__(self, flat_a: Sequence[int], flat_b: Sequence[int],
+                 n: int, d: int, m: int) -> None:
+        self.n, self.d, self.m = n, d, m
+        self.rmax = min(m * d, n)
+        self.sweep = (sweep_rows(flat_a, n, d, m), sweep_rows(flat_b, n, d, m))
+        self._start()
 
-    is_cand = np.zeros(n + 1, dtype=bool)  # empty slots (-1) read is_cand[n]
-    is_cand[list(cands)] = True
-    base_sum = 0
-    moved = np.zeros(n, dtype=object)
-    for keys, blockvals, vals in chunks_b():
-        dig = _pin_digits(blockvals, chosen, n)
-        ub, inv, g0 = _group_sums(keys * pb + dig @ place, vals)
-        w_base = weighted(ub)
-        base_sum += np.dot(g0, w_base)
-        # W(g, s) - W(g) per base group and slot, and one cell per
-        # (c, g, s) that occurs, keyed c * width + (g * rmax + s)
-        diff = (weighted(ub[:, None] + t * place) - w_base[:, None]).reshape(-1)
-        width = max(diff.size, 1)
-        row, slot = np.nonzero(is_cand[blockvals])
-        cell = (blockvals[row, slot].astype(np.int64) * width
-                + inv[row] * rmax + slot)
-        uc, _, h = _group_sums(cell, vals[row])
-        np.add.at(moved, uc // width, h * diff[uc % width])
-    return {c: int(base_sum + moved[c]) for c in cands}
+    def _start(self) -> None:
+        self.pins: tuple = ()
+        self.types: dict[int, int] = {}  # A's type keys -> starting ids
+        # free[k]: free blocks of each group at k pins; tables[k]: group
+        # id at k pins * (rmax + 1) + slot of pin k -> id at k + 1 pins
+        self.free = [np.zeros(0, dtype=np.int64)]
+        self.tables: list = []
+        self.kept: list = [None, None]
+
+    def scores(self, pairs: Sequence[tuple[int, int]], pos: int,
+               cands: Sequence[int], budget: int) -> dict[int, int]:
+        """For each image c in ``cands`` (none an image in ``pairs``),
+        perm(N, F) times the average of f**m over the coset fixing
+        ``pairs`` and pos -> c, N = n - len(pairs) - 1, F = min(rmax, N).
+        The budget caps the larger side's row count and is charged
+        before any row is built.
+
+        A's rows are grouped by id and slot of pos, a group with j free
+        blocks weighted by perm(N - j, F - j): W(g, s), and W(g) at no
+        slot.  A B row of group g reads W(g) unless it holds c, at slot
+        s, when it reads W(g, s), so
+        score[c] = sum G0[g] * W(g) + sum H[c, g, s] * (W(g, s) - W(g)),
+        G0 B's group sums and H those of the rows holding c, both in the
+        entry dtype, H in dense blocks of candidates of at most
+        CHUNK_SIZE cells; only nonzero sums meet the Python-int weights.
+        """
+        (count_a, _), (count_b, _) = self.sweep
+        check_budget(max(count_a, count_b), self.n, self.d, self.m, budget)
+        pairs = tuple(pairs)
+        if pairs[:len(self.pins)] != self.pins:
+            self._start()
+        self.pins = pairs
+        for _ in range(len(self.tables), len(pairs)):
+            self.tables.append(np.zeros(0, dtype=np.int64))
+            self.free.append(np.zeros(0, dtype=np.int64))
+        r = self.rmax
+        w = r + 1
+        free = self.n - len(pairs) - 1
+        top = min(r, free)
+        weight = np.array([math.perm(free - j, top - j)
+                           for j in range(top + 1)], dtype=object)
+        sums = None
+        for ids, blockvals, vals in self._side(0):
+            cells = np.zeros(len(self.free[-1]) * w, dtype=vals.dtype)
+            if sums is not None:  # the groups only grow
+                cells[:len(sums)] = sums
+            np.add.at(cells, ids * w + _slots(blockvals, pos), vals)
+            sums = cells
+        group_free = self.free[-1]
+        groups = len(group_free)
+        if not groups:  # A has no row, or B's rows were all dropped
+            return dict.fromkeys(cands, 0)
+        # W(g) and W(g, s) - W(g) per group and slot, in Python ints
+        wa = np.zeros(groups * w, dtype=object)
+        cell = np.flatnonzero(sums)
+        wa[cell] = sums[cell].astype(object) * weight[
+            group_free[cell // w] - (cell % w < r)]
+        wa = wa.reshape(groups, w)
+        stay, gain = wa[:, r], (wa[:, :r] - wa[:, r:]).reshape(-1)
+        # each candidate's place in cands; empty slots (-1) read index[n]
+        index = np.full(self.n + 1, -1, dtype=_index_dtype(self.n))
+        index[list(cands)] = np.arange(len(cands))
+        size = groups * r  # cells per candidate
+        per = max(CHUNK_SIZE // max(size, 1), 1)  # candidates per block of H
+        base = 0
+        moved = [0] * len(cands)
+        for ids, blockvals, vals in self._side(1):
+            g0 = np.zeros(groups, dtype=vals.dtype)
+            np.add.at(g0, ids, vals)
+            g = np.flatnonzero(g0)
+            base += (g0[g].astype(object) * stay[g]).sum()
+            # a cell c * size + g * r + s per block s holding a candidate c
+            cand = index[blockvals].reshape(-1)
+            hold = np.flatnonzero(cand >= 0)
+            row = hold // r
+            cell = ((cand[hold].astype(np.int64) * groups + ids[row]) * r
+                    + hold - row * r)
+            for first in range(0, len(cands), per):
+                lo, hi = first * size, min(first + per, len(cands)) * size
+                inside = (slice(None) if per >= len(cands)
+                          else (cell >= lo) & (cell < hi))
+                h = np.zeros(hi - lo, dtype=vals.dtype)
+                np.add.at(h, cell[inside] - lo, vals[row[inside]])
+                hit = np.flatnonzero(h)
+                part = h[hit].astype(object) * gain[hit % size]
+                # hit ascends, so each candidate's cells are one run
+                edges = np.searchsorted(hit, np.arange(0, hi - lo + 1, size))
+                for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+                    moved[first + i] += part[a:b].sum()
+        if all(kept is not None for kept in self.kept):
+            self.tables = [None] * len(pairs)  # no row is below these pins
+        return {c: int(base + gain) for c, gain in zip(cands, moved)}
+
+    def _side(self, side: int) -> Iterator[tuple]:
+        """Each chunk of one side's rows (0 for A, 1 for B) as (group ids
+        at the current pins, block values, products)."""
+        count, build = self.sweep[side]
+        chunks = self.kept[side]
+        if chunks is None:
+            chunks = ([0, *self._types(side, *chunk)] for chunk in build())
+            if count <= CACHE_MAX:
+                chunks = self.kept[side] = list(chunks)
+        for chunk in chunks:
+            for k in range(chunk[0], len(self.pins)):
+                chunk[1:] = self._refine(side, k, *chunk[1:])
+            chunk[0] = len(self.pins)
+            yield chunk[1:]
+
+    def _types(self, side: int, keys: np.ndarray, blockvals: np.ndarray,
+               vals: np.ndarray):
+        """Starting ids of a chunk's rows; A's rows add their new types."""
+        uniq, first, inv = np.unique(keys, return_index=True,
+                                     return_inverse=True)
+        if side:
+            ids = [self.types.get(key, -1) for key in uniq.tolist()]
+        else:
+            ids = [self.types.setdefault(key, len(self.types))
+                   for key in uniq.tolist()]
+            self.free[0] = _grown(self.free[0], len(self.types), 0)
+            self.free[0][ids] = (blockvals[first] >= 0).sum(axis=1)
+        return _live(np.array(ids, dtype=np.int64)[inv.reshape(-1)],
+                     blockvals, vals)
+
+    def _refine(self, side: int, k: int, ids: np.ndarray,
+                blockvals: np.ndarray, vals: np.ndarray):
+        """Ids after pin k from the ids before it; A's rows add the
+        entries the table lacks."""
+        w = self.rmax + 1
+        raw = ids * w + _slots(blockvals, self.pins[k][side])
+        table = _grown(self.tables[k], len(self.free[k]) * w, -1)
+        self.tables[k] = table
+        out = table[raw]
+        if not side and (out < 0).any():
+            seen = np.zeros(len(table), dtype=bool)
+            seen[raw[out < 0]] = True
+            new = np.flatnonzero(seen)
+            table[new] = len(self.free[k + 1]) + np.arange(len(new))
+            self.free[k + 1] = np.concatenate([
+                self.free[k + 1],
+                self.free[k][new // w] - (new % w < self.rmax)])
+            out = table[raw]
+        return _live(out, blockvals, vals)
+
+
+def _live(ids: np.ndarray, blockvals: np.ndarray, vals: np.ndarray):
+    """The rows with an id (B's rows of no A group have -1)."""
+    keep = ids >= 0
+    if keep.all():
+        return ids, blockvals, vals
+    return ids[keep], blockvals[keep], vals[keep]

@@ -20,11 +20,13 @@ tensor contraction, so the work is polynomial in n.
 Greedy steps and pinned cosets share one step scorer per engine, which
 returns the raw sums of f**(2k) over some child cosets of a prefix and
 their one denominator: ``_d1_sums`` at d = 1, and at d >= 2
-``_pinned_sums``, which either sweeps (``_typesweep``,
+``_pinned_sums``, which either sweeps (``_typesweep.PinnedScorer``,
 max(nnz(A), nnz(B))**(2k) row visits, one row per choice of 2k nonzero
-entries) or enumerates the cosets directly by ``_coset_values``, the
-one evaluator of f(g) over sets of permutations at d >= 2, which
-``brute_max`` shares.  The d >= 2 engines and numpy are imported by the
+entries, its groups refined pin by pin over the extraction) or
+enumerates the cosets directly by ``_coset_values``, the one evaluator
+of f(g) over sets of permutations at d >= 2, which ``brute_max``
+shares; an extraction enumerates a small coset once and sums blocks of
+it at every later step.  The d >= 2 engines and numpy are imported by the
 functions that use them, so a process that only works at d = 1 loads
 neither, and one that never sweeps does not load ``_typesweep``.
 """
@@ -517,15 +519,21 @@ def _coset_values(nz_a, flat_b: Sequence[int], n: int, d: int, pairs):
 
 
 def _enumerate_coset_power_sums(nz_a, flat_b: Sequence[int], n: int, d: int,
-                                m: int, pairs, split_pos: int):
+                                m: int, pairs, split_pos: int | None):
     """Sums of <B, gA>**m over the coset fixed by ``pairs``, one per
     value of g(split_pos), as an object array of Python ints indexed by
-    image (f**m is taken in Python ints whatever the dtype of f)."""
+    image (f**m is taken in Python ints whatever the dtype of f); with
+    ``split_pos`` None, f**m of each permutation of the coset, in the
+    order of ``_coset_values``."""
     import numpy as np
 
+    powers = ((img, f.astype(object) ** m)
+              for img, f in _coset_values(nz_a, flat_b, n, d, pairs))
+    if split_pos is None:
+        return np.concatenate([p for _, p in powers])
     sums = np.zeros(n, dtype=object)
-    for img, f in _coset_values(nz_a, flat_b, n, d, pairs):
-        np.add.at(sums, img[:, split_pos], f.astype(object) ** m)
+    for img, p in powers:
+        np.add.at(sums, img[:, split_pos], p)
     return sums
 
 
@@ -533,8 +541,15 @@ def _enumeration_cheaper(evaluations: int, rows: int) -> bool:
     """Direct coset enumeration beats the type sweep when the cosets are
     small: ``evaluations``, len(cands) * (n - t)! * nnz(A) Python
     operations, against the sweep's ``rows`` vectorised row visits
-    (plus the pattern tables, which stop compressing as t grows)."""
-    return evaluations <= max(200_000, rows // 4)
+    (plus the pattern tables, which stop compressing as t grows).  The
+    constants were set against the refining sweep and the enumeration
+    kept per extraction, on the assign-greedy benchmark."""
+    return evaluations <= max(50_000, rows // 16)
+
+
+# permutations of the coset a greedy extraction keeps, as many as the
+# sweep's CACHE_MAX rows; set here so that enumerating loads no sweep
+_KEEP_MAX = 1 << 21
 
 
 def _pinned_scorer(ints_a: Sequence[int], ints_b: Sequence[int], n: int,
@@ -547,14 +562,41 @@ def _pinned_scorer(ints_a: Sequence[int], ints_b: Sequence[int], n: int,
     share.  The route is picked from counts alone: the enumeration of
     the candidates' cosets (len(cands) * (n - t)! * nnz(A) evaluations,
     t = len(pairs) + 1, D = (n - t)!) if ``_enumeration_cheaper`` says
-    so against the sweep's max(nnz(A), nnz(B))**m rows, else
-    ``_typesweep.greedy_scores`` (D = perm(n - t, F)).  Each route is
-    charged to the budget before it runs.  A's nonzero entries are found
-    once; the sweep's rows are built by the first step that sweeps.
+    so against the sweep's max(nnz(A), nnz(B))**m rows, else one
+    ``_typesweep.PinnedScorer`` for the whole extraction
+    (D = perm(n - t, F)), built by the first step that sweeps.  Each
+    route is charged to the budget before it runs.
+
+    A step that enumerates every child of its parent coset enumerates
+    the parent once, keeping f**m of each permutation (up to _KEEP_MAX
+    of them) as running sums in ``itertools.permutations`` order.  A
+    later step's coset is one contiguous block of the kept ones, its
+    children equal blocks within it, so it sums blocks and enumerates
+    nothing.
     """
     nz_a = _nonzero_digit_entries(ints_a, n, d)
     rows = max(len(nz_a), sum(1 for v in ints_b if v)) ** m
     sweep: list = []
+    # the kept coset: its pairs, free positions and values, running sums
+    kept: list = []
+
+    def kept_sums(pairs, pos: int, cands: Sequence[int]) -> dict | None:
+        """The children's sums as blocks of the kept coset, or None when
+        the coset of ``pairs`` split at ``pos`` is not one."""
+        base, positions, values, running = kept
+        extra = pairs[len(base):]
+        steps = [p for p, _ in extra] + [pos]
+        if pairs[:len(base)] != base or steps != positions[:len(steps)]:
+            return None
+        start, size, values = 0, len(running) - 1, list(values)
+        for _, q in extra:
+            size //= len(values)
+            start += values.index(q) * size
+            values.remove(q)
+        size //= len(values)
+        lows = {c: start + values.index(c) * size for c in cands}
+        return {c: running[low + size] - running[low]
+                for c, low in lows.items()}
 
     def _pinned_sums(pairs: Sequence[tuple[int, int]], pos: int,
                      cands: Sequence[int]):
@@ -566,21 +608,30 @@ def _pinned_scorer(ints_a: Sequence[int], ints_b: Sequence[int], n: int,
                     f"coset enumeration needs {evaluations} evaluations, "
                     f"budget is {budget}",
                     required=evaluations, budget=budget, k=m // 2)
-            # every child: one pass over the parent coset, split by image
-            cosets = ([pairs] if len(cands) + len(pairs) == n
-                      else [(*pairs, (pos, c)) for c in cands])
-            return sum(_enumerate_coset_power_sums(nz_a, ints_b, n, d, m,
-                                                   coset, pos)
-                       for coset in cosets), math.factorial(free)
+            pairs = tuple(pairs)
+            whole = len(cands) + len(pairs) == n  # every child of the parent
+            if not kept and whole and math.factorial(free + 1) <= _KEEP_MAX:
+                fixed = dict(pairs)
+                kept.extend((pairs, [p for p in range(n) if p not in fixed],
+                             [v for v in range(n) if v not in fixed.values()],
+                             list(itertools.accumulate(
+                                 _enumerate_coset_power_sums(
+                                     nz_a, ints_b, n, d, m, pairs, None).tolist(),
+                                 initial=0))))
+            sums = kept_sums(pairs, pos, cands) if kept else None
+            if sums is None:
+                # every child: one pass over the parent coset, split by image
+                cosets = [pairs] if whole else [(*pairs, (pos, c)) for c in cands]
+                sums = sum(_enumerate_coset_power_sums(nz_a, ints_b, n, d, m,
+                                                       coset, pos)
+                           for coset in cosets)
+            return sums, math.factorial(free)
         from . import _typesweep
 
         if not sweep:
-            sweep.extend(_typesweep.sweep_rows(ints, n, d, m)
-                         for ints in (ints_a, ints_b))
-        scores = _typesweep.greedy_scores(
-            *sweep, n, d, m, (*(p for p, _ in pairs), pos),
-            tuple(q for _, q in pairs), cands, budget)
-        return scores, math.perm(free, min(m * d, free))
+            sweep.append(_typesweep.PinnedScorer(ints_a, ints_b, n, d, m))
+        return (sweep[0].scores(pairs, pos, cands, budget),
+                math.perm(free, min(m * d, free)))
 
     return _pinned_sums
 
@@ -600,7 +651,8 @@ def coset_moment(a: DenseTensor, b: DenseTensor, k: int,
     terms, and ``_pinned_sums`` at d >= 2, which takes the cheaper of
     two exact routes judged from counts: the type sweep
     (max(nnz(A), nnz(B))**(2k) row visits, one per choice of 2k nonzero
-    entries of a side), or a direct enumeration of the coset
+    entries of a side, grouped by type ids refined once per pin), or a
+    direct enumeration of the coset
     ((n - len(prefix))! * nnz(A) evaluations of f, vectorised over
     blocks of permutations).  The pins are passed to the sweep as they
     stand; nothing is relabelled.
@@ -646,11 +698,13 @@ def greedy_extract(a: DenseTensor, b: DenseTensor, k: int,
     d >= 2 it is ``_pinned_sums``, which per step either runs a pinned
     type sweep (max(nnz(A), nnz(B))**(2k) row visits, one per choice of
     2k nonzero entries of a side, the rows built once per extraction;
-    ``_typesweep.greedy_scores`` groups and weights A's rows once per
-    step, groups B's rows once by the images already chosen and reads
-    every candidate's sum off those groups) or enumerates the parent
-    coset once, summing f**m per image of the position being fixed,
-    whichever is cheaper.
+    ``_typesweep.PinnedScorer`` refines the last step's groups of both
+    sides by the pair it chose, weights A's groups by the slot of the
+    position being fixed and reads every candidate's sum off one pass
+    over B's rows) or sums f**m per image of the position being fixed
+    over the parent coset, whichever is cheaper.  The first step that
+    enumerates keeps its parent coset's values, and the later steps sum
+    blocks of them and evaluate nothing.
     """
     _check_shapes(a, b)
     if k < 1:

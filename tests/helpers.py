@@ -339,10 +339,8 @@ def sweep_coset_moment(a: assign.DenseTensor, b: assign.DenseTensor, k: int,
         chosen, cands, children = tuple(range(t - 1)), (t - 1,), 1
     else:
         t, chosen, cands, children = 1, (), tuple(range(n)), n
-    scores = _typesweep.greedy_scores(
-        _typesweep.sweep_rows(ints_a, n, d, m),
-        _typesweep.sweep_rows(ints_b, n, d, m), n, d, m, tuple(range(t)),
-        chosen, cands, assign.DEFAULT_VISIT_BUDGET)
+    scores = _typesweep.PinnedScorer(ints_a, ints_b, n, d, m).scores(
+        tuple(enumerate(chosen)), t - 1, cands, assign.DEFAULT_VISIT_BUDGET)
     free = n - t
     total = Fraction(sum(scores.values()),
                      children * math.perm(free, min(m * d, free)))

@@ -628,8 +628,8 @@ class TestPartitionMoments:
         # the sweep with no pins is the oracle
         expected = [(sweep_coset_moment(a, b, k, PartialAssignment.empty()),
                      sup_bounds(a, b, k)) for a, b, k in cases]
-        for name in ("sweep_rows", "greedy_scores"):
-            monkeypatch.setattr(_typesweep, name, refuse)
+        monkeypatch.setattr(_typesweep, "sweep_rows", refuse)
+        monkeypatch.setattr(_typesweep.PinnedScorer, "scores", refuse)
         monkeypatch.setattr(assign, "_enumerate_coset_power_sums", refuse)
         for (a, b, k), (moment, bounds) in zip(cases, expected):
             assert moment_2k(a, b, k) == moment
@@ -866,15 +866,13 @@ def _closed_form_k1(a, b):
 
 def _greedy_scores(flat_a, flat_b, n, d, m, chosen, cands=None,
                    budget=10 ** 8):
-    """One greedy sweep step's raw candidate scores, rows built afresh,
+    """One greedy sweep step's raw candidate scores, from a new scorer,
     with positions 0..len(chosen) pinned; the candidates default to
     every image not in ``chosen``."""
     if cands is None:
         cands = tuple(c for c in range(n) if c not in chosen)
-    return _typesweep.greedy_scores(_typesweep.sweep_rows(flat_a, n, d, m),
-                                    _typesweep.sweep_rows(flat_b, n, d, m),
-                                    n, d, m, tuple(range(len(chosen) + 1)),
-                                    tuple(chosen), cands, budget)
+    return _typesweep.PinnedScorer(flat_a, flat_b, n, d, m).scores(
+        tuple(enumerate(chosen)), len(chosen), cands, budget)
 
 
 class TestWideIndices:
@@ -918,46 +916,56 @@ class TestWideIndices:
                 assert Fraction(scores[c], math.perm(n - t, 2)) == expected
 
 
-class TestKeyRangeGuard:
-    """Type keys times pin patterns must fit in int64, or the sweep refuses."""
+class TestManyPinSweep:
+    """The sweep's group ids grow with its groups, not with its pins or
+    its index positions, so no key range refuses a sweep."""
 
-    def test_coset_moment_refuses_before_sweeping(self, monkeypatch):
-        # 8**8 * 30**8 > 2**63: the 900**4 rows are within the budget,
-        # so only the key guard stops the sweep of a 29-pin coset
-        def unbuilt(*args):
-            raise AssertionError("sweep built before the key guard")
+    @staticmethod
+    def _sparse(rng, n, d, nnz):
+        flat = [0] * n ** d
+        for i in rng.sample(range(n ** d), nnz):
+            flat[i] = rng.choice((-3, -2, -1, 1, 2, 3))
+        return DenseTensor.from_entries(n, d, flat)
 
+    @staticmethod
+    def _completions_average(a, b, k, prefix):
+        """The average over the coset's (n - len(prefix))! completions,
+        one permutation at a time, for integer tensors."""
+        flat_a = [int(v) for v in a.entries]
+        flat_b = [int(v) for v in b.entries]
+        total = loop_coset_power_sums(
+            assign._nonzero_digit_entries(flat_a, a.n, a.d), flat_b, a.n,
+            a.d, 2 * k, prefix.pairs, None)
+        return Fraction(total, math.factorial(a.n - len(prefix)))
+
+    def test_six_pin_coset_matches_brute_force(self, monkeypatch):
+        # n = 9, d = 2, k = 3 with 6 pins: keys packing type and pin
+        # pattern would need 9**12 * 7**9 > 2**63 values
         monkeypatch.setattr(assign, "_enumeration_cheaper", lambda *args: False)
-        monkeypatch.setattr(_typesweep, "_build_chunk", unbuilt)
-        a = DenseTensor.from_entries(30, 2, [1] * 30 ** 2)
-        prefix = PartialAssignment(tuple((p, (7 * p + 3) % 30)
-                                         for p in range(29, 0, -1)))
-        with pytest.raises(BudgetError) as exc:
-            coset_moment(a, a, 2, prefix, visit_budget=10 ** 20)
-        assert str(exc.value) == (
-            "type keys need 11007531417600000000 values (n=30, d=2, 2k=4, "
-            "29 pins), int64 holds 9223372036854775807")
-        assert exc.value.required == 8 ** 8 * 30 ** 8
-        assert exc.value.required > exc.value.budget == 2 ** 63 - 1
+        rng = random.Random(921)
+        n, k = 9, 3
+        # B relabels A by g, so f(g) > 0 and the coset of g is not all 0
+        g = Permutation(tuple(rng.sample(range(n), n)))
+        a = self._sparse(rng, n, 2, 6)
+        b = assign.apply_perm(g, a)
+        prefix = PartialAssignment(tuple((p, g(p))
+                                         for p in rng.sample(range(n), 6)))
+        moment = coset_moment(a, b, k, prefix)
+        assert moment == self._completions_average(a, b, k, prefix) != 0
 
-    def test_boundary(self):
-        # 8**8 * 29**8 < 2**63 <= 8**8 * 30**8
-        _typesweep.check_budget(900 ** 4, 30, 2, 4, 10 ** 20, npins=28)
-        with pytest.raises(BudgetError):
-            _typesweep.check_budget(900 ** 4, 30, 2, 4, 10 ** 20, npins=29)
-
-    def test_candidate_tables_count_the_candidate_pin(self):
-        # 28 chosen images and the candidate make 29 pins, as in
-        # test_coset_moment_refuses_before_sweeping; no row is built
-        def unbuilt():
-            raise AssertionError("rows built before the key guard")
-
-        rows = (900 ** 4, unbuilt)
-        with pytest.raises(BudgetError) as exc:
-            _typesweep.greedy_scores(rows, rows, 30, 2, 4, tuple(range(29)),
-                                     tuple(range(28)), (28, 29), 10 ** 20)
-        assert exc.value.required == 8 ** 8 * 30 ** 8
-        assert exc.value.required > exc.value.budget == 2 ** 63 - 1
+    def test_type_keys_past_int64(self, monkeypatch):
+        # l = 16 index positions in base 16 need 16**16 > 2**63 type
+        # keys, which are then Python ints
+        monkeypatch.setattr(assign, "_enumeration_cheaper", lambda *args: False)
+        n, k = 16, 4
+        digits = np.array([[0, 1], [2, 3]], dtype=np.int8)
+        keys = _typesweep._build_chunk(digits, np.array([1, 1]), n, 2 * k, 0, 4)[0]
+        assert keys.dtype == object and len(set(keys.tolist())) == 4
+        a = DenseTensor.from_sparse(n, 2, {(0, 1): 2, (1, 2): -1, (2, 0): 3})
+        b = DenseTensor.from_sparse(n, 2, {(0, 1): 1, (1, 2): 2, (2, 1): -3})
+        prefix = PartialAssignment(tuple((p, p) for p in range(3, n)))
+        moment = coset_moment(a, b, k, prefix)
+        assert moment == self._completions_average(a, b, k, prefix) != 0
 
 
 # largest entry whose 24 = perm(4, 4) products of two entries still sum
@@ -1019,15 +1027,13 @@ class TestGreedyScores:
             b = random_int_tensor(rng, n, d, -3, 3)
             flat_a = [int(v) for v in a.entries]
             flat_b = [int(v) for v in b.entries]
-            rows_a = _typesweep.sweep_rows(flat_a, n, d, m)
-            rows_b = _typesweep.sweep_rows(flat_b, n, d, m)
+            scorer = _typesweep.PinnedScorer(flat_a, flat_b, n, d, m)
             order = rng.sample(range(n), n)
             for t in range(1, n + 1):
                 chosen = tuple(order[:t - 1])
                 cands = tuple(sorted(set(range(n)) - set(chosen)))
-                scores = _typesweep.greedy_scores(rows_a, rows_b, n, d, m,
-                                                  tuple(range(t)), chosen,
-                                                  cands, 10 ** 8)
+                scores = scorer.scores(tuple(enumerate(chosen)), t - 1,
+                                       cands, 10 ** 8)
                 assert sorted(scores) == list(cands)
                 free = n - t
                 den = math.perm(free, min(m * d, free))
@@ -1046,7 +1052,16 @@ class TestGreedyScores:
         flat_b = [rng.randint(-top, top) for _ in range(n ** d)]
         order = rng.sample(range(n), n)
         steps = [order[:t] for t in range(n)]
+
+        def extraction():
+            # one scorer across all n steps, as greedy_extract runs it
+            scorer = _typesweep.PinnedScorer(flat_a, flat_b, n, d, m)
+            return [scorer.scores(tuple(enumerate(c)), len(c),
+                                  [j for j in range(n) if j not in c], 10 ** 8)
+                    for c in steps]
+
         whole = [_greedy_scores(flat_a, flat_b, n, d, m, c) for c in steps]
+        assert extraction() == whole
         monkeypatch.setattr(_typesweep, "CACHE_MAX", 100)
         monkeypatch.setattr(_typesweep, "CHUNK_SIZE", 250)
         count, chunks = _typesweep.sweep_rows(flat_a, n, d, m)
@@ -1054,12 +1069,34 @@ class TestGreedyScores:
         assert count % 250 and len(list(chunks())) == count // 250 + 1
         assert [_greedy_scores(flat_a, flat_b, n, d, m, c)
                 for c in steps] == whole
+        assert extraction() == whole
         # one candidate of a step, as coset_moment asks, reads the same
         # cells out of the chunks
         for c, scores in zip(steps, whole):
             cand = order[len(c)]
             assert _greedy_scores(flat_a, flat_b, n, d, m, c, (cand,)) == \
                 {cand: scores[cand]}
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_one_side_kept_one_streamed(self, monkeypatch, swap):
+        # with CACHE_MAX between the sides' row counts, the sparser side
+        # is kept with its ids and the other rebuilt at every step, its
+        # ids replayed through the tables the first steps made
+        n, d, m = 6, 2, 2
+        rng = random.Random(906)
+        sparse = [rng.choice((0, 0, 1, -2, 3)) for _ in range(n ** d)]
+        dense = [rng.randint(-3, 3) or 1 for _ in range(n ** d)]
+        flat_a, flat_b = (dense, sparse) if swap else (sparse, dense)
+        order = rng.sample(range(n), n)
+        steps = [order[:t] for t in range(n)]
+        whole = [_greedy_scores(flat_a, flat_b, n, d, m, c) for c in steps]
+        monkeypatch.setattr(_typesweep, "CACHE_MAX", (n * n) ** 2 - 1)
+        monkeypatch.setattr(_typesweep, "CHUNK_SIZE", 250)
+        scorer = _typesweep.PinnedScorer(flat_a, flat_b, n, d, m)
+        assert [scorer.scores(tuple(enumerate(c)), len(c),
+                              [j for j in range(n) if j not in c], 10 ** 8)
+                for c in steps] == whole
+        assert [kept is None for kept in scorer.kept] == [swap, not swap]
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_budget_counts_rows_of_nonzero_entries(self, monkeypatch, k):
@@ -1230,9 +1267,9 @@ class TestIntegerCombine:
         monkeypatch.setattr(assign, "_enumeration_cheaper",
                             lambda *args: enumerate_cosets)
         spy = []
-        sweep = _typesweep.greedy_scores
+        sweep = _typesweep.PinnedScorer.scores
         enum = assign._enumerate_coset_power_sums
-        monkeypatch.setattr(_typesweep, "greedy_scores",
+        monkeypatch.setattr(_typesweep.PinnedScorer, "scores",
                             lambda *a: spy.append("sweep") or sweep(*a))
         monkeypatch.setattr(assign, "_enumerate_coset_power_sums",
                             lambda *a: spy.append("enumerate") or enum(*a))
@@ -1241,6 +1278,23 @@ class TestIntegerCombine:
         result = greedy_extract(a, b, 1)
         assert result.permutation == Permutation.identity(n)
         assert set(spy) == {"enumerate" if enumerate_cosets else "sweep"}
+
+    def test_one_enumeration_per_extraction(self, monkeypatch):
+        # the 21-edge n = 14 d = 2 hypergraph pair sweeps its first steps
+        # and enumerates its tail: the first enumerating step enumerates
+        # its parent coset once, and each later step sums blocks of it
+        calls = []
+        enum = assign._enumerate_coset_power_sums
+        monkeypatch.setattr(assign, "_enumerate_coset_power_sums",
+                            lambda *a: calls.append(a[-1]) or enum(*a))
+        a, b = _oracle_pair("hyper-2-14")
+        result = greedy_extract(a, b, 1)
+        assert calls == [None]
+        # with no coset kept, every enumerating step enumerates its parent
+        monkeypatch.setattr(assign, "_KEEP_MAX", 0)
+        calls.clear()
+        assert greedy_extract(a, b, 1) == result
+        assert len(calls) > 1 and None not in calls
 
     # (seed, n, d, k, entry range) -> greedy images and value, as computed
     # with one Fraction per group and a Python loop per permutation
@@ -1315,8 +1369,8 @@ class TestPowerSumRoute:
         prefix = PartialAssignment(((0, 3), (5, 1)))
         expected = (moment_2k(a, b, 2), coset_moment(a, b, 2, prefix),
                     greedy_extract(a, b, 2))
-        for name in ("sweep_rows", "greedy_scores"):
-            monkeypatch.setattr(_typesweep, name, refuse)
+        monkeypatch.setattr(_typesweep, "sweep_rows", refuse)
+        monkeypatch.setattr(_typesweep.PinnedScorer, "scores", refuse)
         monkeypatch.setattr(assign, "_enumerate_coset_power_sums", refuse)
         assert (moment_2k(a, b, 2), coset_moment(a, b, 2, prefix),
                 greedy_extract(a, b, 2)) == expected
@@ -1548,9 +1602,9 @@ class TestPinnedOracle:
     @pytest.mark.parametrize("shape", ["dense-2-11", "hyper-2-14", "hyper-3-9"])
     def test_coset_moment_matches(self, monkeypatch, shape):
         routes = []
-        sweep = _typesweep.greedy_scores
+        sweep = _typesweep.PinnedScorer.scores
         enum = assign._enumerate_coset_power_sums
-        monkeypatch.setattr(_typesweep, "greedy_scores",
+        monkeypatch.setattr(_typesweep.PinnedScorer, "scores",
                             lambda *a: routes.append("sweep") or sweep(*a))
         monkeypatch.setattr(assign, "_enumerate_coset_power_sums",
                             lambda *a: routes.append("enumerate") or enum(*a))
