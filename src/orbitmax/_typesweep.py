@@ -293,17 +293,18 @@ class PinnedScorer:
     def _types(self, side: int, keys: np.ndarray, blockvals: np.ndarray,
                vals: np.ndarray):
         """Starting ids of a chunk's rows; A's rows add their new types."""
-        uniq, first, inv = np.unique(keys, return_index=True,
-                                     return_inverse=True)
+        uniq, inv = np.unique(keys, return_inverse=True)
+        inv = inv.reshape(-1)
         if side:
             ids = [self.types.get(key, -1) for key in uniq.tolist()]
         else:
             ids = [self.types.setdefault(key, len(self.types))
                    for key in uniq.tolist()]
+            row = np.empty(len(uniq), dtype=np.int64)  # a row of each type
+            row[inv] = np.arange(len(inv))
             self.free[0] = _grown(self.free[0], len(self.types), 0)
-            self.free[0][ids] = (blockvals[first] >= 0).sum(axis=1)
-        return _live(np.array(ids, dtype=np.int64)[inv.reshape(-1)],
-                     blockvals, vals)
+            self.free[0][ids] = (blockvals[row] >= 0).sum(axis=1)
+        return _live(np.array(ids, dtype=np.int64)[inv], blockvals, vals)
 
     def _refine(self, side: int, k: int, ids: np.ndarray,
                 blockvals: np.ndarray, vals: np.ndarray):
