@@ -180,9 +180,6 @@ class PinnedScorer:
         self.n, self.d, self.m = n, d, m
         self.rmax = min(m * d, n)
         self.sweep = (sweep_rows(flat_a, n, d, m), sweep_rows(flat_b, n, d, m))
-        self._start()
-
-    def _start(self) -> None:
         self.pins: tuple = ()
         self.types: dict[int, int] = {}  # A's type keys -> starting ids
         # free[k]: free blocks of each group at k pins; tables[k]: group
@@ -211,8 +208,7 @@ class PinnedScorer:
         (count_a, _), (count_b, _) = self.sweep
         check_budget(max(count_a, count_b), self.n, self.d, self.m, budget)
         pairs = tuple(pairs)
-        if pairs[:len(self.pins)] != self.pins:
-            self._start()
+        assert pairs[:len(self.pins)] == self.pins  # each step extends the last
         self.pins = pairs
         for _ in range(len(self.tables), len(pairs)):
             self.tables.append(np.zeros(0, dtype=np.int64))

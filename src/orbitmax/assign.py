@@ -541,10 +541,8 @@ def _enumeration_cheaper(evaluations: int, rows: int) -> bool:
     """Direct coset enumeration beats the type sweep when the cosets are
     small: ``evaluations``, len(cands) * (n - t)! * nnz(A) Python
     operations, against the sweep's ``rows`` vectorised row visits
-    (plus the pattern tables, which stop compressing as t grows).  The
-    constants were set against the refining sweep and the enumeration
-    kept per extraction, on the assign-greedy benchmark."""
-    return evaluations <= max(50_000, rows // 16)
+    (plus the pattern tables, which stop compressing as t grows)."""
+    return evaluations <= max(200_000, rows // 4)
 
 
 # permutations of the coset a greedy extraction keeps, as many as the
@@ -580,14 +578,13 @@ def _pinned_scorer(ints_a: Sequence[int], ints_b: Sequence[int], n: int,
     # the kept coset: its pairs, free positions and values, running sums
     kept: list = []
 
-    def kept_sums(pairs, pos: int, cands: Sequence[int]) -> dict | None:
-        """The children's sums as blocks of the kept coset, or None when
-        the coset of ``pairs`` split at ``pos`` is not one."""
+    def kept_sums(pairs, pos: int, cands: Sequence[int]) -> dict:
+        """The children's sums as blocks of the kept coset; the steps
+        after it extend its pairs, fixing its free positions in order."""
         base, positions, values, running = kept
         extra = pairs[len(base):]
-        steps = [p for p, _ in extra] + [pos]
-        if pairs[:len(base)] != base or steps != positions[:len(steps)]:
-            return None
+        assert pairs[:len(base)] == base and \
+            [p for p, _ in extra] + [pos] == positions[:len(extra) + 1]
         start, size, values = 0, len(running) - 1, list(values)
         for _, q in extra:
             size //= len(values)
@@ -618,14 +615,13 @@ def _pinned_scorer(ints_a: Sequence[int], ints_b: Sequence[int], n: int,
                                  _enumerate_coset_power_sums(
                                      nz_a, ints_b, n, d, m, pairs, None).tolist(),
                                  initial=0))))
-            sums = kept_sums(pairs, pos, cands) if kept else None
-            if sums is None:
-                # every child: one pass over the parent coset, split by image
-                cosets = [pairs] if whole else [(*pairs, (pos, c)) for c in cands]
-                sums = sum(_enumerate_coset_power_sums(nz_a, ints_b, n, d, m,
-                                                       coset, pos)
-                           for coset in cosets)
-            return sums, math.factorial(free)
+            if kept:
+                return kept_sums(pairs, pos, cands), math.factorial(free)
+            # every child: one pass over the parent coset, split by image
+            cosets = [pairs] if whole else [(*pairs, (pos, c)) for c in cands]
+            return (sum(_enumerate_coset_power_sums(nz_a, ints_b, n, d, m,
+                                                    coset, pos)
+                        for coset in cosets), math.factorial(free))
         from . import _typesweep
 
         if not sweep:
