@@ -45,20 +45,10 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import BudgetError
 from .exact import _INT64_MAX
 
 CHUNK_SIZE = 1 << 20
 CACHE_MAX = 1 << 21
-
-
-def check_budget(rows: int, n: int, d: int, m: int, budget: int) -> None:
-    """Refuse a sweep of more than ``budget`` rows."""
-    if rows > budget:
-        raise BudgetError(
-            f"type sweep needs {rows} row visits "
-            f"(n={n}, d={d}, 2k={m}), budget is {budget}",
-            required=rows, budget=budget, k=m // 2)
 
 
 def _index_dtype(n: int):
@@ -177,7 +167,7 @@ class PinnedScorer:
 
     def __init__(self, flat_a: Sequence[int], flat_b: Sequence[int],
                  n: int, d: int, m: int) -> None:
-        self.n, self.d, self.m = n, d, m
+        self.n = n
         self.rmax = min(m * d, n)
         self.sweep = (sweep_rows(flat_a, n, d, m), sweep_rows(flat_b, n, d, m))
         self.pins: tuple = ()
@@ -189,12 +179,11 @@ class PinnedScorer:
         self.kept: list = [None, None]
 
     def scores(self, pairs: Sequence[tuple[int, int]], pos: int,
-               cands: Sequence[int], budget: int) -> dict[int, int]:
+               cands: Sequence[int]) -> tuple[dict[int, int], int]:
         """For each image c in ``cands`` (none an image in ``pairs``),
         perm(N, F) times the average of f**m over the coset fixing
-        ``pairs`` and pos -> c, N = n - len(pairs) - 1, F = min(rmax, N).
-        The budget caps the larger side's row count and is charged
-        before any row is built.
+        ``pairs`` and pos -> c, N = n - len(pairs) - 1, F = min(rmax, N),
+        and the denominator perm(N, F) the candidates share.
 
         A's rows are grouped by id and slot of pos, a group with j free
         blocks weighted by perm(N - j, F - j): W(g, s), and W(g) at no
@@ -205,8 +194,6 @@ class PinnedScorer:
         entry dtype, H in dense blocks of candidates of at most
         CHUNK_SIZE cells; only nonzero sums meet the Python-int weights.
         """
-        (count_a, _), (count_b, _) = self.sweep
-        check_budget(max(count_a, count_b), self.n, self.d, self.m, budget)
         pairs = tuple(pairs)
         assert pairs[:len(self.pins)] == self.pins  # each step extends the last
         self.pins = pairs
@@ -229,7 +216,7 @@ class PinnedScorer:
         group_free = self.free[-1]
         groups = len(group_free)
         if not groups:  # A has no row, or B's rows were all dropped
-            return dict.fromkeys(cands, 0)
+            return dict.fromkeys(cands, 0), math.perm(free, top)
         # W(g) and W(g, s) - W(g) per group and slot, in Python ints
         wa = np.zeros(groups * w, dtype=object)
         cell = np.flatnonzero(sums)
@@ -269,7 +256,8 @@ class PinnedScorer:
                     moved[first + i] += part[a:b].sum()
         if all(kept is not None for kept in self.kept):
             self.tables = [None] * len(pairs)  # no row is below these pins
-        return {c: int(base + gain) for c, gain in zip(cands, moved)}
+        return ({c: int(base + gain) for c, gain in zip(cands, moved)},
+                math.perm(free, top))
 
     def _side(self, side: int) -> Iterator[tuple]:
         """Each chunk of one side's rows (0 for A, 1 for B) as (group ids

@@ -20,15 +20,16 @@ tensor contraction, so the work is polynomial in n.
 Greedy steps and pinned cosets share one step scorer per engine, which
 returns the raw sums of f**(2k) over some child cosets of a prefix and
 their one denominator: ``_d1_sums`` at d = 1, and at d >= 2
-``_pinned_sums``, which either sweeps (``_typesweep.PinnedScorer``,
-max(nnz(A), nnz(B))**(2k) row visits, one row per choice of 2k nonzero
-entries, its groups refined pin by pin over the extraction) or
-enumerates the cosets directly by ``_coset_values``, the one evaluator
-of f(g) over sets of permutations at d >= 2, which ``brute_max``
-shares; an extraction enumerates a small coset once and sums blocks of
-it at every later step.  The d >= 2 engines and numpy are imported by the
-functions that use them, so a process that only works at d = 1 loads
-neither, and one that never sweeps does not load ``_typesweep``.
+``_pinned_sums``, which either sweeps (``_typesweep.PinnedScorer``, one
+row per choice of 2k nonzero entries, its groups refined pin by pin
+over the extraction) or enumerates the cosets directly by
+``_coset_values``, the one evaluator of f(g) over sets of permutations
+at d >= 2, which ``brute_max`` shares; an extraction enumerates a small
+coset once and sums blocks of it at every later step.
+``_pinned_scorer`` states how a step picks its route and charges the
+budget.  The d >= 2 engines and numpy are imported by the functions
+that use them, so a process that only works at d = 1 loads neither,
+and one that never sweeps does not load ``_typesweep``.
 """
 
 from __future__ import annotations
@@ -557,13 +558,14 @@ def _pinned_scorer(ints_a: Sequence[int], ints_b: Sequence[int], n: int,
     ``_pinned_sums(pairs, pos, cands)`` returns, for each image c in
     ``cands``, the sum of f**m over the coset fixing ``pairs`` and
     pos -> c times D / |coset|, and the denominator D the candidates
-    share.  The route is picked from counts alone: the enumeration of
-    the candidates' cosets (len(cands) * (n - t)! * nnz(A) evaluations,
-    t = len(pairs) + 1, D = (n - t)!) if ``_enumeration_cheaper`` says
-    so against the sweep's max(nnz(A), nnz(B))**m rows, else one
-    ``_typesweep.PinnedScorer`` for the whole extraction
-    (D = perm(n - t, F)), built by the first step that sweeps.  Each
-    route is charged to the budget before it runs.
+    share.  It counts two exact routes: the enumeration of the
+    candidates' cosets (len(cands) * (n - t)! * nnz(A) evaluations,
+    t = len(pairs) + 1, D = (n - t)!) and the sweep of
+    max(nnz(A), nnz(B))**m rows (one ``_typesweep.PinnedScorer`` for the
+    whole extraction, built by the first step that sweeps,
+    D = perm(n - t, F)).  It takes the route ``_enumeration_cheaper``
+    picks if that one fits the budget, else the other; a step neither
+    fits is refused before any work, ``required`` the smaller count.
 
     A step that enumerates every child of its parent coset enumerates
     the parent once, keeping f**m of each permutation (up to _KEEP_MAX
@@ -599,12 +601,13 @@ def _pinned_scorer(ints_a: Sequence[int], ints_b: Sequence[int], n: int,
                      cands: Sequence[int]):
         free = n - len(pairs) - 1
         evaluations = len(cands) * math.factorial(free) * max(len(nz_a), 1)
-        if _enumeration_cheaper(evaluations, rows):
-            if evaluations > budget:
-                raise BudgetError(
-                    f"coset enumeration needs {evaluations} evaluations, "
-                    f"budget is {budget}",
-                    required=evaluations, budget=budget, k=m // 2)
+        if min(evaluations, rows) > budget:
+            raise BudgetError(
+                f"pinned step needs {evaluations} coset evaluations or "
+                f"{rows} sweep rows (n={n}, d={d}, 2k={m}), budget is {budget}",
+                required=min(evaluations, rows), budget=budget, k=m // 2)
+        if rows > budget or (evaluations <= budget
+                             and _enumeration_cheaper(evaluations, rows)):
             pairs = tuple(pairs)
             whole = len(cands) + len(pairs) == n  # every child of the parent
             if not kept and whole and math.factorial(free + 1) <= _KEEP_MAX:
@@ -626,8 +629,7 @@ def _pinned_scorer(ints_a: Sequence[int], ints_b: Sequence[int], n: int,
 
         if not sweep:
             sweep.append(_typesweep.PinnedScorer(ints_a, ints_b, n, d, m))
-        return (sweep[0].scores(pairs, pos, cands, budget),
-                math.perm(free, min(m * d, free)))
+        return sweep[0].scores(pairs, pos, cands)
 
     return _pinned_sums
 
@@ -644,14 +646,9 @@ def coset_moment(a: DenseTensor, b: DenseTensor, k: int,
     A nonempty prefix is one call of the greedy step scorer, whose one
     candidate is the prefix's last pair: ``_d1_sums`` (power sums; the
     prefix adds a constant to f) at d = 1, charged one coset's partition
-    terms, and ``_pinned_sums`` at d >= 2, which takes the cheaper of
-    two exact routes judged from counts: the type sweep
-    (max(nnz(A), nnz(B))**(2k) row visits, one per choice of 2k nonzero
-    entries of a side, grouped by type ids refined once per pin), or a
-    direct enumeration of the coset
-    ((n - len(prefix))! * nnz(A) evaluations of f, vectorised over
-    blocks of permutations).  The pins are passed to the sweep as they
-    stand; nothing is relabelled.
+    terms, and ``_pinned_sums`` at d >= 2, which sweeps or enumerates the
+    coset and charges the budget as ``_pinned_scorer`` states.  The pins
+    are passed to the sweep as they stand; nothing is relabelled.
     """
     _check_shapes(a, b)
     if k < 1:
@@ -692,15 +689,14 @@ def greedy_extract(a: DenseTensor, b: DenseTensor, k: int,
     partition of each j <= 2k with at most as many parts as the coset
     has free coordinates, all charged before the first step).  At
     d >= 2 it is ``_pinned_sums``, which per step either runs a pinned
-    type sweep (max(nnz(A), nnz(B))**(2k) row visits, one per choice of
-    2k nonzero entries of a side, the rows built once per extraction;
+    type sweep (the rows built once per extraction;
     ``_typesweep.PinnedScorer`` refines the last step's groups of both
     sides by the pair it chose, weights A's groups by the slot of the
     position being fixed and reads every candidate's sum off one pass
     over B's rows) or sums f**m per image of the position being fixed
-    over the parent coset, whichever is cheaper.  The first step that
-    enumerates keeps its parent coset's values, and the later steps sum
-    blocks of them and evaluate nothing.
+    over the parent coset, routed and charged as ``_pinned_scorer``
+    states.  The first step that enumerates keeps its parent coset's
+    values, and the later steps sum blocks of them and evaluate nothing.
     """
     _check_shapes(a, b)
     if k < 1:

@@ -117,16 +117,17 @@ def brute_group_moment(a: assign.DenseTensor, b: assign.DenseTensor,
 
 def brute_coset_average(a: assign.DenseTensor, b: assign.DenseTensor, k: int,
                         prefix: assign.PartialAssignment) -> Fraction:
-    pairs = dict(prefix.pairs)
+    """Average of <B, gA>**(2k) over the (n - len(prefix))! completions
+    of ``prefix``, one ``assign.matrix_element`` in Fractions each."""
+    images = dict(prefix.pairs)
+    free_pos = [p for p in range(a.n) if p not in images]
+    free_val = [v for v in range(a.n) if v not in prefix.images]
     total = Fraction(0)
-    count = 0
-    for images in itertools.permutations(range(a.n)):
-        if any(images[p] != q for p, q in pairs.items()):
-            continue
-        g = assign.Permutation(images)
+    for perm in itertools.permutations(free_val):
+        images.update(zip(free_pos, perm))
+        g = assign.Permutation(tuple(images[p] for p in range(a.n)))
         total += assign.matrix_element(a, b, g) ** (2 * k)
-        count += 1
-    return total / count
+    return total / math.factorial(len(free_val))
 
 
 def combinatorial_matched(h1: Hypergraph, h2: Hypergraph,
@@ -339,11 +340,9 @@ def sweep_coset_moment(a: assign.DenseTensor, b: assign.DenseTensor, k: int,
         chosen, cands, children = tuple(range(t - 1)), (t - 1,), 1
     else:
         t, chosen, cands, children = 1, (), tuple(range(n)), n
-    scores = _typesweep.PinnedScorer(ints_a, ints_b, n, d, m).scores(
-        tuple(enumerate(chosen)), t - 1, cands, assign.DEFAULT_VISIT_BUDGET)
-    free = n - t
-    total = Fraction(sum(scores.values()),
-                     children * math.perm(free, min(m * d, free)))
+    scores, den = _typesweep.PinnedScorer(ints_a, ints_b, n, d, m).scores(
+        tuple(enumerate(chosen)), t - 1, cands)
+    total = Fraction(sum(scores.values()), children * den)
     return total / (Fraction(la) ** m * Fraction(lb) ** m)
 
 

@@ -864,15 +864,15 @@ def _closed_form_k1(a, b):
     return Fraction(qa * qb, n) + Fraction((sa * sa - qa) * (sb * sb - qb), n * (n - 1))
 
 
-def _greedy_scores(flat_a, flat_b, n, d, m, chosen, cands=None,
-                   budget=10 ** 8):
+def _greedy_scores(flat_a, flat_b, n, d, m, chosen, cands=None):
     """One greedy sweep step's raw candidate scores, from a new scorer,
     with positions 0..len(chosen) pinned; the candidates default to
     every image not in ``chosen``."""
     if cands is None:
         cands = tuple(c for c in range(n) if c not in chosen)
-    return _typesweep.PinnedScorer(flat_a, flat_b, n, d, m).scores(
-        tuple(enumerate(chosen)), len(chosen), cands, budget)
+    scores, _ = _typesweep.PinnedScorer(flat_a, flat_b, n, d, m).scores(
+        tuple(enumerate(chosen)), len(chosen), cands)
+    return scores
 
 
 class TestWideIndices:
@@ -1032,11 +1032,11 @@ class TestGreedyScores:
             for t in range(1, n + 1):
                 chosen = tuple(order[:t - 1])
                 cands = tuple(sorted(set(range(n)) - set(chosen)))
-                scores = scorer.scores(tuple(enumerate(chosen)), t - 1,
-                                       cands, 10 ** 8)
+                scores, den = scorer.scores(tuple(enumerate(chosen)), t - 1,
+                                            cands)
                 assert sorted(scores) == list(cands)
                 free = n - t
-                den = math.perm(free, min(m * d, free))
+                assert den == math.perm(free, min(m * d, free))
                 prefix = tuple(enumerate(chosen))
                 for c, score in scores.items():
                     assert Fraction(score, den) == brute_coset_average(
@@ -1057,7 +1057,7 @@ class TestGreedyScores:
             # one scorer across all n steps, as greedy_extract runs it
             scorer = _typesweep.PinnedScorer(flat_a, flat_b, n, d, m)
             return [scorer.scores(tuple(enumerate(c)), len(c),
-                                  [j for j in range(n) if j not in c], 10 ** 8)
+                                  [j for j in range(n) if j not in c])[0]
                     for c in steps]
 
         whole = [_greedy_scores(flat_a, flat_b, n, d, m, c) for c in steps]
@@ -1094,7 +1094,7 @@ class TestGreedyScores:
         monkeypatch.setattr(_typesweep, "CHUNK_SIZE", 250)
         scorer = _typesweep.PinnedScorer(flat_a, flat_b, n, d, m)
         assert [scorer.scores(tuple(enumerate(c)), len(c),
-                              [j for j in range(n) if j not in c], 10 ** 8)
+                              [j for j in range(n) if j not in c])[0]
                 for c in steps] == whole
         assert [kept is None for kept in scorer.kept] == [swap, not swap]
 
@@ -1115,7 +1115,8 @@ class TestGreedyScores:
 
         a, b = sparse(5), sparse(9)
         rows = 9 ** (2 * k)
-        prefix = PartialAssignment(((2, 5), (6, 0)))
+        # one pin: the enumeration's 7! * 5 evaluations exceed the rows
+        prefix = PartialAssignment(((2, 5),))
         calls = (lambda budget: coset_moment(a, b, k, prefix, budget),
                  lambda budget: greedy_extract(a, b, k, budget))
         for call in calls:
@@ -1641,6 +1642,28 @@ class TestPinnedOracle:
             min(c for c, v in vals.items() if v == best)
 
 
+def _dense_n5_pair():
+    """A dense d = 2, n = 5 pair with no zero entry: nnz(A) = 25, so a
+    greedy extraction's first step needs 5 * 4! * 25 = 3000 evaluations
+    against the sweep's 25**2 = 625 rows at k = 1."""
+    rng = random.Random(1031)
+    return tuple(DenseTensor.from_entries(5, 2, [
+        rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(25)])
+        for _ in range(2))
+
+
+def _route_spy(monkeypatch) -> list:
+    """The routes of the pinned steps run from here on, in order."""
+    routes = []
+    sweep = _typesweep.PinnedScorer.scores
+    enum = assign._enumerate_coset_power_sums
+    monkeypatch.setattr(_typesweep.PinnedScorer, "scores",
+                        lambda *a: routes.append("sweep") or sweep(*a))
+    monkeypatch.setattr(assign, "_enumerate_coset_power_sums",
+                        lambda *a: routes.append("enumerate") or enum(*a))
+    return routes
+
+
 class TestGreedyExtract:
     def test_k_below_one_refused(self):
         a = DenseTensor.from_entries(2, 1, [1, 0])
@@ -1707,17 +1730,16 @@ class TestGreedyExtract:
                 prefix = prefix.extended(i, g.images[i])
 
     def test_enumeration_refused_over_budget(self):
-        # a dense d = 2, n = 5 pair with no zero entry: nnz(A) = 25, and
-        # the sweep's 25**2 = 625 rows lose the route choice to the
-        # enumeration of the first step's 5 * 4! * 25 = 3000 evaluations
-        rng = random.Random(1031)
-        a, b = (DenseTensor.from_entries(5, 2, [
-            rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(25)])
-            for _ in range(2))
+        # the sweep's 625 rows lose the route choice to the enumeration
+        # of the first step's 3000 evaluations, and take the step when
+        # only they fit: it is refused below both
+        a, b = _dense_n5_pair()
         with pytest.raises(BudgetError) as exc:
-            greedy_extract(a, b, 1, visit_budget=2999)
-        assert (exc.value.required, exc.value.budget) == (3000, 2999)
-        assert "coset enumeration needs 3000 evaluations" in str(exc.value)
+            greedy_extract(a, b, 1, visit_budget=624)
+        assert (exc.value.required, exc.value.budget) == (625, 624)
+        assert str(exc.value) == (
+            "pinned step needs 3000 coset evaluations or 625 sweep rows "
+            "(n=5, d=2, 2k=2), budget is 624")
         greedy_extract(a, b, 1, visit_budget=3000)
         # one coset of 4! permutations
         prefix = PartialAssignment(((0, 2),))
@@ -1743,6 +1765,59 @@ class TestGreedyExtract:
             expected = min(j for j, v in vals.items() if v == best)
             assert g.images[i] == expected
             prefix = prefix.extended(i, g.images[i])
+
+
+class TestPinnedRefusal:
+    """A pinned d >= 2 step takes the other exact route when the one
+    ``_enumeration_cheaper`` picks is over the budget, and is refused
+    only when both are, ``required`` the smaller count: the least budget
+    that serves the step."""
+
+    @staticmethod
+    def _least_budget(call, budget: int) -> BudgetError:
+        """The refusal of ``call`` at ``budget``, once its ``required``
+        is seen to serve the call and one less not to."""
+        with pytest.raises(BudgetError) as exc:
+            call(budget)
+        required = exc.value.required
+        call(required)
+        with pytest.raises(BudgetError) as below:
+            call(required - 1)
+        assert below.value.required == required
+        return exc.value
+
+    def test_sparse_coset_enumerates_under_the_sweep_rows(self, monkeypatch):
+        # n = 9, d = 2, k = 2 and one pin: 8! * 20 = 806,400 evaluations
+        # against 37**4 = 1,874,161 rows, which the crossover sweeps
+        rng = random.Random(925)
+        a = TestManyPinSweep._sparse(rng, 9, 2, 20)
+        b = TestManyPinSweep._sparse(rng, 9, 2, 37)
+        k, prefix = 2, PartialAssignment(((4, 1),))
+        routes = _route_spy(monkeypatch)
+        swept = coset_moment(a, b, k, prefix)
+        assert routes == ["sweep"]
+        enumerated = coset_moment(a, b, k, prefix, visit_budget=806_400)
+        assert routes == ["sweep", "enumerate"]
+        assert swept == enumerated == \
+            TestManyPinSweep._completions_average(a, b, k, prefix) != 0
+        exc = self._least_budget(
+            lambda budget: coset_moment(a, b, k, prefix, budget), 806_399)
+        assert (exc.required, exc.budget) == (806_400, 806_399)
+
+    def test_dense_greedy_sweeps_under_the_enumeration(self, monkeypatch):
+        # the first step's 3000 evaluations against 625 rows: at 625 and
+        # 2999 the step sweeps, and the extraction is the same
+        a, b = _dense_n5_pair()
+        routes = _route_spy(monkeypatch)
+        result = greedy_extract(a, b, 1, visit_budget=3000)
+        assert routes[0] == "enumerate"
+        for budget in (625, 2999):
+            routes.clear()
+            assert greedy_extract(a, b, 1, visit_budget=budget) == result
+            assert routes[0] == "sweep"
+        exc = self._least_budget(
+            lambda budget: greedy_extract(a, b, 1, budget), 624)
+        assert (exc.required, exc.budget) == (625, 624)
 
 
 class TestBruteMax:
