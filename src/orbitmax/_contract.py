@@ -63,6 +63,14 @@ every component value, every T(sigma) and every |S(pi)| <= (n)_r * top**m,
 so the int64 rule beside ``_INT64_MAX`` keeps the side exact, whatever
 its Moebius products wrap to on the way.
 
+The plans of (d, m) = (2, 2), (2, 4) and (3, 2) (``_SHIPPED``) ship
+complete, every block count up to l, as package data in ``plans/``: a
+process reads one the first time it asks for that (d, m), never at
+import, and builds every other plan as above; a plan that extends or
+looks up a shipped one reads it too.  The files are JSON written by
+the builder itself, never edited by hand: after any change to how a
+plan is built, rewrite them with ``python -m orbitmax._contract``.
+
 Tensors are passed in as plain integer lists (callers clear rational
 denominators first and rescale the results).
 """
@@ -72,7 +80,9 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
+import json
 import math
+import os
 import string
 from fractions import Fraction
 from typing import Sequence
@@ -87,6 +97,10 @@ _LETTERS = string.ascii_letters
 _CHUNK_CELLS = 1 << 23
 
 _plans: dict[tuple[int, int], "_Plan"] = {}
+# the plans (d, m) read complete from package data on first use, never
+# built (see the module docstring)
+_SHIPPED = frozenset({(2, 2), (2, 4), (3, 2)})
+_PLAN_DIR = os.path.join(os.path.dirname(__file__), "plans")
 
 
 @functools.lru_cache(maxsize=None)
@@ -569,7 +583,41 @@ class _Plan:
 def _plan(d: int, m: int) -> _Plan:
     plan = _plans.get((d, m))
     if plan is None:
-        plan = _plans[(d, m)] = _Plan(d, m)
+        plan = _plans[(d, m)] = _load(d, m) if (d, m) in _SHIPPED else _Plan(d, m)
+    return plan
+
+
+# the fields of a complete plan that a moment or ``find`` reads, with
+# their dtypes; every other field is derived or only used while building
+_ARRAYS = {"reps": np.int8, "keys": np.int64, "factors": np.intp,
+           "cols": np.intp, "coefs": np.int64, "row_start": np.intp}
+
+
+def _plan_file(d: int, m: int) -> str:
+    return os.path.join(_PLAN_DIR, f"d{d}-m{m}.json")
+
+
+def _dumps(plan: _Plan) -> str:
+    """The JSON text of a plan built to every block count, as shipped."""
+    plan.extend_rows(plan.l)
+    doc = {name: ",".join(map(str, getattr(plan, name).ravel().tolist()))
+           for name in _ARRAYS}
+    doc.update(start=plan.start, size=plan.size, nodes=plan.nodes)
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _load(d: int, m: int) -> _Plan:
+    """The shipped complete plan (d, m): nothing is left to build, so
+    its components are never compiled and its rows never canonicalised."""
+    with open(_plan_file(d, m), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    plan = _Plan(d, m)
+    for name, dtype in _ARRAYS.items():
+        setattr(plan, name, np.fromstring(doc[name], dtype=dtype, sep=","))
+    plan.reps = plan.reps.reshape(-1, plan.l)
+    plan.factors = plan.factors.reshape(-1, m)
+    plan.start, plan.size, plan.built = doc["start"], doc["size"], plan.l
+    plan.nodes = [None] + [tuple(v) for v in doc["nodes"][1:]]
     return plan
 
 
@@ -620,3 +668,11 @@ def moment(flat_a: Sequence[int], flat_b: Sequence[int], n: int, d: int,
         for i in range(plan.start[r], plan.start[r + 1]):
             total += plan.size[i] * sa[i] * sb[i] * w
     return Fraction(total, math.perm(n, top))
+
+
+if __name__ == "__main__":
+    # rewrite every shipped plan, each built from scratch, reading none
+    shipped, _SHIPPED = _SHIPPED, frozenset()
+    for d, m in sorted(shipped):
+        with open(_plan_file(d, m), "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(_dumps(_plan(d, m)))

@@ -43,8 +43,8 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .bounds import Interval
 from .errors import BudgetError
-from .exact import (_INT64_MAX, _int_scaled, format_rational, parse_int, parse_ints,
-                    parse_list, parse_rational, parse_rationals)
+from .exact import (_INT64_MAX, _int_scaled, format_rational, parse_budget, parse_int,
+                    parse_ints, parse_list, parse_rational, parse_rationals)
 
 __all__ = [
     "DEFAULT_VISIT_BUDGET",
@@ -388,7 +388,7 @@ def moment_2k(a: DenseTensor, b: DenseTensor, k: int,
     _check_shapes(a, b)
     if k < 1:
         raise ValueError("k must be >= 1")
-    budget = DEFAULT_VISIT_BUDGET if visit_budget is None else visit_budget
+    budget = parse_budget(visit_budget, DEFAULT_VISIT_BUDGET)
     n, m = a.n, 2 * k
     ints_a, la = _int_scaled(a.entries)
     ints_b, lb = _int_scaled(b.entries)
@@ -657,7 +657,7 @@ def coset_moment(a: DenseTensor, b: DenseTensor, k: int,
     for p, q in prefix.pairs:
         if not (0 <= p < n and 0 <= q < n):
             raise ValueError(f"prefix pair ({p}, {q}) out of range 0..{n - 1}")
-    budget = DEFAULT_VISIT_BUDGET if visit_budget is None else visit_budget
+    budget = parse_budget(visit_budget, DEFAULT_VISIT_BUDGET)
     if not prefix.pairs:
         return moment_2k(a, b, k, budget)
     ints_a, la = _int_scaled(a.entries)
@@ -701,7 +701,7 @@ def greedy_extract(a: DenseTensor, b: DenseTensor, k: int,
     _check_shapes(a, b)
     if k < 1:
         raise ValueError("k must be >= 1")
-    budget = DEFAULT_VISIT_BUDGET if visit_budget is None else visit_budget
+    budget = parse_budget(visit_budget, DEFAULT_VISIT_BUDGET)
     n, m = a.n, 2 * k
     ints_a = _int_scaled(a.entries)[0]
     ints_b = _int_scaled(b.entries)[0]

@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from .errors import BudgetError
-from .exact import format_rational, root_2k
+from .exact import format_rational, parse_budget, root_2k
 
 __all__ = ["main"]
 
@@ -26,17 +26,16 @@ BUDGET_ENV_VAR = "ORBITMAX_BUDGET"
 
 def _resolve_budget(flag_value: int | None) -> int | None:
     """Explicit --budget wins; else the environment default; else None
-    (module defaults apply)."""
+    (module defaults apply).  Either is read with ``parse_budget``, so a
+    negative budget is invalid input."""
     if flag_value is not None:
-        return flag_value
+        return parse_budget(flag_value)
     env = os.environ.get(BUDGET_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValueError(
-                f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from exc
-    return None
+    try:
+        return parse_budget(env)
+    except ValueError as exc:
+        raise ValueError(
+            f"{BUDGET_ENV_VAR} must be a non-negative integer, got {env!r}") from exc
 
 
 def _load_json(path: str):

@@ -33,6 +33,7 @@ __all__ = [
     "format_rational",
     "parse_rational",
     "parse_int",
+    "parse_budget",
     "parse_list",
     "parse_ints",
     "parse_rationals",
@@ -195,6 +196,17 @@ def parse_int(value: str | int) -> int:
         except TypeError:
             pass
     raise ValueError(f"expected an integer, got {value!r}")
+
+
+def parse_budget(value: str | int | None, default: int | None = None) -> int | None:
+    """A work budget: ``default`` when ``value`` is None, else an integer
+    read with ``parse_int``, refused when negative.  Budget 0 is valid."""
+    if value is None:
+        return default
+    budget = parse_int(value)
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+    return budget
 
 
 def parse_list(value: object) -> list:

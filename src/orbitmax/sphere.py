@@ -19,8 +19,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .bounds import Interval
 from .errors import BudgetError
-from .exact import (_int_scaled, format_rational, parse_int, parse_ints, parse_list,
-                    parse_rational, root_2k)
+from .exact import (_int_scaled, format_rational, parse_budget, parse_int, parse_ints,
+                    parse_list, parse_rational, root_2k)
 
 __all__ = [
     "DEFAULT_TERM_BUDGET",
@@ -233,9 +233,9 @@ def moment_2k(p: SparsePoly, k: int, term_budget: int | None = None) -> Fraction
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    budget = parse_budget(term_budget, DEFAULT_TERM_BUDGET)
     if p.is_zero:
         return Fraction(0)
-    budget = DEFAULT_TERM_BUDGET if term_budget is None else term_budget
     t = p.num_terms
     comps = math.comb(2 * k + t - 1, t - 1)
     if comps > budget:
@@ -468,6 +468,7 @@ def system_reduce(system: Sequence[SparsePoly], k: int, delta: float = 0.01,
         raise ValueError("system must contain at least one polynomial")
     if not 0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
+    budget = parse_budget(term_budget, DEFAULT_TERM_BUDGET)
     n, d = system[0].n, system[0].d
     for q_i in system[1:]:
         if q_i.n != n or q_i.d != d:
@@ -478,7 +479,7 @@ def system_reduce(system: Sequence[SparsePoly], k: int, delta: float = 0.01,
     for p_i in system:
         if not p_i.is_zero:
             q = q + p_i * p_i
-    qb = sup_bounds(q, k, term_budget)
+    qb = sup_bounds(q, k, budget)
     if q.is_zero:
         gamma_exact = Fraction(0)
     else:
@@ -487,7 +488,6 @@ def system_reduce(system: Sequence[SparsePoly], k: int, delta: float = 0.01,
             raise ValueError("(1 + delta) times the certified upper end of max q "
                              "is above the float range")
         gamma_exact = Fraction(top)
-    budget = DEFAULT_TERM_BUDGET if term_budget is None else term_budget
     count = math.comb(n + d - 1, d)
     if count > budget:
         raise BudgetError(
@@ -503,7 +503,7 @@ def system_reduce(system: Sequence[SparsePoly], k: int, delta: float = 0.01,
             Fraction(math.factorial(d) // math.prod(map(math.factorial, b)))
         for b in betas})
     p = norm_power * gamma_exact - q
-    pb = sup_bounds(p, k, term_budget)
+    pb = sup_bounds(p, k, budget)
     gamma = float(gamma_exact)
     threshold = gamma_exact * (1 - Fraction(delta))
     if threshold <= 0 or pb.upper_exact >= threshold ** (2 * k):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import random
 import time
 from fractions import Fraction
@@ -502,7 +503,9 @@ class TestPartitionMoments:
 
     def test_components_compiled_once_per_process(self, monkeypatch):
         # a block limit compiles only the components that no smaller
-        # limit of the same plan compiled before it
+        # limit of the same plan compiled before it; (2, 4) is built, not
+        # read from the shipped plans
+        monkeypatch.setattr(_contract, "_SHIPPED", frozenset())
         monkeypatch.setattr(_contract, "_plans", {})
         calls = []
         compile_ = _contract._compile
@@ -520,7 +523,9 @@ class TestPartitionMoments:
 
     def test_shared_compilation_is_order_independent(self, monkeypatch):
         # moments, contraction widths and the budget's required count do
-        # not depend on which block limits were asked for before
+        # not depend on which block limits were asked for before; every
+        # plan asked for is a shipped one, so all are built instead
+        monkeypatch.setattr(_contract, "_SHIPPED", frozenset())
         requests = [(2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 4, 3), (2, 4, 4),
                     (2, 4, 5), (3, 2, 4), (3, 2, 5), (3, 2, 6)]
         rng = random.Random(1019)
@@ -730,6 +735,8 @@ class TestPartitionOrbits:
 
     @pytest.mark.parametrize("d, m", _SMALL_PLANS)
     def test_plans_match_brute_force(self, monkeypatch, d, m):
+        # the builder, block limit by block limit, not the shipped plans
+        monkeypatch.setattr(_contract, "_SHIPPED", frozenset())
         orbit_of, members = brute_partition_orbits(d, m)
         rows: dict = {}
         l = m * d
@@ -799,6 +806,109 @@ class TestPartitionOrbits:
         forms = [brute_orbit_form(row, d, m) for row in rgs]
         for i, j in itertools.combinations(range(samples), 2):
             assert (keys[i] == keys[j]) == (forms[i] == forms[j])
+
+
+class TestShippedPlans:
+    """The plans of ``_contract._SHIPPED`` are read from package data,
+    complete, and equal what the builder makes from scratch."""
+
+    def test_package_data_holds_the_shipped_plans(self):
+        assert _contract._SHIPPED == {(2, 2), (2, 4), (3, 2)}
+        assert sorted(os.listdir(_contract._PLAN_DIR)) == sorted(
+            os.path.basename(_contract._plan_file(d, m)) for d, m in _contract._SHIPPED)
+
+    @pytest.mark.parametrize("d, m", sorted(_contract._SHIPPED))
+    def test_shipped_file_is_the_generators_output(self, monkeypatch, d, m):
+        # the file is byte for byte what the generator writes from a
+        # fresh build, and the plan read from it is that build, on every
+        # field a moment or ``find`` reads, dtypes included
+        monkeypatch.setattr(_contract, "_plans", {})
+        shipped = _contract._plan(d, m)
+        monkeypatch.setattr(_contract, "_SHIPPED", frozenset())
+        monkeypatch.setattr(_contract, "_plans", {})
+        built = _contract._plan(d, m)
+        with open(_contract._plan_file(d, m), "rb") as fh:
+            assert fh.read() == _contract._dumps(built).encode()
+        for name in ("reps", "keys", "factors", "cols", "coefs", "row_start"):
+            ours, theirs = getattr(shipped, name), getattr(built, name)
+            assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+            assert np.array_equal(ours, theirs), name
+        for name in ("start", "size", "nodes", "built"):
+            assert getattr(shipped, name) == getattr(built, name), name
+        assert shipped.built == m * d
+
+    def test_moment_at_a_shipped_shape_builds_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a shipped plan must not be built")
+
+        monkeypatch.setattr(_contract, "_plans", {})
+        monkeypatch.setattr(_contract, "_compile", refuse)
+        monkeypatch.setattr(_contract._Plan, "_canonical", refuse)
+        rng = random.Random(1031)
+        for n, d, k in ((5, 2, 2), (4, 2, 1), (4, 3, 1), (7, 2, 2)):
+            a = random_int_tensor(rng, n, d, -4, 4)
+            b = random_int_tensor(rng, n, d, -4, 4)
+            assert moment_2k(a, b, k) == (brute_group_moment(a, b, k) if n < 7
+                                          else sweep_coset_moment(
+                                              a, b, k, PartialAssignment.empty()))
+
+    def test_one_plan_read_per_shape(self, monkeypatch):
+        monkeypatch.setattr(_contract, "_plans", {})
+        a = random_int_tensor(random.Random(1032), 4, 2, -4, 4)
+        moment_2k(a, a, 1)
+        assert list(_contract._plans) == [(2, 2)]
+
+    @pytest.mark.parametrize("shipped", [True, False], ids=["shipped", "built"])
+    def test_plans_that_extend_or_look_up_shipped_ones(self, monkeypatch, shipped):
+        # (2, 6) extends (2, 5), which extends (2, 4), and looks its
+        # components up in (2, 1)..(2, 5); (3, 4) extends (3, 3) and so (3, 2)
+        if not shipped:
+            monkeypatch.setattr(_contract, "_SHIPPED", frozenset())
+        monkeypatch.setattr(_contract, "_plans", {})
+        loads = []
+        load = _contract._load
+        monkeypatch.setattr(_contract, "_load", lambda d, m: loads.append((d, m))
+                            or load(d, m))
+        rng = random.Random(1033)
+        for n, d, k in ((2, 2, 3), (3, 2, 3), (4, 2, 3), (3, 3, 2), (3, 2, 2)):
+            a = random_int_tensor(rng, n, d, -4, 4)
+            b = random_int_tensor(rng, n, d, -4, 4)
+            assert moment_2k(a, b, k) == brute_group_moment(a, b, k)
+        assert sorted(loads) == ([(2, 2), (2, 4), (3, 2)] if shipped else [])
+
+
+# a budget that is not a non-negative integer, as each entry point
+# refuses it: a ValueError before any work, never a bare TypeError or a
+# float compared with the counts
+_BAD_BUDGETS = [2.5e8, True, "1.5", -1]
+
+
+class TestBudgetValues:
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("budget", _BAD_BUDGETS)
+    @pytest.mark.parametrize("call", [
+        lambda a, b, v: moment_2k(a, b, 1, visit_budget=v),
+        lambda a, b, v: sup_bounds(a, b, 1, visit_budget=v),
+        lambda a, b, v: coset_moment(a, b, 1, PartialAssignment.empty(), v),
+        lambda a, b, v: coset_moment(a, b, 1, PartialAssignment(((0, 1),)), v),
+        lambda a, b, v: greedy_extract(a, b, 1, visit_budget=v),
+    ], ids=["moment_2k", "sup_bounds", "coset_moment", "pinned_coset_moment",
+            "greedy_extract"])
+    def test_refused_as_invalid(self, call, budget, d):
+        rng = random.Random(1041)
+        a, b = (random_int_tensor(rng, 3, d, -3, 3) for _ in range(2))
+        with pytest.raises(ValueError):
+            call(a, b, budget)
+
+    def test_integer_strings_and_zero(self):
+        rng = random.Random(1042)
+        a, b = (random_int_tensor(rng, 3, 2, -3, 3) for _ in range(2))
+        assert moment_2k(a, b, 1, visit_budget="100000") == \
+            moment_2k(a, b, 1, visit_budget=np.int64(100000))
+        # budget 0 is valid, and refuses any work
+        with pytest.raises(BudgetError) as exc:
+            greedy_extract(a, b, 1, visit_budget=0)
+        assert exc.value.budget == 0
 
 
 class TestSupBounds:

@@ -496,6 +496,34 @@ class TestBudgetEnvVar:
         assert_invalid_input(["poly-norm", "--poly", path, "--k", "1"], capsys)
 
 
+class TestBudgetValues:
+    @pytest.mark.parametrize("budget", ["-1", "0"])
+    def test_negative_flag_exit_2_and_zero_exit_3(self, tmp_path, capsys, budget):
+        path = write(tmp_path, "p.json", poly_x1())
+        tensor = write(tmp_path, "t.json", tensor_10())
+        for args in (["poly-norm", "--poly", path, "--k", "1"],
+                     ["assign", "--a", tensor, "--b", tensor, "--k", "1"]):
+            if budget == "0":
+                assert main(args + ["--budget", budget]) == 3
+                assert capsys.readouterr().err.startswith("budget exceeded: ")
+            else:
+                assert_invalid_input(args + ["--budget", budget], capsys)
+
+    @pytest.mark.parametrize("env", ["-3", "2.5", "true"])
+    def test_env_that_is_not_a_count_exit_2(self, tmp_path, capsys, monkeypatch, env):
+        path = write(tmp_path, "p.json", poly_x1())
+        monkeypatch.setenv("ORBITMAX_BUDGET", env)
+        assert_invalid_input(["poly-norm", "--poly", path, "--k", "1"], capsys)
+        # a valid flag wins over the environment, which is then not read
+        assert main(["poly-norm", "--poly", path, "--k", "1", "--budget", "10"]) == 0
+
+    def test_env_zero_is_a_budget(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, "p.json", poly_x1())
+        monkeypatch.setenv("ORBITMAX_BUDGET", "0")
+        assert main(["poly-norm", "--poly", path, "--k", "1"]) == 3
+        assert capsys.readouterr().err.startswith("budget exceeded: ")
+
+
 class TestStartup:
     def test_sphere_commands_load_no_numpy(self, tmp_path):
         # A fresh interpreter, because this one has numpy loaded already.

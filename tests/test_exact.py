@@ -263,6 +263,23 @@ class TestIntegerReader:
                 exact.parse_ints(value)
 
 
+class TestBudgetReader:
+    def test_reads_integers_and_applies_the_default(self):
+        assert exact.parse_budget(None, 7) == 7
+        assert exact.parse_budget(None) is None
+        assert exact.parse_budget(0, 7) == 0
+        assert exact.parse_budget(" 100 ") == 100
+        value = exact.parse_budget(np.int64(5))
+        assert value == 5 and type(value) is int
+        with pytest.raises(ValueError, match="budget must be >= 0, got -1"):
+            exact.parse_budget(-1)
+
+    @pytest.mark.parametrize("value", [2.5e8, 2.0, True, False, "1.5", -1, "-3"])
+    def test_refuses_the_rest(self, value):
+        with pytest.raises(ValueError):
+            exact.parse_budget(value, 10)
+
+
 class TestRationalSequenceReader:
     def test_reads_each_value(self):
         values = exact.parse_rationals([1, " 2/4 ", Fraction(3, 5)])

@@ -18,6 +18,12 @@ def path():
     return Hypergraph.from_edges(3, 2, [(0, 1), (1, 2)])
 
 
+@pytest.mark.parametrize("budget", [2.5e8, True, "1.5", -1])
+def test_align_refuses_a_budget_that_is_not_a_count(budget):
+    with pytest.raises(ValueError):
+        align(triangle(), path(), 1, visit_budget=budget)
+
+
 class TestHypergraph:
     def test_duplicate_edges_rejected(self):
         with pytest.raises(ValueError):

@@ -30,6 +30,32 @@ def _wide_form():
                               for e in exps})
 
 
+class TestBudgetValues:
+    # a term budget that is not a non-negative integer is a ValueError
+    # before any work, also for the zero polynomial, which needs none
+    @pytest.mark.parametrize("budget", [2.5e8, True, "1.5", -1])
+    @pytest.mark.parametrize("call", [
+        lambda p, v: sphere.moment_2k(p, 2, term_budget=v),
+        lambda p, v: sphere.norm_2k(p, 2, term_budget=v),
+        lambda p, v: sphere.sup_bounds(p, 2, term_budget=v),
+        lambda p, v: sphere.fewnomial_sup(p, 0.5, term_budget=v),
+        lambda p, v: sphere.system_reduce([p], 2, term_budget=v),
+    ], ids=["moment_2k", "norm_2k", "sup_bounds", "fewnomial_sup", "system_reduce"])
+    @pytest.mark.parametrize("p", [x1_power(3, 1), SparsePoly.zero(3, 1)],
+                             ids=["x1", "zero"])
+    def test_refused_as_invalid(self, call, budget, p):
+        with pytest.raises(ValueError):
+            call(p, budget)
+
+    def test_integer_strings_and_zero(self):
+        p = SparsePoly.from_terms(2, 2, [((2, 0), 3), ((1, 1), -1)])
+        assert sphere.moment_2k(p, 2, term_budget="10") == sphere.moment_2k(p, 2)
+        with pytest.raises(BudgetError) as exc:
+            sphere.moment_2k(p, 2, term_budget=0)
+        assert exc.value.budget == 0
+        assert sphere.moment_2k(SparsePoly.zero(2, 2), 2, term_budget=0) == 0
+
+
 class TestSparsePoly:
     def test_collects_duplicate_terms(self):
         p = SparsePoly.from_terms(2, 2, [((1, 1), 1), ((1, 1), 1)])
