@@ -11,12 +11,16 @@ and the per-group sums are accumulated exactly.  The sweep serves the
 d >= 2 pinned cosets and greedy steps; moments over all of S_n come
 from ``_contract``, which needs no sweep.
 
-There is one accumulation path.  The entry products go into an int64
-array when ``perm(n, rmax) * top**m``, a bound on every group sum
-(``top`` the largest absolute entry, ``rmax`` the most blocks a type can
-have), is at most ``exact._INT64_MAX`` (``_entry_array``), and into an
-object array of Python ints otherwise.  Either way each group sum is
-one ``np.add.at`` by group id.
+There is one accumulation path, in int64 residues (``_residue``).  A
+side keeps its entry products and group sums exact in int64 when
+``perm(n, rmax) * top**m``, a bound on every group sum (``top`` the
+side's largest absolute entry, ``rmax`` the most blocks a type can
+have), is at most ``exact._INT64_MAX``, and takes them modulo the
+scorer's moduli otherwise (``_entry_residues``).  Either way each group
+sum is one ``np.add.at`` by group id per row of residues.  The moduli
+hold every score, at most ``perm(n, rmax) * fmax**m`` with fmax a bound
+on |f|; the weights and the candidates' sums are taken in them, and
+only the scores are rebuilt in Python ints.
 
 ``PinnedScorer`` is the one scorer, one per greedy extraction.  Its
 group ids refine partitions (Paige and Tarjan, "Three partition
@@ -29,9 +33,10 @@ placements, N = n - npins; the scorer weights each group sum by
 perm(N - j, F - j), F = min(rmax, N), so that the candidate cosets of a
 step share the denominator perm(N, F), and reads every candidate's
 score off one pass over each side's rows (``sweep_rows``, kept for the
-whole extraction up to CACHE_MAX rows and rebuilt chunk by chunk above
-it).  The pins are passed explicitly, A's positions and B's images, so
-a coset of ``assign.coset_moment`` is the one candidate of a step as it
+whole extraction up to CACHE_BYTES and rebuilt chunk by chunk of at
+most CHUNK_BYTES above it, so that rows of several residues are fewer).
+The pins are passed explicitly, A's positions and B's images, so a
+coset of ``assign.coset_moment`` is the one candidate of a step as it
 stands.
 
 Tensors are passed in as plain integer lists (callers clear rational
@@ -40,15 +45,20 @@ denominators first and rescale the results).
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterator, Sequence
 
 import numpy as np
 
+from ._residue import Moduli, f_bound, scatter_add
 from .exact import _INT64_MAX
 
-CHUNK_SIZE = 1 << 20
-CACHE_MAX = 1 << 21
+# bytes of the rows of one chunk, and of the rows a side keeps: with
+# 8-byte ids and products and rmax = 4 int8 block values, 2**20 and
+# 2**21 rows; rows of several residues are fewer
+CHUNK_BYTES = 20 << 20
+CACHE_BYTES = 40 << 20
 
 
 def _index_dtype(n: int):
@@ -61,10 +71,10 @@ def _index_dtype(n: int):
 
 
 def _build_chunk(digits: np.ndarray, vals: np.ndarray, n: int, m: int,
-                 start: int, stop: int):
+                 start: int, stop: int, mul=np.multiply):
     """Type keys, per-block values and entry products for a range of
-    mixed-radix row ids, a row being m nonzero entries (``digits``,
-    ``vals``) in order."""
+    mixed-radix row ids, a row being m nonzero entries (``digits``, and
+    ``vals`` with one row per residue) in order, multiplied by ``mul``."""
     nnz, d = digits.shape
     l = m * d
     rmax = min(l, n)
@@ -73,7 +83,7 @@ def _build_chunk(digits: np.ndarray, vals: np.ndarray, n: int, m: int,
     entries = np.unravel_index(np.arange(start, stop), (nnz,) * m)
     # column-major, so that each position's column is contiguous
     cols = np.asfortranarray(np.concatenate([digits[e] for e in entries], axis=1))
-    prods = math.prod(vals[e] for e in entries)
+    prods = functools.reduce(mul, (vals[:, e] for e in entries))
     # restricted-growth labels: label[i] = index of the block position i joins
     labels = np.zeros((count, l), dtype=ix, order="F")
     blockvals = np.full((count, rmax), -1, dtype=ix)
@@ -98,36 +108,46 @@ def _build_chunk(digits: np.ndarray, vals: np.ndarray, n: int, m: int,
     return keys, blockvals, prods
 
 
-def _entry_array(flat: Sequence[int], n: int, rmax: int, m: int) -> np.ndarray:
-    """The entries as int64 when perm(n, rmax) * top**m is at most
-    ``_INT64_MAX``, else as Python ints.  That bound holds every group
-    sum, the one value read out of int64 (the int64 rule beside
+def _entry_residues(flat: Sequence[int], n: int, rmax: int, m: int,
+                    moduli: Moduli) -> tuple[bool, np.ndarray]:
+    """(exact, entries): the entries as one exact int64 row when
+    perm(n, rmax) * top**m is at most ``_INT64_MAX``, else as their
+    residues modulo ``moduli``.  That bound holds every group sum, so an
+    exact side's group sums are exact (the int64 rule beside
     ``exact._INT64_MAX``): a group of a type with r blocks holds at most
     perm(n, r) <= perm(n, rmax) rows, each a product of m entries."""
     top = max((abs(v) for v in flat), default=0)
     if math.perm(n, rmax) * top ** m <= _INT64_MAX:
-        return np.array(flat, dtype=np.int64)
-    return np.array(flat, dtype=object)
+        return True, np.array(flat, dtype=np.int64).reshape(1, -1)
+    return False, moduli.of(flat)
 
 
-def sweep_rows(flat: Sequence[int], n: int, d: int, m: int):
-    """The sweep of a row-major tensor: (row count, a callable yielding
-    (type keys, block values, products) per chunk of rows).  A row is
-    one choice of m nonzero entries, so there are nnz**m rows, all with
-    nonzero products.  Each call builds the chunks anew."""
-    arr = _entry_array(flat, n, min(m * d, n), m)
-    nz = np.flatnonzero(arr)
-    digits = np.stack(np.unravel_index(nz, (n,) * d), axis=1)
-    digits, vals = digits.astype(_index_dtype(n)), arr[nz]
+def sweep_rows(flat: Sequence[int], n: int, d: int, m: int, moduli: Moduli):
+    """The sweep of a row-major tensor: (exact, row count, bytes per
+    row, a callable yielding (type keys, block values, products) per
+    chunk of rows), products exact when ``exact``, else residues modulo
+    ``moduli``.  A row is one choice of m nonzero entries, so there are
+    nnz**m rows, all with nonzero products.  A row holds its id and its
+    products in 8 bytes each and rmax block values; a chunk holds at
+    most CHUNK_BYTES of them.  Each call builds the chunks anew."""
+    rmax = min(m * d, n)
+    exact, arr = _entry_residues(flat, n, rmax, m, moduli)
+    nz = np.flatnonzero(np.array(flat, dtype=bool))
+    ix = _index_dtype(n)
+    digits = np.stack(np.unravel_index(nz, (n,) * d), axis=1).astype(ix)
+    vals = arr[:, nz]
     total = len(nz) ** m
+    row_bytes = 8 * (1 + len(vals)) + rmax * np.dtype(ix).itemsize
+    step = max(CHUNK_BYTES // row_bytes, 1)
+    mul = np.multiply if exact else moduli.mul
 
     def build() -> Iterator[tuple]:
         # one chunk, empty, when the tensor has no nonzero entry
-        for start in range(0, max(total, 1), CHUNK_SIZE):
+        for start in range(0, max(total, 1), step):
             yield _build_chunk(digits, vals, n, m, start,
-                               min(start + CHUNK_SIZE, total))
+                               min(start + step, total), mul)
 
-    return total, build
+    return exact, total, row_bytes, build
 
 
 def _slots(blockvals: np.ndarray, value: int) -> np.ndarray:
@@ -159,7 +179,7 @@ class PinnedScorer:
     grows with the pins.  A B row whose entry A never made has no A row
     of its type and pattern, adds nothing to any score, and is dropped.
 
-    A side of at most CACHE_MAX rows is built once and kept with its ids,
+    A side of at most CACHE_BYTES is built once and kept with its ids,
     so a pin refines each row once; a larger side is rebuilt chunk by
     chunk for every step and its ids replayed through the tables, which
     are sized by groups, not rows.
@@ -169,7 +189,11 @@ class PinnedScorer:
                  n: int, d: int, m: int) -> None:
         self.n = n
         self.rmax = min(m * d, n)
-        self.sweep = (sweep_rows(flat_a, n, d, m), sweep_rows(flat_b, n, d, m))
+        # every score is at most perm(N, F) * fmax**m
+        self.moduli = Moduli.for_bound(
+            math.perm(n, self.rmax) * f_bound(flat_a, flat_b) ** m)
+        self.sweep = (sweep_rows(flat_a, n, d, m, self.moduli),
+                      sweep_rows(flat_b, n, d, m, self.moduli))
         self.pins: tuple = ()
         self.types: dict[int, int] = {}  # A's type keys -> starting ids
         # free[k]: free blocks of each group at k pins; tables[k]: group
@@ -177,6 +201,13 @@ class PinnedScorer:
         self.free = [np.zeros(0, dtype=np.int64)]
         self.tables: list = []
         self.kept: list = [None, None]
+
+    def _sums(self, side: int, sums: np.ndarray) -> np.ndarray:
+        """Residues of one side's group sums (exact, or residues already);
+        the result may share memory with ``sums``."""
+        if self.sweep[side][0]:
+            return self.moduli.exact(sums[0])
+        return self.moduli.reduce(sums)
 
     def scores(self, pairs: Sequence[tuple[int, int]], pos: int,
                cands: Sequence[int]) -> tuple[dict[int, int], int]:
@@ -190,9 +221,10 @@ class PinnedScorer:
         slot.  A B row of group g reads W(g) unless it holds c, at slot
         s, when it reads W(g, s), so
         score[c] = sum G0[g] * W(g) + sum H[c, g, s] * (W(g, s) - W(g)),
-        G0 B's group sums and H those of the rows holding c, both in the
-        entry dtype, H in dense blocks of candidates of at most
-        CHUNK_SIZE cells; only nonzero sums meet the Python-int weights.
+        G0 B's group sums and H those of the rows holding c, H in dense
+        blocks of candidates of at most CHUNK_BYTES.  The weights and
+        both sums are taken modulo the scorer's moduli, and each score
+        is rebuilt from its residues.
         """
         pairs = tuple(pairs)
         assert pairs[:len(self.pins)] == self.pins  # each step extends the last
@@ -200,42 +232,49 @@ class PinnedScorer:
         for _ in range(len(self.tables), len(pairs)):
             self.tables.append(np.zeros(0, dtype=np.int64))
             self.free.append(np.zeros(0, dtype=np.int64))
+        res = self.moduli
         r = self.rmax
         w = r + 1
         free = self.n - len(pairs) - 1
         top = min(r, free)
-        weight = np.array([math.perm(free - j, top - j)
-                           for j in range(top + 1)], dtype=object)
-        sums = None
+        # perm(N - j, F - j) for j free blocks, 0 past F (and at index -1)
+        weight = res.of([math.perm(free - j, top - j) if j <= top else 0
+                         for j in range(r + 2)])
+        sums = np.zeros((1 if self.sweep[0][0] else res.size, 0), dtype=np.int64)
         for ids, blockvals, vals in self._side(0):
-            cells = np.zeros(len(self.free[-1]) * w, dtype=vals.dtype)
-            if sums is not None:  # the groups only grow
-                cells[:len(sums)] = sums
-            np.add.at(cells, ids * w + _slots(blockvals, pos), vals)
-            sums = cells
+            if sums.shape[1] < len(self.free[-1]) * w:  # the groups only grow
+                sums = np.concatenate([sums, np.zeros(
+                    (len(sums), len(self.free[-1]) * w - sums.shape[1]),
+                    dtype=np.int64)], axis=1)
+            scatter_add(sums, ids * w + _slots(blockvals, pos), vals)
+            if not self.sweep[0][0]:
+                res.reduce(sums)
         group_free = self.free[-1]
         groups = len(group_free)
         if not groups:  # A has no row, or B's rows were all dropped
             return dict.fromkeys(cands, 0), math.perm(free, top)
-        # W(g) and W(g, s) - W(g) per group and slot, in Python ints
-        wa = np.zeros(groups * w, dtype=object)
-        cell = np.flatnonzero(sums)
-        wa[cell] = sums[cell].astype(object) * weight[
-            group_free[cell // w] - (cell % w < r)]
-        wa = wa.reshape(groups, w)
-        stay, gain = wa[:, r], (wa[:, :r] - wa[:, r:]).reshape(-1)
+        # W(g) and W(g, s) - W(g) per group and slot
+        wa = self._sums(0, sums)
+        del sums
+        cell = np.arange(groups * w)
+        wa *= weight[:, group_free[cell // w] - (cell % w < r)]
+        res.reduce(wa)
+        stay = wa[:, r::w]
+        slot = (np.arange(groups)[:, None] * w + np.arange(r)).reshape(-1)
+        gain = res.sub(wa[:, slot], wa[:, slot + r - slot % w])
         # each candidate's place in cands; empty slots (-1) read index[n]
         index = np.full(self.n + 1, -1, dtype=_index_dtype(self.n))
         index[list(cands)] = np.arange(len(cands))
         size = groups * r  # cells per candidate
-        per = max(CHUNK_SIZE // max(size, 1), 1)  # candidates per block of H
-        base = 0
-        moved = [0] * len(cands)
+        exact_b = self.sweep[1][0]
+        # candidates per block of H
+        per = max(CHUNK_BYTES // (8 * (1 if exact_b else res.size) * size), 1)
+        total = np.zeros((res.size, len(cands)), dtype=np.int64)
         for ids, blockvals, vals in self._side(1):
-            g0 = np.zeros(groups, dtype=vals.dtype)
-            np.add.at(g0, ids, vals)
-            g = np.flatnonzero(g0)
-            base += (g0[g].astype(object) * stay[g]).sum()
+            g0 = np.zeros((len(vals), groups), dtype=np.int64)
+            scatter_add(g0, ids, vals)
+            # every score adds the sum over G0
+            total += res.mul(self._sums(1, g0), stay).sum(axis=1, keepdims=True)
             # a cell c * size + g * r + s per block s holding a candidate c
             cand = index[blockvals].reshape(-1)
             hold = np.flatnonzero(cand >= 0)
@@ -246,27 +285,29 @@ class PinnedScorer:
                 lo, hi = first * size, min(first + per, len(cands)) * size
                 inside = (slice(None) if per >= len(cands)
                           else (cell >= lo) & (cell < hi))
-                h = np.zeros(hi - lo, dtype=vals.dtype)
-                np.add.at(h, cell[inside] - lo, vals[row[inside]])
-                hit = np.flatnonzero(h)
-                part = h[hit].astype(object) * gain[hit % size]
+                h = np.zeros((len(vals), hi - lo), dtype=np.int64)
+                scatter_add(h, cell[inside] - lo, vals[:, row[inside]])
+                hit = np.flatnonzero(h.any(axis=0))
+                part = res.mul(self._sums(1, h[:, hit]), gain[:, hit % size])
                 # hit ascends, so each candidate's cells are one run
                 edges = np.searchsorted(hit, np.arange(0, hi - lo + 1, size))
-                for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
-                    moved[first + i] += part[a:b].sum()
+                run = np.zeros((res.size, len(hit) + 1), dtype=np.int64)
+                np.cumsum(part, axis=1, out=run[:, 1:])
+                total[:, first:first + len(edges) - 1] += \
+                    run[:, edges[1:]] - run[:, edges[:-1]]
+            total = res.reduce(total)
         if all(kept is not None for kept in self.kept):
             self.tables = [None] * len(pairs)  # no row is below these pins
-        return ({c: int(base + gain) for c, gain in zip(cands, moved)},
-                math.perm(free, top))
+        return dict(zip(cands, res.values(total))), math.perm(free, top)
 
     def _side(self, side: int) -> Iterator[tuple]:
         """Each chunk of one side's rows (0 for A, 1 for B) as (group ids
         at the current pins, block values, products)."""
-        count, build = self.sweep[side]
+        _, count, row_bytes, build = self.sweep[side]
         chunks = self.kept[side]
         if chunks is None:
             chunks = ([0, *self._types(side, *chunk)] for chunk in build())
-            if count <= CACHE_MAX:
+            if count * row_bytes <= CACHE_BYTES:
                 chunks = self.kept[side] = list(chunks)
         for chunk in chunks:
             for k in range(chunk[0], len(self.pins)):
@@ -316,4 +357,4 @@ def _live(ids: np.ndarray, blockvals: np.ndarray, vals: np.ndarray):
     keep = ids >= 0
     if keep.all():
         return ids, blockvals, vals
-    return ids[keep], blockvals[keep], vals[keep]
+    return ids[keep], blockvals[keep], vals[:, keep]

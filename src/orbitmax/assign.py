@@ -25,11 +25,14 @@ row per choice of 2k nonzero entries, its groups refined pin by pin
 over the extraction) or enumerates the cosets directly by
 ``_coset_values``, the one evaluator of f(g) over sets of permutations
 at d >= 2, which ``brute_max`` shares; an extraction enumerates a small
-coset once and sums blocks of it at every later step.
-``_pinned_scorer`` states how a step picks its route and charges the
-budget.  The d >= 2 engines and numpy are imported by the functions
-that use them, so a process that only works at d = 1 loads neither,
-and one that never sweeps does not load ``_typesweep``.
+coset once and sums blocks of it at every later step.  Both routes sum
+in int64 residues (``_residue``, by the rule beside
+``exact._INT64_MAX``) and rebuild only the sums a step reads out.
+``_pinned_scorer`` states how a step picks its route, by measured
+costs (``_enumeration_cheaper``), and charges the budget.  The d >= 2
+engines and numpy are imported by the functions that use them, so a
+process that only works at d = 1 loads neither, and one that never
+sweeps does not load ``_typesweep``.
 """
 
 from __future__ import annotations
@@ -484,16 +487,21 @@ def permutation_blocks(values: Sequence[int], max_rows: int):
         yield rows
 
 
-def _coset_values(nz_a, flat_b: Sequence[int], n: int, d: int, pairs):
+def _coset_values(nz_a, flat_b: Sequence[int], n: int, d: int, pairs,
+                  moduli=None):
     """f = <B, gA> over the coset fixed by ``pairs``, as numpy blocks
     (image rows, f) in ``itertools.permutations`` order of the free values.
 
     Each block gathers B at the images of A's nonzero entries, and
-    f = B[g(I)] @ a.  f is int64 when nnz * max|a| * max|b|, a bound on
-    every f, is at most ``_INT64_MAX`` (the int64 rule beside it in
-    ``exact``), and Python ints otherwise.  A block has at
-    most ``_CHUNK_SIZE // max(n, nnz)`` rows, so its image and gather
-    arrays stay within ``_CHUNK_SIZE`` elements.
+    f = B[g(I)] @ a.  Without ``moduli`` f is exact: int64 when
+    nnz * max|a| * max|b|, a bound on every f, is at most ``_INT64_MAX``
+    (the int64 rule beside it in ``exact``), and Python ints otherwise.
+    With ``moduli`` (a ``_residue.Moduli``) f comes as its residues,
+    shape (size, rows): reduced from the int64 f under that rule, and
+    above it from the entries by ``_residue.gathered_sums``.  A block
+    has at most ``_CHUNK_SIZE // max(n, nnz * gathers)`` rows, gathers
+    the arrays of B gathered per block, so its image and gather arrays
+    stay within ``_CHUNK_SIZE`` elements.
     """
     import numpy as np
 
@@ -504,11 +512,23 @@ def _coset_values(nz_a, flat_b: Sequence[int], n: int, d: int, pairs):
     nnz = len(nz_a)
     top_a = max((abs(v) for _, v in nz_a), default=0)
     top_b = max(map(abs, flat_b), default=0)
-    dtype = np.int64 if nnz * top_a * top_b <= _INT64_MAX else object
-    vals = np.array([v for _, v in nz_a], dtype=dtype)
-    flat = np.array(flat_b, dtype=dtype)
+    entries = [v for _, v in nz_a]
+    wide = nnz * top_a * top_b > _INT64_MAX
+    if not wide or moduli is None:
+        dtype = object if wide else np.int64
+        vals, flat = np.array(entries, dtype=dtype), np.array(flat_b, dtype=dtype)
+
+        def values(gflat):
+            f = flat[gflat] @ vals
+            return f if moduli is None else moduli.exact(f)
+        gathers = 1
+    else:  # f**m, read out of moduli, exceeds int64, so they are primes
+        from ._residue import gathered_sums
+
+        values, gathers = gathered_sums(entries, flat_b, moduli)
     digits = np.array([dg for dg, _ in nz_a], dtype=np.int64).reshape(nnz, d)
-    for rows in permutation_blocks(free_val, _CHUNK_SIZE // max(n, nnz)):
+    for rows in permutation_blocks(free_val,
+                                   _CHUNK_SIZE // max(n, nnz * gathers)):
         img = np.empty((len(rows), n), dtype=np.int64)
         for p, q in fixed.items():
             img[:, p] = q
@@ -516,39 +536,61 @@ def _coset_values(nz_a, flat_b: Sequence[int], n: int, d: int, pairs):
         gflat = img[:, digits[:, 0]]
         for t in range(1, d):
             gflat = gflat * n + img[:, digits[:, t]]
-        yield img, flat[gflat] @ vals
+        yield img, values(gflat)
 
 
 def _enumerate_coset_power_sums(nz_a, flat_b: Sequence[int], n: int, d: int,
-                                m: int, pairs, split_pos: int | None):
-    """Sums of <B, gA>**m over the coset fixed by ``pairs``, one per
-    value of g(split_pos), as an object array of Python ints indexed by
-    image (f**m is taken in Python ints whatever the dtype of f); with
-    ``split_pos`` None, f**m of each permutation of the coset, in the
-    order of ``_coset_values``."""
+                                m: int, pairs, split_pos: int | None, moduli):
+    """Residues modulo ``moduli`` of the sums of <B, gA>**m over the coset
+    fixed by ``pairs``, one per value of g(split_pos), shape (size, n)
+    indexed by image; with ``split_pos`` None, those of f**m of each
+    permutation of the coset, in the order of ``_coset_values``."""
     import numpy as np
 
-    powers = ((img, f.astype(object) ** m)
-              for img, f in _coset_values(nz_a, flat_b, n, d, pairs))
+    from ._residue import scatter_add
+
+    powers = ((img, moduli.power(f, m))
+              for img, f in _coset_values(nz_a, flat_b, n, d, pairs, moduli))
     if split_pos is None:
-        return np.concatenate([p for _, p in powers])
-    sums = np.zeros(n, dtype=object)
+        return np.concatenate([p for _, p in powers], axis=1)
+    sums = np.zeros((moduli.size, n), dtype=np.int64)
     for img, p in powers:
-        np.add.at(sums, img[:, split_pos], p)
+        scatter_add(sums, img[:, split_pos], p)
+        sums = moduli.reduce(sums)
     return sums
 
 
-def _enumeration_cheaper(evaluations: int, rows: int) -> bool:
-    """Direct coset enumeration beats the type sweep when the cosets are
-    small: ``evaluations``, len(cands) * (n - t)! * nnz(A) Python
-    operations, against the sweep's ``rows`` vectorised row visits
-    (plus the pattern tables, which stop compressing as t grows)."""
-    return evaluations <= max(200_000, rows // 4)
+# Measured route costs in nanoseconds (best of 3 warm calls on a 2-CPU
+# x86 VM, seeded d = 2 and d = 3 inputs outside the benchmark, entries
+# below 10): an enumeration evaluation costs 5-8, so 6.5; a sweep step
+# 200,000 plus 21-26 per row and index position (l = 2kd), and the step
+# that builds the rows 51-55 more per row and position, so 25 and 53
+_ENUM_NS = 6.5
+_STEP_NS = 200_000
+_ROW_NS = 25
+_BUILD_NS = 53
 
 
-# permutations of the coset a greedy extraction keeps, as many as the
-# sweep's CACHE_MAX rows; set here so that enumerating loads no sweep
-_KEEP_MAX = 1 << 21
+def _enumeration_cheaper(evaluations: int, rows: int, l: int, built: bool,
+                         later: Sequence[int] = ()) -> bool:
+    """Whether enumerating a step's cosets (``evaluations`` gathered
+    products) costs less than sweeping its ``rows``, each with l index
+    positions, a sweep whose rows are ``built`` already paying no build.
+
+    ``later`` holds, when this step's enumeration is kept and so ends
+    the extraction's work, the evaluations of the whole parent at each
+    later step: the sweep is then charged its steps up to the cheapest
+    later enumeration as well."""
+    step = _STEP_NS + _ROW_NS * l * rows
+    sweep = step + (0 if built else _BUILD_NS * l * rows)
+    sweep += min((_ENUM_NS * e + i * step for i, e in enumerate(later)),
+                 default=0)
+    return _ENUM_NS * evaluations <= sweep
+
+
+# bytes of the running sums of the coset a greedy extraction keeps: 2**21
+# permutations of one residue, as many as a sweep side keeps rows
+_KEEP_BYTES = 16 << 20
 
 
 def _pinned_scorer(ints_a: Sequence[int], ints_b: Sequence[int], n: int,
@@ -567,35 +609,45 @@ def _pinned_scorer(ints_a: Sequence[int], ints_b: Sequence[int], n: int,
     picks if that one fits the budget, else the other; a step neither
     fits is refused before any work, ``required`` the smaller count.
 
-    A step that enumerates every child of its parent coset enumerates
-    the parent once, keeping f**m of each permutation (up to _KEEP_MAX
-    of them) as running sums in ``itertools.permutations`` order.  A
+    The enumeration sums f**m in int64 residues (``_residue``) whose
+    moduli hold each child's sum, at most (n - t)! * fmax**m with fmax a
+    bound on |f|, and rebuilds only the candidates' sums.  A step that
+    enumerates every child of its parent coset enumerates the parent
+    once, keeping the running sums of f**m of each permutation (up to
+    _KEEP_BYTES of residues) in ``itertools.permutations`` order.  A
     later step's coset is one contiguous block of the kept ones, its
     children equal blocks within it, so it sums blocks and enumerates
     nothing.
     """
+    import numpy as np
+
+    from ._residue import Moduli, f_bound
+
     nz_a = _nonzero_digit_entries(ints_a, n, d)
     rows = max(len(nz_a), sum(1 for v in ints_b if v)) ** m
+    power_bound = f_bound(ints_a, ints_b) ** m
     sweep: list = []
     # the kept coset: its pairs, free positions and values, running sums
+    # and their moduli
     kept: list = []
 
     def kept_sums(pairs, pos: int, cands: Sequence[int]) -> dict:
         """The children's sums as blocks of the kept coset; the steps
         after it extend its pairs, fixing its free positions in order."""
-        base, positions, values, running = kept
+        base, positions, values, running, moduli = kept
         extra = pairs[len(base):]
         assert pairs[:len(base)] == base and \
             [p for p, _ in extra] + [pos] == positions[:len(extra) + 1]
-        start, size, values = 0, len(running) - 1, list(values)
+        start, size, values = 0, running.shape[1] - 1, list(values)
         for _, q in extra:
             size //= len(values)
             start += values.index(q) * size
             values.remove(q)
         size //= len(values)
-        lows = {c: start + values.index(c) * size for c in cands}
-        return {c: running[low + size] - running[low]
-                for c, low in lows.items()}
+        lows = [start + values.index(c) * size for c in cands]
+        ends = running[:, lows + [low + size for low in lows]]
+        return dict(zip(cands, moduli.values(moduli.sub(
+            ends[:, len(lows):], ends[:, :len(lows)]))))
 
     def _pinned_sums(pairs: Sequence[tuple[int, int]], pos: int,
                      cands: Sequence[int]):
@@ -606,25 +658,37 @@ def _pinned_scorer(ints_a: Sequence[int], ints_b: Sequence[int], n: int,
                 f"pinned step needs {evaluations} coset evaluations or "
                 f"{rows} sweep rows (n={n}, d={d}, 2k={m}), budget is {budget}",
                 required=min(evaluations, rows), budget=budget, k=m // 2)
-        if rows > budget or (evaluations <= budget
-                             and _enumeration_cheaper(evaluations, rows)):
+        if kept:  # within the budget: fewer evaluations than the step that kept it
+            return kept_sums(tuple(pairs), pos, cands), math.factorial(free)
+        whole = len(cands) + len(pairs) == n  # every child of the parent
+        # each child's sum of f**m is at most its (n - t)! * fmax**m
+        moduli = Moduli.for_bound(math.factorial(free) * power_bound)
+        keep = whole and 8 * moduli.size * math.factorial(free + 1) <= _KEEP_BYTES
+        # a kept parent ends the work of the later steps, whose parents
+        # have free!, (free - 1)!, ... permutations
+        later = [math.factorial(j) * len(nz_a) for j in range(free, 0, -1)] \
+            if keep else ()
+        if rows > budget or (evaluations <= budget and _enumeration_cheaper(
+                evaluations, rows, m * d, bool(sweep), later)):
             pairs = tuple(pairs)
-            whole = len(cands) + len(pairs) == n  # every child of the parent
-            if not kept and whole and math.factorial(free + 1) <= _KEEP_MAX:
+            if keep:
                 fixed = dict(pairs)
+                powers = _enumerate_coset_power_sums(nz_a, ints_b, n, d, m,
+                                                     pairs, None, moduli)
+                running = np.zeros((moduli.size, powers.shape[1] + 1),
+                                   dtype=np.int64)
+                np.cumsum(powers, axis=1, out=running[:, 1:])
                 kept.extend((pairs, [p for p in range(n) if p not in fixed],
                              [v for v in range(n) if v not in fixed.values()],
-                             list(itertools.accumulate(
-                                 _enumerate_coset_power_sums(
-                                     nz_a, ints_b, n, d, m, pairs, None).tolist(),
-                                 initial=0))))
-            if kept:
+                             moduli.reduce(running), moduli))
                 return kept_sums(pairs, pos, cands), math.factorial(free)
             # every child: one pass over the parent coset, split by image
             cosets = [pairs] if whole else [(*pairs, (pos, c)) for c in cands]
-            return (sum(_enumerate_coset_power_sums(nz_a, ints_b, n, d, m,
-                                                    coset, pos)
-                        for coset in cosets), math.factorial(free))
+            sums = sum(_enumerate_coset_power_sums(nz_a, ints_b, n, d, m,
+                                                   coset, pos, moduli)
+                       for coset in cosets)
+            return (dict(zip(cands, moduli.values(
+                moduli.reduce(sums[:, list(cands)])))), math.factorial(free))
         from . import _typesweep
 
         if not sweep:

@@ -22,9 +22,13 @@ from typing import Sequence
 # The one exactness rule of every int64 fast path: an engine computes in
 # int64 when a bound on every value it reads out is at most _INT64_MAX.
 # int64 arithmetic is exact modulo 2**64, so products and partial sums
-# between those values may wrap without changing them (the one-modulus
-# case of the modular method: von zur Gathen and Gerhard, *Modern Computer
-# Algebra*, ch. 5).
+# between those values may wrap without changing them.  This is the
+# one-modulus case of the modular method (von zur Gathen and Gerhard,
+# *Modern Computer Algebra*, ch. 5), which the pinned d >= 2 steps take
+# above the bound too: they compute modulo the fewest primes below 2**31
+# whose product exceeds the bound (a product of two residues fits in
+# int64) and rebuild only the values they read out, which are >= 0, by
+# the Chinese remainder theorem (``_residue``).
 _INT64_MAX = 2 ** 63 - 1
 
 __all__ = [

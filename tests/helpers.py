@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from orbitmax import _typesweep, assign
+from orbitmax import _residue, _typesweep, assign
 from orbitmax.hypergraph import Hypergraph
 from orbitmax.sphere import SparsePoly
 
@@ -355,8 +355,12 @@ def enumerated_coset_moment(a: assign.DenseTensor, b: assign.DenseTensor,
     ints_a, la = assign._int_scaled(a.entries)
     ints_b, lb = assign._int_scaled(b.entries)
     nz_a = assign._nonzero_digit_entries(ints_a, a.n, a.d)
-    total = int(assign._enumerate_coset_power_sums(
-        nz_a, ints_b, a.n, a.d, m, prefix.pairs, 0).sum())
+    # residues that hold the whole coset's sum, added up before rebuilding
+    moduli = _residue.Moduli.for_bound(
+        math.factorial(a.n - len(prefix)) * _residue.f_bound(ints_a, ints_b) ** m)
+    sums = assign._enumerate_coset_power_sums(
+        nz_a, ints_b, a.n, a.d, m, prefix.pairs, 0, moduli)
+    total, = moduli.values(moduli.reduce(sums.sum(axis=1, keepdims=True)))
     return (Fraction(total, math.factorial(a.n - len(prefix)))
             / (Fraction(la) ** m * Fraction(lb) ** m))
 

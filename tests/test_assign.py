@@ -17,7 +17,7 @@ from helpers import (brute_coset_average, brute_group_moment,
                      mask_build_chunk, pinned_coset_moment,
                      random_int_tensor, random_permutation,
                      random_rational_tensor, sweep_coset_moment)
-from orbitmax import _contract, _typesweep, assign, hypergraph
+from orbitmax import _contract, _residue, _typesweep, assign, hypergraph
 from orbitmax.assign import (DenseTensor, PartialAssignment, Permutation,
                              brute_max, coset_moment, greedy_extract,
                              matrix_element, moment_2k, sup_bounds)
@@ -1069,7 +1069,8 @@ class TestManyPinSweep:
         monkeypatch.setattr(assign, "_enumeration_cheaper", lambda *args: False)
         n, k = 16, 4
         digits = np.array([[0, 1], [2, 3]], dtype=np.int8)
-        keys = _typesweep._build_chunk(digits, np.array([1, 1]), n, 2 * k, 0, 4)[0]
+        keys = _typesweep._build_chunk(digits, np.array([[1, 1]]), n, 2 * k,
+                                       0, 4)[0]
         assert keys.dtype == object and len(set(keys.tolist())) == 4
         a = DenseTensor.from_sparse(n, 2, {(0, 1): 2, (1, 2): -1, (2, 0): 3})
         b = DenseTensor.from_sparse(n, 2, {(0, 1): 1, (1, 2): 2, (2, 1): -3})
@@ -1084,13 +1085,16 @@ _INT64_TOP = math.isqrt((2 ** 63 - 1) // math.perm(4, 4))
 
 
 class TestEntryDtypeBoundary:
-    """The sweep sums in int64 exactly while perm(n, rmax) * top**(2k)
-    fits in int64, and in Python ints above that."""
+    """The sweep sums exactly in int64 while perm(n, rmax) * top**(2k)
+    fits in int64, and in residues modulo primes above that."""
 
-    @pytest.mark.parametrize("top,dtype", [(_INT64_TOP, np.int64),
-                                           (_INT64_TOP + 1, object)])
+    # the ids keep the names of the tiers that summed above the boundary
+    # in Python ints ("object") before residues
+    @pytest.mark.parametrize("top,exact", [
+        pytest.param(_INT64_TOP, True, id=f"{_INT64_TOP}-int64"),
+        pytest.param(_INT64_TOP + 1, False, id=f"{_INT64_TOP + 1}-object")])
     @pytest.mark.parametrize("signs", ["equal", "mixed"])
-    def test_sweep_matches_brute_force(self, top, dtype, signs):
+    def test_sweep_matches_brute_force(self, top, exact, signs):
         n, d, k = 4, 2, 1
         rng = random.Random(top)
 
@@ -1099,7 +1103,10 @@ class TestEntryDtypeBoundary:
                     for _ in range(n ** d)]
 
         flat_a, flat_b = entries(), entries()
-        assert _typesweep._entry_array(flat_a, n, 4, 2 * k).dtype == dtype
+        moduli = _residue.Moduli.for_bound(2 ** 200)
+        side_exact, arr = _typesweep._entry_residues(flat_a, n, 4, 2 * k, moduli)
+        assert side_exact == exact
+        assert arr.shape == ((1, n ** d) if exact else (moduli.size, n ** d))
         a = DenseTensor.from_entries(n, d, flat_a)
         b = DenseTensor.from_entries(n, d, flat_b)
         moment = moment_2k(a, b, k)
@@ -1172,9 +1179,13 @@ class TestGreedyScores:
 
         whole = [_greedy_scores(flat_a, flat_b, n, d, m, c) for c in steps]
         assert extraction() == whole
-        monkeypatch.setattr(_typesweep, "CACHE_MAX", 100)
-        monkeypatch.setattr(_typesweep, "CHUNK_SIZE", 250)
-        count, chunks = _typesweep.sweep_rows(flat_a, n, d, m)
+        moduli = _typesweep.PinnedScorer(flat_a, flat_b, n, d, m).moduli
+        # both sides have entries of one tier, so rows of one size
+        row_bytes = _typesweep.sweep_rows(flat_a, n, d, m, moduli)[2]
+        monkeypatch.setattr(_typesweep, "CACHE_BYTES", 100 * row_bytes)
+        monkeypatch.setattr(_typesweep, "CHUNK_BYTES", 250 * row_bytes)
+        exact, count, _, chunks = _typesweep.sweep_rows(flat_a, n, d, m, moduli)
+        assert exact == (top == 3) and (moduli.size > 1) == (top > 3)
         assert count == sum(1 for v in flat_a if v) ** 2
         assert count % 250 and len(list(chunks())) == count // 250 + 1
         assert [_greedy_scores(flat_a, flat_b, n, d, m, c)
@@ -1200,8 +1211,10 @@ class TestGreedyScores:
         order = rng.sample(range(n), n)
         steps = [order[:t] for t in range(n)]
         whole = [_greedy_scores(flat_a, flat_b, n, d, m, c) for c in steps]
-        monkeypatch.setattr(_typesweep, "CACHE_MAX", (n * n) ** 2 - 1)
-        monkeypatch.setattr(_typesweep, "CHUNK_SIZE", 250)
+        # the dense side's 36**2 rows of 8-byte ids and products and 4
+        # int8 block values, less one byte
+        monkeypatch.setattr(_typesweep, "CACHE_BYTES", (n * n) ** 2 * 20 - 1)
+        monkeypatch.setattr(_typesweep, "CHUNK_BYTES", 250 * 20)
         scorer = _typesweep.PinnedScorer(flat_a, flat_b, n, d, m)
         assert [scorer.scores(tuple(enumerate(c)), len(c),
                               [j for j in range(n) if j not in c])[0]
@@ -1243,6 +1256,48 @@ class TestGreedyScores:
                 {0: 0, 1: 0, 3: 0}
 
 
+class TestStreamedSweepMemory:
+    """A streamed sweep holds at most CHUNK_BYTES of rows at a time, so
+    rows of several residues come in smaller chunks and its memory per
+    row does not grow with the residues."""
+
+    # tracemalloc peaks of the call below per row of a 4096-row chunk,
+    # measured at the commit before residues (its chunks were counted in
+    # rows, and entries near 10**13 were summed in Python ints)
+    @pytest.mark.parametrize("top,parent_bytes", [(3, 133), (10 ** 13, 217)])
+    def test_bytes_per_row(self, monkeypatch, top, parent_bytes):
+        import tracemalloc
+
+        rows, n = 4096, 12
+        # chunks of 4096 rows of one residue (8-byte ids and products, 4
+        # int8 block values), and a cache of two: both sides stream
+        monkeypatch.setattr(_typesweep, "CHUNK_BYTES", rows * 20)
+        monkeypatch.setattr(_typesweep, "CACHE_BYTES", 2 * rows * 20)
+        monkeypatch.setattr(assign, "_enumeration_cheaper", lambda *args: False)
+        rng = random.Random(1207)
+
+        def tensor():
+            return DenseTensor.from_entries(n, 2, [
+                rng.choice((-1, 1)) * rng.randint(1, top)
+                if rng.random() < 0.85 else 0 for _ in range(n * n)])
+
+        a, b = tensor(), tensor()
+        prefix = PartialAssignment(((0, 3), (5, 7)))
+        ints = [assign._int_scaled(x.entries)[0] for x in (a, b)]
+        scorer = _typesweep.PinnedScorer(*ints, n, 2, 2)
+        for exact, count, row_bytes, _ in scorer.sweep:
+            assert exact == (top == 3) and count * row_bytes > 2 * rows * 20
+        assert (scorer.moduli.size > 1) == (top > 3)
+        want = coset_moment(a, b, 1, prefix)  # warm: imports, moduli
+        tracemalloc.start()
+        try:
+            assert coset_moment(a, b, 1, prefix) == want
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= parent_bytes * rows
+
+
 def _random_pairs(rng, n, size):
     return tuple(zip(rng.sample(range(n), size), rng.sample(range(n), size)))
 
@@ -1257,38 +1312,48 @@ class TestSweepLabels:
             flat = [0] * n ** d
             for pos in rng.sample(range(n ** d), min(n ** d, 7)):
                 flat[pos] = rng.choice((-3, -1, 2, 5))
-            arr = _typesweep._entry_array(flat, n, min(m * d, n), m)
-            nz = np.flatnonzero(arr)
+            exact, arr = _typesweep._entry_residues(
+                flat, n, min(m * d, n), m, _residue.Moduli.for_bound(0))
+            assert exact
+            nz = np.flatnonzero(arr[0])
             digits = np.stack(np.unravel_index(nz, (n,) * d), axis=1) \
                 .astype(_typesweep._index_dtype(n))
             if n >= 128:
                 assert digits.dtype == np.int16
             total = len(nz) ** m
             for start, stop in ((0, total), (total // 3, total - 5)):
-                got = _typesweep._build_chunk(digits, arr[nz], n, m, start, stop)
-                want = mask_build_chunk(digits, arr[nz], n, m, start, stop)
-                for x, y in zip(got, want):
+                got = _typesweep._build_chunk(digits, arr[:, nz], n, m, start, stop)
+                want = mask_build_chunk(digits, arr[0, nz], n, m, start, stop)
+                for x, y in zip(got, (want[0], want[1], want[2][None])):
                     assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 class TestCosetEnumeration:
     """The numpy coset enumeration against the one-permutation-at-a-time
     loop in ``tests/helpers``, split by the first free position and by
-    the first pinned one, and added up."""
+    the first pinned one, and added up, its residues rebuilt by moduli
+    that hold the whole coset's sum."""
 
     @staticmethod
     def _check(flat_a, flat_b, n, d, m, pairs):
         nz_a = assign._nonzero_digit_entries(flat_a, n, d)
         free = [p for p in range(n) if p not in dict(pairs)]
+        moduli = _residue.Moduli.for_bound(
+            math.factorial(len(free)) * _residue.f_bound(flat_a, flat_b) ** m)
+        total = loop_coset_power_sums(nz_a, flat_b, n, d, m, pairs, None)
         for split_pos in free[:1] + [p for p, _ in pairs][:1]:
-            got = assign._enumerate_coset_power_sums(nz_a, flat_b, n, d, m,
-                                                     pairs, split_pos)
+            got = moduli.values(assign._enumerate_coset_power_sums(
+                nz_a, flat_b, n, d, m, pairs, split_pos, moduli))
             want = loop_coset_power_sums(nz_a, flat_b, n, d, m, pairs,
                                          split_pos)
             # images no permutation reaches read 0
-            assert got.tolist() == [want.get(j, 0) for j in range(n)]
-            assert sum(got) == loop_coset_power_sums(nz_a, flat_b, n, d, m,
-                                                     pairs, None)
+            assert got == [want.get(j, 0) for j in range(n)]
+            assert sum(got) == total
+        # f**m of each permutation, as the kept coset holds them
+        powers = assign._enumerate_coset_power_sums(nz_a, flat_b, n, d, m,
+                                                    pairs, None, moduli)
+        assert powers.shape == (moduli.size, math.factorial(len(free)))
+        assert sum(moduli.values(powers)) == total
 
     def test_random_cosets(self):
         rng = random.Random(601)
@@ -1313,14 +1378,17 @@ class TestCosetEnumeration:
         flat_b = list(range(n ** d))
         for pairs in ((), ((1, 2),), ((0, 0), (1, 1), (2, 3), (3, 2))):
             self._check([0] * n ** d, flat_b, n, d, 2, pairs)
-        assert assign._enumerate_coset_power_sums(
-            [], flat_b, n, d, 2, ((1, 2),), 0).tolist() == [0, 0, 0, 0]
+        moduli = _residue.Moduli.for_bound(0)
+        assert moduli.values(assign._enumerate_coset_power_sums(
+            [], flat_b, n, d, 2, ((1, 2),), 0, moduli)) == [0, 0, 0, 0]
 
     @pytest.mark.parametrize("case,dtype", [("at", np.int64), ("above", object)])
     @pytest.mark.parametrize("signs", ["equal", "mixed"])
     def test_int64_bound(self, monkeypatch, case, dtype, signs):
-        # nnz * max|a| * max|b| bounds every f and partial sum: f is
-        # int64 up to 2**63 - 1 and Python ints beyond
+        # nnz * max|a| * max|b| bounds every f and partial sum: the exact
+        # f is int64 up to 2**63 - 1 and Python ints beyond, and the
+        # enumeration's residues of f, reduced from the int64 f or summed
+        # in the residues of the entries, are those of the exact f
         if case == "at":
             nnz, top_a = 7, 7 * 73 * 127
             top_b = (2 ** 63 - 1) // (nnz * top_a)
@@ -1337,8 +1405,10 @@ class TestCosetEnumeration:
         values = assign._coset_values
 
         def spy(*args):
-            for img, f in values(*args):
-                seen.append(f.dtype)
+            *exact_args, moduli = args
+            for (img, f), (_, exact) in zip(values(*args), values(*exact_args)):
+                seen.append(exact.dtype)
+                assert np.array_equal(f, moduli.of(exact.tolist()))
                 yield img, f
 
         monkeypatch.setattr(assign, "_coset_values", spy)
@@ -1396,13 +1466,14 @@ class TestIntegerCombine:
         # its parent coset once, and each later step sums blocks of it
         calls = []
         enum = assign._enumerate_coset_power_sums
+        # the split position: None enumerates a parent to keep
         monkeypatch.setattr(assign, "_enumerate_coset_power_sums",
-                            lambda *a: calls.append(a[-1]) or enum(*a))
+                            lambda *a: calls.append(a[6]) or enum(*a))
         a, b = _oracle_pair("hyper-2-14")
         result = greedy_extract(a, b, 1)
         assert calls == [None]
         # with no coset kept, every enumerating step enumerates its parent
-        monkeypatch.setattr(assign, "_KEEP_MAX", 0)
+        monkeypatch.setattr(assign, "_KEEP_BYTES", 0)
         calls.clear()
         assert greedy_extract(a, b, 1) == result
         assert len(calls) > 1 and None not in calls
@@ -1721,15 +1792,24 @@ class TestPinnedOracle:
                             lambda *a: routes.append("enumerate") or enum(*a))
         a, b = _oracle_pair(shape)
         rng = random.Random(f"prefix-{shape}")
+        # under the measured costs, enumerating these cosets costs less
+        # than building and running a sweep
+        enumerated = {("dense-2-11", 4), ("hyper-3-9", 2), ("hyper-3-9", 4)}
         for size in (1, 2, 4):
             prefix = PartialAssignment(tuple(zip(rng.sample(range(a.n), size),
                                                  rng.sample(range(a.n), size))))
             routes.clear()
-            assert coset_moment(a, b, 1, prefix) == \
-                pinned_coset_moment(a, b, 1, prefix)
-            # only the 4-pin d = 3 coset is small enough to enumerate
-            assert routes == ["enumerate" if (shape, size) == ("hyper-3-9", 4)
-                              else "sweep"]
+            oracle = pinned_coset_moment(a, b, 1, prefix)
+            assert coset_moment(a, b, 1, prefix) == oracle
+            if (shape, size) not in enumerated:
+                assert routes == ["sweep"]
+                continue
+            assert routes == ["enumerate"]
+            # the sweep of the same coset, against the same oracle
+            with monkeypatch.context() as patch:
+                patch.setattr(assign, "_enumeration_cheaper", lambda *args: False)
+                assert coset_moment(a, b, 1, prefix) == oracle
+            assert routes == ["enumerate", "sweep"]
 
     def test_oracle_matches_brute_force(self):
         rng = random.Random(1601)
@@ -1898,7 +1978,13 @@ class TestPinnedRefusal:
 
     def test_sparse_coset_enumerates_under_the_sweep_rows(self, monkeypatch):
         # n = 9, d = 2, k = 2 and one pin: 8! * 20 = 806,400 evaluations
-        # against 37**4 = 1,874,161 rows, which the crossover sweeps
+        # against 37**4 = 1,874,161 rows.  Under the measured costs a
+        # sweep row costs more than an evaluation, so no step prefers the
+        # sweep with fewer evaluations than rows, and this coset
+        # enumerates at the default budget (``TestRouteCosts``).  A rule
+        # that prefers the sweep is patched in, so that the budget below
+        # the rows still reaches the fallback to the enumeration
+        monkeypatch.setattr(assign, "_enumeration_cheaper", lambda *args: False)
         rng = random.Random(925)
         a = TestManyPinSweep._sparse(rng, 9, 2, 20)
         b = TestManyPinSweep._sparse(rng, 9, 2, 37)
@@ -1928,6 +2014,211 @@ class TestPinnedRefusal:
         exc = self._least_budget(
             lambda budget: greedy_extract(a, b, 1, budget), 624)
         assert (exc.required, exc.budget) == (625, 624)
+
+
+class TestRouteCosts:
+    """A pinned step takes the route of the smaller measured cost: an
+    enumeration per evaluation against a sweep step's fixed cost and its
+    cost per row, the build included until the rows are built."""
+
+    def test_sparse_cosets_enumerate_at_the_default_budget(self, monkeypatch):
+        # two cosets that the rule max(200_000, rows // 4) sent to sweeps
+        # of about 0.8 s and 2 s, where their enumerations take 0.02 s:
+        # n = 9, one pin, 8! * 20 = 806,400 evaluations against
+        # 37**4 = 1,874,161 rows; n = 10, two pins, 8! * 40 = 1,612,800
+        # evaluations against 40**4 = 2,560,000 rows
+        rng = random.Random(925)
+        sparse = TestManyPinSweep._sparse
+        nine = (sparse(rng, 9, 2, 20), sparse(rng, 9, 2, 37),
+                PartialAssignment(((4, 1),)), 806_400, 1_874_161)
+        rng = random.Random(1040)
+        ten = (sparse(rng, 10, 2, 40), sparse(rng, 10, 2, 40),
+               PartialAssignment(((2, 5), (7, 0))), 1_612_800, 2_560_000)
+        routes = _route_spy(monkeypatch)
+        for a, b, prefix, evaluations, rows in (nine, ten):
+            nnz = [sum(1 for v in x.entries if v) for x in (a, b)]
+            assert math.factorial(a.n - len(prefix)) * nnz[0] == evaluations
+            assert max(nnz) ** 4 == rows
+            routes.clear()
+            assert coset_moment(a, b, 2, prefix) == \
+                TestManyPinSweep._completions_average(a, b, 2, prefix) != 0
+            assert routes == ["enumerate"]
+
+    def test_kept_enumeration_ends_the_extraction(self):
+        # a kept enumeration of the whole parent is weighed against the
+        # sweep of this step and the later ones up to the cheapest later
+        # enumeration; each later parent is a factor smaller
+        rows, l = 1000, 4
+        step = assign._STEP_NS + assign._ROW_NS * l * rows
+        alone = int(step / assign._ENUM_NS)
+        assert assign._enumeration_cheaper(alone, rows, l, True)
+        assert not assign._enumeration_cheaper(alone + 1, rows, l, True)
+        # unbuilt rows add their build to the sweep
+        assert assign._enumeration_cheaper(alone + 1, rows, l, False)
+        # a later whole-parent enumeration of 10 evaluations after this
+        # step's sweep
+        assert assign._enumeration_cheaper(alone + 10, rows, l, True, [10])
+        assert not assign._enumeration_cheaper(alone + 11, rows, l, True, [10])
+        # or after one more sweep step, where it is cheaper still
+        later = [10 ** 9, 10]
+        assert assign._enumeration_cheaper(2 * alone + 10, rows, l, True, later)
+        assert not assign._enumeration_cheaper(2 * alone + 12, rows, l, True, later)
+
+
+def _boundary_top(count: int) -> int:
+    """The largest t with count * t**2 <= 2**63 - 1."""
+    return math.isqrt((2 ** 63 - 1) // count)
+
+
+class TestResidueBoundaries:
+    """Both pinned routes are exact at the edges of their moduli: one
+    modulus 2**64 while the bound on what a step reads out is at most
+    2**63 - 1, primes from 2**63 on, a score whose residue modulo the
+    first prime is 0, and cleared rational entries near 10**13."""
+
+    @staticmethod
+    def _step_sums(a, b, k, enumerate_cosets, monkeypatch, pairs=(), pos=0):
+        """One pinned step's (sums, denominator, moduli) by one route."""
+        primes = []
+        for_bound = _residue.Moduli.for_bound
+
+        def spy(bound):
+            moduli = for_bound(bound)
+            primes.append(moduli.primes)
+            return moduli
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_residue.Moduli, "for_bound", staticmethod(spy))
+            patch.setattr(assign, "_enumeration_cheaper",
+                          lambda *args: enumerate_cosets)
+            ints_a = assign._int_scaled(a.entries)[0]
+            ints_b = assign._int_scaled(b.entries)[0]
+            used = {q for _, q in pairs}
+            cands = [c for c in range(a.n) if c not in used]
+            sums, den = assign._pinned_scorer(
+                ints_a, ints_b, a.n, a.d, 2 * k, 10 ** 8)(pairs, pos, cands)
+        return sums, den, primes[-1]
+
+    def test_primes_are_the_largest_below_two_to_the_31(self):
+        # the window holds the 16 listed primes and those found past them
+        window = range(2 ** 31 - 600, 2 ** 31)
+        primes = [p for p in window
+                  if all(p % q for q in range(2, math.isqrt(p) + 1))]
+        assert len(primes) > 16
+        assert [_residue._prime(i) for i in range(len(primes))] == primes[::-1]
+
+    def test_limbs_rebuild_their_values(self):
+        # the last limb is signed and within 2**22, the others in 0..2**22 - 1
+        rng = random.Random(22)
+        cases = [0, 1, -1, 2 ** 22 - 1, 2 ** 22, -2 ** 22, 2 ** 44, -2 ** 44,
+                 -2 ** 44 - 1, *(rng.randint(-2 ** 300, 2 ** 300) for _ in range(5))]
+        for values in ([0], cases[:9], cases):
+            limbs = _residue._limbs(values)
+            assert np.abs(limbs).max() <= 2 ** 22 and (limbs[:-1] >= 0).all()
+            assert [sum(int(x) << 22 * k for k, x in enumerate(col))
+                    for col in limbs.T] == values
+
+    def test_moduli_at_int64_max(self):
+        one = _residue.Moduli.for_bound(2 ** 63 - 1)
+        several = _residue.Moduli.for_bound(2 ** 63)
+        assert one.primes == () and one.size == 1
+        assert len(several.primes) == several.size == 3
+        assert math.prod(several.primes[:2]) < 2 ** 63 < math.prod(several.primes)
+        for moduli, top in ((one, 2 ** 63 - 1), (several, 2 ** 63)):
+            values = [0, 1, 2 ** 31 - 1, top - 1, top]
+            assert moduli.values(moduli.of(values)) == values
+            # products and differences wrap or reduce, the values do not
+            half = moduli.of([top // 2])
+            assert moduli.values(moduli.sub(moduli.mul(half, moduli.of([2])),
+                                            moduli.of([top % 2]))) == \
+                [top - 2 * (top % 2)]
+
+    @pytest.mark.parametrize("above", [False, True], ids=["at", "above"])
+    @pytest.mark.parametrize("enumerate_cosets", [False, True],
+                             ids=["sweep", "enumerate"])
+    def test_bound_at_int64_max(self, monkeypatch, above, enumerate_cosets):
+        # n = 4, d = 2, k = 1 with A's 16 entries +-1 and B's +-t: every
+        # |f| is at most 16 t, so the sweep's scores are at most
+        # perm(4, 4) * (16 t)**2 and an enumerated child's sum at most
+        # N! * (16 t)**2, N its free coordinates.  The largest t within
+        # 2**63 - 1 takes the one modulus, whose products wrap on the
+        # way, and t + 1 takes primes
+        n, d, k = 4, 2, 1
+        rng = random.Random(f"boundary-{above}-{enumerate_cosets}")
+        for pairs, pos in (((), 0), (((0, 2),), 1)):
+            free = n - len(pairs) - 1
+            count = 256 * (math.factorial(free) if enumerate_cosets else 24)
+            t = _boundary_top(count) + above
+            assert (count * t ** 2 > 2 ** 63 - 1) == above
+            # equal signs first: f = 16 t everywhere, the largest sums
+            for signs in ((1,), (-1, 1)):
+                a = DenseTensor.from_entries(n, d, [rng.choice(signs)
+                                                    for _ in range(n ** d)])
+                b = DenseTensor.from_entries(n, d, [rng.choice(signs) * t
+                                                    for _ in range(n ** d)])
+                sums, den, primes = self._step_sums(
+                    a, b, k, enumerate_cosets, monkeypatch, pairs, pos)
+                assert bool(primes) == above
+                for c, score in sums.items():
+                    prefix = PartialAssignment(pairs + ((pos, c),))
+                    assert Fraction(score, den) == \
+                        brute_coset_average(a, b, k, prefix)
+                if signs == (1,):  # within a factor 12 of the bound
+                    assert 12 * max(sums.values()) >= count * t ** 2
+
+    @pytest.mark.parametrize("enumerate_cosets", [False, True],
+                             ids=["sweep", "enumerate"])
+    def test_score_zero_modulo_the_first_prime(self, monkeypatch,
+                                               enumerate_cosets):
+        # B = p * B' with p the first prime makes every f a multiple of p,
+        # so every score is 0 modulo p and rebuilt from the other primes
+        p = _residue._prime(0)
+        assert p == 2 ** 31 - 1
+        rng = random.Random(2031)
+        n, d, k = 5, 2, 1
+        a = random_int_tensor(rng, n, d, -3, 3)
+        b = DenseTensor.from_entries(n, d, [p * rng.randint(-3, 3)
+                                            for _ in range(n ** d)])
+        for pairs, pos in (((), 0), (((0, 3), (1, 1)), 2)):
+            sums, den, primes = self._step_sums(a, b, k, enumerate_cosets,
+                                                monkeypatch, pairs, pos)
+            assert primes[0] == p
+            for c, score in sums.items():
+                assert score % p == 0 and score != 0
+                prefix = PartialAssignment(pairs + ((pos, c),))
+                assert Fraction(score, den) == brute_coset_average(a, b, k, prefix)
+
+    @pytest.mark.parametrize("n,k", [(5, 2), (6, 1), (7, 1)])
+    @pytest.mark.parametrize("enumerate_cosets", [False, True],
+                             ids=["sweep", "enumerate"])
+    def test_rational_entries_near_ten_to_the_thirteen(self, monkeypatch, n, k,
+                                                       enumerate_cosets):
+        # numerators within 10**13 +- 1000 over denominators 1..4: cleared
+        # entries near 1.2e14, f beyond int64, several primes on both routes
+        monkeypatch.setattr(assign, "_enumeration_cheaper",
+                            lambda *args: enumerate_cosets)
+        routes = _route_spy(monkeypatch)
+        rng = random.Random(f"rational-{n}-{k}")
+
+        def tensor():
+            return DenseTensor.from_entries(n, 2, [Fraction(
+                rng.choice((-1, 1)) * rng.randint(10 ** 13 - 1000, 10 ** 13 + 1000),
+                rng.randint(1, 4)) for _ in range(n * n)])
+
+        a, b = tensor(), tensor()
+        for size in (n - 4, n - 3):
+            prefix = PartialAssignment(tuple(zip(rng.sample(range(n), size),
+                                                 rng.sample(range(n), size))))
+            got = coset_moment(a, b, k, prefix)
+            assert got == brute_coset_average(a, b, k, prefix)
+            if k == 1:  # the expansion's Python-int einsums take seconds at k = 2
+                assert got == pinned_coset_moment(a, b, k, prefix)
+        assert set(routes) == {"enumerate" if enumerate_cosets else "sweep"}
+        if k == 2:  # sweeping every greedy step of 25**4 rows takes seconds
+            return
+        result = greedy_extract(a, b, k)
+        assert result.value == matrix_element(a, b, result.permutation)
+        assert result.value ** (2 * k) >= moment_2k(a, b, k)
 
 
 class TestBruteMax:
