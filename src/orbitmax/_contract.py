@@ -71,8 +71,9 @@ looks up a shipped one reads it too.  The files are JSON written by
 the builder itself, never edited by hand: after any change to how a
 plan is built, rewrite them with ``python -m orbitmax._contract``.
 
-Tensors are passed in as plain integer lists (callers clear rational
-denominators first and rescale the results).
+Tensors are passed in as flat sequences of integers: the cleared
+entries ``assign.DenseTensor`` holds from the moment it is built, whose
+one scale ``assign`` applies to the result.
 """
 
 from __future__ import annotations

@@ -46,7 +46,8 @@ def _prime(i: int) -> int:
 
 def f_bound(flat_a: Sequence[int], flat_b: Sequence[int]) -> int:
     """A bound on |<B, gA>| over every g: each entry of one side meets a
-    distinct entry of the other, so min(sum|a| max|b|, sum|b| max|a|)."""
+    distinct entry of the other, so min(sum|a| max|b|, sum|b| max|a|).
+    Zero entries add nothing, so each side may pass its nonzero ones."""
     abs_a, abs_b = [abs(v) for v in flat_a], [abs(v) for v in flat_b]
     return min(sum(abs_a) * max(abs_b, default=0),
                sum(abs_b) * max(abs_a, default=0))

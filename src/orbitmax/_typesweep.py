@@ -39,8 +39,9 @@ The pins are passed explicitly, A's positions and B's images, so a
 coset of ``assign.coset_moment`` is the one candidate of a step as it
 stands.
 
-Tensors are passed in as plain integer lists (callers clear rational
-denominators first and rescale the results).
+Tensors are passed in as flat sequences of integers: the cleared
+entries ``assign.DenseTensor`` holds from the moment it is built, whose
+one scale ``assign`` applies to the scores.
 """
 
 from __future__ import annotations

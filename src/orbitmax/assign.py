@@ -29,7 +29,13 @@ coset once and sums blocks of it at every later step.  Both routes sum
 in int64 residues (``_residue``, by the rule beside
 ``exact._INT64_MAX``) and rebuild only the sums a step reads out.
 ``_pinned_scorer`` states how a step picks its route, by measured
-costs (``_enumeration_cheaper``), and charges the budget.  The d >= 2
+costs (``_enumeration_cheaper``), and charges the budget.
+
+Denominators are cleared once per tensor, when it is built: a
+``DenseTensor`` holds its entries as integers over one denominator,
+with the positions of its nonzero entries.  Every engine here computes
+in those integers, reads only the nonzero positions where zeros add
+nothing, and divides by the scale once, at the end.  The d >= 2
 engines and numpy are imported by the functions that use them, so a
 process that only works at d = 1 loads neither, and one that never
 sweeps does not load ``_typesweep``.
@@ -40,13 +46,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .bounds import Interval
 from .errors import BudgetError
-from .exact import (_INT64_MAX, _int_scaled, format_rational, parse_budget, parse_int,
+from .exact import (_INT64_MAX, format_rational, parse_budget, parse_int,
                     parse_ints, parse_list, parse_rational, parse_rationals)
 
 __all__ = [
@@ -57,7 +63,6 @@ __all__ = [
     "PartialAssignment",
     "GreedyResult",
     "BruteResult",
-    "apply_perm",
     "matrix_element",
     "moment_2k",
     "sup_bounds",
@@ -74,24 +79,67 @@ DEFAULT_VISIT_BUDGET = 10 ** 8
 DEFAULT_BRUTE_CAP = 9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class DenseTensor:
     """Order-d array with side n over exact rationals, row-major, 0-based.
-    The shape and every index are read with ``exact.parse_int``, and the
-    entries with ``exact.parse_rationals``."""
+
+    The entries are cleared once, when the tensor is built, into three
+    read-only attributes the engines read: ``ints``, the integers
+    den * x of the entries x, ``den``, the least positive denominator
+    that clears them (so ``(list(ints), den)`` is what
+    ``exact._int_scaled`` returns on the entries), and ``nonzero``, the
+    ascending row-major positions of the nonzero entries.  The engines
+    compute in these integers and apply the scale once, at the end;
+    ``entries`` is a view of the entries as ``Fraction``s in lowest
+    terms, built on each access.  Tensors are equal when their n, d and
+    entries are.  The shape and every index are read with
+    ``exact.parse_int``, and the entries with ``exact.parse_rationals``.
+    """
 
     n: int
     d: int
-    entries: tuple[Fraction, ...]
+    den: int
+    ints: tuple[int, ...]
+    nonzero: tuple[int, ...] = field(compare=False)
 
-    def __post_init__(self) -> None:
-        n, d = _shape(self.n, self.d)
-        entries = parse_rationals(self.entries)
-        if len(entries) != n ** d:
-            raise ValueError(f"expected {n ** d} entries, got {len(entries)}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, n: int, d: int,
+                 entries: Iterable[Fraction | int | str]) -> None:
+        n, d = _shape(n, d)
+        values = parse_rationals(entries)
+        if len(values) != n ** d:
+            raise ValueError(f"expected {n ** d} entries, got {len(values)}")
+        self._clear(n, d, [(v, (i,)) for i, v in enumerate(values) if v])
+
+    def _clear(self, n: int, d: int,
+               groups: Sequence[tuple[Fraction, Iterable[int]]]) -> None:
+        """Set the tensor holding each value of ``groups`` at its
+        row-major positions and 0 elsewhere: the values are cleared
+        once, by the least common multiple of their denominators, and
+        scattered."""
+        den = math.lcm(*{v.denominator for v, _ in groups})
+        ints = [0] * n ** d
+        for v, positions in groups:
+            x = v.numerator * (den // v.denominator)
+            for p in positions:
+                ints[p] = x
+        for name, value in (("n", n), ("d", d), ("ints", tuple(ints)), ("den", den),
+                            ("nonzero", tuple(itertools.compress(range(n ** d), ints)))):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _scattered(cls, n: int, d: int,
+                   groups: Sequence[tuple[Fraction, Iterable[int]]]) -> "DenseTensor":
+        """The tensor of ``_clear``, for a shape already read."""
+        t = object.__new__(cls)
+        t._clear(n, d, groups)
+        return t
+
+    def __repr__(self) -> str:
+        return f"DenseTensor(n={self.n!r}, d={self.d!r}, entries={self.entries!r})"
+
+    @property
+    def entries(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self.den) for v in self.ints)
 
     @classmethod
     def from_entries(cls, n: int, d: int,
@@ -103,21 +151,21 @@ class DenseTensor:
                     items: Mapping[tuple[int, ...], Fraction | int | str]
                     ) -> "DenseTensor":
         n, d = _shape(n, d)
-        flat = [Fraction(0)] * n ** d
-        for idx, val in items.items():
-            flat[_flat_index(parse_ints(idx), n, d)] = val
-        return cls(n, d, tuple(flat))
+        positions = [_flat_index(parse_ints(idx), n, d) for idx in items]
+        # keys such as (0,) and ("0",) name one entry: the later one holds it
+        flat = dict(zip(positions, parse_rationals(items.values())))
+        return cls._scattered(n, d, [(v, (p,)) for p, v in flat.items()])
 
     @classmethod
     def zeros(cls, n: int, d: int) -> "DenseTensor":
         return cls.from_sparse(n, d, {})
 
     def get(self, idx: Sequence[int]) -> Fraction:
-        return self.entries[_flat_index(parse_ints(idx), self.n, self.d)]
+        return Fraction(self.ints[_flat_index(parse_ints(idx), self.n, self.d)], self.den)
 
     @property
     def is_zero_one(self) -> bool:
-        return all(v == 0 or v == 1 for v in self.entries)
+        return self.den == 1 and all(self.ints[p] == 1 for p in self.nonzero)
 
 
 def _shape(n: int, d: int) -> tuple[int, int]:
@@ -140,6 +188,15 @@ def _flat_index(idx: tuple[int, ...], n: int, d: int) -> int:
     return flat
 
 
+def _digits(flat: int, n: int, d: int) -> tuple[int, ...]:
+    """The index of row-major position ``flat``: ``_flat_index`` undone."""
+    idx = []
+    for _ in range(d):
+        flat, i = divmod(flat, n)
+        idx.append(i)
+    return tuple(reversed(idx))
+
+
 @dataclass(frozen=True)
 class Permutation:
     """A bijection of {0..n-1}; images[i] = g(i), each read with
@@ -153,10 +210,6 @@ class Permutation:
         if sorted(self.images) != list(range(n)):
             raise ValueError(f"not a permutation of 0..{n - 1}: {self.images}")
 
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
-
     @property
     def n(self) -> int:
         return len(self.images)
@@ -166,17 +219,6 @@ class Permutation:
 
     def apply_index(self, idx: Sequence[int]) -> tuple[int, ...]:
         return tuple(self.images[i] for i in idx)
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(tuple(inv))
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        """Composition: (g * h)(i) = g(h(i))."""
-        return Permutation(tuple(self.images[other.images[i]]
-                                 for i in range(self.n)))
 
 
 @dataclass(frozen=True)
@@ -231,26 +273,22 @@ def _check_shapes(a: DenseTensor, b: DenseTensor) -> None:
             f"tensor shapes differ: (n={a.n}, d={a.d}) vs (n={b.n}, d={b.d})")
 
 
-def apply_perm(g: Permutation, x: DenseTensor) -> DenseTensor:
-    """Relabelled tensor gX with (gX)[g(i1),...,g(id)] = X[i1,...,id]."""
-    if g.n != x.n:
-        raise ValueError(f"permutation on {g.n} points, tensor side {x.n}")
-    n, d = x.n, x.d
-    out = [Fraction(0)] * n ** d
-    for digits, val in _nonzero_digit_entries(x.entries, n, d):
-        out[_flat_index(g.apply_index(digits), n, d)] = val
-    return DenseTensor(n, d, tuple(out))
-
-
 def matrix_element(a: DenseTensor, b: DenseTensor, g: Permutation) -> Fraction:
-    """Exact inner product <B, gA> = sum_I a_I * b_{g(I)}."""
+    """Exact inner product <B, gA> = sum_I a_I * b_{g(I)}: the integer
+    products over A's nonzero entries, divided once by both scales."""
     _check_shapes(a, b)
     if g.n != a.n:
         raise ValueError(f"permutation on {g.n} points, tensors on {a.n}")
-    total = Fraction(0)
-    for digits, val in _nonzero_digit_entries(a.entries, a.n, a.d):
-        total += val * b.entries[_flat_index(g.apply_index(digits), b.n, b.d)]
-    return total
+    n, images, ints_a, ints_b = a.n, g.images, a.ints, b.ints
+    total = 0
+    for pos in a.nonzero:
+        image, rest, place = 0, pos, 1
+        for _ in range(a.d):
+            rest, i = divmod(rest, n)
+            image += images[i] * place
+            place *= n
+        total += ints_a[pos] * ints_b[image]
+    return Fraction(total, a.den * b.den)
 
 
 @functools.lru_cache(maxsize=64)
@@ -393,21 +431,24 @@ def moment_2k(a: DenseTensor, b: DenseTensor, k: int,
         raise ValueError("k must be >= 1")
     budget = parse_budget(visit_budget, DEFAULT_VISIT_BUDGET)
     n, m = a.n, 2 * k
-    ints_a, la = _int_scaled(a.entries)
-    ints_b, lb = _int_scaled(b.entries)
-    scale = Fraction(la) ** m * Fraction(lb) ** m
+    scale = _scale(a, b, m)
     if a.d == 1:
         top = min(m, n)
         _d1_check_budget(n, m, {top: 1}, budget)
         plan = _d1_plan(m, top)
-        weights = _d1_weights(plan, m, n, _power_sums(ints_a, m))
-        total = _d1_pair(plan, m, weights, _power_sums(ints_b, m), 0)
+        weights = _d1_weights(plan, m, n, _power_sums(a.ints, m))
+        total = _d1_pair(plan, m, weights, _power_sums(b.ints, m), 0)
         return Fraction(total, math.perm(n, top)) / scale
     # imported here: processes that never take this path (d = 1) do not
     # compile it or import numpy
     from . import _contract
 
-    return _contract.moment(ints_a, ints_b, n, a.d, m, budget) / scale
+    return _contract.moment(a.ints, b.ints, n, a.d, m, budget) / scale
+
+
+def _scale(a: DenseTensor, b: DenseTensor, m: int) -> Fraction:
+    """(den_a * den_b)**m, the scale of f**m in the cleared integers."""
+    return Fraction(a.den) ** m * Fraction(b.den) ** m
 
 
 def bound_factor_exact(a: DenseTensor, b: DenseTensor, k: int) -> int:
@@ -429,17 +470,9 @@ def sup_bounds(a: DenseTensor, b: DenseTensor, k: int,
     return Interval.from_moment(moment, bound_factor_exact(a, b, k), k)
 
 
-def _nonzero_digit_entries(flat: Sequence, n: int, d: int) -> list[tuple]:
-    """(digits, value) for each nonzero entry of a row-major flat tensor."""
-    out = []
-    for idx, val in enumerate(flat):
-        if val:
-            digits = []
-            for _ in range(d):
-                idx, dig = divmod(idx, n)
-                digits.append(dig)
-            out.append((tuple(reversed(digits)), val))
-    return out
+def _nonzero_values(t: DenseTensor) -> list[int]:
+    """The cleared integers of t's nonzero entries, in row-major order."""
+    return [t.ints[p] for p in t.nonzero]
 
 
 _CHUNK_SIZE = 1 << 20  # elements of one enumeration block's image array
@@ -487,15 +520,15 @@ def permutation_blocks(values: Sequence[int], max_rows: int):
         yield rows
 
 
-def _coset_values(nz_a, flat_b: Sequence[int], n: int, d: int, pairs,
-                  moduli=None):
+def _coset_values(a: DenseTensor, b: DenseTensor, pairs, moduli=None):
     """f = <B, gA> over the coset fixed by ``pairs``, as numpy blocks
     (image rows, f) in ``itertools.permutations`` order of the free values.
 
-    Each block gathers B at the images of A's nonzero entries, and
-    f = B[g(I)] @ a.  Without ``moduli`` f is exact: int64 when
-    nnz * max|a| * max|b|, a bound on every f, is at most ``_INT64_MAX``
-    (the int64 rule beside it in ``exact``), and Python ints otherwise.
+    Each block gathers B's integers at the images of A's nonzero
+    entries, and f = B[g(I)] @ a in the cleared integers.  Without
+    ``moduli`` f is exact: int64 when nnz * max|a| * max|b|, a bound on
+    every f, is at most ``_INT64_MAX`` (the int64 rule beside it in
+    ``exact``), and Python ints otherwise.
     With ``moduli`` (a ``_residue.Moduli``) f comes as its residues,
     shape (size, rows): reduced from the int64 f under that rule, and
     above it from the entries by ``_residue.gathered_sums``.  A block
@@ -505,14 +538,15 @@ def _coset_values(nz_a, flat_b: Sequence[int], n: int, d: int, pairs,
     """
     import numpy as np
 
+    n, d, flat_b = a.n, a.d, b.ints
     fixed = dict(pairs)
     free_pos = [p for p in range(n) if p not in fixed]
     used = set(fixed.values())
     free_val = [v for v in range(n) if v not in used]
-    nnz = len(nz_a)
-    top_a = max((abs(v) for _, v in nz_a), default=0)
-    top_b = max(map(abs, flat_b), default=0)
-    entries = [v for _, v in nz_a]
+    entries = _nonzero_values(a)
+    nnz = len(entries)
+    top_a = max(map(abs, entries), default=0)
+    top_b = max(map(abs, _nonzero_values(b)), default=0)
     wide = nnz * top_a * top_b > _INT64_MAX
     if not wide or moduli is None:
         dtype = object if wide else np.int64
@@ -526,7 +560,8 @@ def _coset_values(nz_a, flat_b: Sequence[int], n: int, d: int, pairs,
         from ._residue import gathered_sums
 
         values, gathers = gathered_sums(entries, flat_b, moduli)
-    digits = np.array([dg for dg, _ in nz_a], dtype=np.int64).reshape(nnz, d)
+    digits = np.stack(np.unravel_index(np.array(a.nonzero, dtype=np.int64),
+                                       (n,) * d), axis=1)
     for rows in permutation_blocks(free_val,
                                    _CHUNK_SIZE // max(n, nnz * gathers)):
         img = np.empty((len(rows), n), dtype=np.int64)
@@ -539,21 +574,22 @@ def _coset_values(nz_a, flat_b: Sequence[int], n: int, d: int, pairs,
         yield img, values(gflat)
 
 
-def _enumerate_coset_power_sums(nz_a, flat_b: Sequence[int], n: int, d: int,
-                                m: int, pairs, split_pos: int | None, moduli):
+def _enumerate_coset_power_sums(a: DenseTensor, b: DenseTensor, m: int, pairs,
+                                split_pos: int | None, moduli):
     """Residues modulo ``moduli`` of the sums of <B, gA>**m over the coset
-    fixed by ``pairs``, one per value of g(split_pos), shape (size, n)
-    indexed by image; with ``split_pos`` None, those of f**m of each
-    permutation of the coset, in the order of ``_coset_values``."""
+    fixed by ``pairs``, in the cleared integers, one per value of
+    g(split_pos), shape (size, n) indexed by image; with ``split_pos``
+    None, those of f**m of each permutation of the coset, in the order
+    of ``_coset_values``."""
     import numpy as np
 
     from ._residue import scatter_add
 
     powers = ((img, moduli.power(f, m))
-              for img, f in _coset_values(nz_a, flat_b, n, d, pairs, moduli))
+              for img, f in _coset_values(a, b, pairs, moduli))
     if split_pos is None:
         return np.concatenate([p for _, p in powers], axis=1)
-    sums = np.zeros((moduli.size, n), dtype=np.int64)
+    sums = np.zeros((moduli.size, a.n), dtype=np.int64)
     for img, p in powers:
         scatter_add(sums, img[:, split_pos], p)
         sums = moduli.reduce(sums)
@@ -593,9 +629,9 @@ def _enumeration_cheaper(evaluations: int, rows: int, l: int, built: bool,
 _KEEP_BYTES = 16 << 20
 
 
-def _pinned_scorer(ints_a: Sequence[int], ints_b: Sequence[int], n: int,
-                   d: int, m: int, budget: int):
-    """The d >= 2 step scorer ``_pinned_sums`` of one extraction.
+def _pinned_scorer(a: DenseTensor, b: DenseTensor, m: int, budget: int):
+    """The d >= 2 step scorer ``_pinned_sums`` of one extraction, in the
+    cleared integers of a and b.
 
     ``_pinned_sums(pairs, pos, cands)`` returns, for each image c in
     ``cands``, the sum of f**m over the coset fixing ``pairs`` and
@@ -623,9 +659,9 @@ def _pinned_scorer(ints_a: Sequence[int], ints_b: Sequence[int], n: int,
 
     from ._residue import Moduli, f_bound
 
-    nz_a = _nonzero_digit_entries(ints_a, n, d)
-    rows = max(len(nz_a), sum(1 for v in ints_b if v)) ** m
-    power_bound = f_bound(ints_a, ints_b) ** m
+    n, d, nnz = a.n, a.d, len(a.nonzero)
+    rows = max(nnz, len(b.nonzero)) ** m
+    power_bound = f_bound(_nonzero_values(a), _nonzero_values(b)) ** m
     sweep: list = []
     # the kept coset: its pairs, free positions and values, running sums
     # and their moduli
@@ -652,7 +688,7 @@ def _pinned_scorer(ints_a: Sequence[int], ints_b: Sequence[int], n: int,
     def _pinned_sums(pairs: Sequence[tuple[int, int]], pos: int,
                      cands: Sequence[int]):
         free = n - len(pairs) - 1
-        evaluations = len(cands) * math.factorial(free) * max(len(nz_a), 1)
+        evaluations = len(cands) * math.factorial(free) * max(nnz, 1)
         if min(evaluations, rows) > budget:
             raise BudgetError(
                 f"pinned step needs {evaluations} coset evaluations or "
@@ -666,15 +702,14 @@ def _pinned_scorer(ints_a: Sequence[int], ints_b: Sequence[int], n: int,
         keep = whole and 8 * moduli.size * math.factorial(free + 1) <= _KEEP_BYTES
         # a kept parent ends the work of the later steps, whose parents
         # have free!, (free - 1)!, ... permutations
-        later = [math.factorial(j) * len(nz_a) for j in range(free, 0, -1)] \
+        later = [math.factorial(j) * nnz for j in range(free, 0, -1)] \
             if keep else ()
         if rows > budget or (evaluations <= budget and _enumeration_cheaper(
                 evaluations, rows, m * d, bool(sweep), later)):
             pairs = tuple(pairs)
             if keep:
                 fixed = dict(pairs)
-                powers = _enumerate_coset_power_sums(nz_a, ints_b, n, d, m,
-                                                     pairs, None, moduli)
+                powers = _enumerate_coset_power_sums(a, b, m, pairs, None, moduli)
                 running = np.zeros((moduli.size, powers.shape[1] + 1),
                                    dtype=np.int64)
                 np.cumsum(powers, axis=1, out=running[:, 1:])
@@ -684,15 +719,14 @@ def _pinned_scorer(ints_a: Sequence[int], ints_b: Sequence[int], n: int,
                 return kept_sums(pairs, pos, cands), math.factorial(free)
             # every child: one pass over the parent coset, split by image
             cosets = [pairs] if whole else [(*pairs, (pos, c)) for c in cands]
-            sums = sum(_enumerate_coset_power_sums(nz_a, ints_b, n, d, m,
-                                                   coset, pos, moduli)
+            sums = sum(_enumerate_coset_power_sums(a, b, m, coset, pos, moduli)
                        for coset in cosets)
             return (dict(zip(cands, moduli.values(
                 moduli.reduce(sums[:, list(cands)])))), math.factorial(free))
         from . import _typesweep
 
         if not sweep:
-            sweep.append(_typesweep.PinnedScorer(ints_a, ints_b, n, d, m))
+            sweep.append(_typesweep.PinnedScorer(a.ints, b.ints, n, d, m))
         return sweep[0].scores(pairs, pos, cands)
 
     return _pinned_sums
@@ -724,16 +758,13 @@ def coset_moment(a: DenseTensor, b: DenseTensor, k: int,
     budget = parse_budget(visit_budget, DEFAULT_VISIT_BUDGET)
     if not prefix.pairs:
         return moment_2k(a, b, k, budget)
-    ints_a, la = _int_scaled(a.entries)
-    ints_b, lb = _int_scaled(b.entries)
     *pairs, (pos, image) = prefix.pairs
     if d == 1:
         _d1_check_budget(n, m, {min(m, n - len(prefix)): 1}, budget)
-        sums, den = _d1_sums(ints_a, ints_b, m, pairs, pos, (image,))
+        sums, den = _d1_sums(a.ints, b.ints, m, pairs, pos, (image,))
     else:
-        sums, den = _pinned_scorer(ints_a, ints_b, n, d, m, budget)(
-            pairs, pos, (image,))
-    return Fraction(sums[image], den) / (Fraction(la) ** m * Fraction(lb) ** m)
+        sums, den = _pinned_scorer(a, b, m, budget)(pairs, pos, (image,))
+    return Fraction(sums[image], den) / _scale(a, b, m)
 
 
 def greedy_extract(a: DenseTensor, b: DenseTensor, k: int,
@@ -767,17 +798,15 @@ def greedy_extract(a: DenseTensor, b: DenseTensor, k: int,
         raise ValueError("k must be >= 1")
     budget = parse_budget(visit_budget, DEFAULT_VISIT_BUDGET)
     n, m = a.n, 2 * k
-    ints_a = _int_scaled(a.entries)[0]
-    ints_b = _int_scaled(b.entries)[0]
     if a.d == 1:
         cosets: dict[int, int] = {}
         for t in range(n):
             top = min(m, n - t - 1)
             cosets[top] = cosets.get(top, 0) + n - t
         _d1_check_budget(n, m, cosets, budget)
-        scorer = functools.partial(_d1_sums, ints_a, ints_b, m)
+        scorer = functools.partial(_d1_sums, a.ints, b.ints, m)
     else:
-        scorer = _pinned_scorer(ints_a, ints_b, n, a.d, m, budget)
+        scorer = _pinned_scorer(a, b, m, budget)
     chosen: list[int] = []
     for pos in range(n):
         cands = [j for j in range(n) if j not in chosen]
@@ -806,19 +835,16 @@ def brute_max(a: DenseTensor, b: DenseTensor) -> BruteResult:
     if n > DEFAULT_BRUTE_CAP:
         raise ValueError(
             f"brute force cap is n <= {DEFAULT_BRUTE_CAP}, got n = {n}")
-    ints_a, la = _int_scaled(a.entries)
-    ints_b, lb = _int_scaled(b.entries)
     if d == 1:
-        best, best_g = _d1_brute(ints_a, ints_b)
+        best, best_g = _d1_brute(a.ints, b.ints)
     else:
         best = best_g = None
-        for img, f in _coset_values(_nonzero_digit_entries(ints_a, n, d),
-                                    ints_b, n, d, ()):
+        for img, f in _coset_values(a, b, ()):
             f = abs(f)
             i = int(f.argmax())
             if best is None or f[i] > best:
                 best, best_g = int(f[i]), tuple(img[i].tolist())
-    return BruteResult(Permutation(best_g), Fraction(best, la * lb))
+    return BruteResult(Permutation(best_g), Fraction(best, a.den * b.den))
 
 
 def _d1_brute(ints_a: Sequence[int], ints_b: Sequence[int]
@@ -852,8 +878,9 @@ def _d1_brute(ints_a: Sequence[int], ints_b: Sequence[int]
 
 def tensor_to_json(t: DenseTensor) -> dict:
     """Sparse JSON form with 1-based indices; omitted entries are zero."""
-    items = [{"index": [i + 1 for i in digits], "value": format_rational(val)}
-             for digits, val in _nonzero_digit_entries(t.entries, t.n, t.d)]
+    items = [{"index": [i + 1 for i in _digits(p, t.n, t.d)],
+              "value": format_rational(Fraction(t.ints[p], t.den))}
+             for p in t.nonzero]
     return {"n": t.n, "d": t.d, "entries": items}
 
 
@@ -871,7 +898,11 @@ def tensor_from_json(obj: Mapping) -> DenseTensor:
         if idx in items:
             raise ValueError(f"duplicate tensor index {list(index)}")
         items[idx] = value
-    return DenseTensor.from_sparse(n, d, items)
+    # the indices and values are read already: place them, not read them
+    # again as from_sparse would
+    n, d = _shape(n, d)
+    return DenseTensor._scattered(n, d, [(v, (_flat_index(idx, n, d),))
+                                         for idx, v in items.items()])
 
 
 def permutation_to_json(g: Permutation) -> dict:

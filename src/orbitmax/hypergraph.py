@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -93,21 +94,23 @@ def adjacency_tensor(h: Hypergraph, role: str) -> assign.DenseTensor:
     role "target": entry = weight * (k_1! ... k_r!) / d! where the k_i
     are the multiplicities inside the edge, so each matched edge pair
     contributes exactly weight_source * weight_target to <B, gA>.
+
+    The tensor is built in its cleared integers: the per-edge values
+    are cleared once and scattered to each edge's arrangements, so no
+    dense ``Fraction`` tensor is made.
     """
     if role not in ("source", "target"):
         raise ValueError(f"role must be 'source' or 'target', got {role!r}")
-    items: dict[tuple[int, ...], Fraction] = {}
+    n, d = h.n, h.d
+    places = [n ** t for t in reversed(range(d))]
+    groups = []
     for edge, w in zip(h.edges, h.weights):
-        if role == "source":
-            value = w
-        else:
-            mult_prod = 1
-            for c in Counter(edge).values():
-                mult_prod *= math.factorial(c)
-            value = w * Fraction(mult_prod, math.factorial(h.d))
-        for arrangement in set(itertools.permutations(edge)):
-            items[arrangement] = value
-    return assign.DenseTensor.from_sparse(h.n, h.d, items)
+        if role == "target":
+            mult_prod = math.prod(map(math.factorial, Counter(edge).values()))
+            w = Fraction(w.numerator * mult_prod, w.denominator * math.factorial(d))
+        groups.append((w, {sum(map(operator.mul, arrangement, places))
+                           for arrangement in itertools.permutations(edge)}))
+    return assign.DenseTensor._scattered(n, d, groups)
 
 
 def matched_edges(h1: Hypergraph, h2: Hypergraph,

@@ -20,13 +20,12 @@ from typing import Iterable, Mapping, Sequence
 from .bounds import Interval
 from .errors import BudgetError
 from .exact import (_int_scaled, format_rational, parse_budget, parse_int, parse_ints,
-                    parse_list, parse_rational, root_2k)
+                    parse_list, parse_rational)
 
 __all__ = [
     "DEFAULT_TERM_BUDGET",
     "SparsePoly",
     "moment_2k",
-    "norm_2k",
     "sup_bounds",
     "choose_k",
     "fewnomial_sup",
@@ -329,11 +328,6 @@ def moment_2k(p: SparsePoly, k: int, term_budget: int | None = None) -> Fraction
 
     walk(0, m, 1, [0] * p.n, 0)
     return Fraction(total, lcm ** m * _prod_by_twos(p.n, p.n + 2 * k * p.d))
-
-
-def norm_2k(p: SparsePoly, k: int, term_budget: int | None = None) -> float:
-    """The 2k-norm of p on the sphere: moment_2k(p, k) ** (1/(2k))."""
-    return root_2k(moment_2k(p, k, term_budget), k)
 
 
 def sup_bounds(p: SparsePoly, k: int,

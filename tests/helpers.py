@@ -16,7 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from orbitmax import _residue, _typesweep, assign
+from orbitmax import _residue, _typesweep, assign, sphere
+from orbitmax.exact import root_2k
 from orbitmax.hypergraph import Hypergraph
 from orbitmax.sphere import SparsePoly
 
@@ -102,6 +103,74 @@ def wallis_circle_average(a: int, b: int) -> Fraction:
     if a >= 2:
         return wallis_circle_average(a - 2, b) * Fraction(a - 1, a + b)
     return wallis_circle_average(b, a)
+
+
+def identity(n: int) -> assign.Permutation:
+    return assign.Permutation(tuple(range(n)))
+
+
+def inverse(g: assign.Permutation) -> assign.Permutation:
+    inv = [0] * g.n
+    for i, j in enumerate(g.images):
+        inv[j] = i
+    return assign.Permutation(tuple(inv))
+
+
+def compose(g: assign.Permutation, h: assign.Permutation) -> assign.Permutation:
+    """(g h)(i) = g(h(i))."""
+    return assign.Permutation(tuple(g.images[h.images[i]] for i in range(g.n)))
+
+
+def apply_perm(g: assign.Permutation, x: assign.DenseTensor) -> assign.DenseTensor:
+    """Relabelled tensor gX with (gX)[g(i1),...,g(id)] = X[i1,...,id]."""
+    if g.n != x.n:
+        raise ValueError(f"permutation on {g.n} points, tensor side {x.n}")
+    return assign.DenseTensor.from_sparse(x.n, x.d, {
+        g.apply_index(idx): x.get(idx)
+        for idx in itertools.product(range(x.n), repeat=x.d)})
+
+
+def norm_2k(p: SparsePoly, k: int, term_budget: int | None = None) -> float:
+    """The 2k-norm of p on the sphere: moment_2k(p, k) ** (1/(2k))."""
+    return root_2k(sphere.moment_2k(p, k, term_budget), k)
+
+
+def nonzero_digit_entries(flat, n: int, d: int) -> list[tuple]:
+    """(index, value) of each nonzero entry of a row-major flat tensor."""
+    return [(idx, val) for idx, val
+            in zip(itertools.product(range(n), repeat=d), flat) if val]
+
+
+def fraction_matrix_element(a: assign.DenseTensor, b: assign.DenseTensor,
+                            g: assign.Permutation) -> Fraction:
+    """<B, gA> as a sum of ``Fraction`` products over the entries: the
+    oracle for ``assign.matrix_element``, which sums cleared integers."""
+    entries_b = b.entries
+    total = Fraction(0)
+    for idx, x in nonzero_digit_entries(a.entries, a.n, a.d):
+        pos = 0
+        for i in g.apply_index(idx):
+            pos = pos * a.n + i
+        total += x * entries_b[pos]
+    return total
+
+
+def fraction_adjacency_tensor(h: Hypergraph, role: str) -> assign.DenseTensor:
+    """The adjacency tensor as a dense list of ``Fraction``s, each edge's
+    value at each of its arrangements: the oracle for
+    ``hypergraph.adjacency_tensor``, which clears the per-edge values."""
+    flat = [Fraction(0)] * h.n ** h.d
+    for edge, w in zip(h.edges, h.weights):
+        value = w
+        if role == "target":
+            mult = math.prod(math.factorial(edge.count(v)) for v in set(edge))
+            value = w * Fraction(mult, math.factorial(h.d))
+        for arrangement in itertools.permutations(edge):
+            pos = 0
+            for v in arrangement:
+                pos = pos * h.n + v
+            flat[pos] = value
+    return assign.DenseTensor(h.n, h.d, flat)
 
 
 def brute_group_moment(a: assign.DenseTensor, b: assign.DenseTensor,
@@ -331,8 +400,8 @@ def sweep_coset_moment(a: assign.DenseTensor, b: assign.DenseTensor, k: int,
     which share the denominator n * perm(n - 1, F)."""
     m = 2 * k
     n, d = a.n, a.d
-    ints_a, la = assign._int_scaled(a.entries)
-    ints_b, lb = assign._int_scaled(b.entries)
+    ints_a, la = a.ints, a.den
+    ints_b, lb = b.ints, b.den
     t = len(prefix)
     if t:
         ints_a = _pins_first(ints_a, n, d, prefix.positions)
@@ -352,17 +421,13 @@ def enumerated_coset_moment(a: assign.DenseTensor, b: assign.DenseTensor,
     alone, at any d, with the scales put back: the sums split by the
     image of position 0, added up."""
     m = 2 * k
-    ints_a, la = assign._int_scaled(a.entries)
-    ints_b, lb = assign._int_scaled(b.entries)
-    nz_a = assign._nonzero_digit_entries(ints_a, a.n, a.d)
     # residues that hold the whole coset's sum, added up before rebuilding
     moduli = _residue.Moduli.for_bound(
-        math.factorial(a.n - len(prefix)) * _residue.f_bound(ints_a, ints_b) ** m)
-    sums = assign._enumerate_coset_power_sums(
-        nz_a, ints_b, a.n, a.d, m, prefix.pairs, 0, moduli)
+        math.factorial(a.n - len(prefix)) * _residue.f_bound(a.ints, b.ints) ** m)
+    sums = assign._enumerate_coset_power_sums(a, b, m, prefix.pairs, 0, moduli)
     total, = moduli.values(moduli.reduce(sums.sum(axis=1, keepdims=True)))
     return (Fraction(total, math.factorial(a.n - len(prefix)))
-            / (Fraction(la) ** m * Fraction(lb) ** m))
+            / (Fraction(a.den) ** m * Fraction(b.den) ** m))
 
 
 def pinned_coset_moment(a: assign.DenseTensor, b: assign.DenseTensor, k: int,

@@ -10,14 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (brute_coset_average, brute_group_moment,
+from helpers import (apply_perm, brute_coset_average, brute_group_moment,
                      brute_moebius_row, brute_orbit_form,
-                     brute_partition_orbits, enumerated_coset_moment,
+                     brute_partition_orbits, compose, enumerated_coset_moment,
+                     fraction_matrix_element, identity, inverse,
                      loop_brute_max, loop_coset_power_sums,
-                     mask_build_chunk, pinned_coset_moment,
-                     random_int_tensor, random_permutation,
-                     random_rational_tensor, sweep_coset_moment)
-from orbitmax import _contract, _residue, _typesweep, assign, hypergraph
+                     mask_build_chunk, nonzero_digit_entries,
+                     pinned_coset_moment, random_int_tensor,
+                     random_permutation, random_rational_tensor,
+                     sweep_coset_moment)
+from orbitmax import _contract, _residue, _typesweep, assign, exact, hypergraph
 from orbitmax.assign import (DenseTensor, PartialAssignment, Permutation,
                              brute_max, coset_moment, greedy_extract,
                              matrix_element, moment_2k, sup_bounds)
@@ -145,7 +147,7 @@ class TestTypes:
 
     def test_permutation_inverse_and_compose(self):
         g = Permutation((2, 0, 1))
-        assert (g * g.inverse()).images == (0, 1, 2)
+        assert compose(g, inverse(g)).images == (0, 1, 2)
 
     def test_tensor_json_round_trip(self):
         rng = random.Random(0)
@@ -174,12 +176,12 @@ class TestApplyPerm:
     def test_identity(self):
         rng = random.Random(1)
         x = random_rational_tensor(rng, 3, 2)
-        assert assign.apply_perm(Permutation.identity(3), x) == x
+        assert apply_perm(identity(3), x) == x
 
     def test_swap_vector(self):
         x = DenseTensor.from_entries(2, 1, [1, 0])
         g = Permutation((1, 0))
-        assert assign.apply_perm(g, x).entries == (Fraction(0), Fraction(1))
+        assert apply_perm(g, x).entries == (Fraction(0), Fraction(1))
 
     def test_composition_action(self):
         rng = random.Random(2)
@@ -188,22 +190,21 @@ class TestApplyPerm:
             x = random_int_tensor(rng, n, d, -3, 3)
             g = random_permutation(rng, n)
             h = random_permutation(rng, n)
-            assert assign.apply_perm(g * h, x) == \
-                assign.apply_perm(g, assign.apply_perm(h, x))
+            assert apply_perm(compose(g, h), x) == \
+                apply_perm(g, apply_perm(h, x))
 
     def test_defining_property(self):
         rng = random.Random(3)
         n, d = 3, 2
         x = random_int_tensor(rng, n, d, -3, 3)
         g = random_permutation(rng, n)
-        gx = assign.apply_perm(g, x)
+        gx = apply_perm(g, x)
         for idx in itertools.product(range(n), repeat=d):
             assert gx.get(g.apply_index(idx)) == x.get(idx)
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            assign.apply_perm(Permutation.identity(2),
-                              DenseTensor.zeros(3, 1))
+            apply_perm(identity(2), DenseTensor.zeros(3, 1))
 
 
 class TestMatrixElement:
@@ -212,7 +213,7 @@ class TestMatrixElement:
         a = random_rational_tensor(rng, 3, 2)
         b = random_rational_tensor(rng, 3, 2)
         expect = sum((x * y for x, y in zip(a.entries, b.entries)), Fraction(0))
-        assert matrix_element(a, b, Permutation.identity(3)) == expect
+        assert matrix_element(a, b, identity(3)) == expect
 
     def test_two_point_example(self):
         a = DenseTensor.from_entries(2, 1, [1, 0])
@@ -228,12 +229,124 @@ class TestMatrixElement:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             matrix_element(DenseTensor.zeros(2, 1), DenseTensor.zeros(2, 2),
-                           Permutation.identity(2))
+                           identity(2))
 
     def test_permutation_size_mismatch(self):
         a = DenseTensor.zeros(2, 2)
         with pytest.raises(ValueError, match="permutation on 3 points"):
-            matrix_element(a, a, Permutation.identity(3))
+            matrix_element(a, a, identity(3))
+
+
+def _cleared_case(rng, n, d, top, max_den, zeros):
+    """Random entries up to ``top`` in magnitude, of either sign, with
+    denominators up to ``max_den`` and a share ``zeros`` of them 0."""
+    return [Fraction(0) if rng.random() < zeros
+            else Fraction(rng.randint(-top, top), rng.randint(1, max_den))
+            for _ in range(n ** d)]
+
+
+class TestClearedIntegers:
+    """A tensor's integers, denominator and nonzero positions against the
+    entries they are cleared from, and the engines against the
+    ``Fraction`` definitions in ``tests/helpers``."""
+
+    CASES = [(n, d, top, max_den, zeros)
+             for n, d in ((1, 1), (5, 1), (9, 1), (3, 2), (5, 2), (3, 3), (4, 3))
+             for top, max_den, zeros in ((9, 1, 0.0), (10 ** 15, 1, 0.3),
+                                         (50, 10 ** 12, 0.5), (10 ** 6, 10 ** 12, 0.0),
+                                         (3, 4, 1.0))]
+
+    @staticmethod
+    def _constructions(n, d, flat):
+        """The tensor of ``flat`` from every constructor and reader."""
+        sparse = {idx: v for idx, v in zip(itertools.product(range(n), repeat=d), flat)
+                  if v}
+        doc = {"n": n, "d": d, "entries": [
+            {"index": [i + 1 for i in idx], "value": f"{v.numerator}/{v.denominator}"}
+            for idx, v in sparse.items()]}
+        yield DenseTensor(n, d, flat)
+        yield DenseTensor.from_entries(n, d, (str(v) for v in flat))
+        yield DenseTensor.from_sparse(n, d, sparse)
+        yield assign.tensor_from_json(doc)
+        if not sparse:
+            yield DenseTensor.zeros(n, d)
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: "n{}-d{}-top{}-den{}-zeros{}".format(*c))
+    def test_constructors_clear_to_int_scaled(self, case):
+        n, d, *rest = case
+        rng = random.Random(str(case))
+        flat = _cleared_case(rng, n, d, *rest)
+        ints, den = exact._int_scaled(flat)
+        for t in self._constructions(n, d, flat):
+            assert (list(t.ints), t.den) == (ints, den) == exact._int_scaled(t.entries)
+            assert type(t.ints) is tuple and den >= 1
+            assert t.nonzero == tuple(i for i, v in enumerate(flat) if v)
+            assert t.entries == tuple(flat)
+            assert all(type(v) is Fraction and math.gcd(v.numerator, v.denominator) == 1
+                       for v in t.entries)
+            assert t == DenseTensor(n, d, flat) and hash(t) == hash(DenseTensor(n, d, flat))
+            assert assign.tensor_from_json(assign.tensor_to_json(t)) == t
+            assert t.is_zero_one == all(v in (0, 1) for v in flat)
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: "n{}-d{}-top{}-den{}-zeros{}".format(*c))
+    def test_matrix_element_matches_fraction_sum(self, case):
+        n, d, *rest = case
+        rng = random.Random(f"matrix {case}")
+        a, b = (DenseTensor(n, d, _cleared_case(rng, n, d, *rest)) for _ in range(2))
+        for _ in range(4):
+            g = random_permutation(rng, n)
+            assert matrix_element(a, b, g) == fraction_matrix_element(a, b, g)
+
+    def test_tensor_is_immutable(self):
+        t = DenseTensor(2, 1, (1, 2))
+        for name in ("n", "ints", "den", "nonzero", "entries"):
+            with pytest.raises(AttributeError):
+                setattr(t, name, None)
+        assert t != DenseTensor(2, 1, (1, 3)) and t != DenseTensor(1, 2, (1,)) != t.entries
+        assert repr(t) == "DenseTensor(n=2, d=1, entries=(Fraction(1, 1), Fraction(2, 1)))"
+
+    def test_engines_neither_clear_nor_rescan(self, monkeypatch):
+        # tensors read once; the engines then work in their integers and
+        # nonzero positions: no clearing, no tensor built, no Fraction view
+        rng = random.Random(1228)
+        pairs = []
+        for n, d, k, top, max_den in ((6, 1, 2, 9, 1), (5, 1, 1, 10 ** 15, 10 ** 12),
+                                      (5, 2, 1, 9, 4), (6, 2, 2, 10 ** 13, 1),
+                                      (4, 3, 1, 50, 10 ** 12)):
+            a, b = (assign.tensor_from_json(assign.tensor_to_json(DenseTensor(
+                n, d, _cleared_case(rng, n, d, top, max_den, 0.3)))) for _ in range(2))
+            pairs.append((a, b, k))
+        hypergraphs = [hypergraph.hypergraph_from_json(hypergraph.hypergraph_to_json(
+            hypergraph.Hypergraph.from_edges(n, d, edges, weights)))
+            for n, d, edges, weights in (
+                (6, 2, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)], None),
+                (5, 3, [(0, 1, 2), (0, 0, 3), (1, 3, 4), (2, 2, 2)], [1, "1/2", 3, "2/7"]))]
+        calls = {"clear": 0, "build": 0, "view": 0}
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        for mod in (exact, assign, hypergraph, _contract, _residue, _typesweep):
+            if hasattr(mod, "_int_scaled"):
+                monkeypatch.setattr(mod, "_int_scaled", counted("clear", exact._int_scaled))
+        monkeypatch.setattr(DenseTensor, "_clear", counted("build", DenseTensor._clear))
+        monkeypatch.setattr(DenseTensor, "entries", property(
+            counted("view", DenseTensor.entries.fget)))
+        for a, b, k in pairs:
+            prefix = PartialAssignment(((0, 1), (2, 0)))
+            moment_2k(a, b, k)
+            sup_bounds(a, b, k)
+            coset_moment(a, b, k, prefix)
+            greedy_extract(a, b, k)
+            brute_max(a, b)
+        assert calls == {"clear": 0, "build": 0, "view": 0}
+        for h in hypergraphs:
+            hypergraph.align(h, h, 1)
+        # align builds its two adjacency tensors, and nothing else
+        assert calls == {"clear": 0, "build": 2 * len(hypergraphs), "view": 0}
 
 
 class TestMoment2k:
@@ -284,8 +397,8 @@ class TestMoment2k:
             b = random_int_tensor(rng, n, d, -3, 3)
             g = random_permutation(rng, n)
             h = random_permutation(rng, n)
-            assert moment_2k(assign.apply_perm(g, a),
-                             assign.apply_perm(h, b), 1) == moment_2k(a, b, 1)
+            assert moment_2k(apply_perm(g, a),
+                             apply_perm(h, b), 1) == moment_2k(a, b, 1)
 
     def test_budget_error(self):
         # refused on the plan alone: each set partition of the 8 index
@@ -1044,7 +1157,7 @@ class TestManyPinSweep:
         flat_a = [int(v) for v in a.entries]
         flat_b = [int(v) for v in b.entries]
         total = loop_coset_power_sums(
-            assign._nonzero_digit_entries(flat_a, a.n, a.d), flat_b, a.n,
+            nonzero_digit_entries(flat_a, a.n, a.d), flat_b, a.n,
             a.d, 2 * k, prefix.pairs, None)
         return Fraction(total, math.factorial(a.n - len(prefix)))
 
@@ -1057,7 +1170,7 @@ class TestManyPinSweep:
         # B relabels A by g, so f(g) > 0 and the coset of g is not all 0
         g = Permutation(tuple(rng.sample(range(n), n)))
         a = self._sparse(rng, n, 2, 6)
-        b = assign.apply_perm(g, a)
+        b = apply_perm(g, a)
         prefix = PartialAssignment(tuple((p, g(p))
                                          for p in rng.sample(range(n), 6)))
         moment = coset_moment(a, b, k, prefix)
@@ -1283,8 +1396,7 @@ class TestStreamedSweepMemory:
 
         a, b = tensor(), tensor()
         prefix = PartialAssignment(((0, 3), (5, 7)))
-        ints = [assign._int_scaled(x.entries)[0] for x in (a, b)]
-        scorer = _typesweep.PinnedScorer(*ints, n, 2, 2)
+        scorer = _typesweep.PinnedScorer(a.ints, b.ints, n, 2, 2)
         for exact, count, row_bytes, _ in scorer.sweep:
             assert exact == (top == 3) and count * row_bytes > 2 * rows * 20
         assert (scorer.moduli.size > 1) == (top > 3)
@@ -1336,22 +1448,22 @@ class TestCosetEnumeration:
 
     @staticmethod
     def _check(flat_a, flat_b, n, d, m, pairs):
-        nz_a = assign._nonzero_digit_entries(flat_a, n, d)
+        a, b = DenseTensor(n, d, flat_a), DenseTensor(n, d, flat_b)
+        nz_a = nonzero_digit_entries(flat_a, n, d)
         free = [p for p in range(n) if p not in dict(pairs)]
         moduli = _residue.Moduli.for_bound(
             math.factorial(len(free)) * _residue.f_bound(flat_a, flat_b) ** m)
         total = loop_coset_power_sums(nz_a, flat_b, n, d, m, pairs, None)
         for split_pos in free[:1] + [p for p, _ in pairs][:1]:
             got = moduli.values(assign._enumerate_coset_power_sums(
-                nz_a, flat_b, n, d, m, pairs, split_pos, moduli))
+                a, b, m, pairs, split_pos, moduli))
             want = loop_coset_power_sums(nz_a, flat_b, n, d, m, pairs,
                                          split_pos)
             # images no permutation reaches read 0
             assert got == [want.get(j, 0) for j in range(n)]
             assert sum(got) == total
         # f**m of each permutation, as the kept coset holds them
-        powers = assign._enumerate_coset_power_sums(nz_a, flat_b, n, d, m,
-                                                    pairs, None, moduli)
+        powers = assign._enumerate_coset_power_sums(a, b, m, pairs, None, moduli)
         assert powers.shape == (moduli.size, math.factorial(len(free)))
         assert sum(moduli.values(powers)) == total
 
@@ -1380,7 +1492,8 @@ class TestCosetEnumeration:
             self._check([0] * n ** d, flat_b, n, d, 2, pairs)
         moduli = _residue.Moduli.for_bound(0)
         assert moduli.values(assign._enumerate_coset_power_sums(
-            [], flat_b, n, d, 2, ((1, 2),), 0, moduli)) == [0, 0, 0, 0]
+            DenseTensor.zeros(n, d), DenseTensor(n, d, flat_b), 2, ((1, 2),), 0,
+            moduli)) == [0, 0, 0, 0]
 
     @pytest.mark.parametrize("case,dtype", [("at", np.int64), ("above", object)])
     @pytest.mark.parametrize("signs", ["equal", "mixed"])
@@ -1457,7 +1570,7 @@ class TestIntegerCombine:
         a = DenseTensor.from_entries(n, d, [3] * n ** d)
         b = DenseTensor.from_entries(n, d, [Fraction(-1, 2)] * n ** d)
         result = greedy_extract(a, b, 1)
-        assert result.permutation == Permutation.identity(n)
+        assert result.permutation == identity(n)
         assert set(spy) == {"enumerate" if enumerate_cosets else "sweep"}
 
     def test_one_enumeration_per_extraction(self, monkeypatch):
@@ -1468,7 +1581,7 @@ class TestIntegerCombine:
         enum = assign._enumerate_coset_power_sums
         # the split position: None enumerates a parent to keep
         monkeypatch.setattr(assign, "_enumerate_coset_power_sums",
-                            lambda *a: calls.append(a[6]) or enum(*a))
+                            lambda *a: calls.append(a[4]) or enum(*a))
         a, b = _oracle_pair("hyper-2-14")
         result = greedy_extract(a, b, 1)
         assert calls == [None]
@@ -1605,7 +1718,7 @@ class TestPowerSumRoute:
         b = DenseTensor.from_entries(1, 1, [-2])
         assert moment_2k(a, b, 50) == 3 ** 100
         assert moment_2k(a, b, 2, visit_budget=_d1_terms(2, 1) + 4) == 3 ** 4
-        assert greedy_extract(a, b, 50).permutation == Permutation.identity(1)
+        assert greedy_extract(a, b, 50).permutation == identity(1)
         a = DenseTensor.from_entries(2, 1, [1, 3])
         b = DenseTensor.from_entries(2, 1, [2, -1])
         # f(identity) = -1, f(swap) = 5
@@ -2091,12 +2204,10 @@ class TestResidueBoundaries:
             patch.setattr(_residue.Moduli, "for_bound", staticmethod(spy))
             patch.setattr(assign, "_enumeration_cheaper",
                           lambda *args: enumerate_cosets)
-            ints_a = assign._int_scaled(a.entries)[0]
-            ints_b = assign._int_scaled(b.entries)[0]
             used = {q for _, q in pairs}
             cands = [c for c in range(a.n) if c not in used]
-            sums, den = assign._pinned_scorer(
-                ints_a, ints_b, a.n, a.d, 2 * k, 10 ** 8)(pairs, pos, cands)
+            sums, den = assign._pinned_scorer(a, b, 2 * k, 10 ** 8)(
+                pairs, pos, cands)
         return sums, den, primes[-1]
 
     def test_primes_are_the_largest_below_two_to_the_31(self):
@@ -2241,7 +2352,7 @@ class TestBruteMax:
             a = random_rational_tensor(rng, n, d)
             b = random_rational_tensor(rng, n, d)
             assert brute_max(a, b).abs_value >= \
-                abs(matrix_element(a, b, Permutation.identity(n)))
+                abs(matrix_element(a, b, identity(n)))
 
     def test_cap(self):
         a = DenseTensor.zeros(12, 1)
@@ -2271,7 +2382,7 @@ class TestBruteMax:
             for x, y, best in ((a, b, Fraction(21 * n ** d, 2)),
                                (zero, b, 0), (a, zero, 0)):
                 result = brute_max(x, y)
-                assert result.permutation == Permutation.identity(n)
+                assert result.permutation == identity(n)
                 assert result.abs_value == best
 
     @pytest.mark.parametrize("n,d", [(3, 2)])

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import combinatorial_matched, random_hypergraph, random_permutation
-from orbitmax import assign, hypergraph
+from helpers import (combinatorial_matched, fraction_adjacency_tensor, identity,
+                     random_hypergraph, random_permutation)
+from orbitmax import assign, exact, hypergraph
 from orbitmax.hypergraph import (Hypergraph, adjacency_tensor, align,
                                  matched_edges)
 
@@ -134,21 +135,43 @@ class TestAdjacencyTensor:
         with pytest.raises(ValueError):
             adjacency_tensor(triangle(), "both")
 
+    @pytest.mark.parametrize("padded", [False, True], ids=["uniform", "padded"])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    def test_matches_fraction_build(self, padded, weighted):
+        # the integers cleared from the edge values, against the dense
+        # Fraction tensor of every arrangement
+        rng = random.Random(f"{padded} {weighted}")
+        for _ in range(12):
+            n, d = rng.randint(1, 6), rng.randint(1, 3)
+            pool = list((itertools.combinations_with_replacement if padded
+                         else itertools.combinations)(range(n), d))
+            edges = rng.sample(pool, rng.randint(0, min(len(pool), 8)))
+            weights = [Fraction(rng.randint(-10 ** 6, 10 ** 6) or 1, rng.randint(1, 10 ** 12))
+                       for _ in edges] if weighted else None
+            h = Hypergraph.from_edges(n, d, edges, weights)
+            for role in ("source", "target"):
+                t = adjacency_tensor(h, role)
+                assert t == fraction_adjacency_tensor(h, role)
+                assert (list(t.ints), t.den) == exact._int_scaled(t.entries)
+                assert t.nonzero == tuple(i for i, v in enumerate(t.entries) if v)
+            g = random_permutation(rng, n)
+            assert matched_edges(h, h, g) == combinatorial_matched(h, h, g)
+
 
 class TestMatchedEdges:
     def test_self_identity_counts_all_edges(self):
-        g = assign.Permutation.identity(3)
+        g = identity(3)
         assert matched_edges(triangle(), triangle(), g) == 3
 
     def test_triangle_path_identity(self):
-        g = assign.Permutation.identity(3)
+        g = identity(3)
         assert matched_edges(path(), triangle(), g) == 2
         assert matched_edges(triangle(), path(), g) == 2
 
     def test_disjoint_images(self):
         h1 = Hypergraph.from_edges(4, 2, [(0, 1)])
         h2 = Hypergraph.from_edges(4, 2, [(2, 3)])
-        assert matched_edges(h1, h2, assign.Permutation.identity(4)) == 0
+        assert matched_edges(h1, h2, identity(4)) == 0
 
     def test_integrality_and_range(self):
         rng = random.Random(2)
@@ -173,14 +196,14 @@ class TestMatchedEdges:
     def test_weighted_edges(self):
         h1 = Hypergraph.from_edges(3, 2, [(0, 1)], weights=[Fraction(3)])
         h2 = Hypergraph.from_edges(3, 2, [(0, 1)], weights=[Fraction(5, 2)])
-        g = assign.Permutation.identity(3)
+        g = identity(3)
         assert matched_edges(h1, h2, g) == Fraction(15, 2)
 
     def test_shape_mismatch(self):
         h1 = Hypergraph.from_edges(3, 2, [(0, 1)])
         h2 = Hypergraph.from_edges(4, 2, [(0, 1)])
         with pytest.raises(ValueError):
-            matched_edges(h1, h2, assign.Permutation.identity(3))
+            matched_edges(h1, h2, identity(3))
 
 
 class TestAlign:
