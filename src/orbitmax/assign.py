@@ -898,11 +898,7 @@ def tensor_from_json(obj: Mapping) -> DenseTensor:
         if idx in items:
             raise ValueError(f"duplicate tensor index {list(index)}")
         items[idx] = value
-    # the indices and values are read already: place them, not read them
-    # again as from_sparse would
-    n, d = _shape(n, d)
-    return DenseTensor._scattered(n, d, [(v, (_flat_index(idx, n, d),))
-                                         for idx, v in items.items()])
+    return DenseTensor.from_sparse(n, d, items)
 
 
 def permutation_to_json(g: Permutation) -> dict:

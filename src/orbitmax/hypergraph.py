@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -102,13 +101,12 @@ def adjacency_tensor(h: Hypergraph, role: str) -> assign.DenseTensor:
     if role not in ("source", "target"):
         raise ValueError(f"role must be 'source' or 'target', got {role!r}")
     n, d = h.n, h.d
-    places = [n ** t for t in reversed(range(d))]
     groups = []
     for edge, w in zip(h.edges, h.weights):
         if role == "target":
             mult_prod = math.prod(map(math.factorial, Counter(edge).values()))
             w = Fraction(w.numerator * mult_prod, w.denominator * math.factorial(d))
-        groups.append((w, {sum(map(operator.mul, arrangement, places))
+        groups.append((w, {assign._flat_index(arrangement, n, d)
                            for arrangement in itertools.permutations(edge)}))
     return assign.DenseTensor._scattered(n, d, groups)
 
