@@ -39,9 +39,11 @@ The pins are passed explicitly, A's positions and B's images, so a
 coset of ``assign.coset_moment`` is the one candidate of a step as it
 stands.
 
-Tensors are passed in as flat sequences of integers: the cleared
-entries ``assign.DenseTensor`` holds from the moment it is built, whose
-one scale ``assign`` applies to the scores.
+Each side is passed in as the row-major positions of its nonzero
+entries and their integers: what ``assign.DenseTensor`` holds from the
+moment it is built (its cleared entries, whose one scale ``assign``
+applies to the scores, and their nonzero positions), so no side is
+scanned entry by entry here.
 """
 
 from __future__ import annotations
@@ -111,33 +113,35 @@ def _build_chunk(digits: np.ndarray, vals: np.ndarray, n: int, m: int,
 
 def _entry_residues(flat: Sequence[int], n: int, rmax: int, m: int,
                     moduli: Moduli) -> tuple[bool, np.ndarray]:
-    """(exact, entries): the entries as one exact int64 row when
-    perm(n, rmax) * top**m is at most ``_INT64_MAX``, else as their
-    residues modulo ``moduli``.  That bound holds every group sum, so an
-    exact side's group sums are exact (the int64 rule beside
-    ``exact._INT64_MAX``): a group of a type with r blocks holds at most
-    perm(n, r) <= perm(n, rmax) rows, each a product of m entries."""
+    """(exact, entries): the entries (all of a side's, or its nonzero
+    ones) as one exact int64 row when perm(n, rmax) * top**m is at most
+    ``_INT64_MAX``, else as their residues modulo ``moduli``.  That bound
+    holds every group sum, so an exact side's group sums are exact (the
+    int64 rule beside ``exact._INT64_MAX``): a group of a type with r
+    blocks holds at most perm(n, r) <= perm(n, rmax) rows, each a
+    product of m entries."""
     top = max((abs(v) for v in flat), default=0)
     if math.perm(n, rmax) * top ** m <= _INT64_MAX:
         return True, np.array(flat, dtype=np.int64).reshape(1, -1)
     return False, moduli.of(flat)
 
 
-def sweep_rows(flat: Sequence[int], n: int, d: int, m: int, moduli: Moduli):
-    """The sweep of a row-major tensor: (exact, row count, bytes per
-    row, a callable yielding (type keys, block values, products) per
-    chunk of rows), products exact when ``exact``, else residues modulo
+def sweep_rows(nonzero: Sequence[int], values: Sequence[int], n: int, d: int,
+               m: int, moduli: Moduli):
+    """The sweep of a row-major tensor, given as the positions of its
+    nonzero entries and their values: (exact, row count, bytes per row,
+    a callable yielding (type keys, block values, products) per chunk of
+    rows), products exact when ``exact``, else residues modulo
     ``moduli``.  A row is one choice of m nonzero entries, so there are
     nnz**m rows, all with nonzero products.  A row holds its id and its
     products in 8 bytes each and rmax block values; a chunk holds at
     most CHUNK_BYTES of them.  Each call builds the chunks anew."""
     rmax = min(m * d, n)
-    exact, arr = _entry_residues(flat, n, rmax, m, moduli)
-    nz = np.flatnonzero(np.array(flat, dtype=bool))
+    exact, vals = _entry_residues(values, n, rmax, m, moduli)
     ix = _index_dtype(n)
-    digits = np.stack(np.unravel_index(nz, (n,) * d), axis=1).astype(ix)
-    vals = arr[:, nz]
-    total = len(nz) ** m
+    digits = np.stack(np.unravel_index(np.array(nonzero, dtype=np.int64),
+                                       (n,) * d), axis=1).astype(ix)
+    total = len(nonzero) ** m
     row_bytes = 8 * (1 + len(vals)) + rmax * np.dtype(ix).itemsize
     step = max(CHUNK_BYTES // row_bytes, 1)
     mul = np.multiply if exact else moduli.mul
@@ -186,15 +190,16 @@ class PinnedScorer:
     are sized by groups, not rows.
     """
 
-    def __init__(self, flat_a: Sequence[int], flat_b: Sequence[int],
+    def __init__(self, side_a: tuple[Sequence[int], Sequence[int]],
+                 side_b: tuple[Sequence[int], Sequence[int]],
                  n: int, d: int, m: int) -> None:
         self.n = n
         self.rmax = min(m * d, n)
         # every score is at most perm(N, F) * fmax**m
         self.moduli = Moduli.for_bound(
-            math.perm(n, self.rmax) * f_bound(flat_a, flat_b) ** m)
-        self.sweep = (sweep_rows(flat_a, n, d, m, self.moduli),
-                      sweep_rows(flat_b, n, d, m, self.moduli))
+            math.perm(n, self.rmax) * f_bound(side_a[1], side_b[1]) ** m)
+        self.sweep = (sweep_rows(*side_a, n, d, m, self.moduli),
+                      sweep_rows(*side_b, n, d, m, self.moduli))
         self.pins: tuple = ()
         self.types: dict[int, int] = {}  # A's type keys -> starting ids
         # free[k]: free blocks of each group at k pins; tables[k]: group

@@ -520,7 +520,35 @@ def permutation_blocks(values: Sequence[int], max_rows: int):
         yield rows
 
 
-def _coset_values(a: DenseTensor, b: DenseTensor, pairs, moduli=None):
+class _CosetInputs(NamedTuple):
+    """What ``_coset_values`` reads of a pair, built once per greedy
+    extraction or ``brute_max`` (``_coset_inputs``): A's nonzero
+    integers and the index digits of their positions, B's integers, and
+    ``wide``, whether f may leave int64; the arrays are int64 when it
+    may not, and hold Python ints when it may."""
+    n: int
+    d: int
+    vals: object
+    digits: object
+    flat_b: object
+    wide: bool
+
+
+def _coset_inputs(a: DenseTensor, b: DenseTensor) -> _CosetInputs:
+    import numpy as np
+
+    entries = _nonzero_values(a)
+    top_a = max(map(abs, entries), default=0)
+    top_b = max(map(abs, _nonzero_values(b)), default=0)
+    wide = len(entries) * top_a * top_b > _INT64_MAX
+    dtype = object if wide else np.int64
+    digits = np.stack(np.unravel_index(np.array(a.nonzero, dtype=np.int64),
+                                       (a.n,) * a.d), axis=1)
+    return _CosetInputs(a.n, a.d, np.array(entries, dtype=dtype), digits,
+                        np.array(b.ints, dtype=dtype), wide)
+
+
+def _coset_values(pair: _CosetInputs, pairs, moduli=None):
     """f = <B, gA> over the coset fixed by ``pairs``, as numpy blocks
     (image rows, f) in ``itertools.permutations`` order of the free values.
 
@@ -528,7 +556,7 @@ def _coset_values(a: DenseTensor, b: DenseTensor, pairs, moduli=None):
     entries, and f = B[g(I)] @ a in the cleared integers.  Without
     ``moduli`` f is exact: int64 when nnz * max|a| * max|b|, a bound on
     every f, is at most ``_INT64_MAX`` (the int64 rule beside it in
-    ``exact``), and Python ints otherwise.
+    ``exact``), and Python ints otherwise (``pair.wide``).
     With ``moduli`` (a ``_residue.Moduli``) f comes as its residues,
     shape (size, rows): reduced from the int64 f under that rule, and
     above it from the entries by ``_residue.gathered_sums``.  A block
@@ -538,32 +566,22 @@ def _coset_values(a: DenseTensor, b: DenseTensor, pairs, moduli=None):
     """
     import numpy as np
 
-    n, d, flat_b = a.n, a.d, b.ints
+    n, d, digits = pair.n, pair.d, pair.digits
     fixed = dict(pairs)
     free_pos = [p for p in range(n) if p not in fixed]
     used = set(fixed.values())
     free_val = [v for v in range(n) if v not in used]
-    entries = _nonzero_values(a)
-    nnz = len(entries)
-    top_a = max(map(abs, entries), default=0)
-    top_b = max(map(abs, _nonzero_values(b)), default=0)
-    wide = nnz * top_a * top_b > _INT64_MAX
-    if not wide or moduli is None:
-        dtype = object if wide else np.int64
-        vals, flat = np.array(entries, dtype=dtype), np.array(flat_b, dtype=dtype)
-
+    if not pair.wide or moduli is None:
         def values(gflat):
-            f = flat[gflat] @ vals
+            f = pair.flat_b[gflat] @ pair.vals
             return f if moduli is None else moduli.exact(f)
         gathers = 1
     else:  # f**m, read out of moduli, exceeds int64, so they are primes
         from ._residue import gathered_sums
 
-        values, gathers = gathered_sums(entries, flat_b, moduli)
-    digits = np.stack(np.unravel_index(np.array(a.nonzero, dtype=np.int64),
-                                       (n,) * d), axis=1)
-    for rows in permutation_blocks(free_val,
-                                   _CHUNK_SIZE // max(n, nnz * gathers)):
+        values, gathers = gathered_sums(pair.vals, pair.flat_b, moduli)
+    for rows in permutation_blocks(free_val, _CHUNK_SIZE // max(
+            n, len(pair.vals) * gathers)):
         img = np.empty((len(rows), n), dtype=np.int64)
         for p, q in fixed.items():
             img[:, p] = q
@@ -574,7 +592,7 @@ def _coset_values(a: DenseTensor, b: DenseTensor, pairs, moduli=None):
         yield img, values(gflat)
 
 
-def _enumerate_coset_power_sums(a: DenseTensor, b: DenseTensor, m: int, pairs,
+def _enumerate_coset_power_sums(pair: _CosetInputs, m: int, pairs,
                                 split_pos: int | None, moduli):
     """Residues modulo ``moduli`` of the sums of <B, gA>**m over the coset
     fixed by ``pairs``, in the cleared integers, one per value of
@@ -586,10 +604,10 @@ def _enumerate_coset_power_sums(a: DenseTensor, b: DenseTensor, m: int, pairs,
     from ._residue import scatter_add
 
     powers = ((img, moduli.power(f, m))
-              for img, f in _coset_values(a, b, pairs, moduli))
+              for img, f in _coset_values(pair, pairs, moduli))
     if split_pos is None:
         return np.concatenate([p for _, p in powers], axis=1)
-    sums = np.zeros((moduli.size, a.n), dtype=np.int64)
+    sums = np.zeros((moduli.size, pair.n), dtype=np.int64)
     for img, p in powers:
         scatter_add(sums, img[:, split_pos], p)
         sums = moduli.reduce(sums)
@@ -661,8 +679,10 @@ def _pinned_scorer(a: DenseTensor, b: DenseTensor, m: int, budget: int):
 
     n, d, nnz = a.n, a.d, len(a.nonzero)
     rows = max(nnz, len(b.nonzero)) ** m
-    power_bound = f_bound(_nonzero_values(a), _nonzero_values(b)) ** m
+    sides = ((a.nonzero, _nonzero_values(a)), (b.nonzero, _nonzero_values(b)))
+    power_bound = f_bound(sides[0][1], sides[1][1]) ** m
     sweep: list = []
+    coset: list = []  # the pair as ``_coset_values`` reads it, built once
     # the kept coset: its pairs, free positions and values, running sums
     # and their moduli
     kept: list = []
@@ -707,9 +727,12 @@ def _pinned_scorer(a: DenseTensor, b: DenseTensor, m: int, budget: int):
         if rows > budget or (evaluations <= budget and _enumeration_cheaper(
                 evaluations, rows, m * d, bool(sweep), later)):
             pairs = tuple(pairs)
+            if not coset:
+                coset.append(_coset_inputs(a, b))
             if keep:
                 fixed = dict(pairs)
-                powers = _enumerate_coset_power_sums(a, b, m, pairs, None, moduli)
+                powers = _enumerate_coset_power_sums(coset[0], m, pairs, None,
+                                                     moduli)
                 running = np.zeros((moduli.size, powers.shape[1] + 1),
                                    dtype=np.int64)
                 np.cumsum(powers, axis=1, out=running[:, 1:])
@@ -719,14 +742,14 @@ def _pinned_scorer(a: DenseTensor, b: DenseTensor, m: int, budget: int):
                 return kept_sums(pairs, pos, cands), math.factorial(free)
             # every child: one pass over the parent coset, split by image
             cosets = [pairs] if whole else [(*pairs, (pos, c)) for c in cands]
-            sums = sum(_enumerate_coset_power_sums(a, b, m, coset, pos, moduli)
-                       for coset in cosets)
+            sums = sum(_enumerate_coset_power_sums(coset[0], m, prefix, pos, moduli)
+                       for prefix in cosets)
             return (dict(zip(cands, moduli.values(
                 moduli.reduce(sums[:, list(cands)])))), math.factorial(free))
         from . import _typesweep
 
         if not sweep:
-            sweep.append(_typesweep.PinnedScorer(a.ints, b.ints, n, d, m))
+            sweep.append(_typesweep.PinnedScorer(*sides, n, d, m))
         return sweep[0].scores(pairs, pos, cands)
 
     return _pinned_sums
@@ -839,7 +862,7 @@ def brute_max(a: DenseTensor, b: DenseTensor) -> BruteResult:
         best, best_g = _d1_brute(a.ints, b.ints)
     else:
         best = best_g = None
-        for img, f in _coset_values(a, b, ()):
+        for img, f in _coset_values(_coset_inputs(a, b), ()):
             f = abs(f)
             i = int(f.argmax())
             if best is None or f[i] > best:

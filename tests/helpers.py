@@ -135,6 +135,12 @@ def norm_2k(p: SparsePoly, k: int, term_budget: int | None = None) -> float:
     return root_2k(sphere.moment_2k(p, k, term_budget), k)
 
 
+def nonzero_side(flat) -> tuple[list[int], list[int]]:
+    """A flat integer tensor as the sweep reads a side: the positions of
+    its nonzero entries and their values."""
+    return [i for i, v in enumerate(flat) if v], [v for v in flat if v]
+
+
 def nonzero_digit_entries(flat, n: int, d: int) -> list[tuple]:
     """(index, value) of each nonzero entry of a row-major flat tensor."""
     return [(idx, val) for idx, val
@@ -171,6 +177,35 @@ def fraction_adjacency_tensor(h: Hypergraph, role: str) -> assign.DenseTensor:
                 pos = pos * h.n + v
             flat[pos] = value
     return assign.DenseTensor(h.n, h.d, flat)
+
+
+def node_loop_side(plan, top: int, flat, n: int) -> list[int]:
+    """``_contract._Plan.side`` one ``np.einsum`` per node, as it was
+    before nodes were grouped: the nodes that the prefix's factors reach,
+    operands first, each evaluated on its own, in the same int64 or
+    Python-int tier."""
+    count, d = plan.start[top + 1], plan.d
+    roots = sorted(set(plan.factors[:count].ravel().tolist()) - {0})
+    reach, stack = set(), roots[:]
+    while stack:
+        v = stack.pop()
+        if v and v not in reach:
+            reach.add(v)
+            _, x, y, _ = plan.nodes[v]
+            stack.extend((x,) if y is None else (x, y))
+    fits = n ** top * max(map(abs, flat), default=0) ** plan.m <= 2 ** 63 - 1
+    dtype = np.int64 if fits else object
+    values = {0: np.array(flat, dtype=dtype).reshape((n,) * d)}
+    for v in sorted(reach):
+        sub, x, y, _ = plan.nodes[v]
+        values[v] = np.einsum(sub, values[x]) if y is None \
+            else np.einsum(sub, values[x], values[y])
+    scalars = np.ones(len(plan.nodes), dtype=dtype)
+    scalars[roots] = [int(values[v]) for v in roots]
+    hom = scalars[plan.factors[:count]].prod(axis=1)
+    end = plan.row_start[count]
+    return np.add.reduceat(plan.coefs[:end] * hom[plan.cols[:end]],
+                           plan.row_start[:count]).tolist()
 
 
 def brute_group_moment(a: assign.DenseTensor, b: assign.DenseTensor,
@@ -409,7 +444,8 @@ def sweep_coset_moment(a: assign.DenseTensor, b: assign.DenseTensor, k: int,
         chosen, cands, children = tuple(range(t - 1)), (t - 1,), 1
     else:
         t, chosen, cands, children = 1, (), tuple(range(n)), n
-    scores, den = _typesweep.PinnedScorer(ints_a, ints_b, n, d, m).scores(
+    scores, den = _typesweep.PinnedScorer(
+        nonzero_side(ints_a), nonzero_side(ints_b), n, d, m).scores(
         tuple(enumerate(chosen)), t - 1, cands)
     total = Fraction(sum(scores.values()), children * den)
     return total / (Fraction(la) ** m * Fraction(lb) ** m)
@@ -424,7 +460,8 @@ def enumerated_coset_moment(a: assign.DenseTensor, b: assign.DenseTensor,
     # residues that hold the whole coset's sum, added up before rebuilding
     moduli = _residue.Moduli.for_bound(
         math.factorial(a.n - len(prefix)) * _residue.f_bound(a.ints, b.ints) ** m)
-    sums = assign._enumerate_coset_power_sums(a, b, m, prefix.pairs, 0, moduli)
+    sums = assign._enumerate_coset_power_sums(
+        assign._coset_inputs(a, b), m, prefix.pairs, 0, moduli)
     total, = moduli.values(moduli.reduce(sums.sum(axis=1, keepdims=True)))
     return (Fraction(total, math.factorial(a.n - len(prefix)))
             / (Fraction(a.den) ** m * Fraction(b.den) ** m))

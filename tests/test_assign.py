@@ -15,11 +15,12 @@ from helpers import (apply_perm, brute_coset_average, brute_group_moment,
                      brute_partition_orbits, compose, enumerated_coset_moment,
                      fraction_matrix_element, identity, inverse,
                      loop_brute_max, loop_coset_power_sums,
-                     mask_build_chunk, nonzero_digit_entries,
-                     pinned_coset_moment, random_int_tensor,
+                     mask_build_chunk, node_loop_side, nonzero_digit_entries,
+                     nonzero_side, pinned_coset_moment, random_int_tensor,
                      random_permutation, random_rational_tensor,
                      sweep_coset_moment)
-from orbitmax import _contract, _residue, _typesweep, assign, exact, hypergraph
+from orbitmax import (_builder, _contract, _residue, _typesweep, assign, exact,
+                      hypergraph)
 from orbitmax.assign import (DenseTensor, PartialAssignment, Permutation,
                              brute_max, coset_moment, greedy_extract,
                              matrix_element, moment_2k, sup_bounds)
@@ -621,13 +622,13 @@ class TestPartitionMoments:
         monkeypatch.setattr(_contract, "_SHIPPED", frozenset())
         monkeypatch.setattr(_contract, "_plans", {})
         calls = []
-        compile_ = _contract._compile
+        compile_ = _builder._compile
 
         def spy(*args):
             calls.append(args[0])
             return compile_(*args)
 
-        monkeypatch.setattr(_contract, "_compile", spy)
+        monkeypatch.setattr(_builder, "_compile", spy)
         plan = _contract._plan(2, 4)
         plan.limit(4)
         assert len(calls) == 174
@@ -654,7 +655,7 @@ class TestPartitionMoments:
             for d, m, top in order:
                 a, b = tensors[(d, m, top)]
                 plan = _contract._plan(d, m)
-                widths = sorted(plan.nodes[v][3] for v in plan.limit(top)[0])
+                widths = sorted(plan.limit(top).widths)
                 terms = _plan_terms(d, m, top)
                 with pytest.raises(BudgetError) as exc:
                     moment_2k(a, b, m // 2, visit_budget=terms)
@@ -684,7 +685,7 @@ class TestPartitionMoments:
                      (2, 5), (5, 2)):
             l = m * d
             plan = _contract._plan(d, m)
-            plan.extend(l)
+            _builder.extend(plan, l)
             blocks = _set_partition_blocks(l)
             for r in range(1, l + 1):
                 sizes = plan.size[plan.start[r]:plan.start[r + 1]]
@@ -693,7 +694,7 @@ class TestPartitionMoments:
         # plans over many segments, up to a few blocks
         for d, m, top in ((2, 6, 4), (3, 4, 3), (2, 12, 2)):
             plan = _contract._plan(d, m)
-            plan.extend(top)
+            _builder.extend(plan, top)
             for r in range(1, top + 1):
                 sizes = plan.size[plan.start[r]:plan.start[r + 1]]
                 assert sum(sizes) == _stirling2(m * d, r)
@@ -790,9 +791,9 @@ def _record_dtypes(monkeypatch):
         def __getattr__(self, name):
             return getattr(np, name)
 
-        def einsum(self, sub, *operands):
+        def einsum(self, sub, *operands, **kwargs):
             seen.extend(x.dtype for x in operands)
-            return np.einsum(sub, *operands)
+            return np.einsum(sub, *operands, **kwargs)
 
         class add:
             @staticmethod
@@ -856,13 +857,13 @@ class TestPartitionOrbits:
         for top in range(1, l + 1):
             monkeypatch.setattr(_contract, "_plans", {})
             plan = _contract._plan(d, m)
-            plan.extend_rows(top)
+            _builder.extend_rows(plan, top)
             _check_plan(plan, top, orbit_of, members, rows)
         # one plan extended block count by block count
         monkeypatch.setattr(_contract, "_plans", {})
         plan = _contract._plan(d, m)
         for top in range(1, l + 1):
-            plan.extend_rows(top)
+            _builder.extend_rows(plan, top)
         _check_plan(plan, l, orbit_of, members, rows)
 
     @pytest.mark.parametrize("d, m", _SMALL_PLANS)
@@ -877,8 +878,8 @@ class TestPartitionOrbits:
             names = rng.sample(range(max(row) + 1), max(row) + 1)
             renamed.append([names[x] for x in row])
         plan = _contract._plan(d, m)
-        keys = plan._canonical(np.array(rgs, dtype=np.int8))[0].tolist()
-        assert plan._canonical(np.array(renamed, dtype=np.int8))[0].tolist() == keys
+        keys = _builder._canonical(plan, np.array(rgs, dtype=np.int8))[0].tolist()
+        assert _builder._canonical(plan, np.array(renamed, dtype=np.int8))[0].tolist() == keys
         key_of = {}
         for row, key in zip(rgs, keys):
             assert key_of.setdefault(orbit_of[row], key) == key
@@ -889,9 +890,11 @@ class TestPartitionOrbits:
         # 4 of (2, 2); read in base 4, [1, 2, 2, 2] and [0, 5, 5, 6] are
         # both 106, so find must tell rows apart in their own base
         plan = _contract._plan(2, 2)
-        plan.extend(4)
-        found = plan.find(np.array([[1, 2, 2, 2], [0, 5, 5, 6]], dtype=np.int8))
-        renamed = plan.find(np.array([[0, 1, 1, 1], [0, 1, 1, 2]], dtype=np.int8))
+        _builder.extend(plan, 4)
+        found = _builder.find(
+            plan, np.array([[1, 2, 2, 2], [0, 5, 5, 6]], dtype=np.int8))
+        renamed = _builder.find(
+            plan, np.array([[0, 1, 1, 1], [0, 1, 1, 2]], dtype=np.int8))
         assert found.tolist() == renamed.tolist()
         assert renamed[0] != renamed[1]
 
@@ -906,7 +909,7 @@ class TestPartitionOrbits:
             names: dict = {}
             rgs.append([names.setdefault(rng.randrange(blocks), len(names))
                         for _ in range(m * d)])
-        keys = plan._canonical(np.array(rgs, dtype=np.int8))[0].tolist()
+        keys = _builder._canonical(plan, np.array(rgs, dtype=np.int8))[0].tolist()
         moved = []
         for row in rgs:
             for _ in range(5):
@@ -914,11 +917,32 @@ class TestPartitionOrbits:
                 names = rng.sample(range(max(row) + 1), max(row) + 1)
                 moved.append([names[row[s * d + t]] for s in order
                               for t in range(d)])
-        assert plan._canonical(np.array(moved, dtype=np.int8))[0].tolist() == \
+        assert _builder._canonical(plan, np.array(moved, dtype=np.int8))[0].tolist() == \
             [key for key in keys for _ in range(5)]
         forms = [brute_orbit_form(row, d, m) for row in rgs]
         for i, j in itertools.combinations(range(samples), 2):
             assert (keys[i] == keys[j]) == (forms[i] == forms[j])
+
+
+class TestGroupedSide:
+    """``_Plan.side``, one einsum per group of like nodes, against one
+    einsum per node (``tests/helpers.node_loop_side``), bit for bit."""
+
+    @pytest.mark.parametrize("d, m, tops", [
+        *((d, m, m * d) for d, m in sorted(_contract._SHIPPED)), (2, 6, 6), (4, 2, 5)])
+    def test_matches_the_node_loop(self, monkeypatch, d, m, tops):
+        # shipped plans as read, the others built; every block limit, an
+        # all-zero side, int64-tier entries and entries of 10**12, whose
+        # sides run on Python ints
+        monkeypatch.setattr(_contract, "_plans", {})
+        plan = _contract._plan(d, m)
+        rng = random.Random(1041 + 10 * d + m)
+        for top in range(1, tops + 1):
+            for n in (1, 2):
+                for big in (0, 9, 10 ** 12):
+                    flat = [rng.randint(-big, big) for _ in range(n ** d)]
+                    assert plan.side(top, flat, n) == \
+                        node_loop_side(plan, top, flat, n), (top, n, big)
 
 
 class TestShippedPlans:
@@ -941,7 +965,7 @@ class TestShippedPlans:
         monkeypatch.setattr(_contract, "_plans", {})
         built = _contract._plan(d, m)
         with open(_contract._plan_file(d, m), "rb") as fh:
-            assert fh.read() == _contract._dumps(built).encode()
+            assert fh.read() == _builder._dumps(built).encode()
         for name in ("reps", "keys", "factors", "cols", "coefs", "row_start"):
             ours, theirs = getattr(shipped, name), getattr(built, name)
             assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
@@ -955,8 +979,8 @@ class TestShippedPlans:
             raise AssertionError("a shipped plan must not be built")
 
         monkeypatch.setattr(_contract, "_plans", {})
-        monkeypatch.setattr(_contract, "_compile", refuse)
-        monkeypatch.setattr(_contract._Plan, "_canonical", refuse)
+        monkeypatch.setattr(_builder, "_compile", refuse)
+        monkeypatch.setattr(_builder, "_canonical", refuse)
         rng = random.Random(1031)
         for n, d, k in ((5, 2, 2), (4, 2, 1), (4, 3, 1), (7, 2, 2)):
             a = random_int_tensor(rng, n, d, -4, 4)
@@ -1093,7 +1117,8 @@ def _greedy_scores(flat_a, flat_b, n, d, m, chosen, cands=None):
     every image not in ``chosen``."""
     if cands is None:
         cands = tuple(c for c in range(n) if c not in chosen)
-    scores, _ = _typesweep.PinnedScorer(flat_a, flat_b, n, d, m).scores(
+    scores, _ = _typesweep.PinnedScorer(
+        nonzero_side(flat_a), nonzero_side(flat_b), n, d, m).scores(
         tuple(enumerate(chosen)), len(chosen), cands)
     return scores
 
@@ -1257,7 +1282,8 @@ class TestGreedyScores:
             b = random_int_tensor(rng, n, d, -3, 3)
             flat_a = [int(v) for v in a.entries]
             flat_b = [int(v) for v in b.entries]
-            scorer = _typesweep.PinnedScorer(flat_a, flat_b, n, d, m)
+            scorer = _typesweep.PinnedScorer(
+                nonzero_side(flat_a), nonzero_side(flat_b), n, d, m)
             order = rng.sample(range(n), n)
             for t in range(1, n + 1):
                 chosen = tuple(order[:t - 1])
@@ -1285,19 +1311,22 @@ class TestGreedyScores:
 
         def extraction():
             # one scorer across all n steps, as greedy_extract runs it
-            scorer = _typesweep.PinnedScorer(flat_a, flat_b, n, d, m)
+            scorer = _typesweep.PinnedScorer(
+                nonzero_side(flat_a), nonzero_side(flat_b), n, d, m)
             return [scorer.scores(tuple(enumerate(c)), len(c),
                                   [j for j in range(n) if j not in c])[0]
                     for c in steps]
 
         whole = [_greedy_scores(flat_a, flat_b, n, d, m, c) for c in steps]
         assert extraction() == whole
-        moduli = _typesweep.PinnedScorer(flat_a, flat_b, n, d, m).moduli
+        moduli = _typesweep.PinnedScorer(
+            nonzero_side(flat_a), nonzero_side(flat_b), n, d, m).moduli
         # both sides have entries of one tier, so rows of one size
-        row_bytes = _typesweep.sweep_rows(flat_a, n, d, m, moduli)[2]
+        row_bytes = _typesweep.sweep_rows(*nonzero_side(flat_a), n, d, m, moduli)[2]
         monkeypatch.setattr(_typesweep, "CACHE_BYTES", 100 * row_bytes)
         monkeypatch.setattr(_typesweep, "CHUNK_BYTES", 250 * row_bytes)
-        exact, count, _, chunks = _typesweep.sweep_rows(flat_a, n, d, m, moduli)
+        exact, count, _, chunks = _typesweep.sweep_rows(
+            *nonzero_side(flat_a), n, d, m, moduli)
         assert exact == (top == 3) and (moduli.size > 1) == (top > 3)
         assert count == sum(1 for v in flat_a if v) ** 2
         assert count % 250 and len(list(chunks())) == count // 250 + 1
@@ -1328,7 +1357,8 @@ class TestGreedyScores:
         # int8 block values, less one byte
         monkeypatch.setattr(_typesweep, "CACHE_BYTES", (n * n) ** 2 * 20 - 1)
         monkeypatch.setattr(_typesweep, "CHUNK_BYTES", 250 * 20)
-        scorer = _typesweep.PinnedScorer(flat_a, flat_b, n, d, m)
+        scorer = _typesweep.PinnedScorer(
+            nonzero_side(flat_a), nonzero_side(flat_b), n, d, m)
         assert [scorer.scores(tuple(enumerate(c)), len(c),
                               [j for j in range(n) if j not in c])[0]
                 for c in steps] == whole
@@ -1396,7 +1426,8 @@ class TestStreamedSweepMemory:
 
         a, b = tensor(), tensor()
         prefix = PartialAssignment(((0, 3), (5, 7)))
-        scorer = _typesweep.PinnedScorer(a.ints, b.ints, n, 2, 2)
+        scorer = _typesweep.PinnedScorer(
+            nonzero_side(a.ints), nonzero_side(b.ints), n, 2, 2)
         for exact, count, row_bytes, _ in scorer.sweep:
             assert exact == (top == 3) and count * row_bytes > 2 * rows * 20
         assert (scorer.moduli.size > 1) == (top > 3)
@@ -1456,14 +1487,15 @@ class TestCosetEnumeration:
         total = loop_coset_power_sums(nz_a, flat_b, n, d, m, pairs, None)
         for split_pos in free[:1] + [p for p, _ in pairs][:1]:
             got = moduli.values(assign._enumerate_coset_power_sums(
-                a, b, m, pairs, split_pos, moduli))
+                assign._coset_inputs(a, b), m, pairs, split_pos, moduli))
             want = loop_coset_power_sums(nz_a, flat_b, n, d, m, pairs,
                                          split_pos)
             # images no permutation reaches read 0
             assert got == [want.get(j, 0) for j in range(n)]
             assert sum(got) == total
         # f**m of each permutation, as the kept coset holds them
-        powers = assign._enumerate_coset_power_sums(a, b, m, pairs, None, moduli)
+        powers = assign._enumerate_coset_power_sums(
+            assign._coset_inputs(a, b), m, pairs, None, moduli)
         assert powers.shape == (moduli.size, math.factorial(len(free)))
         assert sum(moduli.values(powers)) == total
 
@@ -1492,8 +1524,8 @@ class TestCosetEnumeration:
             self._check([0] * n ** d, flat_b, n, d, 2, pairs)
         moduli = _residue.Moduli.for_bound(0)
         assert moduli.values(assign._enumerate_coset_power_sums(
-            DenseTensor.zeros(n, d), DenseTensor(n, d, flat_b), 2, ((1, 2),), 0,
-            moduli)) == [0, 0, 0, 0]
+            assign._coset_inputs(DenseTensor.zeros(n, d), DenseTensor(n, d, flat_b)),
+            2, ((1, 2),), 0, moduli)) == [0, 0, 0, 0]
 
     @pytest.mark.parametrize("case,dtype", [("at", np.int64), ("above", object)])
     @pytest.mark.parametrize("signs", ["equal", "mixed"])
@@ -1581,7 +1613,7 @@ class TestIntegerCombine:
         enum = assign._enumerate_coset_power_sums
         # the split position: None enumerates a parent to keep
         monkeypatch.setattr(assign, "_enumerate_coset_power_sums",
-                            lambda *a: calls.append(a[4]) or enum(*a))
+                            lambda *a: calls.append(a[3]) or enum(*a))
         a, b = _oracle_pair("hyper-2-14")
         result = greedy_extract(a, b, 1)
         assert calls == [None]

@@ -624,6 +624,40 @@ class TestStartup:
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout.split() == ["[]"], (n, d, proc.stdout)
 
+    def test_plan_builder_loads_only_for_unshipped_shapes(self, tmp_path):
+        # every d >= 2 moment at (d, 2k) = (2, 2), (2, 4) or (3, 2) reads
+        # its complete shipped plan, so the plan builder is never
+        # imported; a moment at (4, 2) builds its plan and imports it
+        def dense(n, d, seed):
+            return {"n": n, "d": d, "entries": [
+                {"index": [i + 1 for i in idx],
+                 "value": str((sum(idx) * 7 + idx[0] * 3 + seed) % 5 - 2)}
+                for idx in itertools.product(range(n), repeat=d)]}
+
+        child = textwrap.dedent("""
+            import contextlib, io, sys
+            sys.path.insert(0, sys.argv[1])
+            import orbitmax.cli
+            runs = [sys.argv[i:i + 3] for i in range(2, len(sys.argv), 3)]
+            for a, b, k in runs:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    argv = ["assign", "--a", a, "--b", b, "--k", k]
+                    assert orbitmax.cli.main(argv) == 0, argv
+            print("orbitmax._contract" in sys.modules,
+                  "orbitmax._builder" in sys.modules)
+        """)
+        src = str(Path(orbitmax.__file__).resolve().parents[1])
+        files = {}
+        for n, d in ((5, 2), (4, 3), (3, 4)):
+            files[d] = (write(tmp_path, f"a{d}.json", dense(n, d, 1)),
+                        write(tmp_path, f"b{d}.json", dense(n, d, 2)))
+        shipped = [*files[2], "1", *files[2], "2", *files[3], "1"]
+        for runs, builds in ((shipped, False), (shipped + [*files[4], "1"], True)):
+            proc = subprocess.run([sys.executable, "-c", child, src, *runs],
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.split() == ["True", str(builds)], runs
+
     def test_verify_and_linear_assign_load_no_numpy(self, tmp_path):
         # verify enumerates S_n in Python integers and d = 1 assign works
         # from power sums and the rearrangement inequality; a d = 2
