@@ -21,7 +21,14 @@ access, so ``import orbitmax`` imports none of them.  Importing any of
 them loads no numpy either: the d >= 2 engines of
 :mod:`~orbitmax.assign` (and so :mod:`~orbitmax.hypergraph`) load it
 when first called, and :mod:`~orbitmax.sphere` inside
-``sample_lower_bound``; :mod:`~orbitmax.sandwich` never does.
+``sample_lower_bound``; :mod:`~orbitmax.sandwich` never does.  No
+module imports the standard library's data class module, which would
+load ``inspect``, ``ast``, ``dis`` and ``tokenize`` and ``exec`` the
+methods it generates for each class: the value types share one
+immutable ``__slots__`` base in :mod:`~orbitmax.exact`, and the result
+records are ``NamedTuple`` classes.  That saves about 7.5 ms of the
+19 ms a fresh process took to ``import orbitmax.cli``, and 1-3 ms on
+each engine module's import.
 """
 
 from .bounds import Interval

@@ -46,13 +46,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .bounds import Interval
 from .errors import BudgetError
-from .exact import (_INT64_MAX, format_rational, parse_budget, parse_int,
+from .exact import (_INT64_MAX, _Frozen, format_rational, parse_budget, parse_int,
                     parse_ints, parse_list, parse_rational, parse_rationals)
 
 __all__ = [
@@ -79,8 +78,7 @@ DEFAULT_VISIT_BUDGET = 10 ** 8
 DEFAULT_BRUTE_CAP = 9
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class DenseTensor:
+class DenseTensor(_Frozen):
     """Order-d array with side n over exact rationals, row-major, 0-based.
 
     The entries are cleared once, when the tensor is built, into three
@@ -91,16 +89,14 @@ class DenseTensor:
     ascending row-major positions of the nonzero entries.  The engines
     compute in these integers and apply the scale once, at the end;
     ``entries`` is a view of the entries as ``Fraction``s in lowest
-    terms, built on each access.  Tensors are equal when their n, d and
-    entries are.  The shape and every index are read with
-    ``exact.parse_int``, and the entries with ``exact.parse_rationals``.
+    terms, built on each access.  Tensors are immutable, and equal when
+    their n, d and entries are: equality compares n, d, den and ints,
+    not ``nonzero``, which they determine.  The shape and every index
+    are read with ``exact.parse_int``, and the entries with
+    ``exact.parse_rationals``.
     """
 
-    n: int
-    d: int
-    den: int
-    ints: tuple[int, ...]
-    nonzero: tuple[int, ...] = field(compare=False)
+    __slots__ = ("n", "d", "den", "ints", "nonzero")
 
     def __init__(self, n: int, d: int,
                  entries: Iterable[Fraction | int | str]) -> None:
@@ -122,9 +118,7 @@ class DenseTensor:
             x = v.numerator * (den // v.denominator)
             for p in positions:
                 ints[p] = x
-        for name, value in (("n", n), ("d", d), ("ints", tuple(ints)), ("den", den),
-                            ("nonzero", tuple(itertools.compress(range(n ** d), ints)))):
-            object.__setattr__(self, name, value)
+        self._set(n, d, den, tuple(ints), tuple(itertools.compress(range(n ** d), ints)))
 
     @classmethod
     def _scattered(cls, n: int, d: int,
@@ -133,6 +127,12 @@ class DenseTensor:
         t = object.__new__(cls)
         t._clear(n, d, groups)
         return t
+
+    def _key(self) -> tuple:
+        return self.n, self.d, self.den, self.ints
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self.n, self.d, self.entries)
 
     def __repr__(self) -> str:
         return f"DenseTensor(n={self.n!r}, d={self.d!r}, entries={self.entries!r})"
@@ -197,18 +197,18 @@ def _digits(flat: int, n: int, d: int) -> tuple[int, ...]:
     return tuple(reversed(idx))
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(_Frozen):
     """A bijection of {0..n-1}; images[i] = g(i), each read with
-    ``exact.parse_int``."""
+    ``exact.parse_int``.  Immutable; equality compares ``images``."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "images", parse_ints(self.images))
-        n = len(self.images)
-        if sorted(self.images) != list(range(n)):
-            raise ValueError(f"not a permutation of 0..{n - 1}: {self.images}")
+    def __init__(self, images: Sequence[int]) -> None:
+        images = parse_ints(images)
+        n = len(images)
+        if sorted(images) != list(range(n)):
+            raise ValueError(f"not a permutation of 0..{n - 1}: {images}")
+        self._set(images)
 
     @property
     def n(self) -> int:
@@ -221,21 +221,22 @@ class Permutation:
         return tuple(self.images[i] for i in idx)
 
 
-@dataclass(frozen=True)
-class PartialAssignment:
+class PartialAssignment(_Frozen):
     """Injective prefix of a permutation: ordered (position, image) pairs,
-    each read with ``exact.parse_ints``."""
+    each read with ``exact.parse_ints``.  Immutable; equality compares
+    ``pairs``, in order."""
 
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ("pairs",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pairs", tuple(map(parse_ints, self.pairs)))
-        pos = [p for p, _ in self.pairs]
-        img = [q for _, q in self.pairs]
+    def __init__(self, pairs: Sequence[Sequence[int]]) -> None:
+        pairs = tuple(map(parse_ints, pairs))
+        pos = [p for p, _ in pairs]
+        img = [q for _, q in pairs]
         if len(set(pos)) != len(pos):
             raise ValueError("positions in a partial assignment must be distinct")
         if len(set(img)) != len(img):
             raise ValueError("images in a partial assignment must be distinct")
+        self._set(pairs)
 
     @classmethod
     def empty(cls) -> "PartialAssignment":

@@ -4,16 +4,14 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import _power_cmp, format_rational, root_2k
+from .exact import _Frozen, _power_cmp, format_rational, root_2k
 
 __all__ = ["Interval"]
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(_Frozen):
     """A sandwich lower <= max <= upper certified from an exact even moment.
 
     ``lower_exact`` is the exact 2k-th power of the lower end (the even
@@ -22,19 +20,17 @@ class Interval:
     rounded outward, so that ``lower**(2k) <= lower_exact`` and
     ``upper**(2k) >= upper_exact`` hold exactly for the floats too.
     ``degenerate`` marks the [0, 0] interval produced for
-    an identically-zero objective, which certifies nothing.
+    an identically-zero objective, which certifies nothing.  Intervals
+    are immutable, and equal when all six fields are.
     """
 
-    lower: float
-    upper: float
-    lower_exact: Fraction
-    upper_exact: Fraction
-    k_used: int
-    degenerate: bool = False
+    __slots__ = ("lower", "upper", "lower_exact", "upper_exact", "k_used", "degenerate")
 
-    def __post_init__(self) -> None:
-        if self.lower > self.upper:
+    def __init__(self, lower: float, upper: float, lower_exact: Fraction,
+                 upper_exact: Fraction, k_used: int, degenerate: bool = False) -> None:
+        if lower > upper:
             raise ValueError("interval ends out of order")
+        self._set(lower, upper, lower_exact, upper_exact, k_used, degenerate)
 
     @classmethod
     def from_moment(cls, moment: Fraction, factor: int, k: int) -> "Interval":

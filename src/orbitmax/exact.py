@@ -1,5 +1,6 @@
 """Exact scalar kernels: bound factors, roots, rational and integer parsing,
-and clearing the denominators of a rational vector.
+and clearing the denominators of a rational vector; and ``_Frozen``, the
+immutable base of the library's value types.
 
 Everything here is computed in exact integer / rational arithmetic
 (``fractions.Fraction``); floating point appears only at the very end,
@@ -235,6 +236,48 @@ def parse_rationals(value: object) -> tuple[Fraction, ...]:
     if isinstance(value, (str, bytes)):
         raise ValueError(f"expected a sequence of rationals, got {value!r}")
     return tuple(map(parse_rational, value))
+
+
+class _Frozen:
+    """Base of the immutable value types: unlike a data class, defining a
+    subclass generates and compiles no code at import.  A subclass names
+    its fields in ``__slots__`` and sets them once, in its ``__init__``,
+    with ``_set``; assigning or deleting a field afterwards raises
+    ``AttributeError``.  Equality (same class, equal ``_key``) and hash
+    read ``_key``, every field by default, and repr shows every field.
+    ``copy`` and ``pickle`` call the class on ``_key``, so a copy passes
+    ``__init__``'s checks again; a subclass whose ``_key`` is not its
+    constructor's arguments overrides ``__reduce__``."""
+
+    __slots__ = ()
+
+    def _set(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._key()
 
 
 def _int_scaled(values: Sequence[Fraction | int]) -> tuple[list[int], int]:

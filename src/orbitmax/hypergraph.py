@@ -11,13 +11,13 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
 from . import assign
 from .bounds import Interval
-from .exact import format_rational, parse_int, parse_ints, parse_list, parse_rationals
+from .exact import (_Frozen, format_rational, parse_int, parse_ints, parse_list,
+                    parse_rationals)
 
 __all__ = [
     "Hypergraph",
@@ -30,8 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Hypergraph:
+class Hypergraph(_Frozen):
     """n vertices (0-based) and multiset edges of exactly d vertices each.
 
     Shorter edges must be padded to size d by repeating vertices, which
@@ -39,35 +38,32 @@ class Hypergraph:
     sorted; duplicates (as multisets) are rejected.  ``weights`` are
     optional per-edge prices, defaulting to 1.  The shape and every
     vertex are read with ``exact.parse_int``, and the weights with
-    ``exact.parse_rationals``.
+    ``exact.parse_rationals``.  Hypergraphs are immutable, and equal
+    when n, d, the sorted edges and the weights are.
     """
 
-    n: int
-    d: int
-    edges: tuple[tuple[int, ...], ...]
-    weights: tuple[Fraction, ...] = ()
+    __slots__ = ("n", "d", "edges", "weights")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n", parse_int(self.n))
-        object.__setattr__(self, "d", parse_int(self.d))
-        if self.n < 1 or self.d < 1:
+    def __init__(self, n: int, d: int, edges: Sequence[Sequence[int]],
+                 weights: Sequence[Fraction | int | str] = ()) -> None:
+        n, d = parse_int(n), parse_int(d)
+        if n < 1 or d < 1:
             raise ValueError("hypergraph needs n >= 1 and d >= 1")
-        object.__setattr__(self, "weights", parse_rationals(self.weights)
-                           or (Fraction(1),) * len(self.edges))
-        if len(self.weights) != len(self.edges):
+        weights = parse_rationals(weights) or (Fraction(1),) * len(edges)
+        if len(weights) != len(edges):
             raise ValueError("weights must parallel edges")
         canon = []
-        for e in map(parse_ints, self.edges):
-            if len(e) != self.d:
+        for e in map(parse_ints, edges):
+            if len(e) != d:
                 raise ValueError(
                     f"edge {e} has {len(e)} vertices (with multiplicity), "
-                    f"expected exactly {self.d}; pad shorter edges explicitly")
-            if any(not 0 <= v < self.n for v in e):
-                raise ValueError(f"edge {e} has a vertex outside 0..{self.n - 1}")
+                    f"expected exactly {d}; pad shorter edges explicitly")
+            if any(not 0 <= v < n for v in e):
+                raise ValueError(f"edge {e} has a vertex outside 0..{n - 1}")
             canon.append(tuple(sorted(e)))
         if len(set(canon)) != len(canon):
             raise ValueError("duplicate edges are not allowed")
-        object.__setattr__(self, "edges", tuple(canon))
+        self._set(n, d, tuple(canon), weights)
 
     @classmethod
     def from_edges(cls, n: int, d: int, edges: Sequence[Sequence[int]],

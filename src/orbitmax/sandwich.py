@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exact import _int_scaled, bound_factor, format_rational, parse_rationals
 
@@ -31,8 +30,10 @@ __all__ = [
 DEFAULT_GROUP_CAP = 7
 
 
-@dataclass(frozen=True)
-class InequalityCheck:
+class InequalityCheck(NamedTuple):
+    """One sandwich inequality lhs <= rhs, decided exactly.  A NamedTuple:
+    immutable, and compared as the tuple of its fields."""
+
     inequality: str
     lhs: Fraction
     rhs: Fraction
@@ -54,8 +55,10 @@ class InequalityCheck:
         }
 
 
-@dataclass(frozen=True)
-class SandwichReport:
+class SandwichReport(NamedTuple):
+    """The exact quantities and checks of ``verify_sandwich``.  A
+    NamedTuple: immutable, and compared as the tuple of its fields."""
+
     n: int
     k: int
     span_dim: int
@@ -200,8 +203,10 @@ def verify_sandwich(v: Sequence[Fraction | int], ell: Sequence[Fraction | int],
     return SandwichReport(n, k, span, sup, m2k, m2, checks)
 
 
-@dataclass(frozen=True)
-class Cor16Check:
+class Cor16Check(NamedTuple):
+    """The bound factor at one dimension against eps * sqrt(dim).  A
+    NamedTuple: immutable, and compared as the tuple of its fields."""
+
     dim: int
     factor: float
     threshold: float
@@ -218,8 +223,10 @@ class Cor16Check:
         }
 
 
-@dataclass(frozen=True)
-class Cor16Report:
+class Cor16Report(NamedTuple):
+    """The k0 and checks of ``cor16_factor_check``.  A NamedTuple:
+    immutable, and compared as the tuple of its fields."""
+
     eps: float
     k0: int
     checks: tuple[Cor16Check, ...]

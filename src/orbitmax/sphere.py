@@ -11,16 +11,15 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count, repeat
 from operator import mul
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .bounds import Interval
 from .errors import BudgetError
-from .exact import (_int_scaled, format_rational, parse_budget, parse_int, parse_ints,
-                    parse_list, parse_rational)
+from .exact import (_Frozen, _int_scaled, format_rational, parse_budget, parse_int,
+                    parse_ints, parse_list, parse_rational)
 
 __all__ = [
     "DEFAULT_TERM_BUDGET",
@@ -39,8 +38,7 @@ __all__ = [
 DEFAULT_TERM_BUDGET = 5_000_000
 
 
-@dataclass(frozen=True, eq=True)
-class SparsePoly:
+class SparsePoly(_Frozen):
     """Homogeneous polynomial of degree d in n variables.
 
     ``terms`` maps exponent tuples (length n, entries summing to d) to
@@ -48,33 +46,33 @@ class SparsePoly:
     map with a declared (n, d), read with ``exact.parse_int``; every
     coefficient is read with ``exact.parse_rational``.  Instances are
     canonical on construction: no zero coefficients, no duplicate
-    exponent vectors.
+    exponent vectors.  A polynomial is immutable, and equal to another
+    when n, d and terms are; it is unhashable, since ``terms`` is a
+    dict.
     """
 
-    n: int
-    d: int
-    terms: dict[tuple[int, ...], Fraction] = field(default_factory=dict)
+    __slots__ = ("n", "d", "terms")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n", parse_int(self.n))
-        object.__setattr__(self, "d", parse_int(self.d))
-        if self.n < 1:
+    def __init__(self, n: int, d: int,
+                 terms: Mapping[tuple[int, ...], Fraction | int | str] = {}) -> None:
+        n, d = parse_int(n), parse_int(d)
+        if n < 1:
             raise ValueError("n must be >= 1")
-        if self.d < 1:
+        if d < 1:
             raise ValueError("d must be >= 1 (homogeneous, non-constant)")
-        object.__setattr__(self, "terms", {
-            exps: parse_rational(coef) for exps, coef in self.terms.items()})
-        for exps, coef in self.terms.items():
-            if len(exps) != self.n:
+        terms = {exps: parse_rational(coef) for exps, coef in terms.items()}
+        for exps, coef in terms.items():
+            if len(exps) != n:
                 raise ValueError(
-                    f"exponent vector {exps} has length {len(exps)}, expected {self.n}")
+                    f"exponent vector {exps} has length {len(exps)}, expected {n}")
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
-            if sum(exps) != self.d:
+            if sum(exps) != d:
                 raise ValueError(
-                    f"term {exps} has total degree {sum(exps)}, expected {self.d}")
+                    f"term {exps} has total degree {sum(exps)}, expected {d}")
             if coef == 0:
                 raise ValueError("zero coefficients must not be stored")
+        self._set(n, d, terms)
 
     @classmethod
     def from_terms(cls, n: int, d: int,
@@ -420,9 +418,10 @@ def sample_lower_bound(p: SparsePoly, trials: int, seed: int) -> float:
     return float(np.max(np.abs(vals)))
 
 
-@dataclass(frozen=True)
-class SystemReduction:
-    """Outcome of the feasibility reduction for p_i(x) = 0 on the sphere."""
+class SystemReduction(NamedTuple):
+    """Outcome of the feasibility reduction for p_i(x) = 0 on the sphere.
+    A NamedTuple: immutable, and compared as the tuple of its fields;
+    unhashable, since ``p`` is."""
 
     gamma: float
     gamma_exact: Fraction

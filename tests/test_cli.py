@@ -529,7 +529,8 @@ class TestStartup:
         # A fresh interpreter, because this one has numpy loaded already.
         # Importing assign loads neither numpy nor _typesweep either: the
         # d >= 2 engines import them on first use, so their cost lands in
-        # the first d >= 2 call rather than in every assign process.
+        # the first d >= 2 call rather than in every assign process.  No
+        # orbitmax module imports dataclasses, which would pull in inspect.
         poly = write(tmp_path, "p.json", poly_x1())
         system = write(tmp_path, "s.json", [poly_x1()])
         child = textwrap.dedent("""
@@ -542,12 +543,12 @@ class TestStartup:
                          ["poly-bounds", "--poly", poly, "--eps", "0.5"],
                          ["system-test", "--system", system, "--k", "1"]):
                 assert orbitmax.cli.main(argv) == 0, argv
-            loaded = [m for m in ("numpy", "orbitmax.assign", "orbitmax._typesweep")
-                      if m in sys.modules]
+            loaded = [m for m in ("numpy", "orbitmax.assign", "orbitmax._typesweep",
+                                  "dataclasses", "inspect") if m in sys.modules]
             assert not loaded, loaded
             from orbitmax import assign
-            loaded = [m for m in ("numpy", "orbitmax._typesweep", "orbitmax._contract")
-                      if m in sys.modules]
+            loaded = [m for m in ("numpy", "orbitmax._typesweep", "orbitmax._contract",
+                                  "dataclasses", "inspect") if m in sys.modules]
             assert not loaded, loaded
         """)
         src = str(Path(orbitmax.__file__).resolve().parents[1])
@@ -660,8 +661,9 @@ class TestStartup:
 
     def test_verify_and_linear_assign_load_no_numpy(self, tmp_path):
         # verify enumerates S_n in Python integers and d = 1 assign works
-        # from power sums and the rearrangement inequality; a d = 2
-        # hyper-align afterwards loads the d >= 2 engines on demand
+        # from power sums and the rearrangement inequality, and neither
+        # loads dataclasses or inspect; a d = 2 hyper-align afterwards
+        # loads the d >= 2 engines on demand
         a = write(tmp_path, "a.json", {"n": 4, "d": 1, "entries": [
             {"index": [1], "value": "3/2"}, {"index": [2], "value": "-1"},
             {"index": [4], "value": "2"}]})
@@ -674,7 +676,8 @@ class TestStartup:
             sys.path.insert(0, sys.argv[1])
             import orbitmax.cli
             a, b, h = sys.argv[2:5]
-            engines = ("numpy", "orbitmax._typesweep", "orbitmax._contract")
+            engines = ("numpy", "orbitmax._typesweep", "orbitmax._contract",
+                       "dataclasses", "inspect")
 
             def run(argv):
                 with contextlib.redirect_stdout(io.StringIO()):
