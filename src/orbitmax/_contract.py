@@ -351,11 +351,9 @@ def check_budget(n: int, d: int, m: int, budget: int) -> None:
     if required <= budget:
         required += 2 * sum(nodes * n ** width
                             for width, nodes in _plan(d, m).limit(top).widths)
-    if required > budget:
-        raise BudgetError(
-            f"partition moments need at least {required} plan terms and "
-            f"multiply-adds (n={n}, d={d}, 2k={m}), budget is {budget}",
-            required=required, budget=budget, k=m // 2)
+    BudgetError.check(required, budget, "partition moments need at least {} plan "
+                      "terms and multiply-adds (n={}, d={}, 2k={})",
+                      required, n, d, m, k=m // 2)
 
 
 def moment(flat_a: Sequence[int], flat_b: Sequence[int], n: int, d: int,

@@ -52,7 +52,8 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from .bounds import Interval
 from .errors import BudgetError
 from .exact import (_INT64_MAX, _Frozen, format_rational, parse_budget, parse_int,
-                    parse_ints, parse_list, parse_rational, parse_rationals)
+                    parse_ints, parse_list, parse_positive, parse_rational,
+                    parse_rationals)
 
 __all__ = [
     "DEFAULT_VISIT_BUDGET",
@@ -268,10 +269,20 @@ class BruteResult(NamedTuple):
     abs_value: Fraction
 
 
-def _check_shapes(a: DenseTensor, b: DenseTensor) -> None:
+def _check_shapes(a, b, kind: str = "tensor") -> None:
+    """Refuse two tensors, or two hypergraphs, of different n or d."""
     if a.n != b.n or a.d != b.d:
         raise ValueError(
-            f"tensor shapes differ: (n={a.n}, d={a.d}) vs (n={b.n}, d={b.d})")
+            f"{kind} shapes differ: (n={a.n}, d={a.d}) vs (n={b.n}, d={b.d})")
+
+
+def _read_args(a: DenseTensor, b: DenseTensor, k: int,
+               visit_budget: int | None) -> tuple[int, int]:
+    """The preamble of every engine entry: refuse a and b of different
+    shapes, and read k with ``parse_positive`` and the budget with
+    ``parse_budget``."""
+    _check_shapes(a, b)
+    return parse_positive(k, "k"), parse_budget(visit_budget, DEFAULT_VISIT_BUDGET)
 
 
 def matrix_element(a: DenseTensor, b: DenseTensor, g: Permutation) -> Fraction:
@@ -345,11 +356,9 @@ def _d1_check_budget(n: int, m: int, cosets: Mapping[int, int],
             row.append(row[r - 1] + (at_most[j - r][r] if j >= r else 0))
         at_most.append(row)
         required += sum(c * row[r] for r, c in cosets.items())
-        if required > budget:
-            raise BudgetError(
-                f"power-sum moments need at least {required} partition terms "
-                f"and power products (n={n}, 2k={m}), budget is {budget}",
-                required=required, budget=budget, k=m // 2)
+        BudgetError.check(required, budget, "power-sum moments need at least {} "
+                          "partition terms and power products (n={}, 2k={})",
+                          required, n, m, k=m // 2)
 
 
 def _power_sums(vals: Sequence[int], m: int) -> list[int]:
@@ -427,10 +436,7 @@ def moment_2k(a: DenseTensor, b: DenseTensor, k: int,
     (``_contract.plan_terms``) before the plan is built, plus the
     multiply-adds of both sides' contractions before any is run.
     """
-    _check_shapes(a, b)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    budget = parse_budget(visit_budget, DEFAULT_VISIT_BUDGET)
+    k, budget = _read_args(a, b, k, visit_budget)
     n, m = a.n, 2 * k
     scale = _scale(a, b, m)
     if a.d == 1:
@@ -467,7 +473,8 @@ def bound_factor_exact(a: DenseTensor, b: DenseTensor, k: int) -> int:
 def sup_bounds(a: DenseTensor, b: DenseTensor, k: int,
                visit_budget: int | None = None) -> Interval:
     """Certified interval around max_g |<B, gA>| from the exact 2k moment."""
-    moment = moment_2k(a, b, k, visit_budget)
+    k, budget = _read_args(a, b, k, visit_budget)
+    moment = moment_2k(a, b, k, budget)
     return Interval.from_moment(moment, bound_factor_exact(a, b, k), k)
 
 
@@ -710,11 +717,9 @@ def _pinned_scorer(a: DenseTensor, b: DenseTensor, m: int, budget: int):
                      cands: Sequence[int]):
         free = n - len(pairs) - 1
         evaluations = len(cands) * math.factorial(free) * max(nnz, 1)
-        if min(evaluations, rows) > budget:
-            raise BudgetError(
-                f"pinned step needs {evaluations} coset evaluations or "
-                f"{rows} sweep rows (n={n}, d={d}, 2k={m}), budget is {budget}",
-                required=min(evaluations, rows), budget=budget, k=m // 2)
+        BudgetError.check(min(evaluations, rows), budget, "pinned step needs {} "
+                          "coset evaluations or {} sweep rows (n={}, d={}, 2k={})",
+                          evaluations, rows, n, d, m, k=m // 2)
         if kept:  # within the budget: fewer evaluations than the step that kept it
             return kept_sums(tuple(pairs), pos, cands), math.factorial(free)
         whole = len(cands) + len(pairs) == n  # every child of the parent
@@ -772,14 +777,11 @@ def coset_moment(a: DenseTensor, b: DenseTensor, k: int,
     coset and charges the budget as ``_pinned_scorer`` states.  The pins
     are passed to the sweep as they stand; nothing is relabelled.
     """
-    _check_shapes(a, b)
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k, budget = _read_args(a, b, k, visit_budget)
     n, d, m = a.n, a.d, 2 * k
     for p, q in prefix.pairs:
         if not (0 <= p < n and 0 <= q < n):
             raise ValueError(f"prefix pair ({p}, {q}) out of range 0..{n - 1}")
-    budget = parse_budget(visit_budget, DEFAULT_VISIT_BUDGET)
     if not prefix.pairs:
         return moment_2k(a, b, k, budget)
     *pairs, (pos, image) = prefix.pairs
@@ -817,10 +819,7 @@ def greedy_extract(a: DenseTensor, b: DenseTensor, k: int,
     states.  The first step that enumerates keeps its parent coset's
     values, and the later steps sum blocks of them and evaluate nothing.
     """
-    _check_shapes(a, b)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    budget = parse_budget(visit_budget, DEFAULT_VISIT_BUDGET)
+    k, budget = _read_args(a, b, k, visit_budget)
     n, m = a.n, 2 * k
     if a.d == 1:
         cosets: dict[int, int] = {}

@@ -6,7 +6,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .exact import _Frozen, _power_cmp, format_rational, root_2k
+from .exact import _Frozen, _power_cmp, format_rational, parse_positive, root_2k
 
 __all__ = ["Interval"]
 
@@ -34,7 +34,9 @@ class Interval(_Frozen):
 
     @classmethod
     def from_moment(cls, moment: Fraction, factor: int, k: int) -> "Interval":
-        """Build the interval from the exact moment and exact 2k-power factor."""
+        """Build the interval from the exact moment and exact 2k-power
+        factor; k is read with ``exact.parse_positive``."""
+        k = parse_positive(k, "k")
         if moment < 0:
             raise ValueError("even moment cannot be negative")
         upper_exact = moment * factor

@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from .errors import BudgetError
-from .exact import format_rational, parse_budget, root_2k
+from .exact import format_rational, parse_budget, parse_positive, root_2k
 
 __all__ = ["main"]
 
@@ -43,23 +43,16 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _require_k(k: int) -> int:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return k
-
-
 # Each command imports only the engine it runs, so that a process compiles
 # only the modules it uses; numpy is loaded only by the d >= 2 assignment
-# engines, when first called.
+# engines, when first called.  The engines read --k themselves.
 def _cmd_poly_norm(args) -> dict:
     from . import sphere
     p = sphere.poly_from_json(_load_json(args.poly))
-    k = _require_k(args.k)
-    moment = sphere.moment_2k(p, k, _resolve_budget(args.budget))
+    moment = sphere.moment_2k(p, args.k, _resolve_budget(args.budget))
     return {
         "moment_2k": format_rational(moment),
-        "norm_2k": root_2k(moment, k),
+        "norm_2k": root_2k(moment, args.k),
     }
 
 
@@ -70,7 +63,7 @@ def _cmd_poly_bounds(args) -> dict:
     if (args.k is None) == (args.eps is None):
         raise ValueError("exactly one of --k and --eps is required")
     if args.k is not None:
-        interval = sphere.sup_bounds(p, _require_k(args.k), budget)
+        interval = sphere.sup_bounds(p, args.k, budget)
     else:
         interval = sphere.fewnomial_sup(p, args.eps, budget)
     return interval.to_json()
@@ -82,7 +75,7 @@ def _cmd_system_test(args) -> dict:
     if not isinstance(raw, list):
         raise ValueError("system file must be a JSON array of polynomials")
     system = [sphere.poly_from_json(obj) for obj in raw]
-    result = sphere.system_reduce(system, _require_k(args.k), args.delta,
+    result = sphere.system_reduce(system, args.k, args.delta,
                                   _resolve_budget(args.budget))
     return result.to_json()
 
@@ -91,8 +84,7 @@ def _cmd_assign(args) -> dict:
     from . import assign
     a = assign.tensor_from_json(_load_json(args.a))
     b = assign.tensor_from_json(_load_json(args.b))
-    k = _require_k(args.k)
-    budget = _resolve_budget(args.budget)
+    k, budget = args.k, _resolve_budget(args.budget)
     bounds = assign.sup_bounds(a, b, k, budget)
     out = {"bounds": bounds.to_json()}
     if args.greedy:
@@ -116,8 +108,7 @@ def _cmd_hyper_align(args) -> dict:
     from . import assign, hypergraph
     h1 = hypergraph.hypergraph_from_json(_load_json(args.h1))
     h2 = hypergraph.hypergraph_from_json(_load_json(args.h2))
-    result = hypergraph.align(h1, h2, _require_k(args.k),
-                              _resolve_budget(args.budget))
+    result = hypergraph.align(h1, h2, args.k, _resolve_budget(args.budget))
     matched = result.matched
     return {
         "permutation": assign.permutation_to_json(result.permutation),
@@ -133,10 +124,7 @@ def _random_rational_vector(rng: random.Random, n: int) -> list[Fraction]:
 
 def _cmd_verify(args) -> dict:
     from . import sandwich
-    n = args.n
-    k = _require_k(args.k)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    k, n = parse_positive(args.k, "k"), parse_positive(args.n, "n")
     if args.trials < 0:
         raise ValueError("trials must be >= 0")
     # the point-mass case (v = ell = e_1), tight for n = 2, k = 1

@@ -12,7 +12,8 @@ class BudgetError(RuntimeError):
     multiply-adds, partition terms, or the fewer of a pinned step's
     sweep rows and enumerated evaluations), ``budget`` the configured
     limit, and ``k`` the moment order that triggered the blow-up when
-    one is attributable.
+    one is attributable.  ``BudgetError.check`` raises the refusals that
+    compare a count of work with a budget.
     """
 
     def __init__(self, message: str, *, required: int | None = None,
@@ -21,3 +22,13 @@ class BudgetError(RuntimeError):
         self.required = required
         self.budget = budget
         self.k = k
+
+    @classmethod
+    def check(cls, required: int, budget: int, what: str, *args: object,
+              k: int | None = None) -> None:
+        """Refuse ``required`` work above ``budget``: the message is
+        ``what`` formatted with ``args`` and then ", budget is B", built
+        only when it refuses."""
+        if required > budget:
+            raise cls(what.format(*args) + f", budget is {budget}",
+                      required=required, budget=budget, k=k)

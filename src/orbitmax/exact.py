@@ -1,6 +1,7 @@
 """Exact scalar kernels: bound factors, roots, rational and integer parsing,
-and clearing the denominators of a rational vector; and ``_Frozen``, the
-immutable base of the library's value types.
+and clearing the denominators of a rational vector; ``_Frozen``, the
+immutable base of the library's value types; and ``_record_json``, the
+JSON form of the result records.
 
 Everything here is computed in exact integer / rational arithmetic
 (``fractions.Fraction``); floating point appears only at the very end,
@@ -38,6 +39,7 @@ __all__ = [
     "format_rational",
     "parse_rational",
     "parse_int",
+    "parse_positive",
     "parse_budget",
     "parse_list",
     "parse_ints",
@@ -84,9 +86,9 @@ def root_2k(x: Fraction | int, k: int) -> float:
     root lies that close to a midpoint between two floats, and is exact
     whenever the root is a float not that close to one.  A root above
     the float range is inf, one below half the smallest subnormal 0.0.
+    k is read with ``parse_positive``.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = parse_positive(k, "k")
     x = Fraction(x)
     if x < 0:
         raise ValueError("root_2k requires a non-negative argument")
@@ -157,12 +159,10 @@ def bound_factor(dim: int, k: int) -> float:
     """C(dim + k - 1, k)**(1/(2k)): the generic even-moment-to-max factor.
 
     The binomial is exact; only the single final root is floating.
-    Always >= 1, and equal to sqrt(dim) at k = 1.
+    Always >= 1, and equal to sqrt(dim) at k = 1.  Both are read with
+    ``parse_positive``.
     """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    dim, k = parse_positive(dim, "dim"), parse_positive(k, "k")
     return root_2k(Fraction(math.comb(dim + k - 1, k)), k)
 
 
@@ -201,6 +201,16 @@ def parse_int(value: str | int) -> int:
         except TypeError:
             pass
     raise ValueError(f"expected an integer, got {value!r}")
+
+
+def parse_positive(value: str | int, name: str) -> int:
+    """A positive integer argument called ``name``, such as a moment
+    order k, a dimension or a count of trials: read with ``parse_int``,
+    refused below 1."""
+    number = parse_int(value)
+    if number < 1:
+        raise ValueError(f"{name} must be >= 1")
+    return number
 
 
 def parse_budget(value: str | int | None, default: int | None = None) -> int | None:
@@ -278,6 +288,25 @@ class _Frozen:
 
     def __reduce__(self) -> tuple:
         return type(self), self._key()
+
+
+def _record_json(record: tuple, **extra: object) -> dict:
+    """The JSON object of a result record (a NamedTuple): its fields and
+    the derived ``extra`` values by name, each a Fraction as its
+    'num/den' string, a record or an interval through its own
+    ``to_json``, a tuple as the list of its items, and any other value
+    as it is."""
+    def encode(value: object) -> object:
+        if isinstance(value, Fraction):
+            return format_rational(value)
+        if hasattr(value, "to_json"):
+            return value.to_json()
+        if isinstance(value, tuple):
+            return [encode(item) for item in value]
+        return value
+
+    fields = {**dict(zip(record._fields, record)), **extra}
+    return {name: encode(value) for name, value in fields.items()}
 
 
 def _int_scaled(values: Sequence[Fraction | int]) -> tuple[list[int], int]:

@@ -17,7 +17,7 @@ from typing import Mapping, NamedTuple, Sequence
 from . import assign
 from .bounds import Interval
 from .exact import (_Frozen, format_rational, parse_int, parse_ints, parse_list,
-                    parse_rationals)
+                    parse_positive, parse_rationals)
 
 __all__ = [
     "Hypergraph",
@@ -114,9 +114,7 @@ def matched_edges(h1: Hypergraph, h2: Hypergraph,
     Equals <B, gA> for the source tensor of h1 and target tensor of h2;
     an exact non-negative integer when both hypergraphs are unweighted.
     """
-    if h1.n != h2.n or h1.d != h2.d:
-        raise ValueError(
-            f"hypergraph shapes differ: (n={h1.n}, d={h1.d}) vs (n={h2.n}, d={h2.d})")
+    assign._check_shapes(h1, h2, "hypergraph")
     return assign.matrix_element(
         adjacency_tensor(h1, "source"), adjacency_tensor(h2, "target"), g)
 
@@ -126,11 +124,11 @@ def align(h1: Hypergraph, h2: Hypergraph, k: int,
     """Certified bounds on the best matched-edge count plus a greedy bijection.
 
     The returned permutation's exact matched count is at least the
-    certified lower bound (2k-th root of the exact moment).
+    certified lower bound (2k-th root of the exact moment).  k is read
+    with ``exact.parse_positive``.
     """
-    if h1.n != h2.n or h1.d != h2.d:
-        raise ValueError(
-            f"hypergraph shapes differ: (n={h1.n}, d={h1.d}) vs (n={h2.n}, d={h2.d})")
+    assign._check_shapes(h1, h2, "hypergraph")
+    k = parse_positive(k, "k")
     a = adjacency_tensor(h1, "source")
     b = adjacency_tensor(h2, "target")
     bounds = assign.sup_bounds(a, b, k, visit_budget)

@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .exact import _int_scaled, bound_factor, format_rational, parse_rationals
+from .exact import _int_scaled, _record_json, bound_factor, parse_positive, parse_rationals
 
 __all__ = [
     "DEFAULT_GROUP_CAP",
@@ -45,14 +45,7 @@ class InequalityCheck(NamedTuple):
         return self.rhs - self.lhs
 
     def to_json(self) -> dict:
-        return {
-            "inequality": self.inequality,
-            "lhs": format_rational(self.lhs),
-            "rhs": format_rational(self.rhs),
-            "holds": self.holds,
-            "tight": self.tight,
-            "margin": format_rational(self.margin),
-        }
+        return _record_json(self, margin=self.margin)
 
 
 class SandwichReport(NamedTuple):
@@ -72,16 +65,7 @@ class SandwichReport(NamedTuple):
         return all(c.holds for c in self.checks)
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "span_dim": self.span_dim,
-            "sup_abs": format_rational(self.sup_abs),
-            "moment_2k": format_rational(self.moment_2k),
-            "moment_2": format_rational(self.moment_2),
-            "all_hold": self.all_hold,
-            "checks": [c.to_json() for c in self.checks],
-        }
+        return _record_json(self, all_hold=self.all_hold)
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -125,16 +109,15 @@ def orbit_span_dim(v: Sequence[Fraction | int], k: int) -> int:
     multi-indices are identical across all rows; one column per k-multiset
     of coordinates preserves the row-space rank and keeps the
     elimination small.  Invariant under permuting or rescaling v, whose
-    values are read with ``exact.parse_rationals``.  Refuses
-    n > DEFAULT_GROUP_CAP.
+    values are read with ``exact.parse_rationals``, and k with
+    ``exact.parse_positive``.  Refuses n > DEFAULT_GROUP_CAP.
     """
     v = parse_rationals(v)
     n = len(v)
     if n > DEFAULT_GROUP_CAP:
         raise ValueError(
             f"orbit span cap is n <= {DEFAULT_GROUP_CAP}, got n = {n}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = parse_positive(k, "k")
     ints = _primitive(_int_scaled(v)[0])
     if not any(ints):
         raise ValueError("v must be non-zero")
@@ -152,7 +135,8 @@ def verify_sandwich(v: Sequence[Fraction | int], ell: Sequence[Fraction | int],
     One pass over the n! orders of ell, in Python integers over the
     cleared denominators, gives sum f**2, sum f**(2k) and max |f|: an
     enumeration independent of the moment engines.  v and ell are read
-    with ``exact.parse_rationals``.  Refuses n < 1 and
+    with ``exact.parse_rationals``, and k with ``exact.parse_positive``.
+    Refuses n < 1 and
     n > DEFAULT_GROUP_CAP.  All four inequalities are verified at the
     2k-th-power level with exact rational comparisons:
 
@@ -170,8 +154,7 @@ def verify_sandwich(v: Sequence[Fraction | int], ell: Sequence[Fraction | int],
     if n > DEFAULT_GROUP_CAP:
         raise ValueError(
             f"group enumeration cap is n <= {DEFAULT_GROUP_CAP}, got n = {n}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = parse_positive(k, "k")
     ints_v, lv = _int_scaled(vv)
     ints_ell, lell = _int_scaled(ell)
     s2 = s2k = top = 0
@@ -214,13 +197,7 @@ class Cor16Check(NamedTuple):
     applicable: bool
 
     def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "factor": self.factor,
-            "threshold": self.threshold,
-            "holds": self.holds,
-            "applicable": self.applicable,
-        }
+        return _record_json(self)
 
 
 class Cor16Report(NamedTuple):
@@ -236,12 +213,7 @@ class Cor16Report(NamedTuple):
         return all(c.holds for c in self.checks if c.applicable)
 
     def to_json(self) -> dict:
-        return {
-            "eps": self.eps,
-            "k0": self.k0,
-            "all_hold": self.all_hold,
-            "checks": [c.to_json() for c in self.checks],
-        }
+        return _record_json(self, all_hold=self.all_hold)
 
 
 def _below(x: int, a: int, b: int) -> bool:
@@ -263,10 +235,10 @@ def cor16_factor_check(dim: int, eps: float) -> Cor16Report:
     Both the search and the verification compare exact integers at the
     k0-th-power level; the floats in the report are informational.  The
     factor inequality requires dim >= k0, so smaller dimensions are
-    reported as not applicable.
+    reported as not applicable.  ``dim`` is read with
+    ``exact.parse_positive``.
     """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    dim = parse_positive(dim, "dim")
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
     # a float's denominator is a power of two, 2**s, so den**(2k) and 2**k

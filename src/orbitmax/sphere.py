@@ -18,8 +18,8 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .bounds import Interval
 from .errors import BudgetError
-from .exact import (_Frozen, _int_scaled, format_rational, parse_budget, parse_int,
-                    parse_ints, parse_list, parse_rational)
+from .exact import (_Frozen, _int_scaled, _record_json, format_rational, parse_budget,
+                    parse_int, parse_ints, parse_list, parse_positive, parse_rational)
 
 __all__ = [
     "DEFAULT_TERM_BUDGET",
@@ -226,25 +226,19 @@ def moment_2k(p: SparsePoly, k: int, term_budget: int | None = None) -> Fraction
 
     The term budget bounds the C(2k + t - 1, t - 1) compositions of the
     walk and, second, the k*d odd factors of the largest weight (a - 1)!!
-    (a <= 2kd); both are checked before any work.
+    (a <= 2kd); both are checked before any work.  k is read with
+    ``exact.parse_positive``.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = parse_positive(k, "k")
     budget = parse_budget(term_budget, DEFAULT_TERM_BUDGET)
     if p.is_zero:
         return Fraction(0)
     t = p.num_terms
     comps = math.comb(2 * k + t - 1, t - 1)
-    if comps > budget:
-        raise BudgetError(
-            f"moment at k={k} needs {comps} collected terms for the "
-            f"{t}-term polynomial, budget is {budget}",
-            required=comps, budget=budget, k=k)
-    if k * p.d > budget:
-        raise BudgetError(
-            f"moment at k={k} needs weights of up to k*d = {k * p.d} odd "
-            f"factors, budget is {budget}",
-            required=k * p.d, budget=budget, k=k)
+    BudgetError.check(comps, budget, "moment at k={} needs {} collected terms for "
+                      "the {}-term polynomial", k, comps, t, k=k)
+    BudgetError.check(k * p.d, budget, "moment at k={} needs weights of up to "
+                      "k*d = {} odd factors", k, k * p.d, k=k)
     m = 2 * k
     exps = list(p.terms)
     ints, lcm = _int_scaled(list(p.terms.values()))
@@ -336,6 +330,7 @@ def sup_bounds(p: SparsePoly, k: int,
     forms in n variables; the zero polynomial yields the degenerate
     [0, 0] interval.
     """
+    k = parse_positive(k, "k")
     moment = moment_2k(p, k, term_budget)
     factor = math.comb(k * p.d + p.n - 1, k * p.d)
     return Interval.from_moment(moment, factor, k)
@@ -388,10 +383,10 @@ def sample_lower_bound(p: SparsePoly, trials: int, seed: int) -> float:
     """Max |p| over pseudo-random sphere points (normalised Gaussians).
 
     Deterministic per seed.  Never exceeds the true maximum, so it
-    cross-checks any certified upper bound from below.
+    cross-checks any certified upper bound from below.  ``trials`` is
+    read with ``exact.parse_positive``.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = parse_positive(trials, "trials")
     if p.is_zero:
         return 0.0
     # the only numpy user here: importing it at module level would cost
@@ -431,14 +426,7 @@ class SystemReduction(NamedTuple):
     certified_min_q: float | None    # > 0 lower bound on min q when gapped
 
     def to_json(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "gamma_exact": format_rational(self.gamma_exact),
-            "verdict": self.verdict,
-            "certified_min_q": self.certified_min_q,
-            "interval": self.interval.to_json(),
-            "p": poly_to_json(self.p),
-        }
+        return _record_json(self, p=poly_to_json(self.p))
 
 
 def system_reduce(system: Sequence[SparsePoly], k: int, delta: float = 0.01,
@@ -456,7 +444,9 @@ def system_reduce(system: Sequence[SparsePoly], k: int, delta: float = 0.01,
     ``upper_exact < (gamma*(1 - delta))**(2k)``, the system is reported
     as a certified gap, with ``certified_min_q`` a float rounded down
     from gamma - upper, so that min q >= certified_min_q holds exactly.
+    k is read with ``exact.parse_positive``.
     """
+    k = parse_positive(k, "k")
     if not system:
         raise ValueError("system must contain at least one polynomial")
     if not 0 < delta < math.inf:
@@ -482,10 +472,8 @@ def system_reduce(system: Sequence[SparsePoly], k: int, delta: float = 0.01,
                              "is above the float range")
         gamma_exact = Fraction(top)
     count = math.comb(n + d - 1, d)
-    if count > budget:
-        raise BudgetError(
-            f"|x|**(2d) at n={n}, d={d} has {count} terms, budget is {budget}",
-            required=count, budget=budget)
+    BudgetError.check(count, budget, "|x|**(2d) at n={}, d={} has {} terms",
+                      n, d, count)
     # the exponent vectors beta, |beta| = d, in ascending lexicographic order
     betas = [()]
     for i in range(n):

@@ -20,10 +20,11 @@ from helpers import (apply_perm, brute_coset_average, brute_group_moment,
                      random_permutation, random_rational_tensor,
                      sweep_coset_moment)
 from orbitmax import (_builder, _contract, _residue, _typesweep, assign, exact,
-                      hypergraph)
+                      hypergraph, sandwich, sphere)
 from orbitmax.assign import (DenseTensor, PartialAssignment, Permutation,
                              brute_max, coset_moment, greedy_extract,
                              matrix_element, moment_2k, sup_bounds)
+from orbitmax.bounds import Interval
 from orbitmax.errors import BudgetError
 
 
@@ -1046,6 +1047,93 @@ class TestBudgetValues:
         with pytest.raises(BudgetError) as exc:
             greedy_extract(a, b, 1, visit_budget=0)
         assert exc.value.budget == 0
+
+
+_BAD_INTEGERS = [2.0, True, "1.5", 0, -1]
+
+
+def _pair(d: int) -> tuple[DenseTensor, DenseTensor]:
+    rng = random.Random(1043)
+    return tuple(random_int_tensor(rng, 3, d, -3, 3) for _ in range(2))
+
+
+_FORM = sphere.SparsePoly.from_terms(2, 2, [((2, 0), 1), ((1, 1), -3)])
+_LINEAR = sphere.SparsePoly.from_terms(2, 1, [((1, 0), 1), ((0, 1), -1)])
+_PATH = hypergraph.Hypergraph.from_edges(4, 2, [(0, 1), (1, 2), (2, 3)])
+
+# every public entry that takes a moment order k, a dimension or a count
+# of trials: call(x, budget) passes x as that argument, and the budget
+# where the entry takes one
+_INTEGER_ENTRIES = {
+    "assign.moment_2k-d1": lambda x, v: moment_2k(*_pair(1), x, v),
+    "assign.moment_2k-d2": lambda x, v: moment_2k(*_pair(2), x, v),
+    "assign.sup_bounds": lambda x, v: sup_bounds(*_pair(2), x, v),
+    "assign.coset_moment-d1": lambda x, v: coset_moment(
+        *_pair(1), x, PartialAssignment(((0, 1),)), v),
+    "assign.coset_moment-d2": lambda x, v: coset_moment(
+        *_pair(2), x, PartialAssignment(((0, 1),)), v),
+    "assign.greedy_extract-d1": lambda x, v: greedy_extract(*_pair(1), x, v),
+    "assign.greedy_extract-d2": lambda x, v: greedy_extract(*_pair(2), x, v),
+    "hypergraph.align": lambda x, v: hypergraph.align(_PATH, _PATH, x, v),
+    "sphere.moment_2k": lambda x, v: sphere.moment_2k(_FORM, x, v),
+    "sphere.sup_bounds": lambda x, v: sphere.sup_bounds(_FORM, x, v),
+    "sphere.system_reduce": lambda x, v: sphere.system_reduce([_LINEAR], x, 0.01, v),
+    "sphere.sample_lower_bound": lambda x, v: sphere.sample_lower_bound(_FORM, x, 7),
+    "sandwich.orbit_span_dim": lambda x, v: sandwich.orbit_span_dim([1, 2, 0], x),
+    "sandwich.verify_sandwich": lambda x, v: sandwich.verify_sandwich(
+        [1, 2, 0], [1, -1, 0], x),
+    "sandwich.cor16_factor_check": lambda x, v: sandwich.cor16_factor_check(x, 0.9),
+    "exact.root_2k": lambda x, v: exact.root_2k(Fraction(9, 4), x),
+    "exact.bound_factor-dim": lambda x, v: exact.bound_factor(x, 2),
+    "exact.bound_factor-k": lambda x, v: exact.bound_factor(5, x),
+    "Interval.from_moment": lambda x, v: Interval.from_moment(Fraction(1, 3), 4, x),
+}
+
+
+class TestIntegerArguments:
+    """k, ``dim`` and ``trials`` are read as budgets are: a float, a bool
+    or a non-integer string is invalid input, not truncated, accepted as
+    1 or left to fail as a TypeError inside the arithmetic."""
+
+    @pytest.mark.parametrize("value", _BAD_INTEGERS)
+    @pytest.mark.parametrize("entry", sorted(_INTEGER_ENTRIES))
+    def test_refused_as_invalid(self, entry, value):
+        # budget 0 refuses any work, so the argument is read before it
+        with pytest.raises(ValueError):
+            _INTEGER_ENTRIES[entry](value, 0)
+
+    @pytest.mark.parametrize("entry", sorted(_INTEGER_ENTRIES))
+    def test_integer_strings_and_numpy_integers(self, entry):
+        call = _INTEGER_ENTRIES[entry]
+        assert call("2", None) == call(np.int64(2), None) == call(2, None)
+
+
+class TestBudgetRefusals:
+    @pytest.mark.parametrize("call, message, required, budget, k", [
+        (lambda: moment_2k(*_pair(1), 2, 10),
+         "power-sum moments need at least 13 partition terms and power "
+         "products (n=3, 2k=4), budget is 10", 13, 10, 2),
+        (lambda: coset_moment(*_pair(2), 1, PartialAssignment(((0, 1),)), 1),
+         "pinned step needs 16 coset evaluations or 64 sweep rows "
+         "(n=3, d=2, 2k=2), budget is 1", 16, 1, 1),
+        (lambda: moment_2k(*_pair(2), 1, 10),
+         "partition moments need at least 101 plan terms and multiply-adds "
+         "(n=3, d=2, 2k=2), budget is 10", 101, 10, 1),
+        (lambda: sphere.moment_2k(_FORM, 3, 5),
+         "moment at k=3 needs 7 collected terms for the 2-term polynomial, "
+         "budget is 5", 7, 5, 3),
+        (lambda: sphere.moment_2k(sphere.SparsePoly.from_terms(2, 2, [((1, 1), 2)]), 3, 5),
+         "moment at k=3 needs weights of up to k*d = 6 odd factors, budget is 5",
+         6, 5, 3),
+        (lambda: sphere.system_reduce([sphere.SparsePoly.variable(10, 0)], 1, 0.01, 5),
+         "|x|**(2d) at n=10, d=1 has 10 terms, budget is 5", 10, 5, None),
+    ], ids=["d1-partition-terms", "pinned-step", "plan-terms", "sphere-compositions",
+            "sphere-odd-factors", "system-norm-power"])
+    def test_message_and_fields(self, call, message, required, budget, k):
+        with pytest.raises(BudgetError) as exc:
+            call()
+        assert (str(exc.value), exc.value.required, exc.value.budget, exc.value.k) \
+            == (message, required, budget, k)
 
 
 class TestSupBounds:

@@ -2,9 +2,11 @@
 
 ``golden_assign.json`` holds the ``sup_bounds``, ``greedy_extract`` and
 ``hypergraph.align`` results of every input below, serialised exactly
-(intervals by ``Interval.to_json``, values as 'num/den').  The engines
-promise bit-identical outputs across refactors of how they read their
-inputs, so any difference here is a regression.  To regenerate the file
+(intervals by ``Interval.to_json``, values as 'num/den'), and the
+``to_json`` of fixed ``verify_sandwich``, ``cor16_factor_check`` and
+``system_reduce`` results, both verdicts of each.  The engines promise
+bit-identical outputs across refactors of how they read their inputs
+and write their records, so any difference here is a regression.  To regenerate the file
 after a deliberate change of output, run
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -21,7 +23,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbitmax import assign, hypergraph
+from orbitmax import assign, hypergraph, sandwich, sphere
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_assign.json")
 
@@ -78,6 +80,27 @@ ALIGN_CASES = (
 )
 
 
+def _system(*polys) -> list[sphere.SparsePoly]:
+    return [sphere.SparsePoly.from_terms(2, 1, terms) for terms in polys]
+
+
+# (name, call): result records whose to_json is pinned, each verdict once
+RECORD_CASES = (
+    # the point mass, tight at n = 2, k = 1, and a rational pair
+    ("sandwich-tight", lambda: sandwich.verify_sandwich([1, 0], [1, 0], 1)),
+    ("sandwich-rational", lambda: sandwich.verify_sandwich(
+        ["1/2", -3, 2, "5/7"], [2, "-1/3", 0, 1], 2)),
+    # dim 1 is below k0, so its check is not applicable
+    ("cor16-below-k0", lambda: sandwich.cor16_factor_check(1, 0.5)),
+    ("cor16-applicable", lambda: sandwich.cor16_factor_check(40, 0.9)),
+    # x1 = x2 = 0 has no root on the circle; x1 - x2 vanishes on the diagonal
+    ("system-gap", lambda: sphere.system_reduce(
+        _system([((1, 0), 1)], [((0, 1), 1)]), 6, 0.01)),
+    ("system-solvable", lambda: sphere.system_reduce(
+        _system([((1, 0), 1), ((0, 1), "-1/2")]), 3)),
+)
+
+
 def _fmt(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
@@ -96,6 +119,9 @@ def hypergraph_pair(name: str):
 
 def outputs(name: str) -> dict:
     """The serialised engine outputs of one named input."""
+    record = dict(RECORD_CASES).get(name)
+    if record is not None:
+        return record().to_json()
     if name.startswith("align"):
         h1, h2, k = hypergraph_pair(name)
         res = hypergraph.align(h1, h2, k)
@@ -107,7 +133,7 @@ def outputs(name: str) -> dict:
             "images": list(greedy.permutation.images), "value": _fmt(greedy.value)}
 
 
-NAMES = [c[0] for c in TENSOR_CASES] + [c[0] for c in ALIGN_CASES]
+NAMES = [c[0] for c in TENSOR_CASES + ALIGN_CASES + RECORD_CASES]
 
 
 @pytest.fixture(scope="module")
