@@ -44,20 +44,24 @@ prefix of one plan, and the nodes that prefix's components reach.
 ``_builder`` finds the orbits and compiles the components; this module
 keeps only what a moment over a complete plan reads.
 
-A block limit evaluates its nodes by a schedule (``_Schedule``), built
-once per plan and limit: the nodes of equal depth in the node graph and
-equal subscripts form a group, evaluated by one ``np.einsum`` over a
-leading batch axis, in order of depth.  Node values live in one array
-per output rank, indexed by slot (views of one array per side, which
-also holds the operands a group gathers); a group's operands are read
-as slices of those arrays when their slots allow (always for a one-node
-group) and gathered by slot otherwise.  A side runs in int64 when
-n**F * top**m, top its largest absolute entry, is at most
-``exact._INT64_MAX``, and on Python ints otherwise: that bound holds
-every component value, every T(sigma) and every |S(pi)| <= (n)_r * top**m,
-so the int64 rule beside ``_INT64_MAX`` keeps the side exact, whatever
-its Moebius products wrap to on the way.  Grouping changes no value:
-each node is the same einsum as on its own.
+A block limit evaluates its nodes by the plan's one schedule
+(``_Schedule``), built when a plan is first asked for a limit and
+rebuilt only when the builder adds rows to it: the nodes of equal depth
+in the node graph and equal subscripts form a group, evaluated by one
+``np.einsum`` over a leading batch axis, in order of depth.  Inside a
+group, nodes are ordered by the smallest block limit that reaches them,
+so a block limit reads the leading nodes of each group, a prefix of the
+one schedule as it reads a prefix of the one plan (``_Schedule.limit``).
+Node values live in one array per output rank, indexed by slot (views
+of one array per side, which also holds the operands a group gathers);
+a group's operands are read as slices of those arrays when their slots
+allow (always for a one-node group) and gathered by slot otherwise.  A
+side runs in int64 when n**F * top**m, top its largest absolute entry,
+is at most ``exact._INT64_MAX``, and on Python ints otherwise: that
+bound holds every component value, every T(sigma) and every
+|S(pi)| <= (n)_r * top**m, so the int64 rule beside ``_INT64_MAX``
+keeps the side exact, whatever its Moebius products wrap to on the way.
+Grouping changes no value: each node is the same einsum as on its own.
 
 The plans of (d, m) = (2, 2), (2, 4) and (3, 2) (``_SHIPPED``) ship
 complete, every block count up to l, as package data in ``plans/``: a
@@ -77,12 +81,13 @@ one scale ``assign`` applies to the result.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import json
 import math
 import os
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -168,20 +173,23 @@ class _Plan:
         self.nodes: list = [None]
         self.node_index: dict = {}
         self.compiled: dict[tuple[int, int], int] = {}
-        self.schedules: dict[int, _Schedule] = {}
+        # how a side evaluates the nodes of the rows with factors, rebuilt
+        # whenever the builder has added rows
+        self.schedule: _Schedule | None = None
 
-    def limit(self, top: int) -> "_Schedule":
-        """The schedule of a block limit, built on first use; the plan
-        builder (``_builder``) is imported only when the limit reaches
-        past what the plan holds."""
-        hit = self.schedules.get(top)
-        if hit is None:
-            if top > self.built or len(self.factors) < self.start[top + 1]:
-                from ._builder import extend_rows
+    def limit(self, top: int) -> "_Limit":
+        """What a side at block limit ``top`` evaluates: the view of the
+        plan's one schedule at that limit (``_Schedule.limit``).  The
+        plan builder (``_builder``) is imported only when the limit
+        reaches past what the plan holds, and the schedule is rebuilt
+        only when the plan holds rows that it does not."""
+        if top > self.built or len(self.factors) < self.start[top + 1]:
+            from ._builder import extend_rows
 
-                extend_rows(self, top)
-            hit = self.schedules[top] = _Schedule(self, top)
-        return hit
+            extend_rows(self, top)
+        if self.schedule is None or len(self.schedule.factors) < len(self.factors):
+            self.schedule = _Schedule(self)
+        return self.schedule.limit(top)
 
     def side(self, top: int, flat: Sequence[int], n: int) -> list[int]:
         """S of every representative with at most ``top`` blocks for one
@@ -229,67 +237,125 @@ class _Plan:
                                self.row_start[:count]).tolist()
 
 
-class _Schedule:
-    """How ``_Plan.side`` evaluates the nodes that a block limit's
-    factors reach: in groups of the nodes with equal depth in the node
-    graph (the tensor at depth 0) and equal subscripts, one
-    ``np.einsum`` per group over a leading batch axis, in order of
-    depth.  Each node has a slot among the nodes of its output rank;
-    slot 0 of rank d is the tensor, and slot 0 of rank 0 holds 1, the
-    value of the factors' padding.  A group's nodes take consecutive
-    slots, and each operand is read by a slice when its slots are one
-    slot or consecutive (a one-node group's always are), else gathered.
+class _Limit(NamedTuple):
+    """The part of a schedule (``_Schedule``) that a block limit reads.
 
     ``groups`` lists (batched subscripts, operands as (rank, slice or
-    slots), output rank, output slots); ``sizes`` the slots of each
-    rank; ``factors`` the rank-0 slots of the component values of each
-    representative in the prefix; ``widths`` (width, nodes) pairs, for
-    the multiply-adds the budget charges."""
+    slots), output rank, output slots); ``sizes`` the slots of each rank
+    up to the last one the limit's nodes use; ``factors`` the rank-0
+    slots of the component values of each representative in the prefix;
+    ``widths`` (width, nodes) pairs, for the multiply-adds the budget
+    charges."""
 
-    def __init__(self, plan: _Plan, top: int):
-        count = plan.start[top + 1]
-        roots = set(plan.factors[:count].ravel().tolist()) - {0}
-        reach, stack = set(), list(roots)
-        while stack:
-            v = stack.pop()
-            if v and v not in reach:
-                reach.add(v)
-                _, x, y, _ = plan.nodes[v]
-                stack.extend((x,) if y is None else (x, y))
-        depth = {0: 0}
+    groups: list
+    sizes: list
+    factors: np.ndarray
+    widths: tuple
+
+
+class _Schedule:
+    """How ``_Plan.side`` evaluates the nodes that the plan's factors
+    reach, one per plan, rebuilt when the builder adds rows: in groups
+    of the nodes with equal depth in the node graph (the tensor at depth
+    0) and equal subscripts, one ``np.einsum`` per group over a leading
+    batch axis, in order of depth.  Inside a group, nodes are ordered by
+    the smallest block limit whose representatives reach them, so a
+    block limit evaluates the leading nodes of each group: its view
+    (``limit``, kept per limit) skips the groups it does not reach.
+    Each node has a slot among the nodes of its output rank; slot 0 of
+    rank d is the tensor, and slot 0 of rank 0 holds 1, the value of
+    the factors' padding.  A group's nodes take consecutive slots, and
+    each operand is read by a slice when the slots that a limit reads
+    of it are one slot or consecutive (a one-node group's always are),
+    else gathered.
+
+    ``groups`` lists (batched subscripts, output rank, first output
+    slot, the block limit of each node, operands); an operand is (rank,
+    first slot, how many leading nodes read that one slot, how many
+    read consecutive slots, and its slots unless all are consecutive).
+    ``sizes`` counts the slots of each rank, ``factors`` the rank-0
+    slots of the component values of each representative with factors,
+    and ``widths_by_limit[r]`` the nodes of block limit r by width.  A node that
+    no representative reaches has block limit l + 1, which no view
+    reads."""
+
+    def __init__(self, plan: _Plan):
+        nodes, self.start = plan.nodes, plan.start
+        # the smallest block limit whose representatives reach each node,
+        # set from the most blocks down and passed on to the operands
+        need = np.full(len(nodes), plan.l + 1, dtype=np.intp)
+        for r in range(len(plan.start) - 2, 0, -1):
+            need[plan.factors[plan.start[r]:plan.start[r + 1]]] = r
+        need = need.tolist()
+        for v in range(len(nodes) - 1, 0, -1):  # operands have smaller numbers
+            _, x, y, _ = nodes[v]
+            for operand in (x,) if y is None else (x, y):
+                if need[v] < need[operand]:
+                    need[operand] = need[v]
+        depth = [0] * len(nodes)
         groups: dict[tuple[int, str], list[int]] = {}
-        widths: dict[int, int] = {}
-        for v in sorted(reach):  # operands first
-            sub, x, y, width = plan.nodes[v]
+        self.widths_by_limit: list[dict[int, int]] = [{} for _ in range(plan.l + 2)]
+        for v in range(1, len(nodes)):
+            sub, x, y, width = nodes[v]
             depth[v] = 1 + max(depth[x], 0 if y is None else depth[y])
             groups.setdefault((depth[v], sub), []).append(v)
-            widths[width] = widths.get(width, 0) + 1
-        self.widths = tuple(widths.items())
+            counts = self.widths_by_limit[need[v]]
+            counts[width] = counts.get(width, 0) + 1
         self.sizes = [1] + [0] * (plan.d - 1) + [1]
-        slot = np.zeros(len(plan.nodes), dtype=np.intp)
+        slot = [0] * len(nodes)
         self.groups = []
-        for (_, sub), nodes in sorted(groups.items()):
+        for (_, sub), members in sorted(groups.items()):
+            members.sort(key=need.__getitem__)
             inputs, output = sub.split("->")
             rank = len(output)
             self.sizes.extend([0] * (rank + 1 - len(self.sizes)))
             lo = self.sizes[rank]
-            self.sizes[rank] += len(nodes)
-            slot[nodes] = range(lo, lo + len(nodes))
+            self.sizes[rank] += len(members)
+            for i, v in enumerate(members):
+                slot[v] = lo + i
             operands = []
             for j, labels in enumerate(inputs.split(",")):
-                slots = slot[[plan.nodes[v][1 + j] for v in nodes]]
-                first = int(slots[0])
-                if (slots == first).all():
-                    index = slice(first, first + 1)
-                elif (slots == np.arange(first, first + len(nodes))).all():
-                    index = slice(first, first + len(nodes))
-                else:
-                    index = slots
-                operands.append((len(labels), index))
-            batched = ",".join("..." + labels for labels in inputs.split(","))
-            self.groups.append((batched + "->..." + output, tuple(operands),
-                                rank, slice(lo, lo + len(nodes))))
-        self.factors = slot[plan.factors[:count]]
+                slots = [slot[nodes[v][1 + j]] for v in members]
+                head, count = slots[0], len(slots)
+                same = run = 1
+                while same < count and slots[same] == head:
+                    same += 1
+                while run < count and slots[run] == head + run:
+                    run += 1
+                gathered = np.array(slots, dtype=np.intp) if run < count else None
+                operands.append((len(labels), head, same, run, gathered))
+            batched = "..." + sub.replace(",", ",...").replace("->", "->...")
+            self.groups.append((batched, rank, lo, [need[v] for v in members],
+                                tuple(operands)))
+        # the slots every limit uses: the factors' padding and the tensor
+        self.base = [1] + [0] * (len(self.sizes) - 1)
+        self.base[plan.d] = 1
+        self.factors = np.array(slot, dtype=np.intp)[plan.factors]
+        self.views: dict[int, _Limit] = {}
+
+    def limit(self, top: int) -> _Limit:
+        """The view of the schedule at block limit ``top``: the leading
+        nodes of each group that the limit reaches, empty groups skipped,
+        and the factors of the first ``start[top + 1]`` representatives."""
+        hit = self.views.get(top)
+        if hit is None:
+            groups, sizes = [], self.base[:]
+            for sub, rank, lo, needs, operands in self.groups:
+                c = bisect.bisect_right(needs, top)
+                if c:
+                    reads = tuple((r, slice(head, head + 1) if c <= same else
+                                   slice(head, head + c) if c <= run else slots[:c])
+                                  for r, head, same, run, slots in operands)
+                    groups.append((sub, reads, rank, slice(lo, lo + c)))
+                    sizes[rank] = max(sizes[rank], lo + c)
+            widths: dict[int, int] = {}
+            for counts in self.widths_by_limit[1:top + 1]:
+                for width, count in counts.items():
+                    widths[width] = widths.get(width, 0) + count
+            hit = self.views[top] = _Limit(groups, sizes,
+                                           self.factors[:self.start[top + 1]],
+                                           tuple(widths.items()))
+        return hit
 
 
 def _plan(d: int, m: int) -> _Plan:

@@ -345,8 +345,7 @@ def choose_k(n: int, d: int, eps: float) -> int:
     """
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
-    if n < 1 or d < 1:
-        raise ValueError("need n >= 1 and d >= 1")
+    n, d = parse_positive(n, "n"), parse_positive(d, "d")
     if n == 1:
         return 1
     target = math.log1p(eps)

@@ -946,6 +946,79 @@ class TestGroupedSide:
                         node_loop_side(plan, top, flat, n), (top, n, big)
 
 
+def _schedule_builds(monkeypatch) -> list:
+    """A list that records, from now on, each plan that ``_contract``
+    builds a contraction schedule for."""
+    built = []
+
+    class Spy(_contract._Schedule):
+        def __init__(self, plan):
+            built.append((plan.d, plan.m))
+            super().__init__(plan)
+
+    monkeypatch.setattr(_contract, "_Schedule", Spy)
+    return built
+
+
+class TestOneSchedulePerPlan:
+    """A plan keeps one contraction schedule, rebuilt only when the
+    builder adds rows; every block limit reads a view of it."""
+
+    @pytest.mark.parametrize("d, m", sorted(_contract._SHIPPED))
+    def test_every_limit_of_a_shipped_plan_reads_one_schedule(self, monkeypatch, d, m):
+        monkeypatch.setattr(_contract, "_plans", {})
+        built = _schedule_builds(monkeypatch)
+        plan = _contract._plan(d, m)
+        tops = list(range(1, m * d + 1))
+        random.Random(1051 + d + m).shuffle(tops)
+        for top in tops + tops[::-1]:
+            plan.limit(top)
+            plan.side(top, [1] * 2 ** d, 2)
+        _contract.check_budget(3, d, m, 10 ** 9)
+        assert built == [(d, m)]
+
+    def test_a_built_plan_rebuilds_once_per_extension(self, monkeypatch):
+        # (2, 6) is built; a limit it already holds reuses its schedule
+        monkeypatch.setattr(_contract, "_plans", {})
+        built = _schedule_builds(monkeypatch)
+        plan = _contract._plan(2, 6)
+        for top, builds in ((4, 1), (2, 1), (3, 1), (4, 1), (5, 2), (1, 2), (5, 2)):
+            plan.limit(top)
+            assert built == [(2, 6)] * builds, top
+
+    def test_rows_the_builder_adds_directly_rebuild_it(self, monkeypatch):
+        # rows added by ``_builder.extend_rows`` itself, not through a
+        # limit, are read by the next limit that reaches them
+        monkeypatch.setattr(_contract, "_plans", {})
+        plan = _contract._plan(2, 6)
+        plan.limit(3)
+        _builder.extend_rows(plan, 4)
+        flat = [2, -1, 0, 3, 1, -2, 4, 1, -3]
+        assert plan.side(4, flat, 3) == node_loop_side(plan, 4, flat, 3)
+
+    @pytest.mark.parametrize("d, m", sorted(_contract._SHIPPED))
+    def test_a_side_evaluates_the_nodes_the_budget_charges(self, monkeypatch, d, m):
+        # the node outputs that the einsums of one side write, counted
+        # over their batch axes, are the nodes of the limit's widths
+        monkeypatch.setattr(_contract, "_plans", {})
+        plan = _contract._plan(d, m)
+        written = []
+
+        class Numpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def einsum(self, sub, *operands, out):
+                written.append(len(out))
+                return np.einsum(sub, *operands, out=out)
+
+        monkeypatch.setattr(_contract, "np", Numpy())
+        for top in range(1, m * d + 1):
+            del written[:]
+            plan.side(top, [1, -2, 3] * 3 ** (d - 1), 3)
+            assert sum(written) == sum(nodes for _, nodes in plan.limit(top).widths)
+
+
 class TestShippedPlans:
     """The plans of ``_contract._SHIPPED`` are read from package data,
     complete, and equal what the builder makes from scratch."""
@@ -1061,9 +1134,9 @@ _FORM = sphere.SparsePoly.from_terms(2, 2, [((2, 0), 1), ((1, 1), -3)])
 _LINEAR = sphere.SparsePoly.from_terms(2, 1, [((1, 0), 1), ((0, 1), -1)])
 _PATH = hypergraph.Hypergraph.from_edges(4, 2, [(0, 1), (1, 2), (2, 3)])
 
-# every public entry that takes a moment order k, a dimension or a count
-# of trials: call(x, budget) passes x as that argument, and the budget
-# where the entry takes one
+# every public entry that takes a moment order k, a dimension, a count
+# of trials or the n and d of a form: call(x, budget) passes x as that
+# argument, and the budget where the entry takes one
 _INTEGER_ENTRIES = {
     "assign.moment_2k-d1": lambda x, v: moment_2k(*_pair(1), x, v),
     "assign.moment_2k-d2": lambda x, v: moment_2k(*_pair(2), x, v),
@@ -1086,14 +1159,17 @@ _INTEGER_ENTRIES = {
     "exact.root_2k": lambda x, v: exact.root_2k(Fraction(9, 4), x),
     "exact.bound_factor-dim": lambda x, v: exact.bound_factor(x, 2),
     "exact.bound_factor-k": lambda x, v: exact.bound_factor(5, x),
+    "sphere.choose_k-n": lambda x, v: sphere.choose_k(x, 2, 0.5),
+    "sphere.choose_k-d": lambda x, v: sphere.choose_k(3, x, 0.5),
     "Interval.from_moment": lambda x, v: Interval.from_moment(Fraction(1, 3), 4, x),
 }
 
 
 class TestIntegerArguments:
-    """k, ``dim`` and ``trials`` are read as budgets are: a float, a bool
-    or a non-integer string is invalid input, not truncated, accepted as
-    1 or left to fail as a TypeError inside the arithmetic."""
+    """k, ``dim``, ``trials`` and the n and d of ``sphere.choose_k`` are
+    read as budgets are: a float, a bool or a non-integer string is
+    invalid input, not truncated, accepted as 1 or left to fail as a
+    TypeError inside the arithmetic."""
 
     @pytest.mark.parametrize("value", _BAD_INTEGERS)
     @pytest.mark.parametrize("entry", sorted(_INTEGER_ENTRIES))

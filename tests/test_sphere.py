@@ -449,7 +449,7 @@ class TestChooseK:
 
     @pytest.mark.parametrize("n, d", [(0, 2), (3, 0)])
     def test_n_or_d_below_one_refused(self, n, d):
-        with pytest.raises(ValueError, match="n >= 1 and d >= 1"):
+        with pytest.raises(ValueError, match="must be >= 1"):
             sphere.choose_k(n, d, 0.5)
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf, -1.0, 0.0])
